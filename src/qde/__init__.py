@@ -58,7 +58,7 @@ from .qeuler import (
     qeuler_poly,
     qeuler_poly_additive,
 )
-from .ratfunc import MAX_DEGREE, Poly, RatFunc, poly_gcd, q_bracket, rf_eval, rf_subst_power
+from .ratfunc import MAX_DEGREE, Poly, RatFunc, poly_gcd, q_bracket
 from .reports import IdentityReport
 
 __version__ = "1.0.0"
@@ -78,7 +78,6 @@ __all__ = [
     "normalized_bracket", "padic_dc_sum", "parse_rational",
     "periodic_euler", "poly_gcd", "principal_pow", "q_bracket",
     "q_dc_sum", "q_int", "q_pow", "qeuler_number", "qeuler_poly",
-    "qeuler_poly_additive", "rational_valuation", "rf_eval",
-    "rf_subst_power", "riemann_level", "teichmuller",
-    "teichmuller_inverse", "valuation",
+    "qeuler_poly_additive", "rational_valuation", "riemann_level",
+    "teichmuller", "teichmuller_inverse", "valuation",
 ]

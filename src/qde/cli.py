@@ -240,8 +240,12 @@ def _run_recursion(pt, variant, mode):
     return check_interp_recursion(pt["m"], pt["a"], pt["N"], pt["p"], pt["alpha"], variant, mode)
 
 
+# theorem1 reports carry the reading that a CLI variant selects
+THEOREM1_READINGS = {"corrected": "interpolated", "printed": "interpolated_printed"}
+
+
 def _run_theorem1(pt, variant, mode):
-    reading = "interpolated" if variant == "corrected" else "interpolated_printed"
+    reading = THEOREM1_READINGS[variant]
     return check_main_relation(pt["m"], pt["h"], pt["k"], pt["alpha"], pt["p"], mode, reading)
 
 
@@ -285,6 +289,7 @@ IDENTITIES = {
     "theorem1": {
         "runner": _run_theorem1,
         "variants": ("printed", "corrected"),
+        "reported_as": THEOREM1_READINGS,
         "keys": ("m", "h", "k", "alpha", "p"),
         "defaults": {"m": [1], "h": [1], "k": [2], "alpha": [1], "p": [3]},
     },
@@ -446,7 +451,8 @@ def cmd_verify(identity, variant, params_text, mode_text, workers, out_path):
         except QdeError as exc:
             params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in point.items()}
             params["mode"] = root_mode(mode).describe()
-            return IdentityReport(identity, label, params, {"fail": {"error": str(exc)}}, 0.0)
+            reported = spec.get("reported_as", {}).get(label, label)
+            return IdentityReport(identity, reported, params, {"fail": {"error": str(exc)}}, 0)
 
     jobs = [(point, label) for point in points for label in labels]
     if workers > 1:

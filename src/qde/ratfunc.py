@@ -1,19 +1,51 @@
 """Univariate polynomials and rational functions with exact rational
 coefficients.
 
-Polynomials are dense coefficient tuples, degree-ascending, with
-trailing zeros stripped (the zero polynomial has an empty tuple).
-Rational functions are kept fully reduced with a monic denominator, so
+A polynomial is a tuple of integer numerators, degree-ascending with
+trailing zeros stripped, over one positive common denominator (the zero
+polynomial is the empty tuple over 1).  The pair is kept in lowest
+terms: no prime divides the denominator and every numerator.  That
+form is canonical, so ``==`` and ``hash`` compare it structurally, and
+``Poly.coeffs`` rebuilds the coefficients as Fractions.  Rational
+functions are kept fully reduced with a monic denominator, so
 structural equality is semantic equality.
 
-The gcd runs a primitive polynomial remainder sequence over the
-integers, which keeps coefficient growth under control for the large
-structured denominators (products of ``1 +- q^e``) this package
-produces.  A degree guardrail rejects intermediates above
-``MAX_DEGREE``: large enough for every check shipped here, small enough
-to fail fast on a runaway exponent.
+All arithmetic runs on the integer numerators.  Multiplication and
+division switch on operand length alone:
+
+- A product whose shorter operand has at least ``KRONECKER_MIN_LEN``
+  terms uses Kronecker substitution (D. Harvey, "Faster polynomial
+  multiplication via multipoint Kronecker substitution", J. Symb.
+  Comput. 44, 2009).  Each operand is evaluated at xi = 2^(8w), with w
+  bytes per coefficient, enough for every coefficient of the product.
+  The two integers are multiplied once, and the product's coefficients
+  are read back as balanced base-xi digits.  Shorter products use the
+  schoolbook double loop, which is faster there.
+- Division with remainder first tries the same substitution when the
+  quotient and the divisor both reach that length: one integer division
+  of the packed values, with the quotient accepted only if the division
+  is exact and coefficient bounds prove that it lifts back to the
+  polynomials.  Otherwise it runs fraction-free long division over the
+  integers, which scales the running remainder only when its leading
+  coefficient is not a multiple of the divisor's.
+- The gcd is the heuristic GCDHEU (B. Char, K. Geddes, G. Gonnet,
+  "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+  computation", J. Symb. Comput. 7, 1989).  Both primitive inputs are
+  evaluated at a power of two xi >= 2 min(|a|, |b|) + 2, the integer gcd
+  of the two values is read back as balanced base-xi digits, and the
+  primitive part of that polynomial is accepted only when exact
+  division proves that it divides both inputs, which makes it the gcd.
+  A rejected candidate is retried at a wider xi a few times.  After
+  that, a primitive polynomial remainder sequence over the integers
+  gives the answer; the tests also use it as the reference.
+
+A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
+enough for every check shipped here, small enough to fail fast on a
+runaway exponent.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,6 +53,16 @@ from .errors import PoleError, ResourceLimitError
 from .exact import format_rational, parse_rational
 
 MAX_DEGREE = 100_000
+# shortest operand length at which Kronecker substitution takes over from the
+# double loop (and from long division); the two cross at about 4 to 16 terms
+KRONECKER_MIN_LEN = 8
+# GCDHEU evaluation points tried, each twice as wide as the last, before the PRS
+HEU_TRIES = 4
+
+# array type codes of the signed machine integers, by size in bytes
+_SIGNED = {array(code).itemsize: code for code in "bhilq"}
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+_FLIP_TOP_BIT = bytes(b ^ 0x80 for b in range(256))
 
 
 def _guard_degree(d: int) -> None:
@@ -29,15 +71,18 @@ def _guard_degree(d: int) -> None:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, coefficients ascending."""
+    """Dense univariate polynomial over the rationals, coefficients ascending.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators over one positive common denominator
+    in lowest terms; ``coeffs`` gives the Fraction coefficients.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -59,39 +104,52 @@ class Poly:
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
         _guard_degree(k)
-        return cls((0,) * k + (c,))
+        c = Fraction(c)
+        return _poly([0] * k + [c.numerator], c.denominator)
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        if da != db:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+        else:
+            den = da
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return _poly(out, den)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -100,19 +158,14 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly()
         _guard_degree(self.degree + other.degree)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+        return _poly(_mul_ints(self._num, other._num), self._den * other._den)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         if c == 0:
             return Poly()
-        return Poly(tuple(x * c for x in self.coeffs))
+        n = c.numerator
+        return _poly([x * n for x in self._num], self._den * c.denominator)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -131,18 +184,12 @@ class Poly:
         """Exact division with remainder over the rationals."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        db, lb = other.degree, other.leading
-        q = [Fraction(0)] * max(0, len(r) - db)
-        while r and len(r) - 1 >= db:
-            t = r[-1] / lb
-            pos = len(r) - 1 - db
-            q[pos] = t
-            for i, bc in enumerate(other.coeffs):
-                r[pos + i] -= t * bc
-            while r and r[-1] == 0:
-                r.pop()
-        return Poly(q), Poly(r)
+        q, r, s = _divmod_ints(self._num, other._num)
+        den = s * self._den
+        db = other._den
+        if db != 1:
+            q = [c * db for c in q]
+        return _poly(q, den), _poly(r, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -153,14 +200,20 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return _poly(list(self._num), self._num[-1])
 
     def __call__(self, x0):
         """Horner evaluation at an exact rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        x0 = Fraction(x0)
+        a, b = x0.numerator, x0.denominator
+        # homogeneous Horner: acc ends as the value times b^degree = bp
+        acc, bp = self._num[-1], 1
+        for c in self._num[-2::-1]:
+            bp *= b
+            acc = acc * a + c * bp
+        return Fraction(acc, bp * self._den)
 
     def subst_power(self, d: int) -> "Poly":
         """Replace the variable t by t^d."""
@@ -169,10 +222,9 @@ class Poly:
         if self.is_zero or d == 1:
             return self
         _guard_degree(self.degree * d)
-        out = [Fraction(0)] * (self.degree * d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * d] = c
-        return Poly(out)
+        out = [0] * (self.degree * d + 1)
+        out[::d] = self._num
+        return _raw(tuple(out), self._den)
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -206,24 +258,232 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _int_primitive(p: Poly) -> list[int]:
-    """Integer coefficient list of p cleared of content, leading > 0."""
-    if p.is_zero:
-        return []
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
+def _init(p: Poly, num: list[int], den: int) -> None:
+    """Store num/den in p in lowest terms with den > 0 (num is consumed)."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        if den < 0:
+            num = [-c for c in num]
+            den = -den
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    object.__setattr__(p, "_num", tuple(num))
+    object.__setattr__(p, "_den", den)
+
+
+def _poly(num: list[int], den: int) -> Poly:
+    """The polynomial num/den, brought to lowest terms (num is consumed)."""
+    p = object.__new__(Poly)
+    _init(p, num, den)
+    return p
+
+
+def _raw(num: tuple, den: int) -> Poly:
+    """A Poly from a pair already in lowest terms."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
+    return p
+
+
+# integer polynomial kernels: int sequences, degree-ascending, with a
+# nonzero leading coefficient
 
 
 def _strip(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _width(bound: int) -> int:
+    """Bytes per digit so that balanced digits of magnitude <= bound fit.
+
+    Up to 8 bytes the width is rounded up to a machine integer size, so
+    that packing runs through ``array``.
+    """
+    w = bound.bit_length() // 8 + 1
+    for size in (1, 2, 4, 8):
+        if w <= size:
+            return size
+    return w
+
+
+def _to_bytes(a, w: int) -> bytes:
+    """Little-endian two's complement of each digit, w bytes apiece."""
+    code = _SIGNED.get(w)
+    if code is None:
+        return b"".join(c.to_bytes(w, "little", signed=True) for c in a)
+    arr = array(code, a)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def _from_bytes(raw, w: int) -> list[int]:
+    """Inverse of _to_bytes."""
+    code = _SIGNED.get(w)
+    if code is None:
+        return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+    arr = array(code)
+    arr.frombytes(raw)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tolist()
+
+
+def _pack(a, w: int) -> int:
+    """a evaluated at 2^(8w); every |a_i| must be below 2^(8w-1)."""
+    raw = _to_bytes(a, w)
+    # a negative digit's two's complement reads 2^(8w) too high, which is
+    # one unit too many in the next digit up
+    carry = bytearray(len(raw) + w)
+    carry[w::w] = raw[w - 1::w].translate(_TOP_BIT)
+    return int.from_bytes(raw, "little") - int.from_bytes(carry, "little")
+
+
+def _unpack(v: int, n: int, w: int) -> list[int]:
+    """The n balanced base-2^(8w) digits of v, lowest first.
+
+    Raises OverflowError when v needs more than n digits.
+    """
+    # adding 2^(8w-1) to every digit makes them all nonnegative; flipping
+    # the top bit of each then gives the digit in two's complement
+    raw = bytearray((v + _offset(n, w)).to_bytes(n * w, "little"))
+    raw[w - 1::w] = raw[w - 1::w].translate(_FLIP_TOP_BIT)
+    return _from_bytes(raw, w)
+
+
+def _offset(n: int, w: int) -> int:
+    """Sum of 2^(8w-1) * 2^(8w*j) for j < n."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _eval_pow2(a: list[int], w: int) -> int:
+    """a evaluated at 2^(8w), for coefficients of any size."""
+    k = 8 * w
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    value, shift = 0, 0
+    while any(a):
+        low = [((c + half) & mask) - half for c in a]
+        value += _pack(low, w) << shift
+        a = [(c - d) >> k for c, d in zip(a, low)]
+        shift += k
+    return value
+
+
+def _mul_schoolbook(a, b) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + n] = [o + x * y for o, x in zip(out[j:j + n], a)]
+    return out
+
+
+def _mul_kronecker(a, b) -> list[int]:
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = _width(bound)
+    pa = _pack(a, w)
+    pb = pa if b is a else _pack(b, w)
+    return _unpack(pa * pb, len(a) + len(b) - 1, w)
+
+
+def _mul_ints(a, b) -> list[int]:
+    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+        return _mul_schoolbook(a, b)
+    return _mul_kronecker(a, b)
+
+
+def _quo_kronecker(a, b):
+    """a / b from one integer division at xi = 2^(8w), or None.
+
+    A quotient q is returned only when it is proven: b(xi) q(xi) = a(xi),
+    and every coefficient of b*q and of a is below xi/2 in magnitude, so
+    the two polynomials have the same balanced base-xi digits.  None
+    means b does not divide a, or the quotient is too wide to prove.
+    """
+    nb = max(map(abs, b))
+    w = _width(max(map(abs, a)) * nb * len(b))
+    qv, rv = divmod(_pack(a, w), _pack(b, w))
+    if rv:
+        return None
+    n = len(a) - len(b) + 1
+    try:
+        q = _unpack(qv, n, w)
+    except OverflowError:
+        return None
+    if max(map(abs, q)) * nb * min(n, len(b)) >> (8 * w - 1):
+        return None
+    return q
+
+
+def _divmod_ints(a, b):
+    """(q, r, s) with s * a = q * b + r, deg r < deg b and s > 0.
+
+    An exact quotient proven by _quo_kronecker is taken as it is;
+    otherwise fraction-free long division, where s stays 1 unless a
+    leading term of the running remainder is not a multiple of b's
+    leading coefficient.
+    """
+    db = len(b) - 1
+    nq = len(a) - db
+    if nq <= 0:
+        return [], list(a), 1
+    if min(nq, len(b)) >= KRONECKER_MIN_LEN:
+        q = _quo_kronecker(a, b)
+        if q is not None:
+            return q, [], 1
+    r = list(a)
+    lb = b[-1]
+    q = [0] * nq
+    s = 1
+    for pos in range(nq - 1, -1, -1):
+        c = r[pos + db]
+        if not c:
+            continue
+        t, m = divmod(c, lb)
+        if m:
+            f = abs(lb) // gcd(c, lb)
+            r = [x * f for x in r]
+            q = [x * f for x in q]
+            s *= f
+            t = c * f // lb
+        q[pos] = t
+        r[pos:pos + db + 1] = [x - t * y for x, y in zip(r[pos:pos + db + 1], b)]
+    return q, r[:db], s
+
+
+def _heu_gcd(a, b):
+    """GCDHEU for primitive a, b of positive degree; None when it gives up.
+
+    A returned candidate is proven: it divides both inputs, and with
+    xi >= 2 min(|a|, |b|) + 2 such a candidate is the gcd.
+    """
+    w = _width(min(max(map(abs, a)), max(map(abs, b))))
+    for _ in range(HEU_TRIES):
+        gamma = gcd(_eval_pow2(a, w), _eval_pow2(b, w))
+        g = _primitive(_strip(_unpack(gamma, gamma.bit_length() // (8 * w) + 2, w)))
+        if len(g) == 1 or not (any(_divmod_ints(a, g)[1]) or any(_divmod_ints(b, g)[1])):
+            return g
+        w *= 2
+    return None
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -241,32 +501,31 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _int_prim_inplace(a: list[int]) -> list[int]:
-    if not a:
-        return a
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
+def _prs_gcd(a, b):
+    """Primitive gcd of primitive a, b by a primitive remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_rem(a, b)
+        a, b = b, (_primitive(r) if r else r)
+    return a
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via a primitive remainder sequence over the integers."""
+    """Monic gcd: GCDHEU proven by division, else a primitive PRS."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    x, y = _int_primitive(a), _int_primitive(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        r = _pseudo_rem(x, y)
-        x, y = y, _int_prim_inplace(r)
-    return Poly(Fraction(c) for c in x).monic()
+    if a.degree == 0 or b.degree == 0:
+        return _POLY_ONE
+    x, y = _primitive(a._num), _primitive(b._num)
+    g = _heu_gcd(x, y)
+    if g is None:
+        g = _prs_gcd(x, y)
+    return _poly(g, g[-1])
 
 
 _POLY_ONE = Poly.one()
@@ -425,16 +684,6 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
 
-def rf_eval(f: RatFunc, q0) -> Fraction:
-    return f.eval_at(q0)
-
-
-def rf_subst_power(f: RatFunc, d: int) -> RatFunc:
-    if d < 1:
-        raise ValueError("substitution exponent must be positive")
-    return f.subst_power(d)
-
-
 def q_bracket(x: int, base_exp: int = 1) -> RatFunc:
     """The q-integer (1 - q^(e*x)) / (1 - q^e) as a reduced function.
 
@@ -448,7 +697,6 @@ def q_bracket(x: int, base_exp: int = 1) -> RatFunc:
     if x == 0:
         return RatFunc.zero()
     _guard_degree(base_exp * (x - 1))
-    coeffs = [Fraction(0)] * (base_exp * (x - 1) + 1)
-    for i in range(x):
-        coeffs[base_exp * i] = Fraction(1)
+    coeffs = [0] * (base_exp * (x - 1) + 1)
+    coeffs[::base_exp] = [1] * x
     return RatFunc.from_poly(Poly(coeffs))

@@ -138,6 +138,19 @@ class TestVerify:
         assert report["variant"] == "interpolated"
         assert report["status"] == "exact"
 
+    def test_error_report_matches_success_schema(self, runner):
+        # the error path labels theorem1 with its reading and times in int ms, as success does
+        res = runner.invoke(main, [
+            "verify", "--identity", "theorem1", "--variant", "corrected",
+            "--params", "m=3,h=2,k=5,p=3", "--mode", "padic:p=3,K=2",
+        ])
+        assert res.exit_code == 1
+        (line,) = lines_of(res)
+        report = json.loads(line)
+        assert "error" in report["status"]["fail"]
+        assert report["variant"] == "interpolated"
+        assert type(report["elapsed_ms"]) is int
+
     def test_unavailable_variant_exits_two(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "eq4", "--variant", "corrected"])
         assert res.exit_code == 2

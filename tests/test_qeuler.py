@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qde.errors import ExponentError, PoleError, PreconditionError
@@ -257,6 +257,26 @@ class TestQEulerPoly:
                     a = qeuler_poly(n, alpha, x, SYM).value
                     b = qeuler_poly_additive(n, alpha, x, SYM).value
                     assert a == b
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=-2, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(lambda q: abs(q) != 1),
+    )
+    @example(1, 1, -1, Fraction(0))  # q^(-1) at q = 0: a pole in both modes
+    def test_symbolic_value_at_q0_matches_rational_mode(self, n, alpha, x, q0):
+        # q0 = +-1 is left out: the reduced symbolic form is finite at roots
+        # of unity where the rational computation divides by zero
+        def outcome(compute):
+            try:
+                return compute()
+            except PoleError:
+                return PoleError
+
+        sym = outcome(lambda: qeuler_poly(n, alpha, x, SYM).value.eval_at(q0))
+        rat = outcome(lambda: qeuler_poly(n, alpha, x, RationalMode(q0)).value)
+        assert sym == rat
 
     def test_additive_form_rejects_non_integers(self):
         with pytest.raises(PreconditionError):

@@ -1,16 +1,57 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qde import ratfunc
 from qde.errors import PoleError, ResourceLimitError
-from qde.ratfunc import MAX_DEGREE, Poly, RatFunc, poly_gcd, q_bracket, rf_eval, rf_subst_power
+from qde.ratfunc import (
+    KRONECKER_MIN_LEN,
+    MAX_DEGREE,
+    Poly,
+    RatFunc,
+    _heu_gcd,
+    _mul_kronecker,
+    _mul_schoolbook,
+    _primitive,
+    _prs_gcd,
+    poly_gcd,
+    q_bracket,
+)
 
 # small integer polynomials for properties
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
 polys = coeff_lists.map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+# lengths on both sides of the Kronecker threshold; mixed signs, small to
+# very wide integers (past 8 bytes a digit), and Fractions
+SPAN = 3 * KRONECKER_MIN_LEN
+wide_ints = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(10**7), max_value=10**7),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+int_lists = st.lists(wide_ints, min_size=1, max_size=SPAN).filter(lambda a: a[-1] != 0)
+wide_coeffs = st.one_of(wide_ints, st.fractions(max_denominator=10**6))
+wide_polys = st.lists(wide_coeffs, max_size=SPAN).map(Poly)
+wide_nonzero_polys = wide_polys.filter(lambda p: not p.is_zero)
+# primitive integer polynomials of positive degree, leading coefficient > 0
+primitive_lists = (
+    st.lists(st.integers(min_value=-60, max_value=60), min_size=2, max_size=12)
+    .filter(lambda a: a[-1] != 0)
+    .map(_primitive)
+)
+
+
+def convolve(a, b):
+    """Reference product of two coefficient sequences."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def P(*cs):
@@ -41,11 +82,24 @@ class TestPoly:
         with pytest.raises(ValueError):
             P(1, 1) ** -1
 
-    @given(polys, nonzero_polys)
+    @given(st.one_of(polys, wide_polys), st.one_of(nonzero_polys, wide_nonzero_polys))
     def test_divmod_property(self, a, b):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+
+    @settings(max_examples=100)
+    @given(wide_nonzero_polys, st.integers(min_value=2, max_value=10**6), int_lists, st.booleans())
+    def test_divmod_non_unit_leading(self, q, lead, b, exact):
+        # b's leading coefficient is not +-1; exact multiples take the
+        # Kronecker quotient, the rest long division with scaling
+        b = Poly(b + [lead])
+        a = q * b if exact else q * b + Poly([1])
+        got_q, got_r = divmod(a, b)
+        assert got_q * b + got_r == a
+        assert got_r.is_zero or got_r.degree < b.degree
+        if exact:
+            assert (got_q, got_r) == (q, Poly.zero())
 
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -66,6 +120,23 @@ class TestPoly:
         assert P(Fraction(-1, 2), 1).render("x") == "-1/2+x"
         assert P(0, -1, 1).render("x") == "-x+x^2"
         assert Poly.zero().render() == "0"
+
+    def test_divmod_quotient_wider_than_its_dividend(self):
+        # q*b has coefficients of magnitude 1 while q reaches 301: the packed
+        # quotient does not lift back, and long division must take over
+        q = Poly([min(i + 1, 601 - i) for i in range(601)])
+        b = Poly.monomial(8) - Poly.monomial(7)
+        assert divmod(q * b, b) == (q, Poly.zero())
+
+    @settings(max_examples=100)
+    @given(int_lists, int_lists)
+    def test_kronecker_matches_double_loop(self, a, b):
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+    @given(wide_polys, wide_polys)
+    def test_product_matches_reference(self, a, b):
+        want = Poly(convolve(a.coeffs, b.coeffs)) if a.coeffs and b.coeffs else Poly.zero()
+        assert a * b == want
 
     def test_degree_guard_on_mul(self):
         big = Poly.monomial(60_000)
@@ -97,6 +168,46 @@ class TestPolyGcd:
         assert (a % g).is_zero
         assert (b % g).is_zero
         assert g.leading == 1
+
+    @settings(max_examples=100)
+    @given(primitive_lists, primitive_lists, primitive_lists)
+    def test_heuristic_matches_prs(self, a, b, c):
+        x, y = _mul_schoolbook(a, c), _mul_schoolbook(b, c)
+        want = _prs_gcd(x, y)
+        assert _heu_gcd(x, y) in (None, want)
+        assert poly_gcd(Poly(x), Poly(y)) == Poly(want).monic()
+
+    @pytest.mark.parametrize("common", [
+        [0, 2, 3, 1],         # x(x+1)(x+2): every value a multiple of 6
+        [0, 6, 11, 6, 1],     # x(x+1)(x+2)(x+3): every value a multiple of 24
+        [2, 3],               # 3x + 2, not monic
+        [-2, 0, 0, 5],        # 5x^3 - 2
+    ])
+    def test_heuristic_on_fixed_divisors_and_non_monic_factors(self, common):
+        cofactors = ([5, 1], [-1, 2], [7, 2, 0, 1], [1, -1, 5], [0, 0, 1])
+        for u in cofactors:
+            for v in cofactors:
+                x, y = _mul_schoolbook(common, u), _mul_schoolbook(common, v)
+                want = _prs_gcd(x, y)
+                assert _heu_gcd(x, y) == want
+                assert poly_gcd(Poly(x), Poly(y)) == Poly(want).monic()
+
+    @pytest.mark.parametrize("a, b", [
+        ([-2, -1, 3], [3, 0, 2]),           # first candidate x - 81
+        ([2, 1, 3, 1], [-2, 2, 2, 3]),      # first candidate x + 61
+    ])
+    def test_heuristic_rejects_unlucky_evaluation_point(self, a, b):
+        # coprime, but the integer gcd of the values at 2^8 reads back as a
+        # linear candidate; division must reject it before a wider point
+        assert _heu_gcd(a, b) == _prs_gcd(a, b) == [1]
+
+    def test_prs_fallback_when_heuristic_gives_up(self, monkeypatch):
+        monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: None)
+        common = P(2, 3)
+        a = common * P(0, 6, 11, 6, 1)
+        b = common * P(-1, 0, 1)
+        assert poly_gcd(a, b) == P(Fraction(2, 3), 1) * P(1, 1)
+        assert RatFunc(a, b) == RatFunc(P(0, 6, 5, 1), P(-1, 1))
 
 
 class TestRatFunc:
@@ -146,7 +257,7 @@ class TestRatFunc:
 
     def test_eval(self):
         f = RatFunc(P(1, 1), P(-2, 1))
-        assert rf_eval(f, 3) == 4
+        assert f.eval_at(3) == 4
         with pytest.raises(PoleError):
             f.eval_at(2)
 
@@ -157,10 +268,11 @@ class TestRatFunc:
 
     def test_subst_power(self):
         f = RatFunc(P(-1, 1), P(1, 1))
-        g = rf_subst_power(f, 2)
+        g = f.subst_power(2)
         assert g == RatFunc(P(-1, 0, 1), P(1, 0, 1))
-        with pytest.raises(ValueError):
-            rf_subst_power(f, 0)
+        for d in (0, -1):
+            with pytest.raises(ValueError):
+                f.subst_power(d)
 
     def test_json_roundtrip(self):
         f = RatFunc(P(Fraction(1, 2), 1), P(1, 0, 1))
