@@ -1,0 +1,72 @@
+"""Golden digests of `qde verify` output over a fixed set of runs.
+
+Each run is one `qde verify` invocation.  Its digest is the SHA-256 of
+the report lines with the elapsed_ms field removed, followed by the
+exit code, so any change to a report byte, to the order of the reports
+or to the exit code shows up.  Digests rather than text keep the data
+file small; the whole dump is about 300 KB.
+
+A deliberate output change regenerates the file with
+
+    PYTHONPATH=src python tests/test_verify_golden.py
+
+and the change has to be explained where it is made.
+"""
+
+import hashlib
+import json
+import re
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from qde.cli import main
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "verify_golden.json"
+
+IDENTITY_IDS = ("eq4", "eq5", "eq6", "eq7", "eq8", "recursion", "theorem1")
+ELAPSED = re.compile(r'"elapsed_ms":\d+,')
+
+
+def golden_runs() -> list:
+    """The argument lists after `qde verify`, one per run."""
+    runs = []
+    for identity in IDENTITY_IDS:
+        for mode in ("symbolic", "rational:q=4", "padic:p=3,K=32"):
+            runs.append(["--identity", identity, "--mode", mode])
+    for identity in ("eq6", "eq8", "recursion", "theorem1"):
+        for mode in ("padic:p=5,K=128", "rational:q=6"):
+            runs.append(["--identity", identity, "--params", "p=5", "--mode", mode])
+    for identity in ("eq5", "eq7"):
+        for mode in ("padic:p=5,K=128", "symbolic"):
+            runs.append(["--identity", identity, "--params", "x=1/2", "--mode", mode])
+    return runs
+
+
+def run_digest(runner: CliRunner, args: list) -> str:
+    result = runner.invoke(main, ["verify"] + args)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    lines = [ELAPSED.sub("", line) for line in result.output.splitlines()]
+    text = "\n".join(lines) + f"\nexit={result.exit_code}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def current_digests() -> dict:
+    runner = CliRunner()
+    return {" ".join(args): run_digest(runner, args) for args in golden_runs()}
+
+
+def test_verify_output_matches_golden_digests():
+    want = json.loads(GOLDEN_PATH.read_text())
+    got = current_digests()
+    assert sorted(got) == sorted(want), "the run list and the golden file disagree"
+    changed = [run for run in want if got[run] != want[run]]
+    assert not changed, "verify output changed for: " + "; ".join(changed)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}", file=sys.stderr)
