@@ -16,20 +16,13 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
 import click
 
-from .dedekind import (
-    check_dc_expansion,
-    check_integral_splitting,
-    check_interp_recursion,
-    check_main_relation,
-    check_shifted_splitting,
-    dc_sum,
-)
+from .catalog import CATALOG, check
+from .dedekind import dc_sum
 from .errors import QdeError
 from .exact import format_rational, parse_rational
 from .oracle import IntegrandSpec, convergence_profile
@@ -38,8 +31,6 @@ from .qeuler import (
     PadicMode,
     RationalMode,
     SymbolicMode,
-    check_additive,
-    check_distribution,
     euler_classical,
     qeuler_poly,
     root_mode,
@@ -211,104 +202,6 @@ def parse_params(text: str) -> dict:
     return out
 
 
-def _run_eq4(pt, variant, mode):
-    # literal specs parse x as a Fraction; the additive form wants ints,
-    # so integral values are converted and the rest fail in the checker
-    x = pt["x"]
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = int(x)
-    return check_additive(pt["n"], pt["alpha"], x, mode)
-
-
-def _run_eq5(pt, variant, mode):
-    return check_distribution(pt["n"], pt["alpha"], pt["x"], pt["d"], variant, mode)
-
-
-def _run_eq6(pt, variant, mode):
-    return check_dc_expansion(pt["m"], pt["h"], pt["k"], pt["alpha"], pt["p"], mode)
-
-
-def _run_eq7(pt, variant, mode):
-    return check_integral_splitting(pt["n"], pt["d"], pt["alpha"], pt["x"], variant, mode)
-
-
-def _run_eq8(pt, variant, mode):
-    return check_shifted_splitting(pt["m"], pt["a"], pt["N"], pt["p"], pt["alpha"], variant, mode)
-
-
-def _run_recursion(pt, variant, mode):
-    return check_interp_recursion(pt["m"], pt["a"], pt["N"], pt["p"], pt["alpha"], variant, mode)
-
-
-# theorem1 reports carry the reading that a CLI variant selects
-THEOREM1_READINGS = {"corrected": "interpolated", "printed": "interpolated_printed"}
-
-
-def _run_theorem1(pt, variant, mode):
-    reading = THEOREM1_READINGS[variant]
-    return check_main_relation(pt["m"], pt["h"], pt["k"], pt["alpha"], pt["p"], mode, reading)
-
-
-IDENTITIES = {
-    "eq4": {
-        "runner": _run_eq4,
-        "variants": ("printed",),
-        "keys": ("n", "alpha", "x"),
-        "defaults": {"n": list(range(7)), "alpha": [1, 2, 3], "x": [0, 1, 2, 3]},
-    },
-    "eq5": {
-        "runner": _run_eq5,
-        "variants": ("printed", "corrected"),
-        "keys": ("n", "alpha", "d", "x"),
-        "defaults": {"n": list(range(4)), "alpha": [1, 2], "d": [1, 3, 5], "x": [Fraction(0)]},
-    },
-    "eq6": {
-        "runner": _run_eq6,
-        "variants": ("printed",),
-        "keys": ("m", "h", "k", "alpha", "p"),
-        "defaults": {"m": [1], "h": [1, 2], "k": [3], "alpha": [1], "p": [3]},
-    },
-    "eq7": {
-        "runner": _run_eq7,
-        "variants": ("printed", "corrected"),
-        "keys": ("n", "alpha", "d", "x"),
-        "defaults": {"n": list(range(4)), "alpha": [1, 2], "d": [1, 3, 5], "x": [Fraction(0)]},
-    },
-    "eq8": {
-        "runner": _run_eq8,
-        "variants": ("printed", "corrected"),
-        "keys": ("m", "a", "N", "p", "alpha"),
-        "defaults": {"m": [0, 1, 2], "a": [1, 2], "N": [2, 3], "p": [3], "alpha": [1]},
-    },
-    "recursion": {
-        "runner": _run_recursion,
-        "variants": ("printed", "corrected"),
-        "keys": ("m", "a", "N", "p", "alpha"),
-        "defaults": {"m": [0, 1, 2], "a": [1, 2], "N": [3], "p": [3], "alpha": [1]},
-    },
-    "theorem1": {
-        "runner": _run_theorem1,
-        "variants": ("printed", "corrected"),
-        "reported_as": THEOREM1_READINGS,
-        "keys": ("m", "h", "k", "alpha", "p"),
-        "defaults": {"m": [1], "h": [1], "k": [2], "alpha": [1], "p": [3]},
-    },
-}
-
-
-def _scale_for(identity: str, point: dict) -> int:
-    """Smallest symbolic substitution exponent the point's exponents need.
-
-    eq5's printed form keeps its inner values at the plain base, so the
-    shifted arguments force a factor of d on top of x's denominator.
-    """
-    x = point.get("x")
-    scale = x.denominator if isinstance(x, Fraction) else 1
-    if identity == "eq5":
-        scale *= point["d"]
-    return scale
-
-
 def parse_integrand(text: str) -> IntegrandSpec:
     head, _, rest = text.partition(":")
     head = head.strip()
@@ -413,53 +306,46 @@ def cmd_qeuler(n, alpha, x_text, mode_text):
 
 
 @main.command("verify")
-@click.option("--identity", type=click.Choice(list(IDENTITIES)), required=True)
+@click.option("--identity", type=click.Choice(list(CATALOG)), required=True)
 @click.option("--variant", type=click.Choice(["printed", "corrected", "both"]), default="both", show_default=True)
 @click.option("--params", "params_text", default="", help="sweep spec like 'n<=6,alpha=2,x=1/2'")
 @click.option("--mode", "mode_text", default="symbolic", show_default=True)
-@click.option("--workers", type=click.IntRange(1, 64), default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True), default=None,
               help="also write the report lines to this file")
-def cmd_verify(identity, variant, params_text, mode_text, workers, out_path):
+def cmd_verify(identity, variant, params_text, mode_text, out_path):
     """Check one identity over a parameter grid, one JSON line each.
 
     Exits 0 only when every point passes under every selected variant;
     a failing variant is reported, not raised.
     """
-    spec = IDENTITIES[identity]
+    entry = CATALOG[identity]
     if variant == "both":
-        labels = spec["variants"]
-    elif variant in spec["variants"]:
-        labels = (variant,)
+        variants = entry.variants
+    elif variant in entry.variants:
+        variants = (variant,)
     else:
         raise click.UsageError(f"identity {identity} has no {variant!r} form")
-    table = {key: list(values) for key, values in spec["defaults"].items()}
+    table = {key: list(values) for key, values in entry.defaults.items()}
     for key, values in parse_params(params_text).items():
-        if key not in spec["keys"]:
+        if key not in entry.keys:
             raise click.UsageError(
-                f"identity {identity} takes keys {', '.join(spec['keys'])}; not {key!r}"
+                f"identity {identity} takes keys {', '.join(entry.keys)}; not {key!r}"
             )
         table[key] = values
-    points = [dict(zip(spec["keys"], combo)) for combo in product(*(table[k] for k in spec["keys"]))]
+    points = [dict(zip(entry.keys, combo)) for combo in product(*(table[k] for k in entry.keys))]
     parsed_mode = parse_mode(mode_text)
 
-    def run_job(job):
-        point, label = job
-        mode = make_mode(parsed_mode, _scale_for(identity, point))
-        try:
-            return spec["runner"](point, label, mode)
-        except QdeError as exc:
-            params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in point.items()}
-            params["mode"] = root_mode(mode).describe()
-            reported = spec.get("reported_as", {}).get(label, label)
-            return IdentityReport(identity, reported, params, {"fail": {"error": str(exc)}}, 0)
-
-    jobs = [(point, label) for point in points for label in labels]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_job, jobs))
-    else:
-        reports = [run_job(job) for job in jobs]
+    reports = []
+    for point in points:
+        mode = make_mode(parsed_mode, entry.scale(point))
+        for v in variants:
+            try:
+                reports.append(check(identity, v, point, mode))
+            except QdeError as exc:
+                params = {k: (str(x) if isinstance(x, Fraction) else x) for k, x in point.items()}
+                params["mode"] = root_mode(mode).describe()
+                status = {"fail": {"error": str(exc)}}
+                reports.append(IdentityReport(identity, entry.label(v), params, status, 0))
 
     lines = [report.json_line() for report in reports]
     for line in lines:

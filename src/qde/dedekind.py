@@ -6,12 +6,10 @@ weighted q-Euler polynomial values, and interpolates p-adically through
 a two-term combination of scaled q-Euler values (interp_value) or the
 binomial series built on the unit bracket (interp_series).
 
-Checkers return IdentityReport objects instead of asserting, so a
-variant that fails (several printed forms do) is data, not an error.
 Reduction conventions, recorded once here: interp_value always reduces
 its residue argument into 1..N before evaluating, matching the finite
-expansion checked by check_dc_expansion; interp_series uses the residue
-literally, so the two agree only for arguments already below N.
+expansion of identity eq6; interp_series uses the residue literally, so
+the two agree only for arguments already below N.
 """
 
 from dataclasses import dataclass
@@ -27,18 +25,7 @@ from .padic import (
     principal_pow,
     teichmuller_inverse,
 )
-from .qeuler import (
-    BaseLifted,
-    PadicMode,
-    QEulerValue,
-    compare_values,
-    periodic_euler,
-    q_int,
-    qeuler_number,
-    qeuler_poly,
-    root_mode,
-)
-from .reports import IdentityReport, timed_report
+from .qeuler import BaseLifted, PadicMode, QEulerValue, _wrap, periodic_euler, q_int, qeuler_poly
 
 INTEGER_VARIANTS = ("naive", "interpolated", "interpolated_printed")
 
@@ -83,10 +70,6 @@ class DCParams:
             raise PreconditionError(
                 f"need m + 1 divisible by p - 1, got m={self.m} p={self.p}"
             )
-
-
-def _wrap(mode, v) -> QEulerValue:
-    return QEulerValue(root_mode(mode).kind, v)
 
 
 def dc_sum(m: int, h: int, k: int) -> Fraction:
@@ -198,7 +181,7 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
             ):
                 break
             rpow = rpow * ratio
-        euler_j = qeuler_number(j, alpha, lifted).value
+        euler_j = qeuler_poly(j, alpha, 0, lifted).value
         if not euler_j.is_zero:
             min_euler_val = min(min_euler_val, int(euler_j.valuation))
         acc = acc + coeff * mode.q_power(alpha * a * j) * euler_j * rpow
@@ -209,136 +192,19 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     return value
 
 
-def check_interp_recursion(m: int, a: int, n_mod: int, p: int, alpha: int, variant: str, mode) -> IdentityReport:
-    """Does the naive value at modulus N expand over residues mod Np?
+def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode, p: int = None):
+    """sum_{M=1}^{k-1} (-1)^(M-1) [M] interp_value(m, hM, k, variant), unchecked.
 
-    The printed variant weights the terms by (-1)^i alone, the
-    corrected one by (-1)^i q^(Ni).  Terms whose shifted residue is
-    divisible by p are skipped, as the expansion prescribes; for p | N
-    with a a unit that skip never triggers.
+    The variant is the reading each term uses; the interpolated
+    readings need p.
     """
-    if variant not in ("printed", "corrected"):
-        raise PreconditionError(f"unknown variant {variant!r}")
-    if not is_odd_prime(p):
-        raise PreconditionError(f"p must be an odd prime, got {p}")
-    if n_mod % p != 0:
-        raise PreconditionError(f"need p = {p} dividing N = {n_mod}")
-    if gcd(a, p) != 1:
-        raise PreconditionError(f"a = {a} must be a unit mod p = {p}")
-    index = [i for i in range(p) if (a + i * n_mod) % p != 0]
-    params = {
-        "m": m, "a": a, "N": n_mod, "p": p, "alpha": alpha,
-        "index_count": len(index), "mode": root_mode(mode).describe(),
-    }
-
-    def run():
-        one = mode.from_rational(1)
-        lhs = interp_value(m, a, n_mod, "naive", mode, alpha=alpha).value
-        acc = mode.from_rational(0)
-        for i in index:
-            term = interp_value(m, a + i * n_mod, n_mod * p, "naive", mode, alpha=alpha).value
-            if variant == "corrected":
-                term = term * mode.q_power(n_mod * i)
-            acc = acc + term if i % 2 == 0 else acc - term
-        rhs = (one + mode.q_power(n_mod)) / (one + mode.q_power(n_mod * p)) * acc
-        return compare_values(mode, lhs, rhs)
-
-    return timed_report("recursion", variant, params, run)
-
-
-def check_dc_expansion(m: int, h: int, k: int, alpha: int, p: int, mode) -> IdentityReport:
-    """Finite expansion of [k]^(m+1) times the q-sum over naive values.
-
-    Needs p | k, every hM a unit mod p, and m + 1 divisible by p - 1;
-    under those constraints the expansion is exact in every mode.
-    """
-    DCParams(h=h, k=k, m=m, alpha=alpha, l=k, p=p)
-    if k % p != 0:
-        raise PreconditionError(f"need p = {p} dividing k = {k}")
-    if (m + 1) % (p - 1) != 0:
-        raise PreconditionError(f"need m + 1 divisible by p - 1, got m={m} p={p}")
+    acc = mode.from_rational(0)
     for big_m in range(1, k):
-        if (h * big_m) % p == 0:
-            raise PreconditionError(f"p = {p} divides h*M at M = {big_m}")
-    params = {"m": m, "h": h, "k": k, "alpha": alpha, "p": p, "mode": root_mode(mode).describe()}
-
-    def run():
-        lhs = q_int(k, alpha, mode) ** (m + 1) * q_dc_sum(m, h, k, alpha, k, mode).value
-        acc = mode.from_rational(0)
-        for big_m in range(1, k):
-            term = q_int(big_m, alpha, mode) * interp_value(
-                m, h * big_m, k, "naive", mode, alpha=alpha
-            ).value
-            acc = acc + term if big_m % 2 == 1 else acc - term
-        return compare_values(mode, lhs, acc)
-
-    return timed_report("eq6", "printed", params, run)
-
-
-def check_integral_splitting(power: int, modulus: int, alpha: int, x, variant: str, mode) -> IdentityReport:
-    """Split one q-Euler polynomial value over residues mod an odd d."""
-    if variant not in ("printed", "corrected"):
-        raise PreconditionError(f"unknown variant {variant!r}")
-    if modulus < 1 or modulus % 2 == 0:
-        raise PreconditionError(f"modulus must be odd and >= 1, got {modulus}")
-    x = Fraction(x)
-    params = {
-        "power": power, "modulus": modulus, "alpha": alpha,
-        "x": str(x), "mode": root_mode(mode).describe(),
-    }
-
-    def run():
-        one = mode.from_rational(1)
-        lhs = qeuler_poly(power, alpha, x, mode).value
-        lifted = BaseLifted(mode, modulus)
-        acc = mode.from_rational(0)
-        for i in range(modulus):
-            term = qeuler_poly(power, alpha, (x + i) / modulus, lifted).value
-            if variant == "corrected":
-                term = term * mode.q_power(i)
-            acc = acc + term if i % 2 == 0 else acc - term
-        pref = q_int(modulus, alpha, mode) ** power * (one + mode.q_power(1)) / (
-            one + mode.q_power(modulus)
-        )
-        return compare_values(mode, lhs, pref * acc)
-
-    return timed_report("eq7", variant, params, run)
-
-
-def check_shifted_splitting(m: int, a: int, n_mod: int, p: int, alpha: int, variant: str, mode) -> IdentityReport:
-    """Split a scaled value at a/N over p residue shifts, unreduced.
-
-    Unlike check_interp_recursion this leaves a alone (no reduction mod
-    N) and imposes no unit condition, so it probes the raw splitting.
-    """
-    if variant not in ("printed", "corrected"):
-        raise PreconditionError(f"unknown variant {variant!r}")
-    if not is_odd_prime(p):
-        raise PreconditionError(f"p must be an odd prime, got {p}")
-    if m < 0 or a < 1 or n_mod < 1:
-        raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n_mod}")
-    params = {
-        "m": m, "a": a, "N": n_mod, "p": p, "alpha": alpha,
-        "mode": root_mode(mode).describe(),
-    }
-
-    def run():
-        one = mode.from_rational(1)
-        lhs = q_int(n_mod, alpha, mode) ** m * qeuler_poly(
-            m, alpha, Fraction(a, n_mod), BaseLifted(mode, n_mod)
+        term = q_int(big_m, alpha, mode) * interp_value(
+            m, h * big_m, k, variant, mode, alpha=alpha, p=p
         ).value
-        big = q_int(n_mod * p, alpha, mode) ** m
-        lifted = BaseLifted(mode, n_mod * p)
-        acc = mode.from_rational(0)
-        for i in range(p):
-            term = big * qeuler_poly(m, alpha, Fraction(a + i * n_mod, p * n_mod), lifted).value
-            if variant == "corrected":
-                term = term * mode.q_power(n_mod * i)
-            acc = acc + term if i % 2 == 0 else acc - term
-        rhs = (one + mode.q_power(n_mod)) / (one + mode.q_power(n_mod * p)) * acc
-        return compare_values(mode, lhs, rhs)
-
-    return timed_report("eq8", variant, params, run)
+        acc = acc + term if big_m % 2 == 1 else acc - term
+    return acc
 
 
 def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str = "interpolated") -> QEulerValue:
@@ -346,45 +212,8 @@ def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str 
 
     Runs under the interpolation constraints (p odd, p does not divide
     k, m + 1 divisible by p - 1).  The variant selects the reading each
-    term uses; "naive" reproduces the finite expansion side.
+    term uses.
     """
     params = DCParams(h=h, k=k, m=m, alpha=alpha, l=k, p=p)
     params.require_interpolation_domain()
-    if k == 1:
-        return _wrap(mode, mode.from_rational(0))
-    acc = mode.from_rational(0)
-    for big_m in range(1, k):
-        term = q_int(big_m, alpha, mode) * interp_value(
-            m, h * big_m, k, variant, mode, alpha=alpha, p=p
-        ).value
-        acc = acc + term if big_m % 2 == 1 else acc - term
-    return _wrap(mode, acc)
-
-
-def check_main_relation(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str = "interpolated") -> IdentityReport:
-    """Interpolated sum vs the two-term combination of finite q-sums.
-
-    rhs = [k]^(m+1) J(h,k; base k) - [k]^m [kp] J(h', k; base pk) with
-    h' the p-inverse of h mod k.  Exact in rational and symbolic modes
-    with the "interpolated" reading; the printed normalization drifts
-    for m >= 2.
-    """
-    params = DCParams(h=h, k=k, m=m, alpha=alpha, l=k, p=p)
-    params.require_interpolation_domain()
-    report_params = {
-        "m": m, "h": h, "k": k, "alpha": alpha, "p": p,
-        "mode": root_mode(mode).describe(),
-    }
-
-    def run():
-        lhs = padic_dc_sum(m, h, k, alpha, p, mode, variant).value
-        if k == 1:
-            return compare_values(mode, lhs, mode.from_rational(0))
-        h_inv = (pow(p, -1, k) * h) % k
-        bk = q_int(k, alpha, mode)
-        j_one = q_dc_sum(m, h, k, alpha, k, mode).value
-        j_two = q_dc_sum(m, h_inv, k, alpha, p * k, mode).value
-        rhs = bk ** (m + 1) * j_one - bk ** m * q_int(k * p, alpha, mode) * j_two
-        return compare_values(mode, lhs, rhs)
-
-    return timed_report("theorem1", variant, report_params, run)
+    return _wrap(mode, bracket_weighted_sum(m, h, k, alpha, variant, mode, p))

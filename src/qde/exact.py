@@ -2,27 +2,11 @@
 
 Integers are plain ``int``; rationals are ``fractions.Fraction``, which
 already enforces the canonical form (reduced, positive denominator) on
-construction.  The helpers below add the handful of operations and the
-one string format the rest of the package relies on.
+construction.  The helpers below add the floor split and the one string
+format the rest of the package relies on.
 """
 
 from fractions import Fraction
-
-Rational = Fraction
-
-
-def rat_add(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(a) + Fraction(b)
-
-
-def rat_mul(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(a) * Fraction(b)
-
-
-def rat_div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise ZeroDivisionError("rational division by zero")
-    return Fraction(a) / Fraction(b)
 
 
 def frac_floor_parts(x: Fraction) -> tuple[int, Fraction]:

@@ -315,10 +315,6 @@ class PadicNum:
         return f"PadicNum({self.unit}*{self.p}^{self.val} + O({self.p}^{self.abs_prec}))"
 
 
-def valuation(x: PadicNum):
-    return x.valuation
-
-
 def agreement_valuation(x: PadicNum, y: PadicNum):
     """v_p(x - y), capped at the joint working precision; inf if exactly equal."""
     return (x - y).valuation

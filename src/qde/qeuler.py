@@ -31,7 +31,6 @@ from .errors import ExponentError, PoleError, PreconditionError
 from .exact import format_rational, frac_floor_parts
 from .padic import PadicConfig, PadicNum, q_pow
 from .ratfunc import Poly, RatFunc
-from .reports import IdentityReport, timed_report
 
 
 class RationalMode:
@@ -293,24 +292,6 @@ def periodic_euler(m: int, x) -> Fraction:
     return -v if fl % 2 else v
 
 
-def qeuler_number(n: int, alpha: int, mode) -> QEulerValue:
-    """n-th q-Euler number at weight alpha.
-
-    (1+q)/(1-q^alpha)^n * sum_l C(n,l) (-1)^l / (1 + q^(alpha l + 1)).
-    """
-    _check_n_alpha(n, alpha)
-    one = mode.from_rational(1)
-    try:
-        acc = mode.from_rational(0)
-        for l in range(n + 1):
-            c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-            acc = acc + c / (one + mode.q_power(alpha * l + 1))
-        v = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
-    except ZeroDivisionError:
-        raise PoleError("pole in q-Euler number (a denominator vanishes at this q)") from None
-    return _wrap(mode, v)
-
-
 def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
     """n-th q-Euler polynomial at weight alpha and argument x.
 
@@ -318,7 +299,8 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
 
     x may be any Fraction the mode can represent: integers always work,
     fractional x needs a symbolic scale divisible by its denominator or
-    a p-adic q (with the denominator prime to p).
+    a p-adic q (with the denominator prime to p).  At x = 0 this is the
+    q-Euler number, and the factor q^0 is not multiplied in.
     """
     _check_n_alpha(n, alpha)
     x = Fraction(x)
@@ -327,7 +309,8 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
         acc = mode.from_rational(0)
         for l in range(n + 1):
             c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-            acc = acc + c * mode.q_power(alpha * l * x) / (one + mode.q_power(alpha * l + 1))
+            num = c if x == 0 else c * mode.q_power(alpha * l * x)
+            acc = acc + num / (one + mode.q_power(alpha * l + 1))
         v = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
@@ -347,67 +330,11 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     try:
         acc = mode.from_rational(0)
         for l in range(n + 1):
-            e_l = qeuler_number(l, alpha, mode).value
+            e_l = qeuler_poly(l, alpha, 0, mode).value
             acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * e_l * bracket ** (n - l)
     except ZeroDivisionError:
         raise PoleError("pole in additive form (a denominator vanishes at this q)") from None
     return _wrap(mode, acc)
-
-
-def distribution_sum(n: int, alpha: int, x, d: int, variant: str, mode) -> QEulerValue:
-    """Right side of the odd-modulus distribution relation for qeuler_poly.
-
-    Both variants share the prefactor (1+q)/(1+q^d) * [d]^n:
-
-    - "printed": weights (-1)^a and inner polynomials at base q.
-    - "corrected": weights (-q)^a and inner polynomials at base q^d,
-      which is what splitting the measure into d residue classes gives.
-    """
-    _check_n_alpha(n, alpha)
-    if d < 1 or d % 2 == 0:
-        raise PreconditionError(f"modulus must be odd and positive, got {d}")
-    if variant not in ("printed", "corrected"):
-        raise PreconditionError(f"unknown variant {variant!r}")
-    x = Fraction(x)
-    one = mode.from_rational(1)
-    inner = mode if variant == "printed" else BaseLifted(mode, d)
-    try:
-        acc = mode.from_rational(0)
-        for a in range(d):
-            term = qeuler_poly(n, alpha, Fraction(x + a, d), inner).value
-            if variant == "corrected":
-                term = term * mode.q_power(a)
-            acc = acc + (term if a % 2 == 0 else -term)
-        pref = (one + mode.q_power(1)) / (one + mode.q_power(d)) * q_int(d, alpha, mode) ** n
-        v = pref * acc
-    except ZeroDivisionError:
-        raise PoleError("pole in distribution sum (a denominator vanishes at this q)") from None
-    return _wrap(mode, v)
-
-
-def check_additive(n: int, alpha: int, x: int, mode) -> IdentityReport:
-    """eq4: closed form vs addition form at an integer argument."""
-    params = {"n": n, "alpha": alpha, "x": x, "mode": root_mode(mode).describe()}
-
-    def run():
-        lhs = qeuler_poly(n, alpha, x, mode).value
-        rhs = qeuler_poly_additive(n, alpha, x, mode).value
-        return compare_values(mode, lhs, rhs)
-
-    return timed_report("eq4", "printed", params, run)
-
-
-def check_distribution(n: int, alpha: int, x, d: int, variant: str, mode) -> IdentityReport:
-    """eq5: qeuler_poly vs its odd-modulus distribution sum."""
-    x = Fraction(x)
-    params = {"n": n, "alpha": alpha, "x": str(x), "d": d, "mode": root_mode(mode).describe()}
-
-    def run():
-        lhs = qeuler_poly(n, alpha, x, mode).value
-        rhs = distribution_sum(n, alpha, x, d, variant, mode).value
-        return compare_values(mode, lhs, rhs)
-
-    return timed_report("eq5", variant, params, run)
 
 
 def _check_n_alpha(n: int, alpha: int) -> None:

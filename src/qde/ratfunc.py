@@ -682,21 +682,3 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
-
-
-def q_bracket(x: int, base_exp: int = 1) -> RatFunc:
-    """The q-integer (1 - q^(e*x)) / (1 - q^e) as a reduced function.
-
-    Expanded directly as the geometric sum 1 + q^e + ... + q^(e*(x-1)),
-    which is the reduced form.
-    """
-    if x < 0:
-        raise ValueError("q_bracket needs a nonnegative integer")
-    if base_exp < 1:
-        raise ValueError("base exponent must be positive")
-    if x == 0:
-        return RatFunc.zero()
-    _guard_degree(base_exp * (x - 1))
-    coeffs = [0] * (base_exp * (x - 1) + 1)
-    coeffs[::base_exp] = [1] * x
-    return RatFunc.from_poly(Poly(coeffs))

@@ -5,7 +5,8 @@ either the string "exact" (reduced-form equality), an object
 {"padic_agreement": v, "precision": K} when the two sides cannot be
 told apart at working precision v >= (their joint absolute precision),
 or {"fail": witness} with enough of both sides to reproduce the
-mismatch.  Timing lives in elapsed_ms and is excluded from any
+mismatch.  A report passes when its status is "exact" or an agreement
+of at least one digit.  Timing lives in elapsed_ms and is excluded from any
 determinism comparison.
 """
 
@@ -24,9 +25,14 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
+        """Exact, or p-adic agreement to at least one digit.
+
+        Agreement below one digit says nothing about the two sides, so
+        it does not pass even though its status has the agreement shape.
+        """
         if self.status == "exact":
             return True
-        return isinstance(self.status, dict) and "padic_agreement" in self.status
+        return isinstance(self.status, dict) and self.status.get("padic_agreement", 0) >= 1
 
     def to_json(self) -> dict:
         return {

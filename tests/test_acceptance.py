@@ -23,21 +23,19 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from qde.catalog import check
 from qde.cli import main as cli_main
-from qde.dedekind import check_main_relation, dc_sum, q_dc_sum
+from qde.dedekind import dc_sum, q_dc_sum
 from qde.oracle import IntegrandSpec, convergence_profile
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, q_pow, teichmuller
 from qde.qeuler import (
     PadicMode,
     RationalMode,
     SymbolicMode,
-    check_additive,
-    check_distribution,
     euler_classical,
     measure,
     qeuler_poly,
 )
-from qde.dedekind import check_integral_splitting
 from qde.ratfunc import RatFunc
 
 PASS_SLACK = 4
@@ -70,7 +68,7 @@ def test_acceptance_1_additive_expansion(capsys):
         for n in range(7):
             for alpha in (1, 2, 3):
                 for x in range(4):
-                    report = check_additive(n, alpha, x, SYM)
+                    report = check("eq4", "printed", {"n": n, "alpha": alpha, "x": x}, SYM)
                     assert report.status == "exact", (n, alpha, x, report.status)
 
 
@@ -111,11 +109,9 @@ def test_acceptance_4_variant_resolver(capsys):
         failed_somewhere = set()
         for variant in ("printed", "corrected"):
             for n, alpha, d in grid:
-                mode = SymbolicMode(d)
-                for report in (
-                    check_distribution(n, alpha, 0, d, variant, mode),
-                    check_integral_splitting(n, d, alpha, 0, variant, mode),
-                ):
+                point = {"n": n, "alpha": alpha, "d": d, "x": 0}
+                for identity in ("eq5", "eq7"):
+                    report = check(identity, variant, point, SymbolicMode(d))
                     checks.append(report.comparison_payload())
                     if report.status != "exact":
                         survivors.discard(variant)
@@ -155,13 +151,14 @@ def test_acceptance_6_main_relation(capsys):
     with acceptance(6, "main relation exact and p-adically stable", capsys):
         evidence = []
         for p, m, h, k in MAIN_POINTS:
-            rational = check_main_relation(m, h, k, 1, p, RationalMode(1 + p))
+            point = {"m": m, "h": h, "k": k, "alpha": 1, "p": p}
+            rational = check("theorem1", "corrected", point, RationalMode(1 + p))
             assert rational.status == "exact", (p, m, h, k, rational.status)
             agreements = {}
             for prec in (16, 32):
                 cfg = PadicConfig(p, prec)
                 q = PadicNum.from_rational(Fraction(1 + p), p, prec)
-                report = check_main_relation(m, h, k, 1, p, PadicMode(q, cfg))
+                report = check("theorem1", "corrected", point, PadicMode(q, cfg))
                 assert report.passed, (p, m, h, k, prec, report.status)
                 got = prec if report.status == "exact" else report.status["padic_agreement"]
                 assert got >= prec - THEOREM_SLACK, (p, m, h, k, prec, got)

@@ -169,11 +169,27 @@ class TestVerify:
         two = runner.invoke(main, args)
         assert payloads(one) == payloads(two)
 
-    def test_workers_preserve_order(self, runner):
-        args = ["verify", "--identity", "eq4", "--params", "n<=3,alpha<=2,x<=1"]
-        seq = runner.invoke(main, args)
-        par = runner.invoke(main, args + ["--workers", "3"])
-        assert payloads(seq) == payloads(par)
+    @pytest.mark.parametrize("kdigits", [3, 4, 5])
+    def test_agreement_below_one_digit_fails(self, runner, kdigits):
+        # at K = 3..5 theorem1 (3,2,5) agrees to -2..0 digits: no evidence, so no pass
+        res = runner.invoke(main, [
+            "verify", "--identity", "theorem1", "--variant", "corrected",
+            "--params", "m=3,h=2,k=5,p=3", "--mode", f"padic:p=3,K={kdigits}",
+        ])
+        (report,) = payloads(res)
+        assert set(report["status"]) == {"padic_agreement", "precision"}
+        assert report["status"]["padic_agreement"] < 1
+        assert res.exit_code == 1
+
+    def test_workers_option_is_gone(self, runner):
+        res = runner.invoke(main, ["verify", "--identity", "eq4", "--params", "n=1,x=1", "--workers", "2"])
+        assert res.exit_code == 2
+
+    def test_nonpositive_eq5_modulus_is_reported(self, runner):
+        # symbolic eq5 scales by d; d <= 0 must reach the modulus check, not crash
+        res = runner.invoke(main, ["verify", "--identity", "eq5", "--params", "n=1,alpha=1,d=0"])
+        assert res.exit_code == 1
+        assert all("modulus" in r["status"]["fail"]["error"] for r in payloads(res))
 
     def test_out_file_matches_stdout(self, runner, tmp_path):
         out = tmp_path / "reports.jsonl"

@@ -2,13 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from qde.catalog import check
 from qde.dedekind import (
     DCParams,
-    check_dc_expansion,
-    check_integral_splitting,
-    check_interp_recursion,
-    check_main_relation,
-    check_shifted_splitting,
     dc_sum,
     interp_series,
     interp_value,
@@ -227,79 +223,79 @@ class TestRecursion:
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("a", [1, 2])
     def test_corrected_exact(self, m, a):
-        r = check_interp_recursion(m, a, 3, 3, 1, "corrected", SYM)
+        r = check("recursion", "corrected", {"m": m, "a": a, "N": 3, "p": 3, "alpha": 1}, SYM)
         assert r.status == "exact"
         assert r.params["index_count"] == 3
 
     def test_printed_fails(self):
-        r = check_interp_recursion(0, 1, 3, 3, 1, "printed", SYM)
+        r = check("recursion", "printed", {"m": 0, "a": 1, "N": 3, "p": 3, "alpha": 1}, SYM)
         assert "fail" in r.status
 
     def test_prime_must_divide_modulus(self):
         with pytest.raises(PreconditionError):
-            check_interp_recursion(1, 1, 2, 3, 1, "corrected", SYM)
+            check("recursion", "corrected", {"m": 1, "a": 1, "N": 2, "p": 3, "alpha": 1}, SYM)
 
     def test_residue_must_be_unit(self):
         with pytest.raises(PreconditionError):
-            check_interp_recursion(1, 3, 3, 3, 1, "corrected", SYM)
+            check("recursion", "corrected", {"m": 1, "a": 3, "N": 3, "p": 3, "alpha": 1}, SYM)
 
 
 class TestExpansion:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("h", [1, 2])
     def test_exact(self, m, h):
-        r = check_dc_expansion(m, h, 3, 1, 3, SYM)
+        r = check("eq6", "printed", {"m": m, "h": h, "k": 3, "alpha": 1, "p": 3}, SYM)
         assert r.status == "exact"
 
     def test_exact_rational(self):
-        r = check_dc_expansion(1, 1, 3, 1, 3, RationalMode(4))
+        r = check("eq6", "printed", {"m": 1, "h": 1, "k": 3, "alpha": 1, "p": 3}, RationalMode(4))
         assert r.status == "exact"
 
     def test_prime_must_divide_k(self):
         with pytest.raises(PreconditionError):
-            check_dc_expansion(1, 1, 4, 1, 3, SYM)
+            check("eq6", "printed", {"m": 1, "h": 1, "k": 4, "alpha": 1, "p": 3}, SYM)
 
     def test_degree_congruence(self):
         with pytest.raises(PreconditionError):
-            check_dc_expansion(2, 1, 3, 1, 3, SYM)
+            check("eq6", "printed", {"m": 2, "h": 1, "k": 3, "alpha": 1, "p": 3}, SYM)
 
     def test_all_terms_must_be_units(self):
         with pytest.raises(PreconditionError):
-            check_dc_expansion(1, 1, 6, 1, 3, SYM)
+            check("eq6", "printed", {"m": 1, "h": 1, "k": 6, "alpha": 1, "p": 3}, SYM)
 
 
 class TestSplitting:
     @pytest.mark.parametrize("power,x", [(0, 0), (1, 0), (2, 1), (1, Fraction(1, 2))])
     def test_integral_split_corrected_exact(self, power, x):
         scale = 3 * Fraction(x).denominator
-        r = check_integral_splitting(power, 3, 1, x, "corrected", SymbolicMode(scale))
+        r = check("eq7", "corrected", {"n": power, "d": 3, "alpha": 1, "x": x}, SymbolicMode(scale))
         assert r.status == "exact"
 
     def test_integral_split_printed_fails(self):
-        r = check_integral_splitting(1, 3, 1, 0, "printed", SymbolicMode(3))
+        r = check("eq7", "printed", {"n": 1, "d": 3, "alpha": 1, "x": 0}, SymbolicMode(3))
         assert "fail" in r.status
 
     def test_integral_split_modulus_one(self):
-        r = check_integral_splitting(2, 1, 1, 0, "printed", SYM)
+        r = check("eq7", "printed", {"n": 2, "d": 1, "alpha": 1, "x": 0}, SYM)
         assert r.status == "exact"
 
     def test_integral_split_even_modulus(self):
         with pytest.raises(PreconditionError):
-            check_integral_splitting(1, 2, 1, 0, "corrected", SYM)
+            check("eq7", "corrected", {"n": 1, "d": 2, "alpha": 1, "x": 0}, SYM)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("a,n", [(1, 2), (2, 3), (5, 3)])
     def test_shifted_split_corrected_exact(self, m, a, n):
-        r = check_shifted_splitting(m, a, n, 3, 1, "corrected", SYM)
+        r = check("eq8", "corrected", {"m": m, "a": a, "N": n, "p": 3, "alpha": 1}, SYM)
         assert r.status == "exact"
 
     def test_shifted_split_printed_fails(self):
-        r = check_shifted_splitting(1, 1, 2, 3, 1, "printed", SYM)
+        r = check("eq8", "printed", {"m": 1, "a": 1, "N": 2, "p": 3, "alpha": 1}, SYM)
         assert "fail" in r.status
 
     def test_shifted_split_rejects_even_p(self):
         with pytest.raises(PreconditionError):
-            check_shifted_splitting(1, 1, 2, 4, 1, "corrected", SYM)
+            check("eq8", "corrected", {"m": 1, "a": 1, "N": 2, "p": 4, "alpha": 1}, SYM)
 
 
 class TestInterpolatedSum:
@@ -324,29 +320,30 @@ MAIN_POINTS = [(3, 1, 1, 2), (3, 3, 1, 4), (5, 3, 2, 3)]
 class TestMainRelation:
     @pytest.mark.parametrize("p,m,h,k", MAIN_POINTS)
     def test_exact_symbolic(self, p, m, h, k):
-        r = check_main_relation(m, h, k, 1, p, SYM)
+        r = check("theorem1", "corrected", {"m": m, "h": h, "k": k, "alpha": 1, "p": p}, SYM)
         assert r.status == "exact"
 
     @pytest.mark.parametrize("p,m,h,k", MAIN_POINTS)
     def test_exact_rational(self, p, m, h, k):
-        r = check_main_relation(m, h, k, 1, p, RationalMode(1 + p))
+        point = {"m": m, "h": h, "k": k, "alpha": 1, "p": p}
+        r = check("theorem1", "corrected", point, RationalMode(1 + p))
         assert r.status == "exact"
 
     def test_printed_normalization_coincides_at_degree_one(self):
-        r = check_main_relation(1, 1, 2, 1, 3, SYM, "interpolated_printed")
+        r = check("theorem1", "printed", {"m": 1, "h": 1, "k": 2, "alpha": 1, "p": 3}, SYM)
         assert r.status == "exact"
 
     def test_printed_normalization_fails_at_degree_three(self):
-        r = check_main_relation(3, 1, 4, 1, 3, SYM, "interpolated_printed")
+        r = check("theorem1", "printed", {"m": 3, "h": 1, "k": 4, "alpha": 1, "p": 3}, SYM)
         assert "fail" in r.status
 
     def test_padic_agreement(self):
         cfg = PadicConfig(3, 16)
         q = PadicNum.from_rational(Fraction(4), 3, 16)
-        r = check_main_relation(1, 1, 2, 1, 3, PadicMode(q, cfg))
+        r = check("theorem1", "corrected", {"m": 1, "h": 1, "k": 2, "alpha": 1, "p": 3}, PadicMode(q, cfg))
         assert r.passed
         assert r.status["padic_agreement"] >= 16 - PASS_SLACK
 
     def test_k_one_short_circuits(self):
-        r = check_main_relation(1, 1, 1, 1, 3, SYM)
+        r = check("theorem1", "corrected", {"m": 1, "h": 1, "k": 1, "alpha": 1, "p": 3}, SYM)
         assert r.status == "exact"

@@ -4,27 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qde.exact import (
-    format_rational,
-    frac_floor_parts,
-    parse_rational,
-    rat_add,
-    rat_div,
-    rat_mul,
-)
+from qde.exact import format_rational, frac_floor_parts, parse_rational
 
 rationals = st.fractions(max_denominator=1000)
-
-
-def test_rat_ops_basics():
-    assert rat_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert rat_mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert rat_div(Fraction(1, 2), Fraction(3)) == Fraction(1, 6)
-
-
-def test_rat_div_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rat_div(Fraction(1), Fraction(0))
 
 
 def test_floor_parts_fixtures():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qde.catalog import check
 from qde.errors import ExponentError, PoleError, PreconditionError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation
 from qde.qeuler import (
@@ -12,15 +14,11 @@ from qde.qeuler import (
     QEulerValue,
     RationalMode,
     SymbolicMode,
-    check_additive,
-    check_distribution,
     compare_values,
-    distribution_sum,
     euler_classical,
     measure,
     periodic_euler,
     q_int,
-    qeuler_number,
     qeuler_poly,
     qeuler_poly_additive,
     root_mode,
@@ -192,45 +190,55 @@ class TestClassicalEuler:
 
 
 class TestQEulerNumber:
+    # the q-Euler numbers are the polynomials at x = 0
     def test_symbolic_fixtures(self):
-        assert sym_render(qeuler_number(1, 1, SYM)) == "(-q)/(1+q^2)"
-        e2 = qeuler_number(2, 1, SYM).value
+        assert sym_render(qeuler_poly(1, 1, 0, SYM)) == "(-q)/(1+q^2)"
+        e2 = qeuler_poly(2, 1, 0, SYM).value
         assert e2 == RatFunc(Poly((0, -1, 1)), Poly((1, -1, 2, -1, 1)))
-        e3 = qeuler_number(3, 1, SYM).value
+        e3 = qeuler_poly(3, 1, 0, SYM).value
         assert e3 == RatFunc(
             Poly((0, -1, 1, 1, 1, -1)), Poly((1, -1, 2, -1, 2, -1, 2, -1, 1))
         )
 
     def test_rational_fixture(self):
-        assert qeuler_number(2, 1, RationalMode(4)).value == Fraction(12, 221)
+        assert qeuler_poly(2, 1, 0, RationalMode(4)).value == Fraction(12, 221)
 
     def test_limit_at_one_is_classical(self):
         for n in range(7):
-            lim = SYM.limit_at_one(qeuler_number(n, 1, SYM).value)
+            lim = SYM.limit_at_one(qeuler_poly(n, 1, 0, SYM).value)
             assert lim == euler_classical(n)(0)
 
     def test_padic_agrees_with_rational(self):
         m = padic_mode(4)
-        v = qeuler_number(2, 1, m).value
+        v = qeuler_poly(2, 1, 0, m).value
         want = PadicNum.from_rational(Fraction(12, 221), 3, 32)
         assert agreement_valuation(v, want) >= 28
 
     def test_pole(self):
         with pytest.raises(PoleError):
-            qeuler_number(1, 1, RationalMode(-1))
+            qeuler_poly(1, 1, 0, RationalMode(-1))
 
     def test_bad_arguments(self):
         with pytest.raises(PreconditionError):
-            qeuler_number(-1, 1, SYM)
+            qeuler_poly(-1, 1, 0, SYM)
         with pytest.raises(PreconditionError):
-            qeuler_number(1, 0, SYM)
+            qeuler_poly(1, 0, 0, SYM)
 
 
 class TestQEulerPoly:
     def test_x_zero_is_the_number(self):
-        for n in range(5):
-            for alpha in (1, 2):
-                assert qeuler_poly(n, alpha, 0, SYM).value == qeuler_number(n, alpha, SYM).value
+        # x = 0 skips the factor q^(alpha l x) = 1; the value, precision
+        # included, must be what the full formula gives
+        for mode in (SYM, RationalMode(4), padic_mode(4), BaseLifted(padic_mode(4), 3)):
+            one = mode.from_rational(1)
+            for n in range(5):
+                for alpha in (1, 2):
+                    acc = mode.from_rational(0)
+                    for l in range(n + 1):
+                        c = (-1) ** l * comb(n, l)
+                        acc = acc + c * mode.q_power(0) / (one + mode.q_power(alpha * l + 1))
+                    want = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
+                    assert qeuler_poly(n, alpha, 0, mode).value == want
 
     def test_limit_at_one_is_classical(self):
         for n in range(6):
@@ -288,35 +296,36 @@ class TestQEulerPoly:
 class TestDistribution:
     def test_modulus_one_is_trivial(self):
         for variant in ("printed", "corrected"):
-            v = distribution_sum(2, 1, 0, 1, variant, SYM).value
-            assert v == qeuler_poly(2, 1, 0, SYM).value
+            r = check("eq5", variant, {"n": 2, "alpha": 1, "x": 0, "d": 1}, SYM)
+            assert r.status == "exact"
 
     def test_corrected_exact_printed_fails(self):
         mode = SymbolicMode(3)
-        good = check_distribution(1, 1, 0, 3, "corrected", mode)
-        bad = check_distribution(1, 1, 0, 3, "printed", mode)
+        point = {"n": 1, "alpha": 1, "x": 0, "d": 3}
+        good = check("eq5", "corrected", point, mode)
+        bad = check("eq5", "printed", point, mode)
         assert good.status == "exact"
         assert "fail" in bad.status
 
     def test_even_modulus_rejected(self):
         with pytest.raises(PreconditionError):
-            distribution_sum(1, 1, 0, 2, "corrected", SYM)
+            check("eq5", "corrected", {"n": 1, "alpha": 1, "x": 0, "d": 2}, SYM)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(PreconditionError):
-            distribution_sum(1, 1, 0, 3, "sideways", SYM)
+            check("eq5", "sideways", {"n": 1, "alpha": 1, "x": 0, "d": 3}, SYM)
 
 
 class TestReports:
     def test_additive_report_shape(self):
-        r = check_additive(2, 1, 1, SYM)
+        r = check("eq4", "printed", {"n": 2, "alpha": 1, "x": 1}, SYM)
         assert r.identity == "eq4" and r.variant == "printed"
         assert r.passed
         assert r.params["mode"] == {"mode": "symbolic", "scale": 1}
         assert isinstance(r.elapsed_ms, int)
 
     def test_padic_report_counts_as_passing(self):
-        r = check_additive(2, 1, 1, padic_mode(4))
+        r = check("eq4", "printed", {"n": 2, "alpha": 1, "x": 1}, padic_mode(4))
         assert r.passed
         if r.status != "exact":
             assert r.status["padic_agreement"] >= 28

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qde import ratfunc
-from qde.errors import PoleError, ResourceLimitError
+from qde.errors import PoleError, PreconditionError, ResourceLimitError
+from qde.qeuler import SymbolicMode, q_int
 from qde.ratfunc import (
     KRONECKER_MIN_LEN,
     MAX_DEGREE,
@@ -17,7 +18,6 @@ from qde.ratfunc import (
     _primitive,
     _prs_gcd,
     poly_gcd,
-    q_bracket,
 )
 
 # small integer polynomials for properties
@@ -285,21 +285,22 @@ class TestRatFunc:
 
 
 class TestQBracket:
+    # the symbolic q-integer is the reduced geometric sum
+    SYM = SymbolicMode()
+
     def test_fixtures(self):
-        assert q_bracket(0) == RatFunc.zero()
-        assert q_bracket(1) == RatFunc.one()
-        assert q_bracket(3) == RatFunc.from_poly(P(1, 1, 1))
-        assert q_bracket(2, 3) == RatFunc.from_poly(P(1, 0, 0, 1))
+        assert q_int(0, 1, self.SYM) == RatFunc.zero()
+        assert q_int(1, 1, self.SYM) == RatFunc.one()
+        assert q_int(3, 1, self.SYM) == RatFunc.from_poly(P(1, 1, 1))
+        assert q_int(2, 3, self.SYM) == RatFunc.from_poly(P(1, 0, 0, 1))
 
     def test_matches_defining_ratio(self):
         for x in range(1, 6):
             for e in (1, 2, 3):
                 num = RatFunc(Poly.one() - Poly.monomial(e * x))
                 den = RatFunc(Poly.one() - Poly.monomial(e))
-                assert q_bracket(x, e) == num / den
+                assert q_int(x, e, self.SYM) == num / den
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            q_bracket(-1)
-        with pytest.raises(ValueError):
-            q_bracket(2, 0)
+        with pytest.raises(PreconditionError):
+            q_int(-1, 1, self.SYM)
