@@ -30,7 +30,6 @@ from .padic import (
     agreement_valuation,
     is_odd_prime,
     normalized_bracket,
-    principal_pow,
     q_pow,
     rational_valuation,
     teichmuller,
@@ -64,7 +63,7 @@ __all__ = [
     "dc_sum", "euler_classical", "format_rational", "interp_series",
     "interp_value", "is_odd_prime", "measure", "normalized_bracket",
     "padic_dc_sum", "parse_rational", "periodic_euler", "poly_gcd",
-    "principal_pow", "q_dc_sum", "q_int", "q_pow", "qeuler_poly",
+    "q_dc_sum", "q_int", "q_pow", "qeuler_poly",
     "qeuler_poly_additive", "rational_valuation", "riemann_level",
     "teichmuller", "teichmuller_inverse",
 ]

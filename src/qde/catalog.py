@@ -109,9 +109,10 @@ def _distribution(lift_printed: bool):
 def _shifted(reduce: bool):
     """eq8/recursion: [N]^m E_m(a/N; q^N) split over a + iN, i < p, at base q^(Np).
 
-    recursion (reduce) takes residues mod N on the left and mod Np on the
-    right, as interp_value does, and needs p | N with a a unit mod p, so
-    no shifted residue is divisible by p and all p terms stay.
+    recursion (reduce) first reduces a mod N, as interp_value does, so
+    every shifted residue a + iN lies below Np, and needs p | N with a a
+    unit mod p, so no shifted residue is divisible by p and all p terms
+    stay.
     """
 
     def sides(pt, variant, mode):
@@ -125,17 +126,15 @@ def _shifted(reduce: bool):
                 raise PreconditionError(f"a = {a} must be a unit mod p = {p}")
             if m < 0 or n < 1 or alpha < 1:
                 raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n} alpha={alpha}")
+            a %= n
         elif m < 0 or a < 1 or n < 1:
             raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n}")
-        lhs = q_int(n, alpha, mode) ** m * qeuler_poly(
-            m, alpha, Fraction(a % n if reduce else a, n), BaseLifted(mode, n)
-        ).value
+        lhs = q_int(n, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a, n), BaseLifted(mode, n)).value
         big = q_int(n * p, alpha, mode) ** m
         lifted = BaseLifted(mode, n * p)
 
         def term(i):
-            r = a + i * n
-            return big * qeuler_poly(m, alpha, Fraction(r % (n * p) if reduce else r, n * p), lifted).value
+            return big * qeuler_poly(m, alpha, Fraction(a + i * n, n * p), lifted).value
 
         return lhs, _residue_split(mode, p, n, variant == "corrected", term)
 

@@ -14,15 +14,17 @@ the two agree only for arguments already below N.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import ConvergenceError, PreconditionError
 from .padic import (
     PadicConfig,
     PadicNum,
+    _binomial_coeffs,
     is_odd_prime,
     normalized_bracket,
-    principal_pow,
+    q_pow,
     teichmuller_inverse,
 )
 from .qeuler import BaseLifted, PadicMode, QEulerValue, _wrap, periodic_euler, q_int, qeuler_poly
@@ -141,9 +143,9 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     """Binomial-series reading of the interpolated value at exponent s.
 
     head * sum_j C(s,j) q^(alpha a j) ([N]/[a])^j Etilde_j(base q^N),
-    head = w^-1(a) <a>^s.  A nonnegative integer s terminates after s+1
-    terms; any other s is a genuine series and requires p | N so the
-    ratio is small.  When the tail is not exactly zero the result is
+    head = w^-1(a) <a>^s.  A nonnegative integer s <= J terminates after
+    s+1 terms, since C(s, s+1) is exactly zero; any other s is a genuine
+    series and requires p | N so the ratio is small.  When the tail is not exactly zero the result is
     blurred by an approximate zero bounding it, so the returned
     precision stays honest.
     """
@@ -153,33 +155,24 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
         raise PreconditionError(f"truncation order must be >= 1, got {j_trunc}")
     if gcd(a, cfg.p) != 1:
         raise PreconditionError(f"a = {a} must be a unit mod p = {cfg.p}")
-    terminates = isinstance(s, int) and 0 <= s <= j_trunc
+    # C(s, j) for j <= J, plus one more when the series does not end by J
+    coeffs = list(islice(_binomial_coeffs(s), j_trunc + 2))
+    terminates = len(coeffs) <= j_trunc + 1
     if not terminates and n_mod % cfg.p != 0:
         raise ConvergenceError(
             f"series at s = {s} needs p = {cfg.p} dividing N = {n_mod} to converge"
         )
     mode = PadicMode(q, cfg)
     one = mode.from_rational(1)
-    bracket = normalized_bracket(a, q, alpha, cfg)
-    if isinstance(s, int):
-        head = teichmuller_inverse(a, cfg) * bracket ** s
-    else:
-        head = teichmuller_inverse(a, cfg) * principal_pow(bracket, s, cfg)
+    head = teichmuller_inverse(a, cfg) * q_pow(normalized_bracket(a, q, alpha, cfg), s, cfg)
     ratio = (one - mode.q_power(alpha * n_mod)) / (one - mode.q_power(alpha * a))
     lifted = BaseLifted(mode, n_mod)
 
     acc = mode.from_rational(0)
-    coeff = Fraction(1) if not isinstance(s, PadicNum) else one
-    s_exact = Fraction(s) if not isinstance(s, PadicNum) else s
     rpow = one
     min_euler_val = 0
-    for j in range(j_trunc + 1):
+    for j, coeff in enumerate(coeffs[: j_trunc + 1]):
         if j > 0:
-            coeff = coeff * (s_exact - (j - 1)) / j
-            if (isinstance(coeff, Fraction) and coeff == 0) or (
-                isinstance(coeff, PadicNum) and coeff.is_exact_zero
-            ):
-                break
             rpow = rpow * ratio
         euler_j = qeuler_poly(j, alpha, 0, lifted).value
         if not euler_j.is_zero:

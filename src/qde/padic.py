@@ -16,6 +16,7 @@ binomial series, and the unit-normalized bracket built from both.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import inf, isqrt
 
 from .errors import ConvergenceError, PreconditionError, ResourceLimitError
@@ -124,10 +125,6 @@ class PadicNum:
         den = x.denominator // p**vd
         m = p**prec
         return cls(p, vn - vd, num * pow(den, -1, m) % m, prec)
-
-    @classmethod
-    def from_int(cls, n: int, p: int, prec: int = DEFAULT_PRECISION) -> "PadicNum":
-        return cls.from_rational(n, p, prec)
 
     @property
     def is_exact_zero(self) -> bool:
@@ -340,13 +337,20 @@ def teichmuller(a: int, cfg: PadicConfig) -> PadicNum:
 
 
 def teichmuller_inverse(a: int, cfg: PadicConfig) -> PadicNum:
-    w = teichmuller(a, cfg)
-    return PadicNum(cfg.p, 0, pow(w.unit, -1, cfg.p**cfg.prec), cfg.prec)
+    # a non-unit goes through unchanged so teichmuller rejects it
+    return teichmuller(pow(a, -1, cfg.p) if a % cfg.p else a, cfg)
 
 
-def _binomial_coeff_step(c, x, j: int):
-    """c * (x - (j-1)) / j in whichever arithmetic x lives in."""
-    return c * (x - (j - 1)) / j
+def _binomial_coeffs(x):
+    """C(x, 0), C(x, 1), ... in x's own arithmetic, ending before the first exact zero."""
+    c = Fraction(1)
+    j = 0
+    while True:
+        yield c
+        j += 1
+        c = c * (x - (j - 1)) / j
+        if c.is_exact_zero if isinstance(c, PadicNum) else c == 0:
+            return
 
 
 def _binomial_series(t: PadicNum, x, cfg: PadicConfig) -> PadicNum:
@@ -357,14 +361,13 @@ def _binomial_series(t: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     j*v1 - (j-1)/(p-1), increasing in j because v1 >= 1 > 1/(p-1).
     """
     p = cfg.p
+    one = PadicNum.from_rational(1, p, cfg.prec)
     if t.is_exact_zero:
-        return PadicNum.from_int(1, p, cfg.prec)
+        return one
     v1 = t.val
     if v1 < 1:
         raise ConvergenceError(f"series needs v_{p}(base - 1) >= 1, got {v1}")
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         if x.denominator % p == 0:
             raise PreconditionError(f"exponent {x} is not a {p}-adic integer")
     elif isinstance(x, PadicNum):
@@ -373,52 +376,36 @@ def _binomial_series(t: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     else:
         raise TypeError(f"unsupported exponent type {type(x).__name__}")
 
-    acc = PadicNum.from_int(1, p, cfg.prec)
-    c = Fraction(1) if isinstance(x, Fraction) else PadicNum.from_int(1, p, cfg.prec)
-    power = PadicNum.from_int(1, p, cfg.prec)
-    j = 0
-    while True:
-        j += 1
+    acc = power = one
+    for j, c in enumerate(islice(_binomial_coeffs(x), 1, None), 1):
         if j > _SERIES_MAX_TERMS:
             raise ResourceLimitError(f"binomial series did not settle in {_SERIES_MAX_TERMS} terms")
         # tail bound: min valuation over all terms with index >= j
-        tail = Fraction(j) * v1 - Fraction(j - 1, p - 1)
-        if tail > acc.abs_prec:
+        if Fraction(j) * v1 - Fraction(j - 1, p - 1) > acc.abs_prec:
             break
-        c = _binomial_coeff_step(c, x, j)
-        if isinstance(c, Fraction):
-            if c == 0:
-                break
-            term = power * t * c
-        else:
-            if c.is_zero:
-                break
-            term = power * t * c
         power = power * t
-        acc = acc + term
+        acc = acc + power * c
     return acc
 
 
-def q_pow(q: PadicNum, x, cfg: PadicConfig) -> PadicNum:
-    """q^x for a p-adic integer exponent x, with v_p(q - 1) >= 1.
+def q_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
+    """b^x for a p-adic unit b.
 
-    Agrees with repeated multiplication when x is a nonnegative integer
-    (the series terminates at j = x).
+    An integer x (an int, or a Fraction with denominator 1) is a plain
+    power.  Any other x goes through the binomial series, which needs
+    v_p(b - 1) >= 1 and x a p-adic integer.
     """
-    return _binomial_series(q - 1, x, cfg)
-
-
-def principal_pow(b: PadicNum, s, cfg: PadicConfig) -> PadicNum:
-    """b^s for b in 1 + pZ_p and a p-adic integer exponent s."""
-    return _binomial_series(b - 1, s, cfg)
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return b ** int(x)
+    return _binomial_series(b - 1, x, cfg)
 
 
 def normalized_bracket(x: int, q: PadicNum, alpha: int, cfg: PadicConfig) -> PadicNum:
     """The unit part of the q-integer of x at base q^alpha.
 
     Divides (1 - q^(alpha*x))/(1 - q^alpha) by the Teichmuller lift of
-    x, landing in 1 + pZ_p, which makes it a legal base for
-    principal_pow.
+    x, landing in 1 + pZ_p, which makes it a legal base for q_pow at
+    any p-adic integer exponent.
     """
     if x < 1:
         raise PreconditionError(f"x must be a positive integer, got {x}")
@@ -426,7 +413,7 @@ def normalized_bracket(x: int, q: PadicNum, alpha: int, cfg: PadicConfig) -> Pad
         raise PreconditionError(f"{x} is not a unit mod {cfg.p}")
     if alpha < 1:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
-    one = PadicNum.from_int(1, cfg.p, cfg.prec)
+    one = PadicNum.from_rational(1, cfg.p, cfg.prec)
     tq = q - one
     if tq.is_exact_zero or tq.val < 1:
         raise ConvergenceError(f"normalized_bracket needs v_{cfg.p}(1 - q) >= 1")

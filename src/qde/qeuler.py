@@ -121,9 +121,6 @@ class PadicMode:
         raise AttributeError("PadicMode is immutable")
 
     def q_power(self, e) -> PadicNum:
-        e = Fraction(e)
-        if e.denominator == 1:
-            return self.q ** int(e)
         return q_pow(self.q, e, self.cfg)
 
     def from_rational(self, c) -> PadicNum:

@@ -215,17 +215,6 @@ class Poly:
             acc = acc * a + c * bp
         return Fraction(acc, bp * self._den)
 
-    def subst_power(self, d: int) -> "Poly":
-        """Replace the variable t by t^d."""
-        if d < 1:
-            raise ValueError("substitution exponent must be positive")
-        if self.is_zero or d == 1:
-            return self
-        _guard_degree(self.degree * d)
-        out = [0] * (self.degree * d + 1)
-        out[::d] = self._num
-        return _raw(tuple(out), self._den)
-
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
 
@@ -609,6 +598,11 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
+        # a/b + c/1 needs no gcd: gcd(a + cb, b) = gcd(a, b) = 1 and b stays monic
+        if other.den == _POLY_ONE:
+            return RatFunc._reduced(self.num + other.num * self.den, self.den)
+        if self.den == _POLY_ONE:
+            return RatFunc._reduced(other.num + self.num * other.den, other.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -660,12 +654,6 @@ class RatFunc:
         if d == 0:
             raise PoleError(f"pole at q = {format_rational(q0)}")
         return self.num(q0) / d
-
-    def subst_power(self, d: int) -> "RatFunc":
-        """Reinterpret in a variable Q with q = Q^d; stays reduced."""
-        if d == 1:
-            return self
-        return RatFunc._reduced(self.num.subst_power(d), self.den.subst_power(d))
 
     def to_json(self) -> dict:
         return {"num": self.num.to_strings(), "den": self.den.to_strings()}

@@ -227,9 +227,22 @@ class TestRecursion:
         assert r.status == "exact"
         assert r.params["index_count"] == 3
 
+    @pytest.mark.parametrize("mode", [SYM, RationalMode(4), PAD3], ids=["symbolic", "rational", "padic"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("a", [4, 5, 7, 8])
+    def test_corrected_passes_for_residue_above_modulus(self, mode, m, a):
+        # a >= N reduces to a mod N before shifting, like interp_value
+        r = check("recursion", "corrected", {"m": m, "a": a, "N": 3, "p": 3, "alpha": 1}, mode)
+        assert r.passed
+        if mode is PAD3:
+            assert r.status["padic_agreement"] >= CFG3.prec - PASS_SLACK
+        else:
+            assert r.status == "exact"
+
     def test_printed_fails(self):
-        r = check("recursion", "printed", {"m": 0, "a": 1, "N": 3, "p": 3, "alpha": 1}, SYM)
-        assert "fail" in r.status
+        for a in (1, 4):
+            r = check("recursion", "printed", {"m": 0, "a": a, "N": 3, "p": 3, "alpha": 1}, SYM)
+            assert "fail" in r.status
 
     def test_prime_must_divide_modulus(self):
         with pytest.raises(PreconditionError):

@@ -10,9 +10,9 @@ from qde.errors import ConvergenceError, PreconditionError
 from qde.padic import (
     PadicConfig,
     PadicNum,
+    _binomial_series,
     agreement_valuation,
     normalized_bracket,
-    principal_pow,
     q_pow,
     rational_valuation,
     teichmuller,
@@ -182,20 +182,40 @@ class TestTeichmuller:
             prod = teichmuller(a, cfg) * teichmuller_inverse(a, cfg)
             assert prod.lift(16) == 1
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("prec", [1, 2, 16, 32, 128])
+    def test_inverse_is_the_unit_inverse(self, p, prec):
+        cfg = PadicConfig(p, prec)
+        m = p**prec
+        for a in range(-2 * p, 3 * p):
+            if a % p:
+                want = PadicNum(p, 0, pow(teichmuller(a, cfg).unit, -1, m), prec)
+                assert teichmuller_inverse(a, cfg) == want
+
     def test_non_unit_rejected(self):
         with pytest.raises(PreconditionError):
             teichmuller(6, PadicConfig(3, 8))
+        with pytest.raises(PreconditionError):
+            teichmuller_inverse(6, PadicConfig(3, 8))
 
 
 class TestQPow:
     def test_integer_exponent_agrees_with_pow(self):
+        # the series itself, which q_pow skips for integer exponents
         q = pn(4)  # v_3(1-4) = 1
         for n in (0, 1, 2, 5):
-            assert agreement_valuation(q_pow(q, n, CFG3), q**n) >= 28
+            assert agreement_valuation(_binomial_series(q - 1, n, CFG3), q**n) >= 28
 
     def test_negative_integer_exponent(self):
         q = pn(4)
-        assert agreement_valuation(q_pow(q, -2, CFG3), q**-2) >= 28
+        assert agreement_valuation(_binomial_series(q - 1, -2, CFG3), q**-2) >= 28
+
+    def test_integer_exponent_is_plain_power(self):
+        # any unit, not only one in 1 + pZ_p, and a Fraction with denominator 1 alike
+        for q in (pn(4), pn(2), pn(Fraction(5, 7))):
+            for n in (0, 1, 3, -2):
+                assert q_pow(q, n, CFG3) == q**n
+                assert q_pow(q, Fraction(n), CFG3) == q**n
 
     def test_half_exponent_squares_back(self):
         q = pn(4)
@@ -241,11 +261,13 @@ class TestNormalizedBracket:
                 b = normalized_bracket(x, q, alpha, CFG3)
                 assert b.lift(1) == 1
 
-    def test_principal_pow_consistency(self):
+    def test_q_pow_consistency(self):
         q = pn(4)
         b = normalized_bracket(2, q, 1, CFG3)
-        sq = principal_pow(b, 2, CFG3)
+        sq = q_pow(b, 2, CFG3)
         assert agreement_valuation(sq, b * b) >= 28
+        root = q_pow(b, Fraction(1, 2), CFG3)
+        assert agreement_valuation(root * root, b) >= 28
 
     def test_non_unit_argument_rejected(self):
         with pytest.raises(PreconditionError):
