@@ -17,6 +17,7 @@ from .errors import (
     ConvergenceError,
     ExponentError,
     PoleError,
+    PrecisionError,
     PreconditionError,
     QdeError,
     ResourceLimitError,
@@ -57,7 +58,7 @@ __all__ = [
     "BaseLifted", "CATALOG", "ConvergenceError", "DCParams",
     "DEFAULT_PRECISION", "ExponentError", "IdentityReport",
     "IntegrandSpec", "MAX_DEGREE", "PadicConfig", "PadicMode", "PadicNum",
-    "PoleError", "Poly", "PreconditionError", "QEulerValue", "QdeError",
+    "PoleError", "Poly", "PrecisionError", "PreconditionError", "QEulerValue", "QdeError",
     "RatFunc", "RationalMode", "ResourceLimitError", "SymbolicMode",
     "agreement_valuation", "check", "closed_form", "convergence_profile",
     "dc_sum", "euler_classical", "format_rational", "interp_series",

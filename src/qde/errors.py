@@ -9,6 +9,10 @@ class PoleError(QdeError):
     """Evaluation hit a genuine pole (denominator vanishes after reduction)."""
 
 
+class PrecisionError(QdeError):
+    """Working precision ran out: a value needed as a divisor is zero only to that precision."""
+
+
 class ExponentError(QdeError):
     """A power of q cannot be represented in the active coefficient mode."""
 

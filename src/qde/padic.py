@@ -10,20 +10,19 @@ relative precision, so the precision field of any result is an honest
 claim, never an optimistic one.
 
 On top of the ring operations the module provides the Teichmuller
-character, exponentiation q^x for a p-adic integer exponent via the
-binomial series, and the unit-normalized bracket built from both.
+character, exponentiation q^x for a p-adic integer exponent, and the
+unit-normalized bracket built from both.  Every power, integer or
+p-adic, and the Teichmuller lift are each one builtin modular pow on
+a unit.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import inf, isqrt
 
-from .errors import ConvergenceError, PreconditionError, ResourceLimitError
+from .errors import ConvergenceError, PrecisionError, PreconditionError
 
 DEFAULT_PRECISION = 32
-
-_SERIES_MAX_TERMS = 10_000
 
 
 def is_odd_prime(n: int) -> bool:
@@ -239,8 +238,10 @@ class PadicNum:
         if other is NotImplemented:
             return other
         self._check_same_prime(other)
-        if other.unit == 0:
+        if other.is_exact_zero:
             raise ZeroDivisionError("division by a p-adic zero")
+        if other.unit == 0:
+            raise PrecisionError(f"precision exhausted: division by {other!r}, zero at working precision")
         if self.is_exact_zero:
             return self
         if self.unit == 0:
@@ -256,20 +257,14 @@ class PadicNum:
         if e == 0:
             # 0^0 = 1 by the empty-product convention callers rely on
             return PadicNum(self.p, 0, 1, self.prec if self.unit else DEFAULT_PRECISION)
-        if e < 0:
-            if self.unit == 0:
+        if self.unit == 0:
+            if e > 0:
+                return self if self.is_exact_zero else PadicNum.approx_zero(self.p, e * self.val)
+            if self.is_exact_zero:
                 raise ZeroDivisionError("negative power of a p-adic zero")
-            inv = PadicNum(self.p, -self.val, pow(self.unit, -1, self.p**self.prec), self.prec)
-            return inv ** (-e)
-        result = self ** 0
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+            raise PrecisionError(f"precision exhausted: negative power of {self!r}, zero at working precision")
+        # a negative e makes pow invert the unit mod p^prec
+        return PadicNum(self.p, e * self.val, pow(self.unit, e, self.p**self.prec), self.prec)
 
     def __eq__(self, other):
         if not isinstance(other, PadicNum):
@@ -320,20 +315,13 @@ def agreement_valuation(x: PadicNum, y: PadicNum):
 def teichmuller(a: int, cfg: PadicConfig) -> PadicNum:
     """The (p-1)-th root of unity congruent to a mod p.
 
-    Computed by iterating the Frobenius x -> x^p mod p^prec to its fixed
-    point, which this map reaches from any unit start.
+    a^(p^n) is congruent to it mod p^(n+1), so a^(p^(K-1)) gives all K
+    digits in one modular power.
     """
     p = cfg.p
     if a % p == 0:
         raise PreconditionError(f"{a} is not a unit mod {p}")
-    m = p**cfg.prec
-    w = a % m
-    for _ in range(cfg.prec + 1):
-        nxt = pow(w, p, m)
-        if nxt == w:
-            break
-        w = nxt
-    return PadicNum(p, 0, w, cfg.prec)
+    return PadicNum(p, 0, pow(a, p ** (cfg.prec - 1), p**cfg.prec), cfg.prec)
 
 
 def teichmuller_inverse(a: int, cfg: PadicConfig) -> PadicNum:
@@ -353,51 +341,49 @@ def _binomial_coeffs(x):
             return
 
 
-def _binomial_series(t: PadicNum, x, cfg: PadicConfig) -> PadicNum:
-    """Sum of C(x,j) t^j for a p-adic integer exponent x and v_p(t) >= 1.
+def _one_unit_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
+    """b^x for a 1-unit b = 1 + t, v_p(t) >= 1, and a p-adic integer x.
 
-    Stops once every remaining term provably exceeds the accumulated
-    sum's absolute precision.  The bound uses v_p(C(x,j) t^j) >=
-    j*v1 - (j-1)/(p-1), increasing in j because v1 >= 1 > 1/(p-1).
+    x -> b^x is continuous on Z_p because b^(p^M) = 1 mod p^(M + v_p(t)),
+    so b^x = b^X mod p^N for any integer X = x mod p^N: one modular power.
+    N is the absolute precision the binomial series sum C(x,j) t^j
+    claims, which its j = 1 term sets:
+
+        N = min(K, abs_prec(t) + v_p(x), v_p(t) + abs_prec(x)),
+
+    with abs_prec(x) infinite for an exact int or Fraction.
     """
     p = cfg.p
-    one = PadicNum.from_rational(1, p, cfg.prec)
-    if t.is_exact_zero:
-        return one
-    v1 = t.val
-    if v1 < 1:
-        raise ConvergenceError(f"series needs v_{p}(base - 1) >= 1, got {v1}")
+    t = b - 1
+    if t.val < 1:
+        raise ConvergenceError(f"series needs v_{p}(base - 1) >= 1, got {t.val}")
     if isinstance(x, (int, Fraction)):
         if x.denominator % p == 0:
             raise PreconditionError(f"exponent {x} is not a {p}-adic integer")
+        n = min(cfg.prec, t.abs_prec + rational_valuation(x, p))
+        big_x = x.numerator * pow(x.denominator, -1, p**n)
     elif isinstance(x, PadicNum):
         if x.val is not inf and x.val < 0:
             raise PreconditionError("exponent must have nonnegative valuation")
+        n = min(cfg.prec, t.abs_prec + x.val, t.val + x.abs_prec)
+        big_x = x.lift(min(n, x.abs_prec))
     else:
         raise TypeError(f"unsupported exponent type {type(x).__name__}")
-
-    acc = power = one
-    for j, c in enumerate(islice(_binomial_coeffs(x), 1, None), 1):
-        if j > _SERIES_MAX_TERMS:
-            raise ResourceLimitError(f"binomial series did not settle in {_SERIES_MAX_TERMS} terms")
-        # tail bound: min valuation over all terms with index >= j
-        if Fraction(j) * v1 - Fraction(j - 1, p - 1) > acc.abs_prec:
-            break
-        power = power * t
-        acc = acc + power * c
-    return acc
+    m = p**n
+    return PadicNum(p, 0, pow(b.unit, big_x % m, m), n)
 
 
 def q_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     """b^x for a p-adic unit b.
 
     An integer x (an int, or a Fraction with denominator 1) is a plain
-    power.  Any other x goes through the binomial series, which needs
-    v_p(b - 1) >= 1 and x a p-adic integer.
+    power.  Any other x needs v_p(b - 1) >= 1 and x a p-adic integer,
+    and is one modular power of b's unit to an integer congruent to x
+    mod p^N, at the precision N that _one_unit_pow states.
     """
     if isinstance(x, (int, Fraction)) and x.denominator == 1:
         return b ** int(x)
-    return _binomial_series(b - 1, x, cfg)
+    return _one_unit_pow(b, x, cfg)
 
 
 def normalized_bracket(x: int, q: PadicNum, alpha: int, cfg: PadicConfig) -> PadicNum:

@@ -10,7 +10,7 @@ what a power of q is:
   integer.  Raising the scale is how fractional arguments like x = 1/3
   stay exact.
 - PadicMode(q, cfg): powers are PadicNum values; fractional exponents
-  go through the binomial series and need v_p(1 - q) >= 1.
+  are one modular power (padic.q_pow) and need v_p(1 - q) >= 1.
 
 BaseLifted(mode, l) views any mode at base q^l by multiplying every
 exponent by l; the sum and integral formulas below never mention l
@@ -19,7 +19,8 @@ themselves.
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
 in a formula means the chosen q sits on a pole of the expression and
-surfaces as PoleError.
+surfaces as PoleError; a p-adic divisor that is zero only to working
+precision raises PrecisionError instead.
 """
 
 from dataclasses import dataclass

@@ -181,6 +181,17 @@ class TestVerify:
         assert report["status"]["padic_agreement"] < 1
         assert res.exit_code == 1
 
+    def test_precision_starvation_is_not_a_pole(self, runner):
+        # at K = 2 a divisor of theorem1 (3,2,5) cancels to O(3^6): out of digits, not a pole
+        res = runner.invoke(main, [
+            "verify", "--identity", "theorem1", "--variant", "corrected",
+            "--params", "m=3,h=2,k=5,p=3", "--mode", "padic:p=3,K=2",
+        ])
+        (report,) = payloads(res)
+        error = report["status"]["fail"]["error"]
+        assert "precision" in error and "pole" not in error
+        assert res.exit_code == 1
+
     def test_workers_option_is_gone(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "eq4", "--params", "n=1,x=1", "--workers", "2"])
         assert res.exit_code == 2

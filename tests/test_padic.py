@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 from math import inf
+from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qde.errors import ConvergenceError, PreconditionError
+from qde.errors import ConvergenceError, PrecisionError, PreconditionError
 from qde.padic import (
     PadicConfig,
     PadicNum,
-    _binomial_series,
+    _binomial_coeffs,
+    _one_unit_pow,
     agreement_valuation,
     normalized_bracket,
     q_pow,
@@ -24,6 +28,63 @@ CFG3 = PadicConfig(3, 32)
 
 def pn(x, p=3, prec=32):
     return PadicNum.from_rational(Fraction(x), p, prec)
+
+
+def binomial_series(t: PadicNum, x, cfg: PadicConfig) -> PadicNum:
+    """Reference for _one_unit_pow: the summed series of C(x,j) t^j, v_p(t) >= 1.
+
+    Stops once every remaining term provably exceeds the accumulated
+    sum's absolute precision.  The bound uses v_p(C(x,j) t^j) >=
+    j*v1 - (j-1)/(p-1), increasing in j because v1 >= 1 > 1/(p-1).
+    """
+    p = cfg.p
+    acc = power = PadicNum.from_rational(1, p, cfg.prec)
+    if t.is_exact_zero:
+        return acc
+    for j, c in enumerate(islice(_binomial_coeffs(x), 1, None), 1):
+        # tail bound: min valuation over all terms with index >= j
+        if Fraction(j) * t.val - Fraction(j - 1, p - 1) > acc.abs_prec:
+            break
+        power = power * t
+        acc = acc + power * c
+    return acc
+
+
+@st.composite
+def one_unit_pow_cases(draw):
+    """(b, x, cfg) with b a 1-unit at a precision below, at or above K, x a p-adic integer."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    k = draw(st.integers(1, 64))
+    bprec = draw(st.sampled_from([max(k - draw(st.integers(1, 8)), 1), k, k + draw(st.integers(1, 8))]))
+    # v_p(b - 1) >= bprec makes b - 1 an approximate zero
+    tval = draw(st.integers(1, bprec + 1))
+    b = PadicNum(p, 0, 1 + p**tval * draw(st.integers(0, p**bprec)), bprec)
+    kind = draw(st.sampled_from(["int", "fraction", "padic", "approx_zero", "zero"]))
+    if kind == "int":
+        x = draw(st.integers(-200, 200))
+    elif kind == "fraction":
+        den = draw(st.integers(1, 60).filter(lambda d: d % p))
+        x = Fraction(draw(st.integers(-500, 500)), den)
+    elif kind == "padic":
+        x = PadicNum(p, draw(st.integers(0, 4)), draw(st.integers(1, p**70)), draw(st.integers(1, k + 6)))
+    elif kind == "approx_zero":
+        x = PadicNum.approx_zero(p, draw(st.integers(0, k + 6)))
+    else:
+        x = PadicNum.zero(p)
+    return b, x, PadicConfig(p, k)
+
+
+@st.composite
+def padic_values(draw):
+    """Any PadicNum: a unit times a power of p at some precision, or a zero of either kind."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    kind = draw(st.sampled_from(["value", "value", "value", "approx_zero", "zero"]))
+    if kind == "approx_zero":
+        return PadicNum.approx_zero(p, draw(st.integers(-3, 10)))
+    if kind == "zero":
+        return PadicNum.zero(p)
+    unit = draw(st.integers(1, p**40).filter(lambda u: u % p))
+    return PadicNum(p, draw(st.integers(-3, 3)), unit, draw(st.integers(1, 40)))
 
 
 class TestConfig:
@@ -113,8 +174,13 @@ class TestArithmetic:
     def test_div_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             pn(1) / PadicNum.zero(3)
-        with pytest.raises(ZeroDivisionError):
+
+    def test_div_by_approx_zero_is_precision_error(self):
+        # O(3^6) may be any multiple of 3^6: out of digits, not a pole
+        with pytest.raises(PrecisionError):
             pn(1) / PadicNum.approx_zero(3, 6)
+        with pytest.raises(PrecisionError):
+            1 / PadicNum.approx_zero(3, 6)
 
     def test_scalar_coercion_does_not_cap(self):
         x = PadicNum(3, 0, 2, 30)
@@ -126,6 +192,22 @@ class TestArithmetic:
         assert (pn(5) ** 0).lift(1) == 1
         inv = pn(2) ** -1
         assert (inv * pn(2)).lift(6) == 1
+
+    @settings(deadline=None)
+    @given(padic_values(), st.integers(-9, 9).filter(bool))
+    def test_pow_is_repeated_multiplication(self, x, e):
+        # structural equality: valuation, unit and claimed precision all match
+        if e > 0:
+            assert x**e == reduce(mul, [x] * e)
+        elif x.is_exact_zero:
+            with pytest.raises(ZeroDivisionError):
+                x**e
+        elif x.is_zero:
+            with pytest.raises(PrecisionError):
+                x**e
+        else:
+            inv = PadicNum(x.p, 0, 1, x.prec) / x
+            assert x**e == reduce(mul, [inv] * -e)
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(PreconditionError):
@@ -192,6 +274,17 @@ class TestTeichmuller:
                 want = PadicNum(p, 0, pow(teichmuller(a, cfg).unit, -1, m), prec)
                 assert teichmuller_inverse(a, cfg) == want
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("prec", [1, 2, 3, 8, 16, 32, 64, 128])
+    def test_is_the_frobenius_fixed_point(self, p, prec):
+        m = p**prec
+        for a in range(-3 * p, 4 * p):
+            if a % p:
+                w = a % m
+                while pow(w, p, m) != w:
+                    w = pow(w, p, m)
+                assert teichmuller(a, PadicConfig(p, prec)) == PadicNum(p, 0, w, prec)
+
     def test_non_unit_rejected(self):
         with pytest.raises(PreconditionError):
             teichmuller(6, PadicConfig(3, 8))
@@ -201,14 +294,36 @@ class TestTeichmuller:
 
 class TestQPow:
     def test_integer_exponent_agrees_with_pow(self):
-        # the series itself, which q_pow skips for integer exponents
+        # the 1-unit power itself, which q_pow skips for integer exponents
         q = pn(4)  # v_3(1-4) = 1
         for n in (0, 1, 2, 5):
-            assert agreement_valuation(_binomial_series(q - 1, n, CFG3), q**n) >= 28
+            assert agreement_valuation(_one_unit_pow(q, n, CFG3), q**n) >= 28
 
     def test_negative_integer_exponent(self):
         q = pn(4)
-        assert agreement_valuation(_binomial_series(q - 1, -2, CFG3), q**-2) >= 28
+        assert agreement_valuation(_one_unit_pow(q, -2, CFG3), q**-2) >= 28
+
+    @settings(deadline=None, max_examples=300)
+    @given(one_unit_pow_cases())
+    def test_one_unit_pow_is_the_series(self, case):
+        # structural equality: value, valuation and claimed precision all match
+        b, x, cfg = case
+        assert _one_unit_pow(b, x, cfg) == binomial_series(b - 1, x, cfg)
+
+    def test_one_unit_pow_precision_rule(self):
+        # N = min(K, abs_prec(t) + v_p(x), v_p(t) + abs_prec(x)) with t = b - 1
+        b = PadicNum(3, 0, 1 + 9, 10)  # v(t) = 2, abs_prec(t) = 10
+        assert _one_unit_pow(b, Fraction(9, 2), CFG3).abs_prec == 12
+        assert _one_unit_pow(b, PadicNum(3, 0, 1, 5), CFG3).abs_prec == 7
+        assert _one_unit_pow(b, Fraction(81, 2), PadicConfig(3, 11)).abs_prec == 11
+
+    def test_one_unit_pow_rejects_non_integer_exponent_types(self):
+        with pytest.raises(TypeError):
+            _one_unit_pow(pn(4), 0.5, CFG3)
+
+    def test_padic_exponent_with_negative_valuation_rejected(self):
+        with pytest.raises(PreconditionError):
+            q_pow(pn(4), pn(Fraction(1, 3)), CFG3)
 
     def test_integer_exponent_is_plain_power(self):
         # any unit, not only one in 1 + pZ_p, and a Fraction with denominator 1 alike
