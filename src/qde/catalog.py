@@ -230,6 +230,19 @@ CATALOG = {
 }
 
 
+def report_params(identity: str, point: dict, mode) -> dict:
+    """The report parameters of a point, the same for a result and an error.
+
+    The entry's params, or the point's keys when it has none, with
+    Fractions written as strings, plus the mode description.
+    """
+    entry = CATALOG[identity]
+    params = entry.params(point) if entry.params else {k: point[k] for k in entry.keys}
+    params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
+    params["mode"] = root_mode(mode).describe()
+    return params
+
+
 def check(identity: str, variant: str, point: dict, mode) -> IdentityReport:
     """Compare both sides of a catalogued identity at one point.
 
@@ -241,9 +254,7 @@ def check(identity: str, variant: str, point: dict, mode) -> IdentityReport:
     entry = CATALOG[identity]
     if variant not in entry.variants:
         raise PreconditionError(f"identity {identity} has no {variant!r} form")
-    params = entry.params(point) if entry.params else {k: point[k] for k in entry.keys}
-    params["mode"] = root_mode(mode).describe()
     return timed_report(
-        identity, entry.label(variant), params,
+        identity, entry.label(variant), report_params(identity, point, mode),
         lambda: compare_values(mode, *entry.sides(point, variant, mode)),
     )

@@ -21,7 +21,7 @@ from itertools import product
 
 import click
 
-from .catalog import CATALOG, check
+from .catalog import CATALOG, check, report_params
 from .dedekind import dc_sum
 from .errors import QdeError
 from .exact import format_rational, parse_rational
@@ -342,8 +342,7 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
             try:
                 reports.append(check(identity, v, point, mode))
             except QdeError as exc:
-                params = {k: (str(x) if isinstance(x, Fraction) else x) for k, x in point.items()}
-                params["mode"] = root_mode(mode).describe()
+                params = report_params(identity, point, mode)
                 status = {"fail": {"error": str(exc)}}
                 reports.append(IdentityReport(identity, entry.label(v), params, status, 0))
 
