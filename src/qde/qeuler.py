@@ -327,9 +327,13 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     bracket = q_int(x, alpha, mode)
     try:
         acc = mode.from_rational(0)
-        for l in range(n + 1):
+        # [x]^(n-l) as a running product from 1, so that at x = 0 no power
+        # of the exact zero (which has only the default precision) is formed
+        power = mode.from_rational(1)
+        for l in range(n, -1, -1):
             e_l = qeuler_poly(l, alpha, 0, mode).value
-            acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * e_l * bracket ** (n - l)
+            acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * e_l * power
+            power = power * bracket
     except ZeroDivisionError:
         raise PoleError("pole in additive form (a denominator vanishes at this q)") from None
     return _wrap(mode, acc)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qde.catalog import check
+from qde.catalog import CATALOG, check
 from qde.errors import ExponentError, PoleError, PreconditionError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation
 from qde.qeuler import (
@@ -323,6 +323,17 @@ class TestReports:
         assert r.passed
         assert r.params["mode"] == {"mode": "symbolic", "scale": 1}
         assert isinstance(r.elapsed_ms, int)
+
+    def test_padic_agreement_on_default_grid_at_k128(self):
+        # at x = 0, [0]^(n-l) is an exact zero for l < n; no power of it may
+        # stand in for the l = n term at the default precision of 32 digits
+        mode = padic_mode(4, 3, 128)
+        grid = CATALOG["eq4"].defaults
+        worst = min(
+            check("eq4", "printed", {"n": n, "alpha": alpha, "x": x}, mode).status["padic_agreement"]
+            for n in grid["n"] for alpha in grid["alpha"] for x in grid["x"]
+        )
+        assert worst >= 116
 
     def test_padic_report_counts_as_passing(self):
         r = check("eq4", "printed", {"n": 2, "alpha": 1, "x": 1}, padic_mode(4))
