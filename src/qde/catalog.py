@@ -231,11 +231,7 @@ CATALOG = {
 
 
 def report_params(identity: str, point: dict, mode) -> dict:
-    """The report parameters of a point, the same for a result and an error.
-
-    The entry's params, or the point's keys when it has none, with
-    Fractions written as strings, plus the mode description.
-    """
+    """A point's report parameters, Fractions as strings, with the mode; shared by results and errors."""
     entry = CATALOG[identity]
     params = entry.params(point) if entry.params else {k: point[k] for k in entry.keys}
     params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}

@@ -327,8 +327,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     bracket = q_int(x, alpha, mode)
     try:
         acc = mode.from_rational(0)
-        # [x]^(n-l) as a running product from 1, so that at x = 0 no power
-        # of the exact zero (which has only the default precision) is formed
+        # [x]^(n-l) as a running product: no power of an exact zero is formed
         power = mode.from_rational(1)
         for l in range(n, -1, -1):
             e_l = qeuler_poly(l, alpha, 0, mode).value

@@ -28,16 +28,18 @@ division switch on operand length alone:
   polynomials.  Otherwise it runs fraction-free long division over the
   integers, which scales the running remainder only when its leading
   coefficient is not a multiple of the divisor's.
-- The gcd is the heuristic GCDHEU (B. Char, K. Geddes, G. Gonnet,
-  "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
-  computation", J. Symb. Comput. 7, 1989).  Both primitive inputs are
-  evaluated at a power of two xi >= 2 min(|a|, |b|) + 2, the integer gcd
-  of the two values is read back as balanced base-xi digits, and the
-  primitive part of that polynomial is accepted only when exact
-  division proves that it divides both inputs, which makes it the gcd.
-  A rejected candidate is retried at a wider xi a few times.  After
-  that, a primitive polynomial remainder sequence over the integers
-  gives the answer; the tests also use it as the reference.
+- The gcd is GCDHEU (B. Char, K. Geddes, G. Gonnet, "GCDHEU: heuristic
+  polynomial GCD algorithm based on integer GCD computation", J. Symb.
+  Comput. 7, 1989).  Both primitive inputs are evaluated at a power of
+  two xi >= 2 min(|a|, |b|) + 2, the integer gcd of the two values is
+  read back as balanced base-xi digits, and the primitive part of that
+  polynomial is accepted only when exact division proves that it
+  divides both inputs, which makes it the gcd.  A rejected candidate is
+  retried at xi squared until one is accepted, which always happens
+  once xi exceeds twice the gcd's coefficients times the resultant of
+  the cofactors (the proof is at ``_heu_gcd``).  The quotients of the
+  proving divisions are the cofactors, so reducing a rational function
+  takes no further division.
 
 A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
 enough for every check shipped here, small enough to fail fast on a
@@ -56,8 +58,6 @@ MAX_DEGREE = 100_000
 # shortest operand length at which Kronecker substitution takes over from the
 # double loop (and from long division); the two cross at about 4 to 16 terms
 KRONECKER_MIN_LEN = 8
-# GCDHEU evaluation points tried, each twice as wide as the last, before the PRS
-HEU_TRIES = 4
 
 # array type codes of the signed machine integers, by size in bytes
 _SIGNED = {array(code).itemsize: code for code in "bhilq"}
@@ -191,12 +191,6 @@ class Poly:
             q = [c * db for c in q]
         return _poly(q, den), _poly(r, den)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
@@ -282,12 +276,6 @@ def _raw(num: tuple, den: int) -> Poly:
 
 # integer polynomial kernels: int sequences, degree-ascending, with a
 # nonzero leading coefficient
-
-
-def _strip(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -460,60 +448,41 @@ def _divmod_ints(a, b):
 
 
 def _heu_gcd(a, b):
-    """GCDHEU for primitive a, b of positive degree; None when it gives up.
+    """(g, a/g, b/g) with g the primitive gcd of primitive a and b.
 
-    A returned candidate is proven: it divides both inputs, and with
-    xi >= 2 min(|a|, |b|) + 2 such a candidate is the gcd.
+    A candidate is proven: it divides both inputs, and with
+    xi >= 2 min(|a|, |b|) + 2 such a candidate is the gcd.  The loop
+    ends: write a = gA and b = gB with A, B coprime and R = Res(A, B),
+    a nonzero integer combination UA + VB of A and B.  Then
+    gcd(a(xi), b(xi)) = h |g(xi)| with h = gcd(A(xi), B(xi)) dividing R,
+    so every xi > 2 |R| |g| (|g| the largest coefficient magnitude) reads
+    back h g, whose primitive part is g.  Each rejection squares xi.
     """
     w = _width(min(max(map(abs, a)), max(map(abs, b))))
-    for _ in range(HEU_TRIES):
+    while True:
         gamma = gcd(_eval_pow2(a, w), _eval_pow2(b, w))
-        g = _primitive(_strip(_unpack(gamma, gamma.bit_length() // (8 * w) + 2, w)))
-        if len(g) == 1 or not (any(_divmod_ints(a, g)[1]) or any(_divmod_ints(b, g)[1])):
-            return g
+        g = _unpack(gamma, gamma.bit_length() // (8 * w) + 2, w)
+        while not g[-1]:
+            g.pop()
+        g = _primitive(g)
+        if len(g) == 1:
+            return g, a, b
+        # g is primitive, so an exact division has integer steps and s = 1
+        qa, ra, _ = _divmod_ints(a, g)
+        if not any(ra):
+            qb, rb, _ = _divmod_ints(b, g)
+            if not any(rb):
+                return g, qa, qb
         w *= 2
-    return None
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over the integers (b nonempty)."""
-    a = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while a and len(a) - 1 >= db:
-        la = a.pop()
-        a = [c * lb for c in a]
-        shift = len(a) - db
-        for i in range(db):
-            a[shift + i] -= la * b[i]
-        _strip(a)
-    return a
-
-
-def _prs_gcd(a, b):
-    """Primitive gcd of primitive a, b by a primitive remainder sequence."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, (_primitive(r) if r else r)
-    return a
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd: GCDHEU proven by division, else a primitive PRS."""
+    """Monic gcd by GCDHEU."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return _POLY_ONE
-    x, y = _primitive(a._num), _primitive(b._num)
-    g = _heu_gcd(x, y)
-    if g is None:
-        g = _prs_gcd(x, y)
+    if a.is_zero or b.is_zero:
+        return (a + b).monic()
+    g = _heu_gcd(_primitive(a._num), _primitive(b._num))[0]
     return _poly(g, g[-1])
 
 
@@ -535,16 +504,18 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator in rational function")
         if num.is_zero:
             num, den = _POLY_ZERO, _POLY_ONE
-        else:
-            if den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
-            lc = den.leading
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+        elif den.degree > 0:
+            x, y = _primitive(num._num), _primitive(den._num)
+            # num/den = k x/y, k the ratio of the contents of num and den
+            kn = num._num[-1] * y[-1] * den._den
+            kd = den._num[-1] * x[-1] * num._den
+            if len(x) > 1:
+                _, x, y = _heu_gcd(x, y)
+            num = _poly([c * kn for c in x], kd * y[-1])
+            den = _poly(y, y[-1])
+        elif den != _POLY_ONE:
+            num = num.scale(1 / den.leading)
+            den = _POLY_ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

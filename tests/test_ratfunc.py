@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qde import ratfunc
 from qde.errors import PoleError, PreconditionError, ResourceLimitError
 from qde.qeuler import SymbolicMode, q_int
 from qde.ratfunc import (
@@ -16,7 +15,6 @@ from qde.ratfunc import (
     _mul_kronecker,
     _mul_schoolbook,
     _primitive,
-    _prs_gcd,
     poly_gcd,
 )
 
@@ -43,6 +41,35 @@ primitive_lists = (
     .filter(lambda a: a[-1] != 0)
     .map(_primitive)
 )
+wide_primitive_lists = (
+    st.lists(wide_ints, min_size=1, max_size=10).filter(lambda a: a[-1] != 0).map(_primitive)
+)
+
+
+def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b over the integers (b nonempty)."""
+    a = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    while a and len(a) - 1 >= db:
+        la = a.pop()
+        a = [c * lb for c in a]
+        shift = len(a) - db
+        for i in range(db):
+            a[shift + i] -= la * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def prs_gcd(a, b):
+    """Reference gcd: primitive remainder sequence of primitive a, b."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = pseudo_rem(a, b)
+        a, b = b, (_primitive(r) if r else r)
+    return a
 
 
 def convolve(a, b):
@@ -161,17 +188,27 @@ class TestPolyGcd:
     @given(nonzero_polys, nonzero_polys)
     def test_gcd_divides_both(self, a, b):
         g = poly_gcd(a, b)
-        assert (a % g).is_zero
-        assert (b % g).is_zero
+        assert divmod(a, g)[1].is_zero
+        assert divmod(b, g)[1].is_zero
         assert g.leading == 1
 
     @settings(max_examples=100)
     @given(primitive_lists, primitive_lists, primitive_lists)
     def test_heuristic_matches_prs(self, a, b, c):
         x, y = _mul_schoolbook(a, c), _mul_schoolbook(b, c)
-        want = _prs_gcd(x, y)
-        assert _heu_gcd(x, y) in (None, want)
+        want = prs_gcd(x, y)
+        assert _heu_gcd(x, y)[0] == want
         assert poly_gcd(Poly(x), Poly(y)) == Poly(want).monic()
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_primitive_lists, wide_primitive_lists, wide_primitive_lists)
+    def test_cofactors_over_wide_coefficients(self, a, b, c):
+        # past 8 bytes a coefficient, with a common factor of any width
+        x, y = _mul_schoolbook(a, c), _mul_schoolbook(b, c)
+        g, xg, yg = _heu_gcd(x, y)
+        assert _mul_schoolbook(g, xg) == x
+        assert _mul_schoolbook(g, yg) == y
+        assert g == prs_gcd(x, y)
 
     @pytest.mark.parametrize("common", [
         [0, 2, 3, 1],         # x(x+1)(x+2): every value a multiple of 6
@@ -184,8 +221,8 @@ class TestPolyGcd:
         for u in cofactors:
             for v in cofactors:
                 x, y = _mul_schoolbook(common, u), _mul_schoolbook(common, v)
-                want = _prs_gcd(x, y)
-                assert _heu_gcd(x, y) == want
+                want = prs_gcd(x, y)
+                assert _heu_gcd(x, y)[0] == want
                 assert poly_gcd(Poly(x), Poly(y)) == Poly(want).monic()
 
     @pytest.mark.parametrize("a, b", [
@@ -195,21 +232,25 @@ class TestPolyGcd:
     def test_heuristic_rejects_unlucky_evaluation_point(self, a, b):
         # coprime, but the integer gcd of the values at 2^8 reads back as a
         # linear candidate; division must reject it before a wider point
-        assert _heu_gcd(a, b) == _prs_gcd(a, b) == [1]
-
-    def test_prs_fallback_when_heuristic_gives_up(self, monkeypatch):
-        monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: None)
-        common = P(2, 3)
-        a = common * P(0, 6, 11, 6, 1)
-        b = common * P(-1, 0, 1)
-        assert poly_gcd(a, b) == P(Fraction(2, 3), 1) * P(1, 1)
-        assert RatFunc(a, b) == RatFunc(P(0, 6, 5, 1), P(-1, 1))
+        assert _heu_gcd(a, b) == ([1], a, b)
+        assert prs_gcd(a, b) == [1]
 
 
 class TestRatFunc:
     def test_reduction(self):
         f = RatFunc(P(-1, 0, 1), P(-1, 1))  # (q^2-1)/(q-1)
         assert f == RatFunc.from_poly(P(1, 1))
+        # a non-monic common factor and rational coefficients
+        common = P(2, 3)
+        a = common * P(0, 6, 11, 6, 1)
+        b = common * P(-1, 0, 1)
+        assert poly_gcd(a, b) == P(Fraction(2, 3), 1) * P(1, 1)
+        f = RatFunc(a, b)
+        assert f == RatFunc(P(0, 6, 5, 1), P(-1, 1))
+        assert (f.num, f.den) == (P(0, 6, 5, 1), P(-1, 1))
+        # the same quotient under a further common factor
+        c = P(Fraction(-1, 7), 0, 5, Fraction(2, 3))
+        assert RatFunc(a * c, b * c) == f
 
     def test_monic_denominator(self):
         f = RatFunc(P(1), P(-2, 2))
