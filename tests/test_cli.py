@@ -151,16 +151,16 @@ class TestVerify:
         assert report["variant"] == "interpolated"
         assert type(report["elapsed_ms"]) is int
 
-    @pytest.mark.parametrize("identity, params, bad_q", [
-        ("eq7", "n=1,d=3", "-1"),             # power/modulus, not n/d
-        ("eq4", "n=1,alpha=1,x=1", "1"),      # x as the integer 1, not "1"
-        ("recursion", "m=1,a=1", "-1"),       # index_count kept
+    @pytest.mark.parametrize("identity, variant, params, bad_q", [
+        ("eq7", "corrected", "n=1,d=3", "-1"),          # power/modulus, not n/d
+        ("eq4", "printed", "n=1,alpha=1,x=1", "1"),     # x as the integer 1, not "1"
+        ("recursion", "corrected", "m=1,a=1", "-1"),    # index_count kept
     ])
-    def test_error_params_match_success_params(self, runner, identity, params, bad_q):
+    def test_error_params_match_success_params(self, runner, identity, variant, params, bad_q):
         # the same points fail at a pole of bad_q and pass at q = 2
         def report_params(q):
             res = runner.invoke(main, [
-                "verify", "--identity", identity, "--variant", "corrected" if identity != "eq4" else "printed",
+                "verify", "--identity", identity, "--variant", variant,
                 "--params", params, "--mode", f"rational:q={q}",
             ])
             out = []
@@ -170,9 +170,17 @@ class TestVerify:
             return out
 
         bad, good = report_params(bad_q), report_params("2")
+        assert good
         assert [ok for _, ok in bad] == [False] * len(bad)
         assert [ok for _, ok in good] == [True] * len(good)
         assert [p for p, _ in bad] == [p for p, _ in good]
+
+    def test_fractional_eq4_x_is_reported_as_a_string(self, runner):
+        # the additive form rejects x = 1/2; the report still says "1/2"
+        res = runner.invoke(main, ["verify", "--identity", "eq4", "--params", "n=1,alpha=1,x=1/2"])
+        (report,) = payloads(res)
+        assert report["params"]["x"] == "1/2"
+        assert "error" in report["status"]["fail"]
 
     def test_unavailable_variant_exits_two(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "eq4", "--variant", "corrected"])
