@@ -191,7 +191,7 @@ CATALOG = {
         keys=_SPLIT_KEYS,
         defaults=_SPLIT_DEFAULTS,
         sides=_distribution(lift_printed=False),
-        params=lambda pt: {"n": pt["n"], "alpha": pt["alpha"], "x": str(Fraction(pt["x"])), "d": pt["d"]},
+        params=lambda pt: {"n": pt["n"], "alpha": pt["alpha"], "x": Fraction(pt["x"]), "d": pt["d"]},
         # the printed inner values stay at base q, so the shifted
         # arguments (x+a)/d need a factor d on top of x's denominator
         scale=lambda pt: _x_denominator(pt) * max(pt["d"], 1),
@@ -207,7 +207,7 @@ CATALOG = {
         defaults=_SPLIT_DEFAULTS,
         sides=_distribution(lift_printed=True),
         params=lambda pt: {
-            "power": pt["n"], "modulus": pt["d"], "alpha": pt["alpha"], "x": str(Fraction(pt["x"])),
+            "power": pt["n"], "modulus": pt["d"], "alpha": pt["alpha"], "x": Fraction(pt["x"]),
         },
     ),
     "eq8": Identity(
@@ -231,7 +231,7 @@ CATALOG = {
 
 
 def report_params(identity: str, point: dict, mode) -> dict:
-    """A point's report parameters, Fractions as strings, with the mode; shared by results and errors."""
+    """A point's report parameters (Fractions as strings) and mode, alike for a result and an error."""
     entry = CATALOG[identity]
     params = entry.params(point) if entry.params else {k: point[k] for k in entry.keys}
     params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}

@@ -240,7 +240,7 @@ class TestRatFunc:
     def test_reduction(self):
         f = RatFunc(P(-1, 0, 1), P(-1, 1))  # (q^2-1)/(q-1)
         assert f == RatFunc.from_poly(P(1, 1))
-        # a non-monic common factor and rational coefficients
+        # a non-monic common factor
         common = P(2, 3)
         a = common * P(0, 6, 11, 6, 1)
         b = common * P(-1, 0, 1)
@@ -248,7 +248,7 @@ class TestRatFunc:
         f = RatFunc(a, b)
         assert f == RatFunc(P(0, 6, 5, 1), P(-1, 1))
         assert (f.num, f.den) == (P(0, 6, 5, 1), P(-1, 1))
-        # the same quotient under a further common factor
+        # the same quotient under a further common factor with rational coefficients
         c = P(Fraction(-1, 7), 0, 5, Fraction(2, 3))
         assert RatFunc(a * c, b * c) == f
 
