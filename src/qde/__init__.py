@@ -46,6 +46,7 @@ from .qeuler import (
     measure,
     periodic_euler,
     q_int,
+    qeuler_numbers,
     qeuler_poly,
     qeuler_poly_additive,
 )
@@ -64,7 +65,7 @@ __all__ = [
     "dc_sum", "euler_classical", "format_rational", "interp_series",
     "interp_value", "is_odd_prime", "measure", "normalized_bracket",
     "padic_dc_sum", "parse_rational", "periodic_euler", "poly_gcd",
-    "q_dc_sum", "q_int", "q_pow", "qeuler_poly",
+    "q_dc_sum", "q_int", "q_pow", "qeuler_numbers", "qeuler_poly",
     "qeuler_poly_additive", "rational_valuation", "riemann_level",
     "teichmuller", "teichmuller_inverse",
 ]

@@ -22,7 +22,15 @@ from typing import Callable
 from .dedekind import DCParams, bracket_weighted_sum, padic_dc_sum, q_dc_sum
 from .errors import PreconditionError
 from .padic import is_odd_prime
-from .qeuler import BaseLifted, compare_values, q_int, qeuler_poly, qeuler_poly_additive, root_mode
+from .qeuler import (
+    BaseLifted,
+    compare_values,
+    q_int,
+    qeuler_numbers,
+    qeuler_poly,
+    qeuler_poly_additive,
+    root_mode,
+)
 from .reports import IdentityReport, timed_report
 
 BOTH = ("printed", "corrected")
@@ -82,6 +90,12 @@ def _integral(x):
 def _eq4(pt, variant, mode):
     n, alpha, x = pt["n"], pt["alpha"], _integral(pt["x"])
     return qeuler_poly(n, alpha, x, mode).value, qeuler_poly_additive(n, alpha, x, mode).value
+
+
+def _numbers(pt, variant, mode):
+    # the closed form at x = 0 against the fermionic recurrence's table
+    n, alpha = pt["n"], pt["alpha"]
+    return qeuler_poly(n, alpha, 0, mode).value, qeuler_numbers(n, alpha, mode)[n]
 
 
 def _distribution(lift_printed: bool):
@@ -214,6 +228,12 @@ CATALOG = {
         keys=_SHIFT_KEYS,
         defaults={"m": [0, 1, 2], "a": [1, 2], "N": [2, 3], "p": [3], "alpha": [1]},
         sides=_shifted(reduce=False),
+    ),
+    "numbers": Identity(
+        keys=("n", "alpha"),
+        defaults={"n": list(range(7)), "alpha": [1, 2, 3]},
+        sides=_numbers,
+        variants=("printed",),
     ),
     "recursion": Identity(
         keys=_SHIFT_KEYS,

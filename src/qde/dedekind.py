@@ -27,7 +27,16 @@ from .padic import (
     q_pow,
     teichmuller_inverse,
 )
-from .qeuler import BaseLifted, PadicMode, QEulerValue, _wrap, periodic_euler, q_int, qeuler_poly
+from .qeuler import (
+    BaseLifted,
+    PadicMode,
+    QEulerValue,
+    _wrap,
+    periodic_euler,
+    q_int,
+    qeuler_numbers,
+    qeuler_poly,
+)
 
 INTEGER_VARIANTS = ("naive", "interpolated", "interpolated_printed")
 
@@ -145,9 +154,16 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     head * sum_j C(s,j) q^(alpha a j) ([N]/[a])^j Etilde_j(base q^N),
     head = w^-1(a) <a>^s.  A nonnegative integer s <= J terminates after
     s+1 terms, since C(s, s+1) is exactly zero; any other s is a genuine
-    series and requires p | N so the ratio is small.  When the tail is not exactly zero the result is
-    blurred by an approximate zero bounding it, so the returned
-    precision stays honest.
+    series and requires p | N so the ratio is small.
+
+    The numbers E_j come from one qeuler_numbers table at base q^N, whose
+    recurrence divides only by p-adic units: every E_j keeps all K
+    digits and is a p-adic integer.  (Built from the closed form, E_j
+    lost j v_p(1 - q^(alpha N)) digits, so the terminating value at
+    s = 122, p = 3, N = 3 had none left.)  Since C(s, j) and E_j are
+    integral, the tail after J is divisible by ratio^(J+1); when it is
+    not exactly zero the result is blurred by that approximate zero, so
+    the returned precision stays honest.
     """
     if a < 1 or n_mod < 1 or alpha < 1:
         raise PreconditionError(f"need a >= 1, N >= 1, alpha >= 1, got a={a} N={n_mod} alpha={alpha}")
@@ -166,22 +182,19 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     one = mode.from_rational(1)
     head = teichmuller_inverse(a, cfg) * q_pow(normalized_bracket(a, q, alpha, cfg), s, cfg)
     ratio = (one - mode.q_power(alpha * n_mod)) / (one - mode.q_power(alpha * a))
-    lifted = BaseLifted(mode, n_mod)
+
+    coeffs = coeffs[: j_trunc + 1]
+    numbers = qeuler_numbers(len(coeffs) - 1, alpha, BaseLifted(mode, n_mod))
 
     acc = mode.from_rational(0)
     rpow = one
-    min_euler_val = 0
-    for j, coeff in enumerate(coeffs[: j_trunc + 1]):
+    for j, (coeff, euler_j) in enumerate(zip(coeffs, numbers)):
         if j > 0:
             rpow = rpow * ratio
-        euler_j = qeuler_poly(j, alpha, 0, lifted).value
-        if not euler_j.is_zero:
-            min_euler_val = min(min_euler_val, int(euler_j.valuation))
         acc = acc + coeff * mode.q_power(alpha * a * j) * euler_j * rpow
     value = head * acc
     if not terminates:
-        tail_val = (j_trunc + 1) * int(ratio.valuation) + min_euler_val
-        value = value + PadicNum.approx_zero(cfg.p, tail_val)
+        value = value + PadicNum.approx_zero(cfg.p, (j_trunc + 1) * int(ratio.valuation))
     return value
 
 

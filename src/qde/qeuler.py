@@ -315,26 +315,55 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
     return _wrap(mode, v)
 
 
+def qeuler_numbers(top: int, alpha: int, mode) -> list:
+    """The q-Euler numbers E_0..E_top at weight alpha, as one list.
+
+    Built by the recurrence E_0 = 1,
+    E_n = -q/(1 + q^(alpha n + 1)) * sum_{l<n} C(n,l) q^(alpha l) E_l,
+    which the fermionic integral equation q I(f(x+1)) + I(f(x)) = [2]_q f(0)
+    gives for f(x) = [x]^n (T. Kim, J. Math. Anal. Appl. 326, 2007).  Its
+    divisors 1 + q^(alpha n + 1) are p-adic units when v_p(1 - q) >= 1 and p
+    is odd, so a p-adic table keeps every digit; the closed form qeuler_poly
+    at x = 0 divides by (1 - q^alpha)^n and loses n v_p(1 - q^alpha) of them.
+    Each q^(alpha l) is computed once per call.
+    """
+    _check_n_alpha(top, alpha)
+    one = mode.from_rational(1)
+    q = mode.q_power(1)
+    numbers = [one]
+    # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
+    weighted = [one]
+    try:
+        for n in range(1, top + 1):
+            acc = weighted[0]
+            for l in range(1, n):
+                acc = acc + comb(n, l) * weighted[l]
+            e_n = -q * acc / (one + mode.q_power(alpha * n + 1))
+            numbers.append(e_n)
+            weighted.append(mode.q_power(alpha * n) * e_n)
+    except ZeroDivisionError:
+        raise PoleError("pole in q-Euler numbers (a denominator 1 + q^(alpha n + 1) vanishes at this q)") from None
+    return numbers
+
+
 def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     """Addition form of the q-Euler polynomial at a nonnegative integer x.
 
     sum_l C(n,l) q^(alpha l x) E_l * [x]^(n-l), with [x] the weight-alpha
-    q-integer of x.  Must agree with qeuler_poly at every integer x.
+    q-integer of x and E_l from one qeuler_numbers table.  Must agree with
+    qeuler_poly at every integer x.
     """
     _check_n_alpha(n, alpha)
     if not isinstance(x, int) or x < 0:
         raise PreconditionError(f"additive form needs a nonnegative integer x, got {x}")
     bracket = q_int(x, alpha, mode)
-    try:
-        acc = mode.from_rational(0)
-        # [x]^(n-l) as a running product: no power of an exact zero is formed
-        power = mode.from_rational(1)
-        for l in range(n, -1, -1):
-            e_l = qeuler_poly(l, alpha, 0, mode).value
-            acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * e_l * power
-            power = power * bracket
-    except ZeroDivisionError:
-        raise PoleError("pole in additive form (a denominator vanishes at this q)") from None
+    numbers = qeuler_numbers(n, alpha, mode)
+    acc = mode.from_rational(0)
+    # [x]^(n-l) as a running product: no power of an exact zero is formed
+    power = mode.from_rational(1)
+    for l in range(n, -1, -1):
+        acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * numbers[l] * power
+        power = power * bracket
     return _wrap(mode, acc)
 
 
