@@ -25,7 +25,7 @@ from qde.cli import main
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "verify_golden.json"
 
-IDENTITY_IDS = ("eq4", "eq5", "eq6", "eq7", "eq8", "recursion", "theorem1")
+IDENTITY_IDS = ("eq4", "eq5", "eq6", "eq7", "eq8", "numbers", "recursion", "theorem1")
 ELAPSED = re.compile(r'"elapsed_ms":\d+,')
 
 
