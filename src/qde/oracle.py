@@ -82,10 +82,13 @@ def riemann_level(f: IntegrandSpec, level: int, mode, p: int = None) -> QEulerVa
     if count > LEVEL_GUARD:
         raise ResourceLimitError(f"p^level = {count} exceeds the guardrail {LEVEL_GUARD}")
     lifted = BaseLifted(mode, f.base_exponent)
+    # the mass of a + p^n Z_p is (-q)^a times that of p^n Z_p, so the
+    # level sum divides once, by way of the measure of the disc at 0
     total = mode.from_rational(0)
     for a in range(count):
-        total = total + _evaluate(f, a, lifted) * measure(a, level, lifted, p).value
-    return QEulerValue(root_mode(mode).kind, total)
+        term = lifted.q_power(a) * _evaluate(f, a, lifted)
+        total = total + term if a % 2 == 0 else total - term
+    return QEulerValue(root_mode(mode).kind, total * measure(0, level, lifted, p).value)
 
 
 def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
