@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qde.catalog import CATALOG, check
 from qde.errors import ExponentError, PoleError, PreconditionError
-from qde.padic import PadicConfig, PadicNum, agreement_valuation
+from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import (
     BaseLifted,
     PadicMode,
@@ -19,6 +19,7 @@ from qde.qeuler import (
     measure,
     periodic_euler,
     q_int,
+    qeuler_numbers,
     qeuler_poly,
     qeuler_poly_additive,
     root_mode,
@@ -223,6 +224,73 @@ class TestQEulerNumber:
             qeuler_poly(-1, 1, 0, SYM)
         with pytest.raises(PreconditionError):
             qeuler_poly(1, 0, 0, SYM)
+
+
+class TestQEulerNumbers:
+    # the fermionic recurrence against the closed form qeuler_poly(n, alpha, 0)
+    def test_recurrence_equals_closed_form(self):
+        for mode in (SYM, RationalMode(4), RationalMode(Fraction(-2, 3)), BaseLifted(RationalMode(4), 3)):
+            for alpha in (1, 2, 3):
+                table = qeuler_numbers(7, alpha, mode)
+                assert len(table) == 8
+                for n, e_n in enumerate(table):
+                    assert e_n == qeuler_poly(n, alpha, 0, mode).value
+
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(lambda q: abs(q) != 1),
+    )
+    def test_recurrence_equals_closed_form_at_rational_q(self, n, alpha, q0):
+        # q0 = +-1 is left out: the closed form divides by 1 + q or by
+        # 1 - q^alpha there, the recurrence only by 1 + q^(alpha n + 1)
+        mode = RationalMode(q0)
+        assert qeuler_numbers(n, alpha, mode)[n] == qeuler_poly(n, alpha, 0, mode).value
+
+    def test_pole_only_where_a_divisor_vanishes(self):
+        # at q = -1, 1 + q^(alpha n + 1) vanishes exactly when alpha n is odd
+        assert qeuler_numbers(1, 1, RationalMode(-1)) == [1, Fraction(1, 2)]
+        with pytest.raises(PoleError):
+            qeuler_numbers(2, 1, RationalMode(-1))
+        with pytest.raises(PoleError):
+            qeuler_numbers(1, 2, RationalMode(-1))
+
+    def test_bad_arguments(self):
+        with pytest.raises(PreconditionError):
+            qeuler_numbers(-1, 1, SYM)
+        with pytest.raises(PreconditionError):
+            qeuler_numbers(1, 0, SYM)
+
+    @pytest.mark.parametrize("prec", [16, 32, 64, 128])
+    def test_padic_matches_rational_at_every_precision(self, prec):
+        # rational E_n at q = 4, embedded in Q_3, against p-adic mode at the
+        # same q.  The recurrence divides only by units 1 + q^(alpha n + 1), so
+        # it keeps all K digits.  The closed form divides a K-digit sum S by
+        # (1 - q^alpha)^n: S has valuation v(E_n) + n v, with
+        # v = v_3(1 - q^alpha) = v_3(q - 1) + v_3(alpha) (lifting the
+        # exponent), so it is known to K - v(E_n) - n v relative digits and
+        # E_n to K - n v absolute ones.  The loss n v is the same at every K.
+        # (At n = 0 the closed form loses v digits too: x ** 0 keeps the
+        # relative precision of x = 1 - q^alpha.)
+        mode = padic_mode(4, 3, prec)
+        for alpha in (1, 2, 3):
+            v = rational_valuation(Fraction(4 - 1), 3) + rational_valuation(Fraction(alpha), 3)
+            exact = qeuler_numbers(6, alpha, RationalMode(4))
+            table = qeuler_numbers(6, alpha, mode)
+            for n in range(7):
+                want = PadicNum.from_rational(exact[n], 3, prec)
+                assert agreement_valuation(table[n], want) >= prec
+                if n > 0:
+                    closed = qeuler_poly(n, alpha, 0, mode).value
+                    assert prec - agreement_valuation(closed, want) == n * v
+
+    def test_catalog_entry(self):
+        for n in range(4):
+            for mode in (SYM, RationalMode(4)):
+                assert check("numbers", "printed", {"n": n, "alpha": 2}, mode).status == "exact"
+        # alpha = 3, n = 6 at q = 4: the closed form loses 6 v_3(1 - 4^3) = 12 digits
+        status = check("numbers", "printed", {"n": 6, "alpha": 3}, padic_mode(4, 3, 32)).status
+        assert status == {"padic_agreement": 20, "precision": 32}
 
 
 class TestQEulerPoly:
