@@ -16,6 +16,14 @@ BaseLifted(mode, l) views any mode at base q^l by multiplying every
 exponent by l; the sum and integral formulas below never mention l
 themselves.
 
+The q-Euler numbers E_j come in two forms.  qeuler_poly(j, alpha, 0)
+is the closed form, the paper's definition; it divides by
+(1 - q^alpha)^j and so loses j v_p(1 - q^alpha) p-adic digits.
+qeuler_numbers builds the whole list E_0..E_J from the fermionic
+recurrence, whose divisors are p-adic units, and keeps every digit.
+Callers that need many E_j (the additive form, interp_series) take one
+such table per call.
+
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
 in a formula means the chosen q sits on a pole of the expression and
