@@ -341,16 +341,16 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     numbers = [one]
     # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
     weighted = [one]
-    try:
-        for n in range(1, top + 1):
-            acc = weighted[0]
-            for l in range(1, n):
-                acc = acc + comb(n, l) * weighted[l]
+    for n in range(1, top + 1):
+        acc = weighted[0]
+        for l in range(1, n):
+            acc = acc + comb(n, l) * weighted[l]
+        try:
             e_n = -q * acc / (one + mode.q_power(alpha * n + 1))
-            numbers.append(e_n)
-            weighted.append(mode.q_power(alpha * n) * e_n)
-    except ZeroDivisionError:
-        raise PoleError("pole in q-Euler numbers (a denominator 1 + q^(alpha n + 1) vanishes at this q)") from None
+        except ZeroDivisionError:
+            raise PoleError(f"pole in q-Euler numbers (1 + q^{alpha * n + 1} vanishes at this q)") from None
+        numbers.append(e_n)
+        weighted.append(mode.q_power(alpha * n) * e_n)
     return numbers
 
 
