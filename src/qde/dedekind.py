@@ -158,9 +158,9 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
 
     The numbers E_j come from one qeuler_numbers table at base q^N, whose
     recurrence divides only by p-adic units: every E_j keeps all K
-    digits and is a p-adic integer.  (Built from the closed form, E_j
-    lost j v_p(1 - q^(alpha N)) digits, so the terminating value at
-    s = 122, p = 3, N = 3 had none left.)  Since C(s, j) and E_j are
+    digits and is a p-adic integer.  (The closed form would lose
+    j v_p(1 - q^(alpha N)) digits of E_j, which leaves the terminating
+    value at s = 122, p = 3, N = 3 no digit.)  Since C(s, j) and E_j are
     integral, the tail after J is divisible by ratio^(J+1); when it is
     not exactly zero the result is blurred by that approximate zero, so
     the returned precision stays honest.

@@ -248,7 +248,7 @@ class TestQEulerNumbers:
         assert qeuler_numbers(n, alpha, mode)[n] == qeuler_poly(n, alpha, 0, mode).value
 
     def test_pole_only_where_a_divisor_vanishes(self):
-        # at q = -1, 1 + q^(alpha n + 1) vanishes exactly when alpha n is odd
+        # at q = -1, 1 + q^(alpha n + 1) vanishes exactly when alpha n is even
         assert qeuler_numbers(1, 1, RationalMode(-1)) == [1, Fraction(1, 2)]
         with pytest.raises(PoleError):
             qeuler_numbers(2, 1, RationalMode(-1))
