@@ -105,6 +105,28 @@ class PadicNum:
         raise AttributeError("PadicNum is immutable")
 
     @classmethod
+    def _unit(cls, p: int, val: int, unit: int, prec: int) -> "PadicNum":
+        """A nonzero value from a unit already coprime to p and reduced mod p^prec.
+
+        Products, quotients and powers of units are units, so they skip
+        the constructor's normalization.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "prec", prec)
+        return self
+
+    @classmethod
+    def _exact(cls, p: int, num: int, den: int, prec: int) -> "PadicNum":
+        """The nonzero exact ratio num/den to prec >= 1 digits."""
+        vn = _vp(num, p)
+        vd = _vp(den, p)
+        m = p**prec
+        return cls._unit(p, vn - vd, num // p**vn * pow(den // p**vd, -1, m) % m, prec)
+
+    @classmethod
     def zero(cls, p: int) -> "PadicNum":
         return cls(p, inf, 0, 0)
 
@@ -118,12 +140,9 @@ class PadicNum:
         x = Fraction(x)
         if x == 0:
             return cls.zero(p)
-        vn = _vp(x.numerator, p)
-        vd = _vp(x.denominator, p)
-        num = x.numerator // p**vn
-        den = x.denominator // p**vd
-        m = p**prec
-        return cls(p, vn - vd, num * pow(den, -1, m) % m, prec)
+        if prec < 1:
+            raise ValueError("nonzero value needs precision >= 1")
+        return cls._exact(p, x.numerator, x.denominator, prec)
 
     @property
     def is_exact_zero(self) -> bool:
@@ -165,26 +184,33 @@ class PadicNum:
             raise PreconditionError(f"mixed primes {self.p} and {other.p}")
 
     def _coerce(self, other):
+        """other as a PadicNum; an exact int or Fraction c gets
+
+            max(prec, A - v_p(c) + 2, 1)
+
+        digits, A being this value's absolute precision, or
+        DEFAULT_PRECISION when this is the exact zero.  That is at least
+        this value's own relative precision and reaches two digits past
+        its absolute precision, so c caps neither a product or quotient
+        nor a sum.  Zero coerces to the exact zero.
+        """
         if isinstance(other, PadicNum):
             return other
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return PadicNum.zero(self.p)
-            # give the exact scalar enough digits that it never caps
-            # the precision of the value it is combined with
-            v = rational_valuation(other, self.p)
-            if self.unit == 0:
-                need = (self.val if self.val is not inf else DEFAULT_PRECISION) - v
-            else:
-                need = self.val + self.prec - v
-            prec = max(int(need) + 2, 1)
-            return PadicNum.from_rational(other, self.p, prec)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        num, den = other.numerator, other.denominator
+        p = self.p
+        if num == 0:
+            return PadicNum.zero(p)
+        top = DEFAULT_PRECISION if self.val is inf else self.abs_prec
+        prec = max(self.prec, top - _vp(num, p) + _vp(den, p) + 2, 1)
+        return PadicNum._exact(p, num, den, prec)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if not isinstance(other, PadicNum):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         self._check_same_prime(other)
         if self.is_exact_zero:
             return other
@@ -208,7 +234,7 @@ class PadicNum:
     def __neg__(self):
         if self.unit == 0:
             return self
-        return PadicNum(self.p, self.val, -self.unit % self.p**self.prec, self.prec)
+        return PadicNum._unit(self.p, self.val, -self.unit % self.p**self.prec, self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -220,16 +246,17 @@ class PadicNum:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if not isinstance(other, PadicNum):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         self._check_same_prime(other)
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNum.zero(self.p)
         if self.unit == 0 or other.unit == 0:
             return PadicNum.approx_zero(self.p, self.val + other.val)
         prec = min(self.prec, other.prec)
-        return PadicNum(self.p, self.val + other.val, self.unit * other.unit, prec)
+        return PadicNum._unit(self.p, self.val + other.val, self.unit * other.unit % self.p**prec, prec)
 
     __rmul__ = __mul__
 
@@ -248,7 +275,7 @@ class PadicNum:
             return PadicNum.approx_zero(self.p, self.val - other.val)
         prec = min(self.prec, other.prec)
         m = self.p**prec
-        return PadicNum(self.p, self.val - other.val, self.unit * pow(other.unit % m, -1, m), prec)
+        return PadicNum._unit(self.p, self.val - other.val, self.unit * pow(other.unit, -1, m) % m, prec)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -264,7 +291,7 @@ class PadicNum:
                 raise ZeroDivisionError("negative power of a p-adic zero")
             raise PrecisionError(f"precision exhausted: negative power of {self!r}, zero at working precision")
         # a negative e makes pow invert the unit mod p^prec
-        return PadicNum(self.p, e * self.val, pow(self.unit, e, self.p**self.prec), self.prec)
+        return PadicNum._unit(self.p, e * self.val, pow(self.unit, e, self.p**self.prec), self.prec)
 
     def __eq__(self, other):
         if not isinstance(other, PadicNum):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qde.errors import ConvergenceError, PrecisionError, PreconditionError
 from qde.padic import (
+    DEFAULT_PRECISION,
     PadicConfig,
     PadicNum,
     _binomial_coeffs,
@@ -85,6 +86,55 @@ def padic_values(draw):
         return PadicNum.zero(p)
     unit = draw(st.integers(1, p**40).filter(lambda u: u % p))
     return PadicNum(p, draw(st.integers(-3, 3)), unit, draw(st.integers(1, 40)))
+
+
+@st.composite
+def scalar_cases(draw):
+    """(x, c): x a unit, a non-unit, of negative valuation, or a zero of either kind, at p = 3, 5, 7;
+    c an int, a Fraction, zero, or carrying a power of p in its numerator or denominator."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    kind = draw(st.sampled_from(["unit", "non_unit", "negative", "approx_zero", "zero"]))
+    if kind == "approx_zero":
+        x = PadicNum.approx_zero(p, draw(st.integers(-4, 10)))
+    elif kind == "zero":
+        x = PadicNum.zero(p)
+    else:
+        val = {"unit": 0, "non_unit": draw(st.integers(1, 4)), "negative": draw(st.integers(-4, -1))}[kind]
+        prec = draw(st.integers(1, 40))
+        x = PadicNum(p, val, draw(st.integers(1, p**prec).filter(lambda u: u % p)), prec)
+    nonzero = st.integers(-999, 999).filter(bool)
+    ckind = draw(st.sampled_from(["int", "fraction", "zero", "p_numerator", "p_denominator"]))
+    if ckind == "int":
+        c = draw(nonzero)
+    elif ckind == "fraction":
+        c = Fraction(draw(nonzero), draw(st.integers(2, 999)))
+    elif ckind == "zero":
+        c = draw(st.sampled_from([0, Fraction(0)]))
+    elif ckind == "p_numerator":
+        c = Fraction(p ** draw(st.integers(1, 6)) * draw(nonzero), draw(st.integers(1, 99)))
+    else:
+        c = Fraction(draw(nonzero), p ** draw(st.integers(1, 6)) * draw(st.integers(1, 99)))
+    return x, c
+
+
+SCALAR_OPS = {
+    "x+c": lambda x, c: x + c,
+    "c+x": lambda x, c: c + x,
+    "x-c": lambda x, c: x - c,
+    "c-x": lambda x, c: c - x,
+    "x*c": lambda x, c: x * c,
+    "c*x": lambda x, c: c * x,
+    "x/c": lambda x, c: x / c,
+    "c/x": lambda x, c: c / x,
+}
+
+
+def outcome(op, x, c):
+    """op(x, c), or the class of the arithmetic error it raises."""
+    try:
+        return op(x, c)
+    except (ZeroDivisionError, PrecisionError) as exc:
+        return type(exc)
 
 
 class TestConfig:
@@ -186,6 +236,32 @@ class TestArithmetic:
         x = PadicNum(3, 0, 2, 30)
         assert (x + 1).abs_prec == 30
         assert (Fraction(1, 2) * x).prec == 30
+
+    def test_scalar_divisible_by_p_does_not_cap(self):
+        # a scalar c gets max(prec, abs_prec - v_p(c) + 2) digits, so a
+        # power of p in it costs the product or quotient no digit
+        x = PadicNum.from_rational(Fraction(2, 3), 3, 32)
+        for c in (27, 243, Fraction(27, 2), Fraction(1, 27)):
+            assert (x * c).prec == 32
+            assert (c * x).prec == 32
+            assert (x / c).prec == 32
+            assert (c / x).prec == 32
+
+    @settings(deadline=None, max_examples=300)
+    @given(scalar_cases())
+    def test_scalar_is_from_rational_at_the_documented_precision(self, case):
+        # an exact c meets x as PadicNum.from_rational(c, p, P) with
+        # P = max(x.prec, A - v_p(c) + 2, 1), A = x.abs_prec, or
+        # DEFAULT_PRECISION when x is the exact zero; zero is the exact zero
+        x, c = case
+        if c == 0:
+            scalar = PadicNum.zero(x.p)
+        else:
+            top = DEFAULT_PRECISION if x.is_exact_zero else x.abs_prec
+            prec = max(x.prec, top - rational_valuation(c, x.p) + 2, 1)
+            scalar = PadicNum.from_rational(c, x.p, prec)
+        for name, op in SCALAR_OPS.items():
+            assert outcome(op, x, c) == outcome(op, x, scalar), name
 
     def test_pow(self):
         assert (pn(2) ** 5).lift(4) == 32
