@@ -55,13 +55,14 @@ class RationalMode:
         raise AttributeError("RationalMode is immutable")
 
     def q_power(self, e):
-        e = Fraction(e)
-        if e.denominator != 1:
-            raise ExponentError(f"q^({e}) is not representable at a fixed rational q")
-        n = int(e)
-        if n < 0 and self.q0 == 0:
+        if type(e) is not int:
+            e = Fraction(e)
+            if e.denominator != 1:
+                raise ExponentError(f"q^({e}) is not representable at a fixed rational q")
+            e = e.numerator
+        if e < 0 and self.q0 == 0:
             raise PoleError("negative power of q = 0")
-        return self.q0**n
+        return self.q0**e
 
     def from_rational(self, c) -> Fraction:
         return Fraction(c)
@@ -162,7 +163,10 @@ class BaseLifted:
         return self.inner.kind
 
     def q_power(self, e):
-        return self.inner.q_power(Fraction(e) * self.base)
+        if type(e) is int:
+            return self.inner.q_power(e * self.base)
+        e = Fraction(e) * self.base
+        return self.inner.q_power(e.numerator if e.denominator == 1 else e)
 
     def from_rational(self, c):
         return self.inner.from_rational(c)
@@ -310,6 +314,9 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
     """
     _check_n_alpha(n, alpha)
     x = Fraction(x)
+    if x.denominator == 1:
+        # an integral x keeps every exponent below an int
+        x = x.numerator
     one = mode.from_rational(1)
     try:
         acc = mode.from_rational(0)
