@@ -61,34 +61,56 @@ class IntegrandSpec:
         }
 
 
-def _evaluate(f: IntegrandSpec, a: int, lifted) -> object:
-    """f at the integer point xi = a, in the lifted mode."""
+def _integrand(f: IntegrandSpec, lifted):
+    """a -> f(a) at the integer point xi = a, in the lifted mode."""
     if f.kind == "q_power":
-        return lifted.q_power(f.e * a)
+        return lambda a: lifted.q_power(f.e * a)
     one = lifted.from_rational(1)
     if f.n == 0:
-        return one
-    num = one - lifted.q_power(f.alpha * (f.x + a))
+        return lambda a: one
+    # an integral x keeps the exponents below ints
+    x = f.x.numerator if f.x.denominator == 1 else f.x
     den = one - lifted.q_power(f.alpha)
-    return (num / den) ** f.n
+    return lambda a: ((one - lifted.q_power(f.alpha * (x + a))) / den) ** f.n
+
+
+def _check_levels(levels, p: int) -> None:
+    """Reject a bad level before any residue is summed."""
+    for n in levels:
+        if n < 1:
+            raise PreconditionError(f"level must be >= 1, got {n}")
+        if p**n > LEVEL_GUARD:
+            raise ResourceLimitError(f"p^level = {p**n} exceeds the guardrail {LEVEL_GUARD}")
+
+
+def _level_sums(f: IntegrandSpec, levels, mode, p: int):
+    """Yield (n, level-n sum) for each distinct n in levels, in increasing order.
+
+    One pass over the residues a < p^max(levels) keeps the running sum
+    of (-1)^a q^a f(a); the level-n sum is that total at a = p^n times
+    the measure of p^n Z_p, since the mass of a + p^n Z_p is (-q)^a
+    times the mass of the disc at 0.  Each level divides once, and the
+    residues below p^n are summed once for all levels.
+    """
+    lifted = BaseLifted(mode, f.base_exponent)
+    value = _integrand(f, lifted)
+    total = mode.from_rational(0)
+    start = 0
+    for n in sorted(set(levels)):
+        end = p**n
+        for a in range(start, end):
+            term = lifted.q_power(a) * value(a)
+            total = total + term if a % 2 == 0 else total - term
+        start = end
+        yield n, total * measure(0, n, lifted, p).value
 
 
 def riemann_level(f: IntegrandSpec, level: int, mode, p: int = None) -> QEulerValue:
-    """The exact finite sum over all residues at one level."""
+    """The exact finite sum of f against the measure over all residues a < p^level."""
     p = resolve_prime(mode, p)
-    if level < 1:
-        raise PreconditionError(f"level must be >= 1, got {level}")
-    count = p**level
-    if count > LEVEL_GUARD:
-        raise ResourceLimitError(f"p^level = {count} exceeds the guardrail {LEVEL_GUARD}")
-    lifted = BaseLifted(mode, f.base_exponent)
-    # the mass of a + p^n Z_p is (-q)^a times that of p^n Z_p, so the
-    # level sum divides once, by way of the measure of the disc at 0
-    total = mode.from_rational(0)
-    for a in range(count):
-        term = lifted.q_power(a) * _evaluate(f, a, lifted)
-        total = total + term if a % 2 == 0 else total - term
-    return QEulerValue(root_mode(mode).kind, total * measure(0, level, lifted, p).value)
+    _check_levels([level], p)
+    ((_, total),) = _level_sums(f, [level], mode, p)
+    return QEulerValue(root_mode(mode).kind, total)
 
 
 def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
@@ -102,32 +124,29 @@ def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
 
 
 def _difference_valuation(diff, p: int):
-    """v_p of a level difference; None when exactly zero."""
+    """v_p of a level difference, a PadicNum or a Fraction; None when exactly zero."""
     if isinstance(diff, PadicNum):
         if diff.is_exact_zero:
             return None
         return int(diff.valuation)
-    if isinstance(diff, Fraction):
-        v = rational_valuation(diff, p)
-        return None if v is inf else int(v)
-    raise PreconditionError("convergence profiles need p-adic or rational coefficients")
+    v = rational_valuation(diff, p)
+    return None if v is inf else int(v)
 
 
 def convergence_profile(f: IntegrandSpec, levels, mode, p: int = None) -> list:
-    """JSON-ready [{level, valuation}] against the closed form.
+    """JSON-ready [{level, valuation}] against the closed form, in the order given.
 
     valuation is None where the level sum hits the limit exactly (the
-    constant integrand does at every level).
+    constant integrand does at every level).  Every level is checked
+    before any work, and all of them come from one pass over the
+    p^max(levels) residues, so a profile of levels 1..L sums p^L terms
+    rather than p + p^2 + ... + p^L.
     """
     p = resolve_prime(mode, p)
+    if root_mode(mode).kind not in ("rational", "padic"):
+        raise PreconditionError("convergence profiles need p-adic or rational coefficients")
     levels = [int(n) for n in levels]
-    for n in levels:
-        # guard the whole profile up front, not level by level
-        if p**n > LEVEL_GUARD:
-            raise ResourceLimitError(f"p^level = {p**n} exceeds the guardrail {LEVEL_GUARD}")
+    _check_levels(levels, p)
     limit = closed_form(f, mode).value
-    out = []
-    for n in levels:
-        diff = riemann_level(f, n, mode, p).value - limit
-        out.append({"level": int(n), "valuation": _difference_valuation(diff, p)})
-    return out
+    sums = dict(_level_sums(f, levels, mode, p))
+    return [{"level": n, "valuation": _difference_valuation(sums[n] - limit, p)} for n in levels]

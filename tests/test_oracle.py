@@ -4,7 +4,7 @@ import pytest
 
 from qde.errors import PreconditionError, ResourceLimitError
 from qde.oracle import LEVEL_GUARD, IntegrandSpec, closed_form, convergence_profile, riemann_level
-from qde.padic import PadicConfig, PadicNum, agreement_valuation
+from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import PadicMode, RationalMode, SymbolicMode, qeuler_poly
 from qde.ratfunc import Poly, RatFunc
 
@@ -111,6 +111,29 @@ class TestConvergenceProfile:
     def test_profiles_climb(self):
         vals = profile_vals(IntegrandSpec.bracket_power(3), [1, 2, 3, 4], RAT4, 3)
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("kind", ["rational", "padic"])
+    @pytest.mark.parametrize("levels", [(3, 1, 2), (2, 2, 1), (1, 2, 3)])
+    def test_one_pass_matches_level_by_level(self, p, kind, levels):
+        # the one-pass profile reads, in the order asked, what each
+        # level's own Riemann sum minus the closed form gives
+        if kind == "rational":
+            mode = RationalMode(1 + p)
+        else:
+            mode = PadicMode(PadicNum.from_rational(1 + p, p, 32), PadicConfig(p, 32))
+        for f in (IntegrandSpec.bracket_power(2), IntegrandSpec.bracket_power(3, alpha=2),
+                  IntegrandSpec.q_power(2, l=2), IntegrandSpec.bracket_power(2, x=Fraction(1, 2), l=2)):
+            limit = closed_form(f, mode).value
+            want = []
+            for n in levels:
+                diff = riemann_level(f, n, mode, p).value - limit
+                if isinstance(diff, PadicNum):
+                    v = None if diff.is_exact_zero else int(diff.valuation)
+                else:
+                    v = None if diff == 0 else int(rational_valuation(diff, p))
+                want.append({"level": n, "valuation": v})
+            assert convergence_profile(f, levels, mode, p) == want
 
     def test_symbolic_mode_rejected(self):
         f = IntegrandSpec.bracket_power(1)
