@@ -204,18 +204,20 @@ class TestInterpSeries:
         v = interp_series(5, 1, 3, 2, 1, Q3, CFG3)
         assert v.abs_prec < CFG3.prec
 
-    @pytest.mark.parametrize("a", [1, 2])
-    def test_terminating_sums_converge_to_half(self, a):
-        # s_n = (3^n + 1)/2 tends 3-adically to 1/2 with v_3(s_n - 1/2) = n.
+    @pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4)])
+    def test_terminating_sums_converge_to_half(self, p, a):
+        # s_n = (p^n + 1)/2 tends p-adically to 1/2 with v_p(s_n - 1/2) = n.
         # Each s_n <= J terminates, so its value has no truncation tail; the
         # value at 1/2 carries the tail bound interp_series adds.  Both must
-        # agree to at least n + 1 digits.
-        cfg = PadicConfig(3, 64)
-        q = PadicNum.from_rational(Fraction(4), 3, 64)
-        half = interp_series(Fraction(1, 2), a, 3, 40, 1, q, cfg)
-        for n in range(1, 6):
-            s = (3**n + 1) // 2
-            value = interp_series(s, a, 3, max(s, 40), 1, q, cfg)
+        # agree to at least n + 1 digits, with N = p and q = 1 + p.  The
+        # last n keeps s_n, and so the series length, small.
+        last = {3: 5, 5: 3}[p]
+        cfg = PadicConfig(p, 64)
+        q = PadicNum.from_rational(Fraction(1 + p), p, 64)
+        half = interp_series(Fraction(1, 2), a, p, 40, 1, q, cfg)
+        for n in range(1, last + 1):
+            s = (p**n + 1) // 2
+            value = interp_series(s, a, p, max(s, 40), 1, q, cfg)
             assert agreement_valuation(value, half) >= n + 1, (n, s)
 
     def test_series_needs_p_dividing_n(self):
