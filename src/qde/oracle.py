@@ -106,7 +106,11 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
 
 
 def riemann_level(f: IntegrandSpec, level: int, mode, p: int = None) -> QEulerValue:
-    """The exact finite sum of f against the measure over all residues a < p^level."""
+    """The exact finite sum of f against the measure over all residues a < p^level.
+
+    The sum comes from _level_sums, the residue loop convergence_profile
+    reads its levels from as well.
+    """
     p = resolve_prime(mode, p)
     _check_levels([level], p)
     ((_, total),) = _level_sums(f, [level], mode, p)
