@@ -356,7 +356,9 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
 
 
 @main.command("oracle")
-@click.option("--integrand", required=True, help="one | bracket:n=1,alpha=1[,x=..,l=..] | qpow:e=2[,l=..]")
+@click.option("--integrand", required=True,
+              help="one | bracket:n=1,alpha=1[,x=..,l=..] | qpow:e=2[,l=..]; q is rational, "
+                   "so a fractional x needs l*alpha*x to be an integer")
 @click.option("--p", type=int, default=3, show_default=True)
 @click.option("--q", "q_text", default="1+p", show_default=True)
 @click.option("--level", type=click.IntRange(1, None), default=4, show_default=True,

@@ -91,15 +91,14 @@ class SymbolicMode:
         raise AttributeError("SymbolicMode is immutable")
 
     def q_power(self, e) -> RatFunc:
+        if type(e) is int:
+            return RatFunc.monomial(e * self.scale)
         ee = Fraction(e) * self.scale
         if ee.denominator != 1:
             raise ExponentError(
                 f"exponent {e} needs the variable scale to be a multiple of {Fraction(e).denominator}"
             )
-        n = int(ee)
-        if n >= 0:
-            return RatFunc.from_poly(Poly.monomial(n))
-        return RatFunc(Poly.one(), Poly.monomial(-n))
+        return RatFunc.monomial(ee.numerator)
 
     def from_rational(self, c) -> RatFunc:
         return RatFunc.const(c)

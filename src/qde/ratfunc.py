@@ -41,6 +41,26 @@ division switch on operand length alone:
   proving divisions are the cofactors, so reducing a rational function
   takes no further division.
 
+Rational functions are never reduced after the fact: arithmetic cancels
+between reduced operands (P. Henrici, J. ACM 3, 1956; D. Knuth, TAOCP
+vol. 2, section 4.5.1), so the gcds run on the operands' parts and not
+on the assembled product.
+
+- a/b * c/d takes gcd(a, d) and gcd(c, b); what is left is coprime.
+  A quotient multiplies by the inverse, which needs no gcd.
+- a/b + c/d takes g = gcd(b, d) and writes b = g b1, d = g d1.  The sum
+  is (a d1 + c b1) / (g b1 d1), and gcd(a d1 + c b1, b1 d1) = 1: an
+  irreducible factor of b1 divides neither a (a/b is reduced) nor d1
+  (b1 and d1 are coprime), so it does not divide a d1 + c b1, and
+  likewise for d1.  Only gcd(a d1 + c b1, g) remains, and only when g
+  is not 1.
+- A gcd with a constant or a monomial c q^k is the power of q both
+  sides share, read off by index, and equal sides are their own gcd.
+  So scalar multiples and products or quotients by powers of q run no
+  GCDHEU at all, and a sum over one denominator runs only the last gcd.
+
+The constructor reduces num/den through the same step.
+
 A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
 enough for every check shipped here, small enough to fail fast on a
 runaway exponent.
@@ -104,6 +124,8 @@ class Poly:
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
         _guard_degree(k)
+        if type(c) is int:
+            return _poly([0] * k + [c], 1)
         c = Fraction(c)
         return _poly([0] * k + [c.numerator], c.denominator)
 
@@ -157,6 +179,10 @@ class Poly:
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return Poly()
+        if other._num == (1,) and other._den == 1:
+            return self
+        if self._num == (1,) and self._den == 1:
+            return other
         _guard_degree(self.degree + other.degree)
         return _poly(_mul_ints(self._num, other._num), self._den * other._den)
 
@@ -283,6 +309,8 @@ def _primitive(a: list[int]) -> list[int]:
     g = gcd(*a)
     if a[-1] < 0:
         g = -g
+    elif g == 1:
+        return a
     return [c // g for c in a]
 
 
@@ -486,6 +514,58 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _poly(g, g[-1])
 
 
+def _low(a) -> int:
+    """Index of the lowest nonzero coefficient: the power of q dividing a."""
+    return next(i for i, c in enumerate(a) if c)
+
+
+def _scaled(a, k: int):
+    return a if k == 1 else [c * k for c in a]
+
+
+def _prod(a, b):
+    """a * b for integer polynomials, under the degree guard."""
+    if len(b) == 1 and b[0] == 1:
+        return a
+    if len(a) == 1 and a[0] == 1:
+        return b
+    _guard_degree(len(a) + len(b) - 2)
+    return _mul_ints(a, b)
+
+
+def _cancel(x, y):
+    """(g, x/g, y/g) with g the gcd of nonzero x and y, primitive with g[-1] > 0.
+
+    The cofactors are exact over the integers and keep the contents of
+    x and y.  When either side is a constant or a monomial c q^k, g is
+    the power of q both share, read off by index, and equal sides are
+    their own gcd; otherwise g and the cofactors come from GCDHEU and
+    its proving divisions.
+    """
+    if len(x) == 1 or len(y) == 1:
+        return [1], x, y
+    if x.count(0) == len(x) - 1 or y.count(0) == len(y) - 1:
+        j = min(_low(x), _low(y))
+        return [0] * j + [1], x[j:], y[j:]
+    px, py = _primitive(x), _primitive(y)
+    if tuple(px) == tuple(py):
+        return px, [x[-1] // px[-1]], [y[-1] // py[-1]]
+    g, xg, yg = _heu_gcd(px, py)
+    return g, _scaled(xg, x[-1] // px[-1]), _scaled(yg, y[-1] // py[-1])
+
+
+def _times(p: Poly, d) -> Poly:
+    """p times the primitive integer polynomial d over d's leading coefficient."""
+    if len(d) == 1:
+        return p
+    return _poly(_prod(p._num, d), p._den * d[-1])
+
+
+def _monic(d) -> Poly:
+    """d over its leading coefficient, for primitive d with d[-1] > 0."""
+    return _raw(tuple(d), d[-1])
+
+
 _POLY_ONE = Poly.one()
 _POLY_ZERO = Poly.zero()
 
@@ -495,6 +575,8 @@ class RatFunc:
 
     The constructor always normalizes, so ``==`` compares canonical
     forms and two constructions of the same function are equal objects.
+    Arithmetic cancels common factors between the reduced operands and
+    never reduces the assembled result (see the module docstring).
     """
 
     __slots__ = ("num", "den")
@@ -504,18 +586,11 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator in rational function")
         if num.is_zero:
             num, den = _POLY_ZERO, _POLY_ONE
-        elif den.degree > 0:
-            x, y = _primitive(num._num), _primitive(den._num)
-            # num/den = k x/y, k the ratio of the contents of num and den
-            kn = num._num[-1] * y[-1] * den._den
-            kd = den._num[-1] * x[-1] * num._den
-            if len(x) > 1:
-                _, x, y = _heu_gcd(x, y)
-            num = _poly([c * kn for c in x], kd * y[-1])
-            den = _poly(y, y[-1])
-        elif den != _POLY_ONE:
-            num = num.scale(1 / den.leading)
-            den = _POLY_ONE
+        else:
+            # num/den = (x/num._den) / (y/den._den) with x, y coprime
+            _, x, y = _cancel(num._num, den._num)
+            num = _poly(_scaled(x, den._den), num._den * y[-1])
+            den = _poly(list(y), y[-1])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -546,6 +621,13 @@ class RatFunc:
     def from_poly(cls, p: Poly) -> "RatFunc":
         return cls._reduced(p, _POLY_ONE)
 
+    @classmethod
+    def monomial(cls, n: int) -> "RatFunc":
+        """q^n for any integer n."""
+        if n >= 0:
+            return cls._reduced(Poly.monomial(n), _POLY_ONE)
+        return cls._reduced(_POLY_ONE, Poly.monomial(-n))
+
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -556,6 +638,9 @@ class RatFunc:
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it hashes like it
+        if self.den.degree == 0 and self.num.degree <= 0:
+            return hash(self.num(0))
         return hash((self.num, self.den))
 
     def _coerce(self, other) -> "RatFunc":
@@ -569,12 +654,21 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        # a/b + c/1 needs no gcd: gcd(a + cb, b) = gcd(a, b) = 1 and b stays monic
-        if other.den == _POLY_ONE:
-            return RatFunc._reduced(self.num + other.num * self.den, self.den)
-        if self.den == _POLY_ONE:
-            return RatFunc._reduced(other.num + self.num * other.den, other.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        # a/b + c/d with b = g b1, d = g d1: the sum is t/(g b1 d1) with
+        # t = a d1 + c b1, and only g can share a factor with t
+        g, b1, d1 = _cancel(self.den._num, other.den._num)
+        t = _times(self.num, d1) + _times(other.num, b1)
+        if t.is_zero:
+            return RatFunc.zero()
+        if len(g) > 1:
+            # t is over the monic g b1 d1, so h's leading coefficient stays in t
+            h, t1, g = _cancel(t._num, g)
+            t = _poly(_scaled(t1, h[-1]), t._den)
+        return RatFunc._reduced(t, _monic(_prod(g, _prod(b1, d1))))
 
     __radd__ = __add__
 
@@ -594,9 +688,24 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero or c.is_zero:
+            return RatFunc.zero()
+        # a/b * c/d: cancel gcd(a, d) and gcd(c, b); what is left is coprime.
+        # b and d are primitive parts over their leading coefficients, so
+        # over the monic b1 d1 the gcds' leading coefficients stay on top
+        g1, a1, d1 = _cancel(a._num, d._num)
+        g2, c1, b1 = _cancel(c._num, b._num)
+        num = _poly(_scaled(_prod(a1, c1), g1[-1] * g2[-1]), a._den * c._den)
+        return RatFunc._reduced(num, _monic(_prod(b1, d1)))
 
     __rmul__ = __mul__
+
+    def _inv(self) -> "RatFunc":
+        """1/self for nonzero self."""
+        n, d = self.num, self.den
+        c = n._num
+        return RatFunc._reduced(_poly(_scaled(d._num, n._den), d._den * c[-1]), _poly(list(c), c[-1]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -604,7 +713,7 @@ class RatFunc:
             return other
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other._inv()
 
     def __rtruediv__(self, other):
         return RatFunc.const(other) / self
@@ -615,7 +724,7 @@ class RatFunc:
         if e < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den ** (-e), self.num ** (-e))
+            return self._inv() ** -e
         return RatFunc._reduced(self.num**e, self.den**e)
 
     def eval_at(self, q0) -> Fraction:

@@ -53,6 +53,9 @@ class TestModes:
     def test_symbolic_negative_exponent(self):
         f = SYM.q_power(-2)
         assert f == RatFunc(Poly.one(), Poly.monomial(2))
+        assert SymbolicMode(3).q_power(-2) == RatFunc(Poly.one(), Poly.monomial(6))
+        assert SymbolicMode(2).q_power(Fraction(-3, 2)) == RatFunc(Poly.one(), Poly.monomial(3))
+        assert SymbolicMode(2).q_power(Fraction(4, 2)) == RatFunc.from_poly(Poly.monomial(4))
 
     def test_symbolic_limit_at_one(self):
         assert SYM.limit_at_one(SYM.q_power(5)) == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qde import ratfunc
 from qde.errors import PoleError, PreconditionError, ResourceLimitError
 from qde.qeuler import SymbolicMode, q_int
 from qde.ratfunc import (
@@ -44,6 +45,31 @@ primitive_lists = (
 wide_primitive_lists = (
     st.lists(wide_ints, min_size=1, max_size=10).filter(lambda a: a[-1] != 0).map(_primitive)
 )
+
+
+# factors of the kind symbolic checks meet: powers of q, 1 + q^k and
+# 1 - q^k (products of cyclotomic polynomials), and small random ones
+ratfunc_factors = st.one_of(
+    st.integers(min_value=1, max_value=3).map(Poly.monomial),
+    st.integers(min_value=1, max_value=6).map(lambda k: Poly.one() + Poly.monomial(k)),
+    st.integers(min_value=1, max_value=6).map(lambda k: Poly.one() - Poly.monomial(k)),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=4)
+    .filter(lambda a: a[-1] != 0)
+    .map(Poly),
+)
+rational_leads = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+
+
+@st.composite
+def ratfuncs(draw, nonzero=False):
+    """A reduced RatFunc built by the constructor from a product of factors."""
+    num = Poly.const(draw(rational_leads if nonzero else st.one_of(rational_leads, st.just(0))))
+    for f in draw(st.lists(ratfunc_factors, max_size=3)):
+        num = num * f
+    den = Poly.const(draw(rational_leads))
+    for f in draw(st.lists(ratfunc_factors, max_size=3)):
+        den = den * f
+    return RatFunc(num, den)
 
 
 def pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -303,15 +329,65 @@ class TestRatFunc:
         f = RatFunc(P(-1, 0, 1), P(-1, 1))
         assert f.eval_at(1) == 2
 
-    def test_add_polynomial_is_reduced_without_gcd(self):
-        # a/b + c skips the gcd; the result must equal the fully reduced sum
+    def test_add_polynomial_is_reduced_without_gcd(self, monkeypatch):
+        # a/b + c, a scalar multiple, and a product or quotient by q^k are
+        # reduced by construction: they must run no gcd and still equal
+        # the fully reduced result
+        calls = []
+        heu = ratfunc._heu_gcd
+        monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: calls.append((a, b)) or heu(a, b))
         f = RatFunc(P(Fraction(1, 2), 1), P(3, 0, 2))
+        q3 = RatFunc.from_poly(Poly.monomial(3))
+        cases = [
+            (lambda: 2 * f, RatFunc(f.num.scale(2), f.den)),
+            (lambda: f * q3, RatFunc(f.num * Poly.monomial(3), f.den)),
+            (lambda: f / q3, RatFunc(f.num, f.den * Poly.monomial(3))),
+            (lambda: f / 3, RatFunc(f.num, f.den.scale(3))),
+        ]
         for c in (P(0), P(1), P(-1, Fraction(2, 3)), P(0, 0, 0, 5)):
             g = RatFunc.from_poly(c)
             want = RatFunc(f.num + c * f.den, f.den)
-            assert f + g == want and g + f == want
+            cases += [(lambda g=g: f + g, want), (lambda g=g: g + f, want)]
+        for op, want in cases:
+            calls.clear()
+            got = op()
+            assert calls == []
+            assert got == want
+        for c in (P(0), P(1), P(-1, Fraction(2, 3)), P(0, 0, 0, 5)):
+            g = RatFunc.from_poly(c)
             assert f + g - f == g
         assert RatFunc.from_poly(P(1, 2)) + RatFunc.from_poly(P(-1, -2)) == RatFunc.zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratfuncs(), ratfuncs(nonzero=True), rational_leads, st.integers(min_value=1, max_value=3))
+    def test_arithmetic_matches_constructor_reduction(self, f, g, c, e):
+        # cross-cancelled results against the defining fraction reduced as
+        # a whole, with the reduced form checked by the reference PRS gcd
+        results = [
+            (f + g, RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)),
+            (f - g, RatFunc(f.num * g.den - g.num * f.den, f.den * g.den)),
+            (f * g, RatFunc(f.num * g.num, f.den * g.den)),
+            (f / g, RatFunc(f.num * g.den, f.den * g.num)),
+            (c * f, RatFunc(f.num.scale(c), f.den)),
+            (f * c, RatFunc(f.num.scale(c), f.den)),
+            (0 * f, RatFunc.zero()),
+            (f * 0, RatFunc.zero()),
+            (g ** -e, RatFunc(g.den**e, g.num**e)),
+        ]
+        for got, want in results:
+            assert got == want
+            assert got.den.leading == 1
+            if got.is_zero:
+                assert got.den == Poly.one()
+            else:
+                assert prs_gcd(_primitive(list(got.num._num)), _primitive(list(got.den._num))) == [1]
+
+    def test_constant_hashes_like_its_value(self):
+        assert {1, RatFunc.one()} == {1}
+        assert hash(RatFunc.zero()) == hash(0)
+        assert hash(RatFunc.const(Fraction(-2, 3))) == hash(Fraction(-2, 3))
+        assert {Fraction(5, 7): "x"}[RatFunc.const(Fraction(5, 7))] == "x"
+        assert RatFunc(P(1), P(1, 1)) in {RatFunc(P(2), P(2, 2))}
 
     def test_json_roundtrip(self):
         f = RatFunc(P(Fraction(1, 2), 1), P(1, 0, 1))
