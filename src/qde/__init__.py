@@ -50,7 +50,7 @@ from .qeuler import (
     qeuler_poly,
     qeuler_poly_additive,
 )
-from .ratfunc import MAX_DEGREE, Poly, RatFunc, poly_gcd
+from .ratfunc import MAX_DEGREE, Poly, RatFunc
 from .reports import IdentityReport
 
 __version__ = "1.0.0"
@@ -64,7 +64,7 @@ __all__ = [
     "agreement_valuation", "check", "closed_form", "convergence_profile",
     "dc_sum", "euler_classical", "format_rational", "interp_series",
     "interp_value", "is_odd_prime", "measure", "normalized_bracket",
-    "padic_dc_sum", "parse_rational", "periodic_euler", "poly_gcd",
+    "padic_dc_sum", "parse_rational", "periodic_euler",
     "q_dc_sum", "q_int", "q_pow", "qeuler_numbers", "qeuler_poly",
     "qeuler_poly_additive", "rational_valuation", "riemann_level",
     "teichmuller", "teichmuller_inverse",

@@ -278,7 +278,10 @@ class PadicNum:
         return PadicNum._unit(self.p, self.val - other.val, self.unit * pow(other.unit, -1, m) % m, prec)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other / self
 
     def __pow__(self, e: int):
         if e == 0:
@@ -313,18 +316,6 @@ class PadicNum:
             "digits": digits,
             "precision": self.prec,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PadicNum":
-        p = obj["p"]
-        if obj["valuation"] is None:
-            return cls.zero(p)
-        unit = 0
-        for d in reversed(obj["digits"]):
-            unit = unit * p + d
-        if unit == 0:
-            return cls.approx_zero(p, obj["valuation"])
-        return cls(p, obj["valuation"], unit, obj["precision"])
 
     def __repr__(self):
         if self.is_exact_zero:

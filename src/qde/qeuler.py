@@ -157,10 +157,6 @@ class BaseLifted:
     def __setattr__(self, name, value):
         raise AttributeError("BaseLifted is immutable")
 
-    @property
-    def kind(self) -> str:
-        return self.inner.kind
-
     def q_power(self, e):
         if type(e) is int:
             return self.inner.q_power(e * self.base)
@@ -169,11 +165,6 @@ class BaseLifted:
 
     def from_rational(self, c):
         return self.inner.from_rational(c)
-
-    def describe(self) -> dict:
-        out = self.inner.describe()
-        out["base_exponent"] = self.base
-        return out
 
 
 def root_mode(mode):
@@ -189,9 +180,6 @@ class QEulerValue:
 
     mode: str
     value: object
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "value": serialize_value(self.value)}
 
 
 def serialize_value(v):

@@ -21,25 +21,28 @@ division switch on operand length alone:
   The two integers are multiplied once, and the product's coefficients
   are read back as balanced base-xi digits.  Shorter products use the
   schoolbook double loop, which is faster there.
-- Division with remainder first tries the same substitution when the
-  quotient and the divisor both reach that length: one integer division
-  of the packed values, with the quotient accepted only if the division
-  is exact and coefficient bounds prove that it lifts back to the
-  polynomials.  Otherwise it runs fraction-free long division over the
-  integers, which scales the running remainder only when its leading
-  coefficient is not a multiple of the divisor's.
+- The only division is an exact quotient.  It first tries the same
+  substitution when the quotient and the divisor both reach that
+  length: one integer division of the packed values, with the quotient
+  accepted only if the division is exact and coefficient bounds prove
+  that it lifts back to the polynomials.  Otherwise it runs integer long
+  division and gives up at the first step whose leading coefficient is
+  not a multiple of the divisor's, or at a nonzero remainder.  For a
+  primitive divisor that proves it does not divide: by Gauss's lemma,
+  its quotient of an integer polynomial has integer coefficients.
 - The gcd is GCDHEU (B. Char, K. Geddes, G. Gonnet, "GCDHEU: heuristic
   polynomial GCD algorithm based on integer GCD computation", J. Symb.
-  Comput. 7, 1989).  Both primitive inputs are evaluated at a power of
-  two xi >= 2 min(|a|, |b|) + 2, the integer gcd of the two values is
-  read back as balanced base-xi digits, and the primitive part of that
-  polynomial is accepted only when exact division proves that it
-  divides both inputs, which makes it the gcd.  A rejected candidate is
-  retried at xi squared until one is accepted, which always happens
-  once xi exceeds twice the gcd's coefficients times the resultant of
-  the cofactors (the proof is at ``_heu_gcd``).  The quotients of the
-  proving divisions are the cofactors, so reducing a rational function
-  takes no further division.
+  Comput. 7, 1989).  Both primitive inputs are packed by the same
+  evaluator as products, at xi = 2^(8w) with w the byte width of the
+  wider input's coefficients, so xi >= 2 max(|a|, |b|) + 2.  The integer
+  gcd of the two values is read back as balanced base-xi digits, and the
+  primitive part of that polynomial is accepted only when exact division
+  proves that it divides both inputs, which makes it the gcd.  A
+  rejected candidate is retried at xi squared until one is accepted,
+  which always happens once xi exceeds twice the gcd's coefficients
+  times the resultant of the cofactors (the proof is at ``_heu_gcd``).
+  The quotients of the proving divisions are the cofactors, so reducing
+  a rational function takes no further division.
 
 Rational functions are never reduced after the fact: arithmetic cancels
 between reduced operands (P. Henrici, J. ACM 3, 1956; D. Knuth, TAOCP
@@ -72,7 +75,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PoleError, ResourceLimitError
-from .exact import format_rational, parse_rational
+from .exact import format_rational
 
 MAX_DEGREE = 100_000
 # shortest operand length at which Kronecker substitution takes over from the
@@ -142,12 +145,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self._den == other._den and self._num == other._num
 
@@ -206,22 +203,6 @@ class Poly:
                 base = base * base
         return result
 
-    def __divmod__(self, other):
-        """Exact division with remainder over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, s = _divmod_ints(self._num, other._num)
-        den = s * self._den
-        db = other._den
-        if db != 1:
-            q = [c * db for c in q]
-        return _poly(q, den), _poly(r, den)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return _poly(list(self._num), self._num[-1])
-
     def __call__(self, x0):
         """Horner evaluation at an exact rational point."""
         if self.is_zero:
@@ -237,10 +218,6 @@ class Poly:
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items) -> "Poly":
-        return cls(parse_rational(s) for s in items)
 
     def render(self, var: str = "q") -> str:
         if self.is_zero:
@@ -377,20 +354,6 @@ def _offset(n: int, w: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
-def _eval_pow2(a: list[int], w: int) -> int:
-    """a evaluated at 2^(8w), for coefficients of any size."""
-    k = 8 * w
-    half = 1 << (k - 1)
-    mask = (1 << k) - 1
-    value, shift = 0, 0
-    while any(a):
-        low = [((c + half) & mask) - half for c in a]
-        value += _pack(low, w) << shift
-        a = [(c - d) >> k for c, d in zip(a, low)]
-        shift += k
-    return value
-
-
 def _mul_schoolbook(a, b) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
@@ -439,79 +402,63 @@ def _quo_kronecker(a, b):
     return q
 
 
-def _divmod_ints(a, b):
-    """(q, r, s) with s * a = q * b + r, deg r < deg b and s > 0.
+def _exact_quo(a, b):
+    """a / b when b divides a over the integers, else None.
 
-    An exact quotient proven by _quo_kronecker is taken as it is;
-    otherwise fraction-free long division, where s stays 1 unless a
-    leading term of the running remainder is not a multiple of b's
-    leading coefficient.
+    A quotient proven by _quo_kronecker is taken as it is; otherwise
+    integer long division, which gives up at the first leading term that
+    is not a multiple of b's leading coefficient.  For primitive b that
+    proves b does not divide a at all: by Gauss's lemma the quotient of
+    an integer polynomial by a primitive one has integer coefficients.
     """
     db = len(b) - 1
     nq = len(a) - db
-    if nq <= 0:
-        return [], list(a), 1
     if min(nq, len(b)) >= KRONECKER_MIN_LEN:
         q = _quo_kronecker(a, b)
         if q is not None:
-            return q, [], 1
+            return q
     r = list(a)
     lb = b[-1]
     q = [0] * nq
-    s = 1
     for pos in range(nq - 1, -1, -1):
         c = r[pos + db]
         if not c:
             continue
         t, m = divmod(c, lb)
         if m:
-            f = abs(lb) // gcd(c, lb)
-            r = [x * f for x in r]
-            q = [x * f for x in q]
-            s *= f
-            t = c * f // lb
+            return None
         q[pos] = t
         r[pos:pos + db + 1] = [x - t * y for x, y in zip(r[pos:pos + db + 1], b)]
-    return q, r[:db], s
+    return None if any(r[:db]) else q
 
 
 def _heu_gcd(a, b):
     """(g, a/g, b/g) with g the primitive gcd of primitive a and b.
 
     A candidate is proven: it divides both inputs, and with
-    xi >= 2 min(|a|, |b|) + 2 such a candidate is the gcd.  The loop
+    xi >= 2 min(|a|, |b|) + 2 such a candidate is the gcd; xi starts at
+    the wider input's width, so that _pack can evaluate both.  The loop
     ends: write a = gA and b = gB with A, B coprime and R = Res(A, B),
     a nonzero integer combination UA + VB of A and B.  Then
     gcd(a(xi), b(xi)) = h |g(xi)| with h = gcd(A(xi), B(xi)) dividing R,
     so every xi > 2 |R| |g| (|g| the largest coefficient magnitude) reads
     back h g, whose primitive part is g.  Each rejection squares xi.
     """
-    w = _width(min(max(map(abs, a)), max(map(abs, b))))
+    w = _width(max(max(map(abs, a)), max(map(abs, b))))
     while True:
-        gamma = gcd(_eval_pow2(a, w), _eval_pow2(b, w))
+        gamma = gcd(_pack(a, w), _pack(b, w))
         g = _unpack(gamma, gamma.bit_length() // (8 * w) + 2, w)
         while not g[-1]:
             g.pop()
         g = _primitive(g)
         if len(g) == 1:
             return g, a, b
-        # g is primitive, so an exact division has integer steps and s = 1
-        qa, ra, _ = _divmod_ints(a, g)
-        if not any(ra):
-            qb, rb, _ = _divmod_ints(b, g)
-            if not any(rb):
+        qa = _exact_quo(a, g)
+        if qa is not None:
+            qb = _exact_quo(b, g)
+            if qb is not None:
                 return g, qa, qb
         w *= 2
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by GCDHEU."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero or b.is_zero:
-        return (a + b).monic()
-    g = _heu_gcd(_primitive(a._num), _primitive(b._num))[0]
-    return _poly(g, g[-1])
 
 
 def _low(a) -> int:
@@ -716,7 +663,10 @@ class RatFunc:
         return self * other._inv()
 
     def __rtruediv__(self, other):
-        return RatFunc.const(other) / self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other / self
 
     def __pow__(self, e: int):
         if e == 0:
@@ -737,10 +687,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_strings(), "den": self.den.to_strings()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RatFunc":
-        return cls(Poly.from_strings(obj["num"]), Poly.from_strings(obj["den"]))
 
     def render(self, var: str = "q") -> str:
         n = self.num.render(var)

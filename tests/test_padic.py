@@ -232,6 +232,15 @@ class TestArithmetic:
         with pytest.raises(PrecisionError):
             1 / PadicNum.approx_zero(3, 6)
 
+    def test_reflected_division(self):
+        x = PadicNum.from_rational(Fraction(2, 3), 3, 8)
+        assert 1 / x == PadicNum.from_rational(Fraction(3, 2), 3, 8)
+        assert Fraction(1, 2) / x == PadicNum.from_rational(Fraction(3, 4), 3, 8)
+        # a float is refused like in every other operator, not recursed on
+        for op in (lambda: 1.5 / x, lambda: 1.5 * x, lambda: x - 1.5):
+            with pytest.raises(TypeError):
+                op()
+
     def test_scalar_coercion_does_not_cap(self):
         x = PadicNum(3, 0, 2, 30)
         assert (x + 1).abs_prec == 30
@@ -308,10 +317,14 @@ class TestLiftAndJson:
             x.lift(2)
 
     def test_json_roundtrip(self):
-        for x in (pn(Fraction(7, 2)), PadicNum.zero(3), PadicNum.approx_zero(3, 5)):
-            y = PadicNum.from_json(x.to_json())
-            assert y.valuation == x.valuation
-            assert y.unit == x.unit
+        # the digits are the unit's base-p digits, lowest first, one per digit of precision
+        for x in (pn(Fraction(7, 2)), pn(Fraction(5, 9), prec=6), PadicNum.zero(3), PadicNum.approx_zero(3, 5)):
+            j = x.to_json()
+            assert j["p"] == 3
+            assert j["valuation"] == (None if x.is_exact_zero else x.valuation)
+            assert j["precision"] == x.prec == len(j["digits"])
+            assert all(0 <= d < 3 for d in j["digits"])
+            assert sum(d * 3**i for i, d in enumerate(j["digits"])) == x.unit
 
     def test_exact_zero_serializes_null_valuation(self):
         assert PadicNum.zero(5).to_json()["valuation"] is None

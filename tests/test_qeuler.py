@@ -23,6 +23,7 @@ from qde.qeuler import (
     qeuler_poly,
     qeuler_poly_additive,
     root_mode,
+    serialize_value,
 )
 from qde.ratfunc import Poly, RatFunc
 
@@ -75,8 +76,6 @@ class TestModes:
         m = BaseLifted(BaseLifted(SYM, 2), 3)
         assert m.base == 6
         assert root_mode(m) is SYM
-        assert m.kind == "symbolic"
-        assert m.describe()["base_exponent"] == 6
         assert m.q_power(1) == SYM.q_power(6)
 
     def test_base_lifted_fractional_resolution(self):
@@ -100,12 +99,13 @@ class TestCompareValues:
         assert st["fail"]["difference_valuation"] == 0
 
     def test_serialization(self):
-        assert QEulerValue("rational", Fraction(1, 2)).to_json() == {
-            "mode": "rational",
-            "value": "1/2",
+        assert serialize_value(Fraction(1, 2)) == "1/2"
+        assert serialize_value(RatFunc.from_poly(Poly((0, 1)))) == {"num": ["0", "1"], "den": ["1"]}
+        assert serialize_value(PadicNum.from_rational(Fraction(1, 2), 3, 2)) == {
+            "p": 3, "valuation": 0, "digits": [2, 1], "precision": 2,
         }
-        j = QEulerValue("symbolic", RatFunc.from_poly(Poly((0, 1)))).to_json()
-        assert j["value"] == {"num": ["0", "1"], "den": ["1"]}
+        with pytest.raises(TypeError):
+            serialize_value(1.5)
 
 
 class TestQInt:

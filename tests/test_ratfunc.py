@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 from qde import ratfunc
 from qde.errors import PoleError, PreconditionError, ResourceLimitError
+from qde.exact import parse_rational
 from qde.qeuler import SymbolicMode, q_int
 from qde.ratfunc import (
     KRONECKER_MIN_LEN,
     MAX_DEGREE,
     Poly,
     RatFunc,
+    _exact_quo,
     _heu_gcd,
+    _mul_ints,
     _mul_kronecker,
     _mul_schoolbook,
     _primitive,
-    poly_gcd,
 )
 
 # small integer polynomials for properties
@@ -135,35 +137,42 @@ class TestPoly:
         with pytest.raises(ValueError):
             P(1, 1) ** -1
 
-    @given(st.one_of(polys, wide_polys), st.one_of(nonzero_polys, wide_nonzero_polys))
-    def test_divmod_property(self, a, b):
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
+    @given(int_lists, int_lists, st.lists(wide_ints, max_size=SPAN))
+    def test_divmod_property(self, q, b, r):
+        # the exact quotient of q*b is q; adding a nonzero r of lower
+        # degree than b leaves no multiple of b
+        a = _mul_ints(q, b)
+        assert _exact_quo(a, b) == q
+        r = r[:len(b) - 1]
+        if any(r):
+            assert _exact_quo([x + y for x, y in zip(a, r)] + a[len(r):], b) is None
 
     @settings(max_examples=100)
-    @given(wide_nonzero_polys, st.integers(min_value=2, max_value=10**6), int_lists, st.booleans())
+    @given(int_lists, st.integers(min_value=2, max_value=10**6), int_lists, st.booleans())
     def test_divmod_non_unit_leading(self, q, lead, b, exact):
         # b's leading coefficient is not +-1; exact multiples take the
-        # Kronecker quotient, the rest long division with scaling
-        b = Poly(b + [lead])
-        a = q * b if exact else q * b + Poly([1])
-        got_q, got_r = divmod(a, b)
-        assert got_q * b + got_r == a
-        assert got_r.is_zero or got_r.degree < b.degree
-        if exact:
-            assert (got_q, got_r) == (q, Poly.zero())
+        # Kronecker quotient or exact long-division steps, q*b + 1 neither
+        b = b + [lead]
+        a = _mul_ints(q, b)
+        if not exact:
+            a[0] += 1
+        assert _exact_quo(a, b) == (q if exact else None)
 
-    def test_divmod_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(P(1), Poly.zero())
-
-    def test_monic(self):
-        assert P(2, 4).monic() == P(Fraction(1, 2), 1)
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 2], [1, 2]),          # 2q^2 + 1 by 2q + 1: the step -q / 2q is not integral
+        ([3, 2], [1, 2]),             # 2q + 3 by 2q + 1: integral steps, remainder 2
+        ([1], [1, 2]),                # lower degree than the divisor
+        ([2] + [1] * 15, [1] * 7 + [2]),  # both past the Kronecker length
+    ])
+    def test_exact_quo_rejects_non_multiple(self, a, b):
+        # b is primitive with a non-unit leading coefficient
+        assert _exact_quo(a, b) is None
+        assert _exact_quo(_mul_ints(a, b), b) == a
 
     def test_string_roundtrip(self):
         p = P(Fraction(-1, 2), 0, 1)
-        assert Poly.from_strings(p.to_strings()) == p
+        assert p.to_strings() == ["-1/2", "0", "1"]
+        assert Poly(map(parse_rational, p.to_strings())) == p
 
     def test_render(self):
         assert P(Fraction(-1, 2), 1).render("x") == "-1/2+x"
@@ -173,9 +182,9 @@ class TestPoly:
     def test_divmod_quotient_wider_than_its_dividend(self):
         # q*b has coefficients of magnitude 1 while q reaches 301: the packed
         # quotient does not lift back, and long division must take over
-        q = Poly([min(i + 1, 601 - i) for i in range(601)])
-        b = Poly.monomial(8) - Poly.monomial(7)
-        assert divmod(q * b, b) == (q, Poly.zero())
+        q = [min(i + 1, 601 - i) for i in range(601)]
+        b = [0] * 7 + [-1, 1]                     # q^8 - q^7
+        assert _exact_quo(_mul_ints(q, b), b) == q
 
     @settings(max_examples=100)
     @given(int_lists, int_lists)
@@ -199,24 +208,19 @@ class TestPoly:
 
 class TestPolyGcd:
     def test_fixture(self):
-        a = P(-1, 0, 1)           # q^2 - 1
-        b = P(1, -2, 1)           # (q-1)^2
-        assert poly_gcd(a, b) == P(-1, 1)
+        a = [-1, 0, 1]            # q^2 - 1
+        b = [1, -2, 1]            # (q-1)^2
+        assert _heu_gcd(a, b) == ([-1, 1], [1, 1], [-1, 1])
 
     def test_coprime(self):
-        assert poly_gcd(P(1, 1), P(2, 1)) == Poly.one()
+        assert _heu_gcd([1, 1], [2, 1]) == ([1], [1, 1], [2, 1])
 
-    def test_zero_cases(self):
-        assert poly_gcd(Poly.zero(), P(0, 2)) == P(0, 1)
-        with pytest.raises(ValueError):
-            poly_gcd(Poly.zero(), Poly.zero())
-
-    @given(nonzero_polys, nonzero_polys)
+    @given(primitive_lists, primitive_lists)
     def test_gcd_divides_both(self, a, b):
-        g = poly_gcd(a, b)
-        assert divmod(a, g)[1].is_zero
-        assert divmod(b, g)[1].is_zero
-        assert g.leading == 1
+        g, ag, bg = _heu_gcd(a, b)
+        assert _primitive(g) == g and g[-1] > 0
+        assert _exact_quo(a, g) == ag
+        assert _exact_quo(b, g) == bg
 
     @settings(max_examples=100)
     @given(primitive_lists, primitive_lists, primitive_lists)
@@ -224,7 +228,6 @@ class TestPolyGcd:
         x, y = _mul_schoolbook(a, c), _mul_schoolbook(b, c)
         want = prs_gcd(x, y)
         assert _heu_gcd(x, y)[0] == want
-        assert poly_gcd(Poly(x), Poly(y)) == Poly(want).monic()
 
     @settings(max_examples=100, deadline=None)
     @given(wide_primitive_lists, wide_primitive_lists, wide_primitive_lists)
@@ -249,7 +252,25 @@ class TestPolyGcd:
                 x, y = _mul_schoolbook(common, u), _mul_schoolbook(common, v)
                 want = prs_gcd(x, y)
                 assert _heu_gcd(x, y)[0] == want
-                assert poly_gcd(Poly(x), Poly(y)) == Poly(want).monic()
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_very_unequal_widths(self, swap):
+        # one input has coefficients in {-1, 0, 1}, the other shares
+        # cyclotomic factors with it and has coefficients past 2^64, so
+        # both are evaluated at the wider one's width
+        x = [1]
+        for k in (1, 2, 4):
+            x = _mul_schoolbook(x, [1] + [0] * (k - 1) + [1])       # 1 + q^k
+        x = _mul_schoolbook(x, [1] + [0] * 7 + [-1])                # 1 - q^8
+        assert set(x) == {-1, 1}
+        wide = [3**50, -(5**40), 2**70 + 1, 7**30]
+        y = _mul_schoolbook(_mul_schoolbook([1, 0, 1], [1, 1]), wide)  # (1 + q^2)(1 + q)
+        assert max(map(abs, y)) > 2**64
+        a, b = (y, x) if swap else (x, y)
+        g, ag, bg = _heu_gcd(a, b)
+        assert g == prs_gcd(a, b) == [1, 1, 1, 1]
+        assert _mul_schoolbook(g, ag) == a
+        assert _mul_schoolbook(g, bg) == b
 
     @pytest.mark.parametrize("a, b", [
         ([-2, -1, 3], [3, 0, 2]),           # first candidate x - 81
@@ -270,7 +291,7 @@ class TestRatFunc:
         common = P(2, 3)
         a = common * P(0, 6, 11, 6, 1)
         b = common * P(-1, 0, 1)
-        assert poly_gcd(a, b) == P(Fraction(2, 3), 1) * P(1, 1)
+        assert _heu_gcd(list(a._num), list(b._num))[0] == [2, 5, 3]   # (3q + 2)(q + 1)
         f = RatFunc(a, b)
         assert f == RatFunc(P(0, 6, 5, 1), P(-1, 1))
         assert (f.num, f.den) == (P(0, 6, 5, 1), P(-1, 1))
@@ -305,6 +326,16 @@ class TestRatFunc:
         assert 2 * f == RatFunc(P(0, 2))
         assert f - Fraction(1, 2) == RatFunc(P(Fraction(-1, 2), 1))
         assert 1 / f == RatFunc(P(1), P(0, 1))
+
+    def test_reflected_division(self):
+        f = RatFunc(P(0, 2), P(1, 1))
+        assert 1 / f == RatFunc(P(1, 1), P(0, 2))
+        assert Fraction(1, 2) / f == RatFunc(P(1, 1), P(0, 4))
+        assert 3 / RatFunc.monomial(1) == RatFunc(P(3), P(0, 1))
+        # a float stays out of exact arithmetic, as for every other operator
+        for op in (lambda: 1.5 / RatFunc.monomial(1), lambda: 1.5 / f, lambda: 1.5 * f, lambda: f - 1.5):
+            with pytest.raises(TypeError):
+                op()
 
     def test_division_by_zero_function(self):
         with pytest.raises(ZeroDivisionError):
@@ -376,7 +407,7 @@ class TestRatFunc:
         ]
         for got, want in results:
             assert got == want
-            assert got.den.leading == 1
+            assert got.den.coeffs[-1] == 1
             if got.is_zero:
                 assert got.den == Poly.one()
             else:
@@ -391,7 +422,9 @@ class TestRatFunc:
 
     def test_json_roundtrip(self):
         f = RatFunc(P(Fraction(1, 2), 1), P(1, 0, 1))
-        assert RatFunc.from_json(f.to_json()) == f
+        j = f.to_json()
+        assert j == {"num": ["1/2", "1"], "den": ["1", "0", "1"]}
+        assert RatFunc(Poly(map(parse_rational, j["num"])), Poly(map(parse_rational, j["den"]))) == f
 
     def test_render(self):
         f = RatFunc(P(0, -1), P(1, 0, 1))
