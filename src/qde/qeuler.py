@@ -24,6 +24,15 @@ recurrence, whose divisors are p-adic units, and keeps every digit.
 Callers that need many E_j (the additive form, interp_series) take one
 such table per call.
 
+In p-adic mode the sum inside qeuler_poly, the qeuler_numbers
+recurrence, the additive sum and q_int run on ints mod p^A and wrap
+their result once as a PadicNum (_fixed_modulus).  Their divisors
+1 + q^k are 2 mod p, units for odd p, so integers mod p^A are exact
+there (the fixed-modulus model; Caruso, arXiv:1701.06794).  A is the
+least absolute precision of the inputs, and the capped-relative path
+knows each of these sums to exactly A digits too, so the result is the
+same PadicNum digit for digit and in its claimed precision.
+
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
 in a formula means the chosen q sits on a pole of the expression and
@@ -120,8 +129,9 @@ class PadicMode:
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
             raise PreconditionError(f"q lives at p = {q.p} but the config says {cfg.p}")
+        # an approximate zero's valuation is a lower bound: q = O(p^0) has none
         t = q - 1
-        if not t.is_zero and t.valuation < 1:
+        if t.valuation < 1:
             raise PreconditionError(f"padic mode needs v_{cfg.p}(1 - q) >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
@@ -130,7 +140,11 @@ class PadicMode:
         raise AttributeError("PadicMode is immutable")
 
     def q_power(self, e) -> PadicNum:
-        return q_pow(self.q, e, self.cfg)
+        try:
+            return q_pow(self.q, e, self.cfg)
+        except PreconditionError as exc:
+            # p divides e's denominator: q^e is not a p-adic number
+            raise ExponentError(str(exc)) from None
 
     def from_rational(self, c) -> PadicNum:
         return PadicNum.from_rational(c, self.cfg.p, self.cfg.prec)
@@ -241,6 +255,11 @@ def q_int(x: int, alpha: int, mode):
     """
     if x < 0:
         raise PreconditionError(f"q_int needs a nonnegative integer, got {x}")
+    # only q enters, so the sum keeps q's digits even past K
+    fm = _fixed_modulus(mode, capped=False)
+    if fm is not None and x:
+        p, prec, m, q_power = fm
+        return PadicNum(p, 0, _geometric_mod(q_power(alpha), x, m), prec)
     acc = mode.from_rational(0)
     for i in range(x):
         acc = acc + mode.q_power(alpha * i)
@@ -305,12 +324,26 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
         # an integral x keeps every exponent below an int
         x = x.numerator
     one = mode.from_rational(1)
+    fm = _fixed_modulus(mode)
     try:
-        acc = mode.from_rational(0)
-        for l in range(n + 1):
-            c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-            num = c if x == 0 else c * mode.q_power(alpha * l * x)
-            acc = acc + num / (one + mode.q_power(alpha * l + 1))
+        if fm is not None:
+            p, prec, m, q_power = fm
+            # q^(alpha l x) and q^(alpha l + 1) as running products; like
+            # the loop below, n = 0 forms no q^(alpha l x) with l > 0, so a
+            # p in x's denominator raises nothing there
+            step = q_power(alpha * x) if n else 1
+            q_alpha, num, den, s = q_power(alpha), 1, q_power(1), 0
+            for l in range(n + 1):
+                c = comb(n, l) if l % 2 == 0 else -comb(n, l)
+                s += c * num * pow(1 + den, -1, m)
+                num, den = num * step % m, den * q_alpha % m
+            acc = PadicNum(p, 0, s % m, prec)
+        else:
+            acc = mode.from_rational(0)
+            for l in range(n + 1):
+                c = comb(n, l) if l % 2 == 0 else -comb(n, l)
+                num = c if x == 0 else c * mode.q_power(alpha * l * x)
+                acc = acc + num / (one + mode.q_power(alpha * l + 1))
         v = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
@@ -331,6 +364,10 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     """
     _check_n_alpha(top, alpha)
     one = mode.from_rational(1)
+    fm = _fixed_modulus(mode)
+    if fm is not None:
+        p, prec, m, q_power = fm
+        return [one] + [PadicNum(p, 0, e_n, prec) for e_n in _numbers_mod(top, alpha, m, q_power)[1:]]
     q = mode.q_power(1)
     numbers = [one]
     # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
@@ -358,6 +395,13 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     _check_n_alpha(n, alpha)
     if not isinstance(x, int) or x < 0:
         raise PreconditionError(f"additive form needs a nonnegative integer x, got {x}")
+    fm = _fixed_modulus(mode)
+    if fm is not None:
+        p, prec, m, q_power = fm
+        numbers = _numbers_mod(n, alpha, m, q_power)
+        bracket, step = _geometric_mod(q_power(alpha), x, m), q_power(alpha * x)
+        s = sum(comb(n, l) * pow(step, l, m) * numbers[l] * pow(bracket, n - l, m) for l in range(n + 1))
+        return _wrap(mode, PadicNum(p, 0, s % m, prec))
     bracket = q_int(x, alpha, mode)
     numbers = qeuler_numbers(n, alpha, mode)
     acc = mode.from_rational(0)
@@ -374,3 +418,64 @@ def _check_n_alpha(n: int, alpha: int) -> None:
         raise PreconditionError(f"degree must be nonnegative, got {n}")
     if alpha < 1:
         raise PreconditionError(f"weight must be a positive integer, got {alpha}")
+
+
+def _fixed_modulus(mode, capped: bool = True):
+    """(p, A, p^A, q_power) for a p-adic mode; None for any other mode.
+
+    A is q's absolute precision, capped at the working precision K when
+    the kernel also adds the mode's one, which carries K digits.
+    q_power(e) is the residue mod p^A of mode.q_power(e), as an int.  q
+    is a 1-unit, so q^X mod p^A depends only on X mod p^A, and a
+    fractional e (after the base) is X = num * den^-1 mod p^A.
+    """
+    root = root_mode(mode)
+    if root.kind != "padic":
+        return None
+    p, u = root.cfg.p, root.q.unit
+    prec = min(root.q.abs_prec, root.cfg.prec) if capped else root.q.abs_prec
+    m = p**prec
+    base = mode.base if isinstance(mode, BaseLifted) else 1
+
+    def q_power(e) -> int:
+        if type(e) is int:
+            return pow(u, base * e, m)
+        e = Fraction(e) * base
+        if e.denominator % p == 0:
+            raise ExponentError(f"exponent {e} is not a {p}-adic integer")
+        return pow(u, e.numerator * pow(e.denominator, -1, m), m)
+
+    return p, prec, m, q_power
+
+
+def _geometric_mod(r: int, x: int, m: int) -> int:
+    """1 + r + ... + r^(x-1) mod m."""
+    s, t = 0, 1
+    for _ in range(x):
+        s += t
+        t = t * r % m
+    return s % m
+
+
+def _numbers_mod(top: int, alpha: int, m: int, q_power) -> list:
+    """qeuler_numbers' recurrence on ints mod p^A, E_0 = 1 included.
+
+    Every E_n with n >= 1 claims exactly A digits on the PadicNum path
+    too.  Its sum adds the K-digit one to terms known to A + v_p(C(n,l))
+    digits, so it is known to A digits unless n = p^k, where p divides
+    every C(n,l) with 0 < l < n.  There E_n = -1/2 mod p (Kummer's
+    congruence; for p = 3, von Staudt's theorem), so the sum is 1 mod p,
+    a unit, and E_n = -q * sum / (1 + q^(alpha n + 1)) keeps A digits.
+    """
+    q, q_alpha = q_power(1), q_power(alpha)
+    numbers = [1]
+    # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
+    weighted = [1]
+    q_an = 1
+    for n in range(1, top + 1):
+        acc = 1 + sum(comb(n, l) * weighted[l] for l in range(1, n))
+        q_an = q_an * q_alpha % m
+        e_n = -q * acc * pow(1 + q * q_an, -1, m) % m
+        numbers.append(e_n)
+        weighted.append(q_an * e_n % m)
+    return numbers

@@ -98,6 +98,9 @@ class TestQSum:
     def test_base_must_clear_denominators(self):
         with pytest.raises(ExponentError):
             q_dc_sum(1, 1, 3, 1, 1, SYM)
+        # p-adic mode: the base q^1 leaves p = 3 in the exponent's denominator
+        with pytest.raises(ExponentError, match=r"^exponent 1/3 is not a 3-adic integer$"):
+            q_dc_sum(1, 1, 3, 1, 1, PAD3)
 
 
 class TestInterpValue:

@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qde import qeuler
 from qde.catalog import CATALOG, check
-from qde.errors import ExponentError, PoleError, PreconditionError
+from qde.errors import ExponentError, PoleError, PreconditionError, QdeError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import (
     BaseLifted,
@@ -66,6 +67,17 @@ class TestModes:
         q = PadicNum.from_rational(Fraction(2), 3, 16)
         with pytest.raises(PreconditionError):
             PadicMode(q, cfg)
+        # a q known to no digit says nothing about v_p(1 - q)
+        with pytest.raises(PreconditionError):
+            PadicMode(PadicNum.approx_zero(3, 0), cfg)
+        PadicMode(PadicNum.from_rational(1, 3, 1), cfg)
+
+    def test_padic_p_divisible_denominator_is_an_exponent_error(self):
+        # q^(1/3) at p = 3 has no meaning, so the mode cannot represent it
+        mode = padic_mode()
+        for run in (lambda: mode.q_power(Fraction(1, 3)), lambda: qeuler_poly(2, 1, Fraction(1, 3), mode)):
+            with pytest.raises(ExponentError, match=r"^exponent 1/3 is not a 3-adic integer$"):
+                run()
 
     def test_padic_mismatched_prime(self):
         q = PadicNum.from_rational(Fraction(4), 3, 16)
@@ -118,6 +130,17 @@ class TestQInt:
     def test_negative_rejected(self):
         with pytest.raises(PreconditionError):
             q_int(-1, 1, SYM)
+
+    def test_padic(self):
+        mode = padic_mode(4, 3, 16)
+        assert q_int(0, 1, mode).is_exact_zero
+        # [3] = 1 + 4 + 16 = 21 = 3 * 7: valuation 1, the other 15 digits kept
+        assert q_int(3, 1, mode) == PadicNum.from_rational(21, 3, 15)
+        assert q_int(3, 1, mode).abs_prec == 16
+        # only q enters the sum, so a q given to 40 digits keeps 40 at K = 16
+        long_q = PadicMode(PadicNum.from_rational(4, 3, 40), PadicConfig(3, 16))
+        assert q_int(3, 1, long_q) == PadicNum.from_rational(21, 3, 39)
+        assert q_int(5, 2, long_q) == PadicNum.from_rational(1 + 16 + 16**2 + 16**3 + 16**4, 3, 40)
 
 
 class TestMeasure:
@@ -411,3 +434,61 @@ class TestReports:
         assert r.passed
         if r.status != "exact":
             assert r.status["padic_agreement"] >= 28
+
+
+def _outcome(run):
+    """run()'s value, or the type and message of the QdeError it raised."""
+    try:
+        return run()
+    except QdeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fixed_modulus_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    prec = draw(st.sampled_from((1, 2, 16, 32, 128)))
+    # q given to fewer digits than K, to K, and to more
+    q_prec = max(1, prec + draw(st.sampled_from((-5, -1, 0, 1, 9))))
+    # q = 1 makes the closed form's 1 - q^alpha a zero to working precision
+    q0 = 1 + p * draw(st.sampled_from((-2, -1, 0, 1, 2, p)))
+    mode = PadicMode(PadicNum.from_rational(q0, p, q_prec), PadicConfig(p, prec))
+    base = draw(st.sampled_from((1, 2, p, 2 * p)))
+    if base > 1:
+        mode = BaseLifted(mode, base)
+    # x integral, fractional, or with p in its denominator
+    x = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 4, p, 2 * p))))
+    return mode, draw(st.integers(1, 3)), draw(st.integers(0, 7)), x, draw(st.integers(0, 2 * p))
+
+
+class TestFixedModulus:
+    """The p-adic kernels on ints mod p^A against the PadicNum path.
+
+    Equal means equal unit, valuation and precision, or the same error.
+    """
+
+    @staticmethod
+    def assert_same(run):
+        fast = _outcome(run)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qeuler, "_fixed_modulus", lambda mode, capped=True: None)
+            slow = _outcome(run)
+        assert fast == slow
+
+    @settings(max_examples=300)
+    @given(fixed_modulus_cases())
+    def test_kernels_match_the_padic_path(self, case):
+        mode, alpha, n, x, x_int = case
+        self.assert_same(lambda: qeuler_poly(n, alpha, x, mode).value)
+        self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
+        self.assert_same(lambda: qeuler_poly_additive(n, alpha, x_int, mode).value)
+        self.assert_same(lambda: q_int(x_int, alpha, mode))
+
+    @pytest.mark.parametrize("p,top", [(3, 27), (5, 25)])
+    def test_numbers_at_powers_of_p_with_a_short_q(self, p, top):
+        # at n = p^k every C(n, l) with 0 < l < n is divisible by p, so only
+        # E_n = -1/2 mod p keeps the PadicNum path's E_n at q's 20 digits
+        mode = PadicMode(PadicNum.from_rational(1 + p, p, 20), PadicConfig(p, 32))
+        for alpha in (1, 2):
+            self.assert_same(lambda: qeuler_numbers(top, alpha, mode))
+        assert all(e.abs_prec == 20 for e in qeuler_numbers(top, 1, mode)[1:])

@@ -8,6 +8,12 @@ with q = 1 + p in every case:
 - q_pow(q, x) at x in {1/2, -3/2, 2/7, p-adic 5};
 - PadicMode(q).q_power(e) at e in {0, 1, 7, -3, 1/2, 5/4}.
 
+and 56 more at (p, K) in {(3,32), (5,32)} with q = 1 + p given to 20
+digits and to 40, fewer than K and more:
+
+- interp_series at s in {2, 1/2} and (N, J) in {(p,4), (2p,6)}, a = 2;
+- q_int(x, alpha) at x in {0, 1, 2, p, 7} and alpha in {1, 3}.
+
 The repr shows unit, valuation and absolute precision, so a digest
 changes with any digit or with the precision a value claims.  A
 deliberate change regenerates the file with
@@ -25,7 +31,7 @@ from pathlib import Path
 
 from qde.dedekind import interp_series
 from qde.padic import PadicConfig, PadicNum, q_pow
-from qde.qeuler import PadicMode
+from qde.qeuler import PadicMode, q_int
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "series_golden.json"
 
@@ -58,6 +64,25 @@ def golden_values():
         mode = PadicMode(q, cfg)
         for e in (0, 1, 7, -3, Fraction(1, 2), Fraction(5, 4)):
             cases.append((f"q_power {at} e={e}", lambda e=e, mode=mode: mode.q_power(e)))
+    for p, prec in ((3, 32), (5, 32)):
+        cfg = PadicConfig(p, prec)
+        for q_prec in (20, 40):
+            q = PadicNum.from_rational(1 + p, p, q_prec)
+            at = f"p={p} K={prec} q to {q_prec}"
+            for s in (2, Fraction(1, 2)):
+                for n_mod, j_trunc in ((p, 4), (2 * p, 6)):
+                    cases.append((
+                        f"interp_series {at} s={s} a=2 N={n_mod} J={j_trunc}",
+                        lambda s=s, n_mod=n_mod, j_trunc=j_trunc, q=q, cfg=cfg:
+                            interp_series(s, 2, n_mod, j_trunc, 1, q, cfg),
+                    ))
+            mode = PadicMode(q, cfg)
+            for x in (0, 1, 2, p, 7):
+                for alpha in (1, 3):
+                    cases.append((
+                        f"q_int {at} x={x} alpha={alpha}",
+                        lambda x=x, alpha=alpha, mode=mode: q_int(x, alpha, mode),
+                    ))
     return cases
 
 
@@ -68,7 +93,7 @@ def current_digests() -> dict:
 def test_series_values_match_golden_digests():
     want = json.loads(GOLDEN_PATH.read_text())
     got = current_digests()
-    assert len(got) == 400
+    assert len(got) == 456
     assert sorted(got) == sorted(want), "the value list and the golden file disagree"
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, "values changed for: " + "; ".join(changed)
