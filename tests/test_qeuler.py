@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qde import qeuler
 from qde.catalog import CATALOG, check
-from qde.errors import ExponentError, PoleError, PreconditionError, QdeError
+from qde.errors import ExponentError, PoleError, PreconditionError, QdeError, ResourceLimitError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import (
     BaseLifted,
@@ -379,6 +379,14 @@ class TestQEulerPoly:
         sym = outcome(lambda: qeuler_poly(n, alpha, x, SYM).value.eval_at(q0))
         rat = outcome(lambda: qeuler_poly(n, alpha, x, RationalMode(q0)).value)
         assert sym == rat
+
+    @pytest.mark.parametrize("n,alpha,x,degree", [(1, 1, 200000, 200000), (2, 50001, 1, 100002)])
+    def test_degree_limit_names_the_first_exponent_over_it(self, n, alpha, x, degree):
+        # the sum forms q^(alpha l x) and then q^(alpha l + 1) for l = 0..n,
+        # and the first of them over the limit is the degree the error names
+        with pytest.raises(ResourceLimitError) as info:
+            qeuler_poly(n, alpha, x, SYM)
+        assert str(info.value) == f"polynomial degree {degree} exceeds limit 100000"
 
     def test_additive_form_rejects_non_integers(self):
         with pytest.raises(PreconditionError):

@@ -1,0 +1,64 @@
+"""Golden digests of symbolic `qde qeuler` output over a fixed set of runs.
+
+Each run is one `qde qeuler` invocation in the default symbolic mode,
+whose scale is x's denominator, at n <= 6, alpha <= 3 and
+x in {0, 3, 1/3, 2/5, -1}, plus the runs at x = 2/5 with the scale
+forced to 15.  Its digest is the SHA-256 of stdout followed by the exit
+code, so any change to a value, its rendering or the exit code shows up.
+A deliberate output change regenerates the file with
+
+    PYTHONPATH=src python tests/test_qeuler_golden.py
+
+and the change has to be explained where it is made.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from qde.cli import main
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "qeuler_golden.json"
+
+
+def golden_runs() -> list:
+    """The argument lists after `qde qeuler`, one per run."""
+    runs = []
+    for n in range(7):
+        for alpha in (1, 2, 3):
+            head = ["--n", str(n), "--alpha", str(alpha)]
+            # --x=-1, not --x -1, which click would read as an option
+            for x in ("0", "3", "1/3", "2/5", "-1"):
+                runs.append(head + [f"--x={x}"])
+            runs.append(head + ["--x=2/5", "--mode", "symbolic:scale=15"])
+    return runs
+
+
+def run_digest(runner: CliRunner, args: list) -> str:
+    result = runner.invoke(main, ["qeuler"] + args)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    text = result.stdout + f"exit={result.exit_code}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def current_digests() -> dict:
+    runner = CliRunner()
+    return {" ".join(args): run_digest(runner, args) for args in golden_runs()}
+
+
+def test_qeuler_output_matches_golden_digests():
+    want = json.loads(GOLDEN_PATH.read_text())
+    got = current_digests()
+    assert sorted(got) == sorted(want), "the run list and the golden file disagree"
+    changed = [run for run in want if got[run] != want[run]]
+    assert not changed, "qeuler output changed for: " + "; ".join(changed)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}", file=sys.stderr)
