@@ -42,13 +42,13 @@ precision raises PrecisionError instead.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from functools import lru_cache
 
-from .errors import ExponentError, PoleError, PreconditionError
+from .errors import ExponentError, PoleError, PreconditionError, ResourceLimitError
 from .exact import format_rational, frac_floor_parts
 from .padic import PadicConfig, PadicNum, q_pow
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, _exact_quo, _guard_degree, _poly, _prod
 
 
 class RationalMode:
@@ -100,14 +100,17 @@ class SymbolicMode:
         raise AttributeError("SymbolicMode is immutable")
 
     def q_power(self, e) -> RatFunc:
+        return RatFunc.monomial(self._exponent(e))
+
+    def _exponent(self, e) -> int:
         if type(e) is int:
-            return RatFunc.monomial(e * self.scale)
+            return e * self.scale
         ee = Fraction(e) * self.scale
         if ee.denominator != 1:
             raise ExponentError(
                 f"exponent {e} needs the variable scale to be a multiple of {Fraction(e).denominator}"
             )
-        return RatFunc.monomial(ee.numerator)
+        return ee.numerator
 
     def from_rational(self, c) -> RatFunc:
         return RatFunc.const(c)
@@ -255,6 +258,12 @@ def q_int(x: int, alpha: int, mode):
     """
     if x < 0:
         raise PreconditionError(f"q_int needs a nonnegative integer, got {x}")
+    fd = _fixed_denominator(mode)
+    if fd is not None:
+        acc = []
+        for i in range(x):
+            _axpy(acc, 1, [1], fd(alpha * i))
+        return RatFunc.from_poly(_poly(acc, 1))
     # only q enters, so the sum keeps q's digits even past K
     fm = _fixed_modulus(mode, capped=False)
     if fm is not None and x:
@@ -323,6 +332,12 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
     if x.denominator == 1:
         # an integral x keeps every exponent below an int
         x = x.numerator
+    fd = _fixed_denominator(mode)
+    if fd is not None:
+        try:
+            return _wrap(mode, _closed_form_ints(n, alpha, x, fd))
+        except ResourceLimitError:
+            pass  # unreduced, the degrees pass the limit; the generic loop's may not
     one = mode.from_rational(1)
     fm = _fixed_modulus(mode)
     try:
@@ -364,6 +379,16 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     """
     _check_n_alpha(top, alpha)
     one = mode.from_rational(1)
+    fd = _fixed_denominator(mode)
+    if fd is not None:
+        try:
+            # every power of q here is one of Q^g
+            g = fd(1)
+            _guard_degree(g * (alpha * top * (top + 3) // 2 + top))
+            nums = _numbers_ints(top, alpha)
+            return [one] + [_lowest_terms(e_n, list(nums[0]), g) for e_n in nums[1:]]
+        except ResourceLimitError:
+            pass  # unreduced, the degrees pass the limit; the generic loop's may not
     fm = _fixed_modulus(mode)
     if fm is not None:
         p, prec, m, q_power = fm
@@ -402,6 +427,21 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
         bracket, step = _geometric_mod(q_power(alpha), x, m), q_power(alpha * x)
         s = sum(comb(n, l) * pow(step, l, m) * numbers[l] * pow(bracket, n - l, m) for l in range(n + 1))
         return _wrap(mode, PadicNum(p, 0, s % m, prec))
+    fd = _fixed_denominator(mode)
+    if fd is not None:
+        try:
+            # every power of q here is one of Q^g
+            g = fd(1)
+            _guard_degree(g * (alpha * n * (n + 3) // 2 + n + alpha * x * (2 * n + 1)))
+            nums, bracket, acc, power = _numbers_ints(n, alpha), [], [], [1]
+            for i in range(x):
+                _axpy(bracket, 1, [1], alpha * i)
+            for l in range(n, -1, -1):
+                _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
+                power = _prod(power, bracket)
+            return _wrap(mode, _lowest_terms(acc, nums[0], g))
+        except ResourceLimitError:
+            pass  # unreduced, the degrees pass the limit; the generic loop's may not
     bracket = q_int(x, alpha, mode)
     numbers = qeuler_numbers(n, alpha, mode)
     acc = mode.from_rational(0)
@@ -446,6 +486,75 @@ def _fixed_modulus(mode, capped: bool = True):
         return pow(u, e.numerator * pow(e.denominator, -1, m), m)
 
     return p, prec, m, q_power
+
+
+def _fixed_denominator(mode):
+    """For a symbolic mode, e -> k with mode.q_power(e) = Q^k, raising what q_power raises; else None."""
+    root = root_mode(mode)
+    if root.kind != "symbolic":
+        return None
+    base = mode.base if isinstance(mode, BaseLifted) else 1
+
+    def exponent(e) -> int:
+        k = root._exponent(e * base)
+        _guard_degree(abs(k))
+        return k
+
+    return exponent
+
+
+def _binomial(k: int) -> list:
+    """1 + Q^k as ints, k >= 1."""
+    return [1] + [0] * (k - 1) + [1]
+
+
+def _axpy(acc: list, c: int, t, shift: int) -> None:
+    """acc += c Q^shift t on int lists, growing acc as needed."""
+    end = shift + len(t)
+    acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = [a + c * b for a, b in zip(acc[shift:end], t)]
+
+
+def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
+    """qeuler_poly over P (1 - q^alpha)^n with P = prod_l (1 + q^(alpha l + 1))."""
+    tops, bots = [], []
+    for l in range(n + 1):
+        # the generic loop's powers of q in its order, so that the same one fails first
+        tops.append(fd(alpha * l * x) if x else 0)
+        bots.append(fd(alpha * l + 1))
+    a, shift = fd(alpha), -min(tops)
+    _guard_degree(shift + max(tops) + sum(bots) + max(n * a, bots[0]))
+    # every power of q here is one of Q^g
+    g = gcd(a, *tops, *bots)
+    a, shift, prod, acc = a // g, shift // g, [1], []
+    for b in bots:
+        prod = _prod(prod, _binomial(b // g))
+    for l, (t, b) in enumerate(zip(tops, bots)):
+        # a negative power of q in a numerator moves into the denominator
+        _axpy(acc, (-1) ** l * comb(n, l), _exact_quo(prod, _binomial(b // g)), t // g + shift)
+    power = [0] * (n * a + 1)
+    power[::a] = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+    # the factor 1 + q is 1 + q^(alpha 0 + 1)
+    return _lowest_terms(_prod(acc, _binomial(bots[0] // g)), [0] * shift + _prod(prod, power), g)
+
+
+def _numbers_ints(top: int, alpha: int) -> list:
+    """N with E_l = N[l] / N[0] for l <= top at q = Q, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1))."""
+    nums = [[1]]
+    for n in range(1, top + 1):
+        nums[0] = _prod(nums[0], _binomial(alpha * n + 1))
+    for n in range(1, top + 1):
+        acc = []
+        for l in range(n):
+            _axpy(acc, comb(n, l), nums[l], alpha * l)
+        # exact: N[0] / (1 + q^(alpha n + 1)) is a multiple of every E_l with l < n
+        nums.append([0] + [-c for c in _exact_quo(acc, _binomial(alpha * n + 1))])
+    return nums
+
+
+def _lowest_terms(num: list, den: list, g: int) -> RatFunc:
+    """num / den in lowest terms with Q^g in place of Q, for int lists num and den."""
+    return RatFunc(_poly(num, 1), _poly(den, 1))._spread(g)
 
 
 def _geometric_mod(r: int, x: int, m: int) -> int:

@@ -648,6 +648,17 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def _spread(self, g: int) -> "RatFunc":
+        """self at Q^g in place of Q, still reduced: gcd(f(Q^g), h(Q^g)) = gcd(f, h)(Q^g)."""
+        if g == 1:
+            return self
+        parts = []
+        for p in (self.num, self.den):
+            c = [0] * (g * p.degree + 1)
+            c[::g] = p._num
+            parts.append(_raw(tuple(c), p._den))
+        return RatFunc._reduced(*parts)
+
     def _inv(self) -> "RatFunc":
         """1/self for nonzero self."""
         n, d = self.num, self.den

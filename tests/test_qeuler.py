@@ -500,3 +500,47 @@ class TestFixedModulus:
         for alpha in (1, 2):
             self.assert_same(lambda: qeuler_numbers(top, alpha, mode))
         assert all(e.abs_prec == 20 for e in qeuler_numbers(top, 1, mode)[1:])
+
+
+@st.composite
+def fixed_denominator_cases(draw):
+    scale, base = draw(st.sampled_from((1, 2, 3, 6, 15))), draw(st.sampled_from((1, 2, 3, 5)))
+    mode = SymbolicMode(scale) if base == 1 else BaseLifted(SymbolicMode(scale), base)
+    # x integral, negative, fractional, or with a denominator the scale cannot take
+    x = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 5, 15))))
+    # the generic loops slow down with the stride scale * base; from 10 on,
+    # n <= 3 keeps the test near 2 s
+    n = draw(st.integers(0, 7 if scale * base < 10 else 3))
+    return mode, draw(st.integers(1, 3)), n, x, draw(st.integers(0, 6))
+
+
+def _json(outcome):
+    if isinstance(outcome, list):
+        return [v.to_json() for v in outcome]
+    return outcome.to_json() if isinstance(outcome, RatFunc) else outcome
+
+
+class TestFixedDenominator:
+    """The symbolic kernels over a known denominator against the generic loops.
+
+    Equal means an equal RatFunc with the same to_json(), or the same
+    error type and message.
+    """
+
+    @staticmethod
+    def assert_same(run):
+        fast = _outcome(run)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qeuler, "_fixed_denominator", lambda mode: None)
+            slow = _outcome(run)
+        assert fast == slow
+        assert _json(fast) == _json(slow)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fixed_denominator_cases())
+    def test_kernels_match_the_generic_loops(self, case):
+        mode, alpha, n, x, x_int = case
+        self.assert_same(lambda: qeuler_poly(n, alpha, x, mode).value)
+        self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
+        self.assert_same(lambda: qeuler_poly_additive(n, alpha, x_int, mode).value)
+        self.assert_same(lambda: q_int(x_int, alpha, mode))
