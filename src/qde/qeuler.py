@@ -33,6 +33,17 @@ least absolute precision of the inputs, and the capped-relative path
 knows each of these sums to exactly A digits too, so the result is the
 same PadicNum digit for digit and in its claimed precision.
 
+In symbolic mode the same four kernels run on int coefficient lists
+over a denominator known in advance, a product of binomials 1 + q^k,
+and reduce each value once instead of once per addition
+(_fixed_denominator).  qeuler_poly's sum is over P (1 - q^alpha)^n with
+P = prod_l (1 + q^(alpha l + 1)); term l's numerator is the exact
+quotient P / (1 + q^(alpha l + 1)).  The recurrence and the additive sum
+keep every E_l over D = prod_{j<=top} (1 + q^(alpha j + 1)); E_l's
+denominator divides the product up to j = l, so each step's division is
+exact.  When every exponent is a multiple of g, the lists are in Q^g and
+the reduced value is spread back.
+
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
 in a formula means the chosen q sits on a pole of the expression and
@@ -103,14 +114,18 @@ class SymbolicMode:
         return RatFunc.monomial(self._exponent(e))
 
     def _exponent(self, e) -> int:
+        """k with q^e = Q^k, under the degree limit."""
         if type(e) is int:
-            return e * self.scale
-        ee = Fraction(e) * self.scale
-        if ee.denominator != 1:
-            raise ExponentError(
-                f"exponent {e} needs the variable scale to be a multiple of {Fraction(e).denominator}"
-            )
-        return ee.numerator
+            k = e * self.scale
+        else:
+            k = Fraction(e) * self.scale
+            if k.denominator != 1:
+                raise ExponentError(
+                    f"exponent {e} needs the variable scale to be a multiple of {Fraction(e).denominator}"
+                )
+            k = k.numerator
+        _guard_degree(abs(k))
+        return k
 
     def from_rational(self, c) -> RatFunc:
         return RatFunc.const(c)
@@ -382,8 +397,8 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
-            # every power of q here is one of Q^g
             g = fd(1)
+            # a bound on every degree the recurrence forms
             _guard_degree(g * (alpha * top * (top + 3) // 2 + top))
             nums = _numbers_ints(top, alpha)
             return [one] + [_lowest_terms(e_n, list(nums[0]), g) for e_n in nums[1:]]
@@ -430,8 +445,8 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
-            # every power of q here is one of Q^g
             g = fd(1)
+            # a bound on every degree the recurrence and the sum form
             _guard_degree(g * (alpha * n * (n + 3) // 2 + n + alpha * x * (2 * n + 1)))
             nums, bracket, acc, power = _numbers_ints(n, alpha), [], [], [1]
             for i in range(x):
@@ -494,13 +509,7 @@ def _fixed_denominator(mode):
     if root.kind != "symbolic":
         return None
     base = mode.base if isinstance(mode, BaseLifted) else 1
-
-    def exponent(e) -> int:
-        k = root._exponent(e * base)
-        _guard_degree(abs(k))
-        return k
-
-    return exponent
+    return lambda e: root._exponent(e * base)
 
 
 def _binomial(k: int) -> list:
@@ -523,6 +532,7 @@ def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
         tops.append(fd(alpha * l * x) if x else 0)
         bots.append(fd(alpha * l + 1))
     a, shift = fd(alpha), -min(tops)
+    # a bound on every degree formed below
     _guard_degree(shift + max(tops) + sum(bots) + max(n * a, bots[0]))
     # every power of q here is one of Q^g
     g = gcd(a, *tops, *bots)
@@ -539,7 +549,7 @@ def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
-    """N with E_l = N[l] / N[0] for l <= top at q = Q, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1))."""
+    """N with E_l = N[l] / N[0] for l <= top, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1)), at q = Q."""
     nums = [[1]]
     for n in range(1, top + 1):
         nums[0] = _prod(nums[0], _binomial(alpha * n + 1))

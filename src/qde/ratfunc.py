@@ -650,8 +650,6 @@ class RatFunc:
 
     def _spread(self, g: int) -> "RatFunc":
         """self at Q^g in place of Q, still reduced: gcd(f(Q^g), h(Q^g)) = gcd(f, h)(Q^g)."""
-        if g == 1:
-            return self
         parts = []
         for p in (self.num, self.den):
             c = [0] * (g * p.degree + 1)
