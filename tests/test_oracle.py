@@ -64,6 +64,13 @@ class TestRiemannLevel:
                 )
                 assert got == want
 
+    @pytest.mark.parametrize("e,p,degree", [(33333, 5, 100002), (60000, 3, 120000)])
+    def test_degree_limit_names_the_first_degree_over_it(self, e, p, degree):
+        # residue a forms q^a, then q^(e a), then their product q^((1 + e) a)
+        with pytest.raises(ResourceLimitError) as info:
+            riemann_level(IntegrandSpec.q_power(e), 1, SYM, p)
+        assert str(info.value) == f"polynomial degree {degree} exceeds limit 100000"
+
     def test_level_zero_rejected(self):
         with pytest.raises(PreconditionError):
             riemann_level(IntegrandSpec.q_power(0), 0, SYM, 3)

@@ -179,6 +179,13 @@ class TestMeasure:
         with pytest.raises(PreconditionError):
             measure(0, 0, SYM, 3)
 
+    @pytest.mark.parametrize("a,degree", [(100000, 100001), (5, 177147)])
+    def test_degree_limit_names_the_first_degree_over_it(self, a, degree):
+        # q^a (1 + q) is formed before q^(p^level) = q^177147
+        with pytest.raises(ResourceLimitError) as info:
+            measure(a, 11, SYM, 3)
+        assert str(info.value) == f"polynomial degree {degree} exceeds limit 100000"
+
     def test_prime_must_come_from_somewhere(self):
         with pytest.raises(PreconditionError):
             measure(0, 1, SYM)
