@@ -4,6 +4,7 @@ Every closed form in the package can be cross-checked here: a level-n
 sum adds f(a) times the measure of a + p^n Z_p over all residues
 a < p^n, nothing more.  No closed forms are used on this side, so
 agreement with the qeuler module is evidence rather than circularity.
+In symbolic mode a q-power level sum is one polynomial, summed on ints.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from math import inf
 
 from .errors import PreconditionError, ResourceLimitError
 from .padic import PadicNum, rational_valuation
-from .qeuler import BaseLifted, QEulerValue, measure, qeuler_poly, resolve_prime, root_mode
+from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, measure, qeuler_poly, resolve_prime, root_mode
+from .ratfunc import RatFunc, _guard_degree, _poly
 
 LEVEL_GUARD = 10**6
 
@@ -90,17 +92,27 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
     of (-1)^a q^a f(a); the level-n sum is that total at a = p^n times
     the measure of p^n Z_p, since the mass of a + p^n Z_p is (-q)^a
     times the mass of the disc at 0.  Each level divides once, and the
-    residues below p^n are summed once for all levels.
+    residues below p^n are summed once for all levels.  In symbolic mode,
+    q^(e xi) with 1 + e >= 0 sums (-1)^a Q^(k a (1 + e)) on one int list.
     """
     lifted = BaseLifted(mode, f.base_exponent)
     value = _integrand(f, lifted)
-    total = mode.from_rational(0)
+    fd = _fixed_denominator(lifted) if f.kind == "q_power" and f.e >= -1 else None
+    total, acc = mode.from_rational(0), []
     start = 0
     for n in sorted(set(levels)):
         end = p**n
-        for a in range(start, end):
-            term = lifted.q_power(a) * value(a)
-            total = total + term if a % 2 == 0 else total - term
+        if fd is None:
+            for a in range(start, end):
+                term = lifted.q_power(a) * value(a)
+                total = total + term if a % 2 == 0 else total - term
+        else:
+            for a in range(start, end):
+                # q^a, q^(e a), then their product, as the generic loop forms them
+                s = fd(a) + fd(f.e * a)
+                _guard_degree(s)
+                _axpy(acc, -1 if a % 2 else 1, [1], s)
+            total = RatFunc.from_poly(_poly(list(acc), 1))
         start = end
         yield n, total * measure(0, n, lifted, p).value
 

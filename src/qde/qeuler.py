@@ -41,8 +41,9 @@ P = prod_l (1 + q^(alpha l + 1)); term l's numerator is the exact
 quotient P / (1 + q^(alpha l + 1)).  The recurrence and the additive sum
 keep every E_l over D = prod_{j<=top} (1 + q^(alpha j + 1)); E_l's
 denominator divides the product up to j = l, so each step's division is
-exact.  When every exponent is a multiple of g, the lists are in Q^g and
-the reduced value is spread back.
+exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
+every exponent is a multiple of g, the lists are in Q^g and the reduced
+value is spread back.  measure needs no gcd at all for odd p (see there).
 
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
@@ -59,7 +60,7 @@ from functools import lru_cache
 from .errors import ExponentError, PoleError, PreconditionError, ResourceLimitError
 from .exact import format_rational, frac_floor_parts
 from .padic import PadicConfig, PadicNum, q_pow
-from .ratfunc import Poly, RatFunc, _exact_quo, _guard_degree, _poly, _prod
+from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod
 
 
 class RationalMode:
@@ -293,7 +294,9 @@ def q_int(x: int, alpha: int, mode):
 def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
     """Mass of the residue disc a + p^level Z_p under the alternating measure.
 
-    The value is (-q)^a (1 + q) / (1 + q^(p^level)).
+    The value is (-q)^a (1 + q) / (1 + q^(p^level)).  For odd N = p^level
+    that is (-q)^a / sum_{i<N} (-q)^i, whose denominator has constant term 1
+    and leading coefficient 1: in symbolic mode, reduced and monic as built.
     """
     p = resolve_prime(mode, p)
     if level < 1:
@@ -302,6 +305,14 @@ def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
         raise PreconditionError(f"need 0 <= a < {p}^{level}, got {a}")
     one = mode.from_rational(1)
     sign = 1 if a % 2 == 0 else -1
+    fd = _fixed_denominator(mode)
+    if fd is not None and p % 2:
+        # the generic formula's degrees in its order: q^a, q, q^a (1 + q), q^N
+        k_a, k = fd(a), fd(1)
+        _guard_degree(k_a + k)
+        den = [0] * (fd(p**level) - k + 1)
+        den[::k] = [1, -1] * (p**level // 2) + [1]
+        return _wrap(mode, RatFunc._reduced(Poly.monomial(k_a, sign), _poly(den, 1)))
     try:
         v = mode.q_power(a) * (one + mode.q_power(1)) / (one + mode.q_power(p**level))
     except ZeroDivisionError:
@@ -524,6 +535,16 @@ def _axpy(acc: list, c: int, t, shift: int) -> None:
     acc[shift:end] = [a + c * b for a, b in zip(acc[shift:end], t)]
 
 
+def _quo_binomial(a: list, k: int):
+    """a / (1 + Q^k) by q_i = a_i - q_(i-k), or None when 1 + Q^k does not divide a."""
+    n = len(a) - k
+    q = a[:n]
+    for i in range(k, n):
+        q[i] -= q[i - k]
+    # the top k coefficients are the remainder's: a_j = q_(j-k) there
+    return q if n > 0 and ([0] * k + q)[n:] == a[n:] else None
+
+
 def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
     """qeuler_poly over P (1 - q^alpha)^n with P = prod_l (1 + q^(alpha l + 1))."""
     tops, bots = [], []
@@ -541,7 +562,7 @@ def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
         prod = _prod(prod, _binomial(b // g))
     for l, (t, b) in enumerate(zip(tops, bots)):
         # a negative power of q in a numerator moves into the denominator
-        _axpy(acc, (-1) ** l * comb(n, l), _exact_quo(prod, _binomial(b // g)), t // g + shift)
+        _axpy(acc, (-1) ** l * comb(n, l), _quo_binomial(prod, b // g), t // g + shift)
     power = [0] * (n * a + 1)
     power[::a] = [(-1) ** k * comb(n, k) for k in range(n + 1)]
     # the factor 1 + q is 1 + q^(alpha 0 + 1)
@@ -558,7 +579,7 @@ def _numbers_ints(top: int, alpha: int) -> list:
         for l in range(n):
             _axpy(acc, comb(n, l), nums[l], alpha * l)
         # exact: N[0] / (1 + q^(alpha n + 1)) is a multiple of every E_l with l < n
-        nums.append([0] + [-c for c in _exact_quo(acc, _binomial(alpha * n + 1))])
+        nums.append([0] + [-c for c in _quo_binomial(acc, alpha * n + 1)])
     return nums
 
 

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qde.errors import PreconditionError, ResourceLimitError
-from qde.oracle import LEVEL_GUARD, IntegrandSpec, closed_form, convergence_profile, riemann_level
+from qde import oracle, qeuler
+from qde.errors import PreconditionError, QdeError, ResourceLimitError
+from qde.oracle import LEVEL_GUARD, IntegrandSpec, _level_sums, closed_form, convergence_profile, riemann_level
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
-from qde.qeuler import PadicMode, RationalMode, SymbolicMode, qeuler_poly
+from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, qeuler_poly
 from qde.ratfunc import Poly, RatFunc
 
 SYM = SymbolicMode()
@@ -153,3 +156,40 @@ class TestConvergenceProfile:
         f = IntegrandSpec.q_power(0)
         with pytest.raises(ResourceLimitError):
             convergence_profile(f, [7, 8], RationalMode(8), 7)
+
+
+@st.composite
+def level_sum_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    # the generic loop at 7^3 residues takes about half a second
+    level = draw(st.integers(1, 3 if p < 7 else 2))
+    mode = SymbolicMode(draw(st.sampled_from((1, 2, 3))))
+    base = draw(st.sampled_from((1, 2, 3)))
+    if base > 1:
+        mode = BaseLifted(mode, base)
+    return IntegrandSpec.q_power(draw(st.integers(-3, 8))), level, mode, p
+
+
+def _outcome(run):
+    """run()'s value and its JSON, or the type and message of the QdeError it raised."""
+    try:
+        v = run()
+    except QdeError as exc:
+        return type(exc), str(exc)
+    return v, [t.to_json() for _, t in v] if isinstance(v, list) else v.to_json()
+
+
+class TestIntListLevelSums:
+    """Symbolic q-power level sums on one int list against the generic loop."""
+
+    @settings(max_examples=60)
+    @given(level_sum_cases())
+    def test_matches_the_generic_loop(self, case):
+        f, level, mode, p = case
+        for run in (lambda: riemann_level(*case).value, lambda: list(_level_sums(f, [level, 1], mode, p))):
+            fast = _outcome(run)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qeuler, "_fixed_denominator", lambda mode: None)
+                mp.setattr(oracle, "_fixed_denominator", lambda mode: None)
+                slow = _outcome(run)
+            assert fast == slow

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qde import qeuler
+from qde import qeuler, ratfunc
 from qde.catalog import CATALOG, check
 from qde.errors import ExponentError, PoleError, PreconditionError, QdeError, ResourceLimitError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
@@ -26,7 +26,7 @@ from qde.qeuler import (
     root_mode,
     serialize_value,
 )
-from qde.ratfunc import Poly, RatFunc
+from qde.ratfunc import Poly, RatFunc, _prod
 
 SYM = SymbolicMode()
 CFG3 = PadicConfig(3, 32)
@@ -557,3 +557,54 @@ class TestFixedDenominator:
         # the degree limit; the generic loop's reduced values stay below it
         assert qeuler_numbers(2, 30000, SYM)[2].den.degree == 90002
         assert qeuler_poly_additive(2, 30000, 0, SYM).value.den.degree == 90002
+
+
+@st.composite
+def measure_cases(draw):
+    p, level = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 3))
+    mode = SymbolicMode(draw(st.sampled_from((1, 2, 3))))
+    base = draw(st.sampled_from((1, 2, 3)))
+    if base > 1:
+        mode = BaseLifted(mode, base)
+    return draw(st.integers(0, p**level - 1)), level, mode, p
+
+
+class TestReducedMeasure:
+    """Symbolic measure built reduced against the generic formula."""
+
+    @settings(max_examples=150)
+    @given(measure_cases())
+    def test_matches_the_generic_formula(self, case):
+        TestFixedDenominator.assert_same(lambda: measure(*case).value)
+
+    def test_no_gcd(self, monkeypatch):
+        calls = []
+        heu_gcd = ratfunc._heu_gcd
+        monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: calls.append(1) or heu_gcd(a, b))
+        for p in (3, 5):
+            for level in (1, 2, 3):
+                for a in range(p**level):
+                    measure(a, level, SYM, p)
+        assert not calls
+
+
+@st.composite
+def binomial_multiples(draw):
+    q = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(lambda c: c[-1]))
+    k = draw(st.integers(1, 9))
+    return q, k, _prod(q, qeuler._binomial(k))
+
+
+class TestQuoBinomial:
+    @given(binomial_multiples())
+    def test_exact_quotient(self, case):
+        q, k, a = case
+        assert qeuler._quo_binomial(a, k) == q
+
+    @given(binomial_multiples(), st.data())
+    def test_nonzero_remainder_is_rejected(self, case, data):
+        q, k, a = case
+        # a remainder r with deg r < k, r != 0
+        j = data.draw(st.integers(0, k - 1))
+        a = a[:j] + [a[j] + data.draw(st.sampled_from((-2, -1, 1, 3)))] + a[j + 1:]
+        assert qeuler._quo_binomial(a, k) is None
