@@ -14,6 +14,7 @@ and the change has to be explained where it is made.
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -22,7 +23,11 @@ from qde.cli import main
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
 
-PROFILES = ((3, 4, 6), (5, 6, 4), (3, 7, 5), (7, 8, 3))
+# q = 1/2, -2/3 and -2 pin a q with a denominator and a negative q
+PROFILES = (
+    (3, 4, 6), (5, 6, 4), (3, 7, 5), (7, 8, 3),
+    (3, Fraction(1, 2), 4), (5, Fraction(-2, 3), 3), (3, -2, 5),
+)
 INTEGRANDS = (
     "one", "bracket:n=1", "bracket:n=2", "bracket:n=3,alpha=2",
     "bracket:n=1,x=1/2", "qpow:e=2", "qpow:e=5,l=2",

@@ -35,6 +35,10 @@ def golden_runs() -> list:
     for identity in IDENTITY_IDS:
         for mode in ("symbolic", "rational:q=4", "padic:p=3,K=32"):
             runs.append(["--identity", identity, "--mode", mode])
+    # a q with a denominator and a negative q
+    for identity in IDENTITY_IDS:
+        for mode in ("rational:q=1/2", "rational:q=-2/3"):
+            runs.append(["--identity", identity, "--mode", mode])
     for identity in ("eq6", "eq8", "recursion", "theorem1"):
         for mode in ("padic:p=5,K=128", "rational:q=6"):
             runs.append(["--identity", identity, "--params", "p=5", "--mode", mode])
