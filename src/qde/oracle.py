@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PoleError, PreconditionError, ResourceLimitError
 from .padic import PadicNum, rational_valuation
 from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, measure, qeuler_poly, resolve_prime, root_mode
 from .ratfunc import RatFunc, _guard_degree, _poly
@@ -134,7 +134,10 @@ def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
     lifted = BaseLifted(mode, f.base_exponent)
     if f.kind == "q_power":
         one = lifted.from_rational(1)
-        v = (one + lifted.q_power(1)) / (one + lifted.q_power(f.e + 1))
+        try:
+            v = (one + lifted.q_power(1)) / (one + lifted.q_power(f.e + 1))
+        except ZeroDivisionError:
+            raise PoleError("closed form undefined at this q (a denominator vanishes)") from None
         return QEulerValue(root_mode(mode).kind, v)
     return qeuler_poly(f.n, f.alpha, f.x, lifted)
 

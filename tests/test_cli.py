@@ -324,3 +324,11 @@ class TestOracle:
     def test_even_p_exits_two(self, runner):
         res = runner.invoke(main, ["oracle", "--integrand", "one", "--p", "4"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("integrand", ["qpow:e=2", "one", "qpow:e=0"])
+    @pytest.mark.parametrize("p", ["3", "5"])
+    def test_pole_of_the_closed_form_exits_one(self, runner, integrand, p):
+        # at q = -1, (1 + q)/(1 + q^(e+1)) is 0/0 for even e
+        res = runner.invoke(main, ["oracle", "--integrand", integrand, "--p", p, "--q=-1", "--level", "2"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qde import oracle, qeuler
-from qde.errors import PreconditionError, QdeError, ResourceLimitError
+from qde.errors import PoleError, PreconditionError, QdeError, ResourceLimitError
 from qde.oracle import LEVEL_GUARD, IntegrandSpec, _level_sums, closed_form, convergence_profile, riemann_level
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, qeuler_poly
@@ -96,6 +96,13 @@ class TestClosedForm:
     def test_lifted_base(self):
         f = IntegrandSpec.q_power(0, l=5)
         assert closed_form(f, SYM).value == RatFunc.one()
+
+    @pytest.mark.parametrize("e", [0, 2, 4])
+    def test_zero_over_zero_is_a_pole(self, e):
+        # (1 + q)/(1 + q^(e+1)) at q = -1, as measure and qeuler_poly raise it
+        with pytest.raises(PoleError, match="closed form undefined"):
+            closed_form(IntegrandSpec.q_power(e), RationalMode(-1))
+        assert closed_form(IntegrandSpec.q_power(e, l=2), RationalMode(-1)).value == 1
 
 
 PINNED = [
