@@ -4,7 +4,8 @@ Every closed form in the package can be cross-checked here: a level-n
 sum adds f(a) times the measure of a + p^n Z_p over all residues
 a < p^n, nothing more.  No closed forms are used on this side, so
 agreement with the qeuler module is evidence rather than circularity.
-In symbolic mode a q-power level sum is one polynomial, summed on ints.
+In symbolic mode a q-power level sum is one polynomial, summed on ints;
+at a rational q level sums are int sums that still add every residue.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ from math import inf
 
 from .errors import PoleError, PreconditionError, ResourceLimitError
 from .padic import PadicNum, rational_valuation
-from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, measure, qeuler_poly, resolve_prime, root_mode
+from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, _fixed_rational, _ratio, measure, qeuler_poly
+from .qeuler import resolve_prime, root_mode
 from .ratfunc import RatFunc, _guard_degree, _poly
 
 LEVEL_GUARD = 10**6
@@ -98,11 +100,18 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
     lifted = BaseLifted(mode, f.base_exponent)
     value = _integrand(f, lifted)
     fd = _fixed_denominator(lifted) if f.kind == "q_power" and f.e >= -1 else None
-    total, acc = mode.from_rational(0), []
+    fr = _fixed_rational(lifted) if fd is None else None
+    ints = fr and _rational_terms(f, *fr)
+    total, acc, h = mode.from_rational(0), [], 0
     start = 0
     for n in sorted(set(levels)):
         end = p**n
-        if fd is None:
+        if ints is not None:
+            c, w, terms = ints
+            for _ in range(start, end):
+                h = h * w + next(terms)
+            total = Fraction(h, c * w ** (end - 1))
+        elif fd is None:
             for a in range(start, end):
                 term = lifted.q_power(a) * value(a)
                 total = total + term if a % 2 == 0 else total - term
@@ -115,6 +124,28 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
             total = RatFunc.from_poly(_poly(list(acc), 1))
         start = end
         yield n, total * measure(0, n, lifted, p).value
+
+
+def _rational_terms(f: IntegrandSpec, u: int, v: int, k):
+    """(c, w, t) for (u, v, k) from _fixed_rational: sum_{a<N} (-1)^a q^a f(a) = sum_{a<N} t_a w^(N-1-a) / (c w^(N-1))."""
+    if f.kind == "bracket_power" and (f.x.denominator != 1 or f.x < 0):
+        return None  # q^(alpha (x + a)) may fail for such an x: the generic loop runs
+    if f.kind == "q_power":
+        # q^a, then q^(e a) at a = 1, the first residue where either can fail; n = 0 leaves (r, d) unused
+        (s, w), n, x, (r, d) = _ratio(u, v, k(1) + k(f.e)), 0, 0, (0, 1)
+    else:
+        (s, w), n, x, (r, d) = _ratio(u, v, k(1)), f.n, f.x.numerator, _ratio(u, v, k(f.alpha))
+        if n and r == d:
+            return None  # the generic loop divides by 1 - q^alpha = 0
+
+    def terms():
+        # the ints t_a: (-s)^a and [x + a] = g / d^(x + a) with q^alpha = r/d, p = r^(x + a)
+        t, g, p = 1, sum(r**i * d ** (x - i) for i in range(x)), r**x
+        while True:
+            yield t * g**n
+            t, g, p = -t * s, (g + p) * d, p * r
+
+    return d ** (n * x), w * d**n, terms()
 
 
 def riemann_level(f: IntegrandSpec, level: int, mode, p: int = None) -> QEulerValue:

@@ -44,6 +44,8 @@ denominator divides the product up to j = l, so each step's division is
 exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
 every exponent is a multiple of g, the lists are in Q^g and the reduced
 value is spread back.  measure needs no gcd at all for odd p (see there).
+In rational mode, at q = u/v, they run on ints over one denominator and
+reduce each value once, one Fraction per value (_fixed_rational).
 
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
@@ -54,7 +56,7 @@ precision raises PrecisionError instead.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from functools import lru_cache
 
 from .errors import ExponentError, PoleError, PreconditionError, ResourceLimitError
@@ -76,6 +78,9 @@ class RationalMode:
         raise AttributeError("RationalMode is immutable")
 
     def q_power(self, e):
+        return self.q0 ** self._exponent(e)
+
+    def _exponent(self, e) -> int:
         if type(e) is not int:
             e = Fraction(e)
             if e.denominator != 1:
@@ -83,7 +88,7 @@ class RationalMode:
             e = e.numerator
         if e < 0 and self.q0 == 0:
             raise PoleError("negative power of q = 0")
-        return self.q0**e
+        return e
 
     def from_rational(self, c) -> Fraction:
         return Fraction(c)
@@ -285,6 +290,9 @@ def q_int(x: int, alpha: int, mode):
     if fm is not None and x:
         p, prec, m, q_power = fm
         return PadicNum(p, 0, _geometric_mod(q_power(alpha), x, m), prec)
+    if (fr := _fixed_rational(mode)) and x:
+        a, b = _ratio(fr[0], fr[1], fr[2](alpha)) if x > 1 else (1, 1)  # q^alpha is formed from x = 2 on
+        return Fraction(sum(a**i * b ** (x - 1 - i) for i in range(x)), b ** (x - 1))
     acc = mode.from_rational(0)
     for i in range(x):
         acc = acc + mode.q_power(alpha * i)
@@ -379,6 +387,17 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
                 s += c * num * pow(1 + den, -1, m)
                 num, den = num * step % m, den * q_alpha % m
             acc = PadicNum(p, 0, s % m, prec)
+        elif fr := _fixed_rational(mode):
+            (u, v, k), num, den = fr, 0, 1
+            for l in range(n + 1):
+                # the loop below on ints, its powers of q in its order: num/den + (-1)^l C(n,l) (a/b) / (1 + d/e)
+                a, b = _ratio(u, v, k(alpha * l * x)) if x else (1, 1)
+                d, e = _ratio(u, v, k(alpha * l + 1))
+                if d == -e:
+                    raise ZeroDivisionError
+                num, den = num * b * (e + d) + (-1) ** l * comb(n, l) * a * e * den, den * b * (e + d)
+            (d, e), (a, b) = _ratio(u, v, k(1)), _ratio(u, v, k(alpha))
+            return _wrap(mode, Fraction(num * (e + d) * b**n, den * e * (b - a) ** n))
         else:
             acc = mode.from_rational(0)
             for l in range(n + 1):
@@ -419,6 +438,8 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     if fm is not None:
         p, prec, m, q_power = fm
         return [one] + [PadicNum(p, 0, e_n, prec) for e_n in _numbers_mod(top, alpha, m, q_power)[1:]]
+    if (fr := _fixed_rational(mode)) and (nums := _numbers_rational(top, alpha, *fr)):
+        return [one] + [Fraction(e_n, nums[0]) for e_n in nums[1:]]
     q = mode.q_power(1)
     numbers = [one]
     # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
@@ -468,6 +489,12 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
             return _wrap(mode, _lowest_terms(acc, nums[0], g))
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
+    if (fr := _fixed_rational(mode)) and (nums := _numbers_rational(n, alpha, *fr)):
+        # q^alpha = a/b and [x] = g / b^(x-1); the sum is over b^(n x) N[0]
+        a, b = _ratio(fr[0], fr[1], fr[2](alpha))
+        g = sum(a**i * b ** (x - 1 - i) for i in range(x))
+        s = sum(comb(n, l) * a ** (x * l) * b ** (n - l) * nums[l] * g ** (n - l) for l in range(n + 1))
+        return _wrap(mode, Fraction(s, nums[0] * b ** (n * x)))
     bracket = q_int(x, alpha, mode)
     numbers = qeuler_numbers(n, alpha, mode)
     acc = mode.from_rational(0)
@@ -516,11 +543,30 @@ def _fixed_modulus(mode, capped: bool = True):
 
 def _fixed_denominator(mode):
     """For a symbolic mode, e -> k with mode.q_power(e) = Q^k, raising what q_power raises; else None."""
-    root = root_mode(mode)
-    if root.kind != "symbolic":
-        return None
-    base = mode.base if isinstance(mode, BaseLifted) else 1
-    return lambda e: root._exponent(e * base)
+    root, base = root_mode(mode), mode.base if isinstance(mode, BaseLifted) else 1
+    return (lambda e: root._exponent(e * base)) if root.kind == "symbolic" else None
+
+
+def _fixed_rational(mode):
+    """For a rational mode at q0 = u/v, (u, v, k) with mode.q_power(e) = q0^k(e), k raising what q_power raises; else None."""
+    root, base = root_mode(mode), mode.base if isinstance(mode, BaseLifted) else 1
+    return (*root.q0.as_integer_ratio(), lambda e: root._exponent(e * base)) if root.kind == "rational" else None
+
+
+def _ratio(u: int, v: int, k: int) -> tuple:
+    """(a, b) with (u/v)^k = a/b as ints; u != 0 when k < 0."""
+    return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
+
+
+def _numbers_rational(top: int, alpha: int, u: int, v: int, k) -> list:
+    """N with E_l = N[l] / N[0] at q = u/v on ints; None where a 1 + q^(alpha j + 1) vanishes, for the generic loop."""
+    (c, _), (a, b) = _ratio(u, v, k(1)), _ratio(u, v, k(alpha))
+    # N[0] = prod_j d_j with d_j = v^b (1 + q^b) for q^b = q^(alpha j + 1); d_n divides N[l] for l < n
+    dens = [sum(_ratio(u, v, k(alpha * j + 1))) for j in range(1, top + 1)]
+    nums = [prod(dens)]
+    for n, d in enumerate(dens if nums[0] else (), 1):
+        nums.append(-c * sum(comb(n, l) * a**l * b ** (n - l) * nums[l] for l in range(n)) // d)
+    return nums if nums[0] else None
 
 
 def _binomial(k: int) -> list:

@@ -200,3 +200,86 @@ class TestIntListLevelSums:
                 mp.setattr(oracle, "_fixed_denominator", lambda mode: None)
                 slow = _outcome(run)
             assert fast == slow
+
+
+RATIONAL_QS = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 4)
+
+
+@st.composite
+def rational_level_sum_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    level = draw(st.integers(1, 3))
+    q0 = draw(st.sampled_from(RATIONAL_QS) | st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    mode = RationalMode(q0)
+    if draw(st.booleans()):
+        mode = BaseLifted(mode, draw(st.sampled_from((2, 3))))
+    l = draw(st.sampled_from((1, 2)))
+    if draw(st.booleans()):
+        return IntegrandSpec.q_power(draw(st.integers(-3, 6)), l=l), level, mode, p
+    # x integral, negative or fractional: only an integral x >= 0 runs on ints
+    x = Fraction(draw(st.integers(-3, 4)), draw(st.sampled_from((1, 1, 2))))
+    n, alpha = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return IntegrandSpec.bracket_power(n, alpha=alpha, x=x, l=l), level, mode, p
+
+
+def _typed_outcome(run):
+    """run()'s value with its type, or the type and message of what it raised.
+
+    The generic loop divides by 1 - q^alpha unguarded, so a ZeroDivisionError
+    is an outcome too.
+    """
+    try:
+        v = run()
+    except (QdeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [(type(t), t) for t in v] if isinstance(v, list) else (type(v), v)
+
+
+class TestIntRationalLevelSums:
+    """Rational level sums on ints against the generic Fraction loop."""
+
+    @staticmethod
+    def assert_same(run):
+        fast = _typed_outcome(run)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qeuler, "_fixed_rational", lambda mode: None)
+            mp.setattr(oracle, "_fixed_rational", lambda mode: None)
+            slow = _typed_outcome(run)
+        assert fast == slow
+
+    @settings(max_examples=150)
+    @given(rational_level_sum_cases())
+    def test_matches_the_generic_loop(self, case):
+        f, level, mode, p = case
+        self.assert_same(lambda: riemann_level(*case).value)
+        self.assert_same(lambda: [t for _, t in _level_sums(f, [level, 1], mode, p)])
+        self.assert_same(lambda: [row["valuation"] for row in convergence_profile(f, [1, level], mode, p)])
+
+    @pytest.mark.parametrize("q0", RATIONAL_QS)
+    @pytest.mark.parametrize("e", [-2, -1, 0, 2])
+    def test_q_powers_at_fixed_points(self, q0, e):
+        # at q = 0 and e < 0 the generic loop raises at a = 1, after q^a
+        for l in (1, 2):
+            f = IntegrandSpec.q_power(e, l=l)
+            self.assert_same(lambda: [t for _, t in _level_sums(f, [1, 2], RationalMode(q0), 3)])
+            self.assert_same(lambda: convergence_profile(f, [1, 2], RationalMode(q0), 5))
+
+    @pytest.mark.parametrize("f", [IntegrandSpec.q_power(3, l=2), IntegrandSpec.bracket_power(2, alpha=2, x=1)])
+    def test_powers_are_formed_per_level_not_per_residue(self, monkeypatch, f):
+        calls = []
+        q_power = RationalMode.q_power
+        monkeypatch.setattr(RationalMode, "q_power", lambda self, e: calls.append(e) or q_power(self, e))
+        riemann_level(f, 4, RationalMode(Fraction(1, 2)), 3)
+        # the measure's three powers and the bracket's 1 - q^alpha, against 2 * 81 in the generic loop
+        assert len(calls) <= 4
+
+    def test_q_zero_negative_exponent_is_a_pole(self):
+        with pytest.raises(PoleError, match="negative power of q = 0"):
+            riemann_level(IntegrandSpec.q_power(-1), 2, RationalMode(0), 3)
+
+    def test_pole_at_minus_one_is_the_measure_pole(self):
+        # the closed form's pole comes first in a profile, the measure's in a level sum
+        for f in (IntegrandSpec.q_power(2), IntegrandSpec.bracket_power(2, x=3)):
+            with pytest.raises(PoleError, match="measure undefined"):
+                riemann_level(f, 2, RationalMode(-1), 3)
+            self.assert_same(lambda: riemann_level(f, 2, RationalMode(-1), 3).value)

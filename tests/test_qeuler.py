@@ -608,3 +608,82 @@ class TestQuoBinomial:
         j = data.draw(st.integers(0, k - 1))
         a = a[:j] + [a[j] + data.draw(st.sampled_from((-2, -1, 1, 3)))] + a[j + 1:]
         assert qeuler._quo_binomial(a, k) is None
+
+
+RATIONAL_QS = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 4)
+
+
+@st.composite
+def fixed_rational_cases(draw):
+    q0 = draw(st.sampled_from(RATIONAL_QS) | st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    base = draw(st.sampled_from((1, 2, 3)))
+    mode = RationalMode(q0) if base == 1 else BaseLifted(RationalMode(q0), base)
+    # x integral, negative, or fractional: q^(alpha l x) may not be rational
+    x = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 1, 2, 3))))
+    return mode, draw(st.integers(1, 3)), draw(st.integers(0, 7)), x, draw(st.integers(0, 6))
+
+
+def _typed(outcome):
+    """An outcome with the type of every value, so that an int never passes for a Fraction."""
+    if isinstance(outcome, list):
+        return [(type(v), v) for v in outcome]
+    return type(outcome), outcome
+
+
+class TestFixedRational:
+    """The rational kernels on ints against the generic Fraction loops.
+
+    Equal means the same Fraction, or the same error type and message.
+    """
+
+    @staticmethod
+    def assert_same(run):
+        fast = _typed(_outcome(run))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qeuler, "_fixed_rational", lambda mode: None)
+            slow = _typed(_outcome(run))
+        assert fast == slow
+
+    @settings(max_examples=300)
+    @given(fixed_rational_cases())
+    def test_kernels_match_the_generic_loops(self, case):
+        mode, alpha, n, x, x_int = case
+        self.assert_same(lambda: qeuler_poly(n, alpha, x, mode).value)
+        self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
+        self.assert_same(lambda: qeuler_poly_additive(n, alpha, x_int, mode).value)
+        self.assert_same(lambda: q_int(x_int, alpha, mode))
+
+    @pytest.mark.parametrize("q0", RATIONAL_QS)
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_fixed_points(self, q0, base):
+        mode = RationalMode(q0) if base == 1 else BaseLifted(RationalMode(q0), base)
+        for n in range(5):
+            for alpha in (1, 2):
+                for x in (0, 2, -1, Fraction(1, 2), Fraction(-3, 2)):
+                    self.assert_same(lambda: qeuler_poly(n, alpha, x, mode).value)
+                self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
+                self.assert_same(lambda: qeuler_poly_additive(n, alpha, 3, mode).value)
+        # a negative weight forms a negative power of q from x = 2 on
+        for x in range(4):
+            self.assert_same(lambda: q_int(x, -1, mode))
+
+    def test_poles_and_exponent_errors(self):
+        # 1 + q^(alpha l + 1) = 0 at l = 0, before q^(1/3) fails at l = 1
+        with pytest.raises(PoleError, match="q-Euler polynomial"):
+            qeuler_poly(2, 2, Fraction(1, 3), RationalMode(-1))
+        with pytest.raises(ExponentError, match=r"q\^\(2/3\)"):
+            qeuler_poly(2, 2, Fraction(1, 3), RationalMode(Fraction(1, 2)))
+        with pytest.raises(PoleError, match=r"1 \+ q\^3 vanishes"):
+            qeuler_numbers(2, 2, RationalMode(-1))
+        with pytest.raises(PoleError, match="negative power of q = 0"):
+            qeuler_poly(1, 1, -1, RationalMode(0))
+        with pytest.raises(PoleError, match="negative power of q = 0"):
+            q_int(2, -1, RationalMode(0))
+        assert q_int(1, -1, RationalMode(0)) == 1
+
+    def test_kernels_form_no_fraction_power(self, monkeypatch):
+        monkeypatch.setattr(RationalMode, "q_power", lambda self, e: pytest.fail(f"q^{e} formed as a Fraction"))
+        mode = BaseLifted(RationalMode(Fraction(-2, 3)), 2)
+        assert qeuler_poly(4, 2, -3, mode).value != qeuler_poly_additive(4, 2, 3, mode).value
+        assert len(qeuler_numbers(5, 2, mode)) == 6
+        assert q_int(4, 2, mode) == sum(Fraction(-2, 3) ** (4 * i) for i in range(4))
