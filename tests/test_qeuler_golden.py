@@ -1,9 +1,12 @@
-"""Golden digests of symbolic `qde qeuler` output over a fixed set of runs.
+"""Golden digests of `qde qeuler` output over a fixed set of runs.
 
-Each run is one `qde qeuler` invocation in the default symbolic mode,
-whose scale is x's denominator, at n <= 6, alpha <= 3 and
+Each run is one `qde qeuler` invocation at n <= 6 and alpha <= 3: in the
+default symbolic mode, whose scale is x's denominator, at
 x in {0, 3, 1/3, 2/5, -1}, plus the runs at x = 2/5 with the scale
-forced to 15.  Its digest is the SHA-256 of stdout followed by the exit
+forced to 15; and in p-adic mode at p = 3, K = 32 and p = 5, K = 128, at
+x in {0, 3, 1/2, 2/5, -1, 1/3}.  At p = 3 the x = 1/3 runs, and at
+p = 5 the x = 2/5 runs, have p in x's denominator: from n = 1 on they
+exit 1 with an ExponentError on stderr.  Its digest is the SHA-256 of stdout followed by the exit
 code, so any change to a value, its rendering or the exit code shows up.
 A deliberate output change regenerates the file with
 
@@ -15,6 +18,7 @@ and the change has to be explained where it is made.
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -22,6 +26,9 @@ from click.testing import CliRunner
 from qde.cli import main
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "qeuler_golden.json"
+
+# (mode, the golden x with p in its denominator)
+PADIC_MODES = {"padic:p=3,K=32": "1/3", "padic:p=5,K=128": "2/5"}
 
 
 def golden_runs() -> list:
@@ -34,6 +41,11 @@ def golden_runs() -> list:
             for x in ("0", "3", "1/3", "2/5", "-1"):
                 runs.append(head + [f"--x={x}"])
             runs.append(head + ["--x=2/5", "--mode", "symbolic:scale=15"])
+    for mode in PADIC_MODES:
+        for n in range(7):
+            for alpha in (1, 2, 3):
+                for x in ("0", "3", "1/2", "2/5", "-1", "1/3"):
+                    runs.append(["--n", str(n), "--alpha", str(alpha), f"--x={x}", "--mode", mode])
     return runs
 
 
@@ -56,6 +68,20 @@ def test_qeuler_output_matches_golden_digests():
     assert sorted(got) == sorted(want), "the run list and the golden file disagree"
     changed = [run for run in want if got[run] != want[run]]
     assert not changed, "qeuler output changed for: " + "; ".join(changed)
+
+
+def test_padic_runs_with_p_in_the_denominator_are_exponent_errors():
+    runner = CliRunner()
+    for mode, x in PADIC_MODES.items():
+        p = mode.split(",")[0].split("=")[1]
+        for n in (0, 1, 6):
+            result = runner.invoke(main, ["qeuler", "--n", str(n), "--alpha", "2", f"--x={x}", "--mode", mode])
+            if n == 0:
+                # E_0(x) forms no q^(alpha l x) with l > 0
+                assert result.exit_code == 0
+            else:
+                assert result.exit_code == 1
+                assert result.stderr == f"error: exponent {Fraction(2) * Fraction(x)} is not a {p}-adic integer\n"
 
 
 if __name__ == "__main__":

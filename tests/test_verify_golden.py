@@ -45,6 +45,18 @@ def golden_runs() -> list:
     for identity in ("eq5", "eq7"):
         for mode in ("padic:p=5,K=128", "symbolic"):
             runs.append(["--identity", identity, "--params", "x=1/2", "--mode", mode])
+    # the p-adic residue splits and theorem1's sums at a high and a low K
+    for mode, p, n_mod, points in (
+        ("padic:p=3,K=128", 3, 3, ("m=1,h=1,k=2", "m=3,h=2,k=5", "m=5,h=1,k=7")),
+        ("padic:p=5,K=16", 5, 5, ("m=3,h=2,k=3", "m=3,h=1,k=2")),
+    ):
+        for identity in ("eq5", "eq7"):
+            for params in ("x=0", "x=1/2"):
+                runs.append(["--identity", identity, "--params", params, "--mode", mode])
+        runs.append(["--identity", "eq8", "--params", f"p={p}", "--mode", mode])
+        runs.append(["--identity", "recursion", "--params", f"p={p},N={n_mod}", "--mode", mode])
+        for point in points:
+            runs.append(["--identity", "theorem1", "--params", f"{point},p={p}", "--mode", mode])
     return runs
 
 
