@@ -11,7 +11,7 @@ identity's domain raises QdeError out of check().
 
 Where two variants exist, "printed" is the identity as displayed in its
 source and "corrected" the derivation-consistent reading.  eq5/eq7 and
-eq8/recursion share one alternating residue sum, _residue_split.
+eq8/recursion share one alternating residue sum, qeuler.residue_split.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +29,7 @@ from .qeuler import (
     qeuler_numbers,
     qeuler_poly,
     qeuler_poly_additive,
+    residue_split,
     root_mode,
 )
 from .reports import IdentityReport, timed_report
@@ -65,22 +66,6 @@ class Identity:
         return self.labels.get(variant, variant)
 
 
-def _residue_split(mode, count: int, step: int, corrected: bool, term):
-    """(1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i term(i).
-
-    The weight w_i is q^(step i) in the corrected reading and 1 in the
-    printed one.
-    """
-    one = mode.from_rational(1)
-    acc = mode.from_rational(0)
-    for i in range(count):
-        t = term(i)
-        if corrected:
-            t = t * mode.q_power(step * i)
-        acc = acc + t if i % 2 == 0 else acc - t
-    return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
-
-
 def _integral(x):
     # the command line reads x as a Fraction; the additive form wants ints
     x = Fraction(x)
@@ -112,8 +97,8 @@ def _distribution(lift_printed: bool):
             raise PreconditionError(f"modulus must be odd and positive, got {d}")
         corrected = variant == "corrected"
         inner = BaseLifted(mode, d) if corrected or lift_printed else mode
-        rhs = q_int(d, alpha, mode) ** n * _residue_split(
-            mode, d, 1, corrected, lambda a: qeuler_poly(n, alpha, (x + a) / d, inner).value
+        rhs = q_int(d, alpha, mode) ** n * residue_split(
+            mode, d, 1, corrected, lambda a: (qeuler_poly(n, alpha, (x + a) / d, inner).value,)
         )
         return lhs, rhs
 
@@ -148,9 +133,9 @@ def _shifted(reduce: bool):
         lifted = BaseLifted(mode, n * p)
 
         def term(i):
-            return big * qeuler_poly(m, alpha, Fraction(a + i * n, n * p), lifted).value
+            return big, qeuler_poly(m, alpha, Fraction(a + i * n, n * p), lifted).value
 
-        return lhs, _residue_split(mode, p, n, variant == "corrected", term)
+        return lhs, residue_split(mode, p, n, variant == "corrected", term)
 
     return sides
 

@@ -32,6 +32,7 @@ from .qeuler import (
     PadicMode,
     QEulerValue,
     _wrap,
+    alternating_sum,
     periodic_euler,
     q_int,
     qeuler_numbers,
@@ -105,11 +106,10 @@ def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode) -> QEulerValue:
     if k == 1:
         return _wrap(mode, mode.from_rational(0))
     lifted = BaseLifted(mode, l)
-    acc = mode.from_rational(0)
-    for big_m in range(1, k):
-        xm = Fraction((h * big_m) % k, k)
-        term = q_int(big_m, alpha, mode) * qeuler_poly(m, alpha, xm, lifted).value
-        acc = acc + term if big_m % 2 == 1 else acc - term
+    acc = alternating_sum(mode, (
+        (q_int(big_m, alpha, mode), qeuler_poly(m, alpha, Fraction((h * big_m) % k, k), lifted).value)
+        for big_m in range(1, k)
+    ))
     return _wrap(mode, acc / q_int(k, alpha, mode))
 
 
@@ -204,13 +204,10 @@ def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode,
     The variant is the reading each term uses; the interpolated
     readings need p.
     """
-    acc = mode.from_rational(0)
-    for big_m in range(1, k):
-        term = q_int(big_m, alpha, mode) * interp_value(
-            m, h * big_m, k, variant, mode, alpha=alpha, p=p
-        ).value
-        acc = acc + term if big_m % 2 == 1 else acc - term
-    return acc
+    return alternating_sum(mode, (
+        (q_int(big_m, alpha, mode), interp_value(m, h * big_m, k, variant, mode, alpha=alpha, p=p).value)
+        for big_m in range(1, k)
+    ))
 
 
 def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str = "interpolated") -> QEulerValue:

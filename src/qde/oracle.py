@@ -75,7 +75,20 @@ def _integrand(f: IntegrandSpec, lifted):
     # an integral x keeps the exponents below ints
     x = f.x.numerator if f.x.denominator == 1 else f.x
     den = one - lifted.q_power(f.alpha)
-    return lambda a: ((one - lifted.q_power(f.alpha * (x + a))) / den) ** f.n
+    if den != 0:
+        return lambda a: ((one - lifted.q_power(f.alpha * (x + a))) / den) ** f.n
+    return lambda a: _bracket_at_root(lifted.q_power(f.alpha * (x + a)), x + a, f.n, lifted)
+
+
+def _bracket_at_root(t, y, n: int, mode):
+    """[y]^n where q^alpha = 1 and t = q^(alpha y).
+
+    [y] = (1 - t)/(1 - q^alpha) tends to y t, so it is y where t = 1, as
+    at every integer y, and a pole where t != 1.
+    """
+    if t != 1:
+        raise PoleError(f"[{y}] has a pole at this q (q^alpha = 1 but q^(alpha y) = {t})")
+    return mode.from_rational(y) ** n
 
 
 def _check_levels(levels, p: int) -> None:

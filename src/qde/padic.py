@@ -307,9 +307,11 @@ class PadicNum:
     def to_json(self) -> dict:
         digits = []
         u = self.unit
-        for _ in range(self.prec):
+        # the unit is below p^prec: its base-p digits end by prec, the rest are 0
+        while u:
             u, d = divmod(u, self.p)
             digits.append(d)
+        digits += [0] * (self.prec - len(digits))
         return {
             "p": self.p,
             "valuation": None if self.val is inf else self.val,

@@ -24,14 +24,24 @@ recurrence, whose divisors are p-adic units, and keeps every digit.
 Callers that need many E_j (the additive form, interp_series) take one
 such table per call.
 
-In p-adic mode the sum inside qeuler_poly, the qeuler_numbers
-recurrence, the additive sum and q_int run on ints mod p^A and wrap
-their result once as a PadicNum (_fixed_modulus).  Their divisors
-1 + q^k are 2 mod p, units for odd p, so integers mod p^A are exact
-there (the fixed-modulus model; Caruso, arXiv:1701.06794).  A is the
-least absolute precision of the inputs, and the capped-relative path
-knows each of these sums to exactly A digits too, so the result is the
-same PadicNum digit for digit and in its claimed precision.
+In p-adic mode qeuler_poly, the qeuler_numbers recurrence, the additive
+sum and q_int run on ints mod p^A and wrap their result once as a
+PadicNum (_fixed_modulus).  Their divisors 1 + q^k are 2 mod p, units
+for odd p, so integers mod p^A are exact there (the fixed-modulus
+model; Caruso, arXiv:1701.06794).  A is the least absolute precision of
+the inputs, and the capped-relative path knows each of these sums to
+exactly A digits too, so the result is the same PadicNum digit for
+digit and in its claimed precision.  qeuler_poly's one non-unit
+divisor, (1 - q^alpha)^n = p^(n v) d^n, takes the valuation and the
+precision that path gives it (_closed_form_mod).
+
+The alternating sums that combine such values (alternating_sum: the
+residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
+bracket_weighted_sum) add on ints too.  A capped-relative sum is the
+true sum mod p^N, N the least absolute precision of its terms, in
+normalized form: each addition keeps the running sum mod the smaller
+absolute precision.  So one wrap of the int sum mod p^N is the same
+PadicNum as adding term by term.
 
 In symbolic mode the same four kernels run on int coefficient lists
 over a denominator known in advance, a product of binomials 1 + q^k,
@@ -56,12 +66,13 @@ precision raises PrecisionError instead.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
-from functools import lru_cache
+from math import comb, gcd, inf, prod
+from functools import lru_cache, reduce
+from operator import mul
 
-from .errors import ExponentError, PoleError, PreconditionError, ResourceLimitError
+from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
 from .exact import format_rational, frac_floor_parts
-from .padic import PadicConfig, PadicNum, q_pow
+from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _vp, q_pow
 from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod
 
 
@@ -372,22 +383,11 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
             return _wrap(mode, _closed_form_ints(n, alpha, x, fd))
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
+    if fm := _fixed_modulus(mode):
+        return _wrap(mode, _closed_form_mod(n, alpha, x, *fm))
     one = mode.from_rational(1)
-    fm = _fixed_modulus(mode)
     try:
-        if fm is not None:
-            p, prec, m, q_power = fm
-            # q^(alpha l x) and q^(alpha l + 1) as running products; like
-            # the loop below, n = 0 forms no q^(alpha l x) with l > 0, so a
-            # p in x's denominator raises nothing there
-            step = q_power(alpha * x) if n else 1
-            q_alpha, num, den, s = q_power(alpha), 1, q_power(1), 0
-            for l in range(n + 1):
-                c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-                s += c * num * pow(1 + den, -1, m)
-                num, den = num * step % m, den * q_alpha % m
-            acc = PadicNum(p, 0, s % m, prec)
-        elif fr := _fixed_rational(mode):
+        if fr := _fixed_rational(mode):
             (u, v, k), num, den = fr, 0, 1
             for l in range(n + 1):
                 # the loop below on ints, its powers of q in its order: num/den + (-1)^l C(n,l) (a/b) / (1 + d/e)
@@ -504,6 +504,63 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
         acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * numbers[l] * power
         power = power * bracket
     return _wrap(mode, acc)
+
+
+def alternating_sum(mode, terms, weight=None):
+    """sum_i (-1)^i t_i q^weight(i), each t_i a tuple of factors multiplied left to right.
+
+    With weight None no power of q is multiplied in.  In p-adic mode the
+    products and the sum run on ints (see the module docstring): an exact
+    zero term is skipped, an approximate zero adds only its absolute
+    precision, and q^e carries q's digits, as q ** e does.
+    """
+    fm = _fixed_modulus(mode, capped=False)
+    if fm is None:
+        acc = mode.from_rational(0)
+        for i, factors in enumerate(terms):
+            t = reduce(mul, factors)
+            if weight is not None:
+                t = t * mode.q_power(weight(i))
+            acc = acc + t if i % 2 == 0 else acc - t
+        return acc
+    p, q_prec, _, q_power = fm
+    parts = []  # (valuation, signed unit or 0 for an approximate zero, absolute precision)
+    for i, factors in enumerate(terms):
+        v, u, r = 0, -1 if i % 2 else 1, inf
+        for f in factors:
+            v, u, r = v + f.val, u * f.unit, min(r, f.prec)
+        if weight is not None:
+            u, r = u * q_power(weight(i)), min(r, q_prec)
+        # an exact zero factor has infinite valuation and leaves the term out
+        if v != inf:
+            parts.append((v, u, v + r if u else v))
+    if not parts:
+        return PadicNum.zero(p)
+    top = min(n for *_, n in parts)
+    low = min((v for v, u, _ in parts if u), default=top)
+    s = sum(u * p ** (v - low) for v, u, _ in parts if u) % p ** (top - low) if top > low else 0
+    return PadicNum(p, low, s, top - low)
+
+
+def residue_split(mode, count: int, step: int, corrected: bool, term):
+    """(1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i term(i).
+
+    term(i) is a tuple of factors.  The weight w_i is q^(step i) in the
+    corrected reading and 1 in the printed one.  In p-adic mode the
+    ratio, a unit known to A digits on the PadicNum path too, multiplies
+    the sum on ints.
+    """
+    acc = alternating_sum(mode, map(term, range(count)), (lambda i: step * i) if corrected else None)
+    fm = _fixed_modulus(mode)
+    if fm is None:
+        one = mode.from_rational(1)
+        return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
+    p, prec, _, q_power = fm
+    if acc.is_zero:
+        return acc
+    r = min(prec, acc.prec)
+    ratio = (1 + q_power(step)) * pow(1 + q_power(step * count), -1, p**r)
+    return PadicNum(p, acc.val, acc.unit * ratio, r)
 
 
 def _check_n_alpha(n: int, alpha: int) -> None:
@@ -641,6 +698,39 @@ def _geometric_mod(r: int, x: int, m: int) -> int:
         s += t
         t = t * r % m
     return s % m
+
+
+def _closed_form_mod(n: int, alpha: int, x, p: int, prec: int, m: int, q_power) -> PadicNum:
+    """qeuler_poly on ints mod p^A, A = prec, as the PadicNum path states it.
+
+    The sum is S / D over D = prod_l (1 + q^(alpha l + 1)), a unit, so one
+    inverse serves it and the tail.  That path knows (1 + q) S / D to A
+    digits and 1 - q^alpha = p^v d to A, so d^n to A - v; where
+    1 - q^alpha is zero to A digits, its x ** 0 gives 1 DEFAULT_PRECISION
+    digits and any other power fails.
+    """
+    # q^(alpha l x) and q^(alpha l + 1) as running products; like the
+    # generic loop, n = 0 forms no q^(alpha l x) with l > 0, so a p in
+    # x's denominator raises nothing there
+    step = q_power(alpha * x) if n else 1
+    q, q_alpha = q_power(1), q_power(alpha)
+    num, den, top, bot = 1, q, 0, 1
+    for l in range(n + 1):
+        c = comb(n, l) if l % 2 == 0 else -comb(n, l)
+        top, bot = (top * (1 + den) + c * num * bot) % m, bot * (1 + den) % m
+        num, den = num * step % m, den * q_alpha % m
+    d = (1 - q_alpha) % m
+    if d == 0 and n:
+        zero = PadicNum.approx_zero(p, n * prec)
+        raise PrecisionError(f"precision exhausted: division by {zero!r}, zero at working precision")
+    v = _vp(d, p) if d else 0
+    if top == 0:
+        return PadicNum.approx_zero(p, prec - n * v)
+    w = _vp(top, p)
+    r = min(prec - w, prec - v if d else DEFAULT_PRECISION)
+    # d = 0 only at n = 0, where (d / p^v)^n is 0^0 = 1
+    unit = (1 + q) * (top // p**w) * pow(bot * (d // p**v) ** n, -1, p**r)
+    return PadicNum._unit(p, w - n * v, unit % p**r, r)
 
 
 def _numbers_mod(top: int, alpha: int, m: int, q_power) -> list:

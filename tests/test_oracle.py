@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qde import oracle, qeuler
-from qde.errors import PoleError, PreconditionError, QdeError, ResourceLimitError
+from qde.errors import ExponentError, PoleError, PreconditionError, QdeError, ResourceLimitError
 from qde.oracle import LEVEL_GUARD, IntegrandSpec, _level_sums, closed_form, convergence_profile, riemann_level
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, qeuler_poly
@@ -73,6 +73,25 @@ class TestRiemannLevel:
         with pytest.raises(ResourceLimitError) as info:
             riemann_level(IntegrandSpec.q_power(e), 1, SYM, p)
         assert str(info.value) == f"polynomial degree {degree} exceeds limit 100000"
+
+    def test_bracket_where_q_alpha_is_one(self):
+        # at q = 1 the measure of a + 9 Z_3 is (-1)^a and [x + a] = x + a
+        for x in (1, Fraction(1, 2)):
+            f = IntegrandSpec.bracket_power(2, alpha=2, x=x)
+            want = sum((-1) ** a * (x + a) ** 2 for a in range(9))
+            assert riemann_level(f, 2, RationalMode(1), 3).value == want
+        # a fractional exponent still has no value at a rational q
+        with pytest.raises(ExponentError, match=r"q\^\(1/3\) is not representable"):
+            riemann_level(IntegrandSpec.bracket_power(1, x=Fraction(1, 3)), 1, RationalMode(1), 3)
+
+    def test_bracket_pole_where_q_alpha_is_one(self):
+        # at q = -1, alpha = 2: [1/2] = (1 - q)/(1 - q^2) = 1/(1 + q), a pole before the measure's
+        f = IntegrandSpec.bracket_power(1, alpha=2, x=Fraction(1, 2))
+        with pytest.raises(PoleError, match=r"\[1/2\] has a pole at this q \(q\^alpha = 1 but q\^\(alpha y\) = -1\)"):
+            riemann_level(f, 1, RationalMode(-1), 3)
+        # at alpha = 4, q^(alpha y) = 1 and the bracket is 1/2; the measure then fails
+        with pytest.raises(PoleError, match="measure undefined"):
+            riemann_level(IntegrandSpec.bracket_power(1, alpha=4, x=Fraction(1, 2)), 1, RationalMode(-1), 3)
 
     def test_level_zero_rejected(self):
         with pytest.raises(PreconditionError):
@@ -223,14 +242,10 @@ def rational_level_sum_cases(draw):
 
 
 def _typed_outcome(run):
-    """run()'s value with its type, or the type and message of what it raised.
-
-    The generic loop divides by 1 - q^alpha unguarded, so a ZeroDivisionError
-    is an outcome too.
-    """
+    """run()'s value with its type, or the type and message of the QdeError it raised."""
     try:
         v = run()
-    except (QdeError, ZeroDivisionError) as exc:
+    except QdeError as exc:
         return type(exc), str(exc)
     return [(type(t), t) for t in v] if isinstance(v, list) else (type(v), v)
 

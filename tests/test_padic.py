@@ -318,7 +318,10 @@ class TestLiftAndJson:
 
     def test_json_roundtrip(self):
         # the digits are the unit's base-p digits, lowest first, one per digit of precision
-        for x in (pn(Fraction(7, 2)), pn(Fraction(5, 9), prec=6), PadicNum.zero(3), PadicNum.approx_zero(3, 5)):
+        # 1 + p has 126 zero digits at K = 128, -1 none
+        cases = (pn(Fraction(7, 2)), pn(Fraction(5, 9), prec=6), PadicNum.zero(3), PadicNum.approx_zero(3, 5),
+                 pn(4, prec=128), pn(-1, prec=10))
+        for x in cases:
             j = x.to_json()
             assert j["p"] == 3
             assert j["valuation"] == (None if x.is_exact_zero else x.valuation)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qde import qeuler, ratfunc
 from qde.catalog import CATALOG, check
-from qde.errors import ExponentError, PoleError, PreconditionError, QdeError, ResourceLimitError
+from qde.dedekind import bracket_weighted_sum, q_dc_sum
+from qde.errors import ExponentError, PoleError, PrecisionError, PreconditionError, QdeError, ResourceLimitError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, rational_valuation
 from qde.qeuler import (
     BaseLifted,
@@ -476,6 +477,32 @@ def fixed_modulus_cases(draw):
     return mode, draw(st.integers(1, 3)), draw(st.integers(0, 7)), x, draw(st.integers(0, 2 * p))
 
 
+@st.composite
+def fixed_modulus_identity_cases(draw):
+    """(identity, variant, point, mode) for the p-adic identities whose sums run on ints."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    prec = draw(st.sampled_from((2, 5, 16, 33)))
+    # q given to fewer digits than K, to K, and to more
+    q_prec = max(1, prec + draw(st.sampled_from((-3, -1, 0, 4))))
+    q0 = 1 + p * draw(st.sampled_from((-1, 1, 2, p)))
+    mode = PadicMode(PadicNum.from_rational(q0, p, q_prec), PadicConfig(p, prec))
+    # theorem1 twice: its points take the two sums and both readings
+    identity = draw(st.sampled_from(("eq5", "eq7", "eq8", "recursion", "theorem1", "theorem1")))
+    alpha = draw(st.integers(1, 2))
+    if identity in ("eq5", "eq7"):
+        x = Fraction(draw(st.integers(-3, 4)), draw(st.sampled_from((1, 2, p))))
+        point = {"n": draw(st.integers(0, 3)), "alpha": alpha, "d": draw(st.sampled_from((1, 3, 5))), "x": x}
+    elif identity in ("eq8", "recursion"):
+        big_n = draw(st.sampled_from((1, 2, 3) if identity == "eq8" else (p, 2 * p)))
+        point = {"m": draw(st.integers(0, 2)), "a": draw(st.integers(1, 2 * p)), "N": big_n, "p": p, "alpha": alpha}
+    else:
+        # m + 1 divisible by p - 1, k up to 5 with h coprime to it
+        k = draw(st.integers(1, 5))
+        h = draw(st.sampled_from([h for h in range(1, 6) if gcd(h, k) == 1]))
+        point = {"m": draw(st.sampled_from((1, 3) if p == 3 else (p - 2,))), "h": h, "k": k, "alpha": alpha, "p": p}
+    return identity, draw(st.sampled_from(CATALOG[identity].variants)), point, mode
+
+
 class TestFixedModulus:
     """The p-adic kernels on ints mod p^A against the PadicNum path.
 
@@ -486,9 +513,59 @@ class TestFixedModulus:
     def assert_same(run):
         fast = _outcome(run)
         with pytest.MonkeyPatch.context() as mp:
+            # every int kernel, the sums' included, asks _fixed_modulus first
             mp.setattr(qeuler, "_fixed_modulus", lambda mode, capped=True: None)
             slow = _outcome(run)
         assert fast == slow
+
+    @settings(max_examples=200, deadline=None)
+    @given(fixed_modulus_identity_cases())
+    def test_identity_reports_match_the_padic_path(self, case):
+        identity, variant, point, mode = case
+        self.assert_same(lambda: check(identity, variant, point, mode).comparison_payload())
+
+    @settings(max_examples=200)
+    @given(fixed_modulus_cases(), st.sampled_from((1, 2, 3, 5)), st.booleans())
+    def test_sums_match_the_padic_path(self, case, count, corrected):
+        # the sums' own valuation and precision, before a report's comparison caps them
+        mode, alpha, n, x, _ = case
+        inner = BaseLifted(mode, count)
+        self.assert_same(lambda: qeuler.residue_split(
+            mode, count, 1 + alpha, corrected,
+            lambda i: (q_int(i + 1, alpha, mode), qeuler_poly(n, alpha, (x + i) / count, inner).value),
+        ))
+        k = count + 1
+        self.assert_same(lambda: q_dc_sum(n, 1, k, alpha, 2, mode).value)
+        self.assert_same(lambda: bracket_weighted_sum(n, k - 1, k, alpha, "naive", mode))
+
+    def test_terms_known_past_q_are_capped(self):
+        # more relative digits than q's 12: the weights q^i and the ratio cap
+        # them; corrected, 4/9 - q/9 + 3 q^2 cancels down to valuation 1
+        mode = PadicMode(PadicNum.from_rational(4, 3, 12), PadicConfig(3, 16))
+        terms = [PadicNum.from_rational(t, 3, 40) for t in (Fraction(4, 9), Fraction(1, 9), 3)]
+        for corrected in (False, True):
+            self.assert_same(lambda: qeuler.residue_split(mode, 3, 1, corrected, lambda i: (terms[i],)))
+        assert qeuler.residue_split(mode, 1, 1, False, lambda i: (PadicNum.from_rational(1, 3, 40),)).prec == 12
+
+    @pytest.mark.parametrize("q_prec", [13, 16, 20])
+    def test_sums_at_the_benchmark_points(self, q_prec):
+        # theorem1's sums and both residue splits, with q short of, at and past K = 16
+        mode = PadicMode(PadicNum.from_rational(4, 3, q_prec), PadicConfig(3, 16))
+        points = [("theorem1", {"m": 3, "h": 2, "k": 5, "alpha": 1, "p": 3}),
+                  ("eq5", {"n": 3, "alpha": 2, "d": 5, "x": Fraction(1, 2)}),
+                  ("eq8", {"m": 2, "a": 2, "N": 3, "p": 3, "alpha": 1}),
+                  ("recursion", {"m": 2, "a": 4, "N": 6, "p": 3, "alpha": 2})]
+        for identity, point in points:
+            for variant in CATALOG[identity].variants:
+                self.assert_same(lambda: check(identity, variant, point, mode).comparison_payload())
+
+    def test_a_zero_one_minus_q_alpha_keeps_its_error_text(self):
+        # q = 1 to K digits: E_n with n >= 1 divides by O(p^(n K)); E_0 gets DEFAULT_PRECISION digits
+        mode = PadicMode(PadicNum.from_rational(1 + 3**20, 3, 20), PadicConfig(3, 16))
+        for n in (0, 1, 3):
+            self.assert_same(lambda: qeuler_poly(n, 2, Fraction(1, 2), mode).value)
+        with pytest.raises(PrecisionError, match=r"division by PadicNum\(O\(3\^48\)\)"):
+            qeuler_poly(3, 2, 0, mode)
 
     @settings(max_examples=300)
     @given(fixed_modulus_cases())
