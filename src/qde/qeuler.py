@@ -45,15 +45,15 @@ PadicNum as adding term by term.
 
 In symbolic mode the same four kernels run on int coefficient lists
 over a denominator known in advance, a product of binomials 1 + q^k,
-and reduce each value once instead of once per addition
+and build each value once instead of once per addition
 (_fixed_denominator).  qeuler_poly's sum is over P (1 - q^alpha)^n with
 P = prod_l (1 + q^(alpha l + 1)); term l's numerator is the exact
 quotient P / (1 + q^(alpha l + 1)).  The recurrence and the additive sum
 keep every E_l over D = prod_{j<=top} (1 + q^(alpha j + 1)); E_l's
 denominator divides the product up to j = l, so each step's division is
 exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
-every exponent is a multiple of g, the lists are in Q^g and the reduced
-value is spread back.  measure needs no gcd at all for odd p (see there).
+every exponent is a multiple of g, the lists are in Q^g and the value
+is spread back.  measure needs no gcd at all for odd p (see there).
 In rational mode, at q = u/v, they run on ints over one denominator and
 reduce each value once, one Fraction per value (_fixed_rational).
 
@@ -73,7 +73,7 @@ from operator import mul
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
 from .exact import format_rational, frac_floor_parts
 from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _vp, q_pow
-from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod
+from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod, _stretch
 
 
 class RationalMode:
@@ -112,8 +112,8 @@ class SymbolicMode:
     """Evaluate with q as an indeterminate.
 
     The result variable Q satisfies q = Q^scale.  Equality of values
-    built at the same scale is plain reduced-form equality; evaluating
-    at Q = 1 is the q -> 1 limit regardless of scale.
+    built at the same scale is exact rational-function equality;
+    evaluating at Q = 1 is the q -> 1 limit regardless of scale.
     """
 
     kind = "symbolic"
@@ -244,9 +244,10 @@ def serialize_value(v):
 def compare_values(mode, lhs, rhs):
     """Status object for an identity check: lhs vs rhs in this mode.
 
-    Exact modes compare canonical forms.  The p-adic mode reports the
-    agreement valuation when the difference cannot be told apart from
-    zero at working precision, and a fail witness when it can.
+    Exact modes test exact equality, symbolic ones by cross-multiplying.
+    The p-adic mode reports the agreement valuation when the difference
+    cannot be told apart from zero at working precision, and a fail
+    witness when it can.
     """
     root = root_mode(mode)
     if root.kind == "padic":
@@ -431,7 +432,7 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
             # a bound on every degree the recurrence forms
             _guard_degree(g * (alpha * top * (top + 3) // 2 + top))
             nums = _numbers_ints(top, alpha)
-            return [one] + [_lowest_terms(e_n, list(nums[0]), g) for e_n in nums[1:]]
+            return [one] + [_ratfunc(e_n, list(nums[0]), g) for e_n in nums[1:]]
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     fm = _fixed_modulus(mode)
@@ -486,7 +487,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
             for l in range(n, -1, -1):
                 _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
                 power = _prod(power, bracket)
-            return _wrap(mode, _lowest_terms(acc, nums[0], g))
+            return _wrap(mode, _ratfunc(acc, nums[0], g))
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     if (fr := _fixed_rational(mode)) and (nums := _numbers_rational(n, alpha, *fr)):
@@ -666,10 +667,9 @@ def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
     for l, (t, b) in enumerate(zip(tops, bots)):
         # a negative power of q in a numerator moves into the denominator
         _axpy(acc, (-1) ** l * comb(n, l), _quo_binomial(prod, b // g), t // g + shift)
-    power = [0] * (n * a + 1)
-    power[::a] = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+    power = _stretch([(-1) ** k * comb(n, k) for k in range(n + 1)], a)
     # the factor 1 + q is 1 + q^(alpha 0 + 1)
-    return _lowest_terms(_prod(acc, _binomial(bots[0] // g)), [0] * shift + _prod(prod, power), g)
+    return _ratfunc(_prod(acc, _binomial(bots[0] // g)), [0] * shift + _prod(prod, power), g)
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
@@ -686,8 +686,8 @@ def _numbers_ints(top: int, alpha: int) -> list:
     return nums
 
 
-def _lowest_terms(num: list, den: list, g: int) -> RatFunc:
-    """num / den in lowest terms with Q^g in place of Q, for int lists num and den."""
+def _ratfunc(num: list, den: list, g: int) -> RatFunc:
+    """num / den with Q^g in place of Q, for int lists num and den; reduced when read."""
     return RatFunc(_poly(num, 1), _poly(den, 1))._spread(g)
 
 

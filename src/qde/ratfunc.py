@@ -6,9 +6,10 @@ trailing zeros stripped, over one positive common denominator (the zero
 polynomial is the empty tuple over 1).  The pair is kept in lowest
 terms: no prime divides the denominator and every numerator.  That
 form is canonical, so ``==`` and ``hash`` compare it structurally, and
-``Poly.coeffs`` rebuilds the coefficients as Fractions.  Rational
-functions are kept fully reduced with a monic denominator, so
-structural equality is semantic equality.
+``Poly.coeffs`` rebuilds the coefficients as Fractions.  A rational
+function keeps a numerator and a monic denominator that may share a
+factor, and is brought to lowest terms only when its ``num`` or ``den``
+is read: by hashing, evaluation, rendering and serialization.
 
 All arithmetic runs on the integer numerators.  Multiplication and
 division switch on operand length alone:
@@ -42,31 +43,33 @@ division switch on operand length alone:
   which always happens once xi exceeds twice the gcd's coefficients
   times the resultant of the cofactors (the proof is at ``_heu_gcd``).
   The quotients of the proving divisions are the cofactors, so reducing
-  a rational function takes no further division.
+  a rational function takes no further division.  When both inputs are
+  polynomials in q^s, the gcd is taken on the lists in q^s.
 
-Rational functions are never reduced after the fact: arithmetic cancels
-between reduced operands (P. Henrici, J. ACM 3, 1956; D. Knuth, TAOCP
-vol. 2, section 4.5.1), so the gcds run on the operands' parts and not
-on the assembled product.
+Arithmetic and the constructor cancel only the common factors that
+need no GCDHEU (P. Henrici, J. ACM 3, 1956; D. Knuth, TAOCP vol. 2,
+section 4.5.1).  A gcd with a constant or a monomial c q^k is the power
+of q both sides share, read off by index, and equal sides are their own
+gcd.  Other gcds are taken as 1 and the result is marked unreduced.
 
-- a/b * c/d takes gcd(a, d) and gcd(c, b); what is left is coprime.
-  A quotient multiplies by the inverse, which needs no gcd.
+- a/b * c/d cancels gcd(a, d) and gcd(c, b).  A quotient multiplies by
+  the inverse, which needs no gcd.
 - a/b + c/d takes g = gcd(b, d) and writes b = g b1, d = g d1.  The sum
-  is (a d1 + c b1) / (g b1 d1), and gcd(a d1 + c b1, b1 d1) = 1: an
+  is (a d1 + c b1) / (g b1 d1), and only gcd(a d1 + c b1, g) is left to
+  cancel: for reduced operands gcd(a d1 + c b1, b1 d1) = 1, since an
   irreducible factor of b1 divides neither a (a/b is reduced) nor d1
-  (b1 and d1 are coprime), so it does not divide a d1 + c b1, and
-  likewise for d1.  Only gcd(a d1 + c b1, g) remains, and only when g
-  is not 1.
-- A gcd with a constant or a monomial c q^k is the power of q both
-  sides share, read off by index, and equal sides are their own gcd.
-  So scalar multiples and products or quotients by powers of q run no
-  GCDHEU at all, and a sum over one denominator runs only the last gcd.
+  (b1 and d1 are coprime), and likewise for d1.
 
-The constructor reduces num/den through the same step.
+A result is marked reduced when its operands were and every gcd it
+needed came from the rules above.  Two reduced values are equal when
+their parts are; otherwise a/b == c/d is decided as a d == c b, which is
+exact since b and d are nonzero.
 
 A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
 enough for every check shipped here, small enough to fail fast on a
-runaway exponent.
+runaway exponent.  An unreduced sum, product, power or cross-product
+that would pass it is redone on operands in lowest terms with every gcd
+taken, and raises only if that passes it too.
 """
 
 import sys
@@ -480,25 +483,36 @@ def _prod(a, b):
     return _mul_ints(a, b)
 
 
-def _cancel(x, y):
-    """(g, x/g, y/g) with g the gcd of nonzero x and y, primitive with g[-1] > 0.
+def _cancel(x, y, full: bool):
+    """(g, x/g, y/g, done) with g a common factor of nonzero x and y, primitive with g[-1] > 0.
 
     The cofactors are exact over the integers and keep the contents of
     x and y.  When either side is a constant or a monomial c q^k, g is
     the power of q both share, read off by index, and equal sides are
-    their own gcd; otherwise g and the cofactors come from GCDHEU and
-    its proving divisions.
+    their own gcd.  Otherwise g and the cofactors come from GCDHEU and
+    its proving divisions if full, and g is 1 if not; done says g is the gcd.
     """
     if len(x) == 1 or len(y) == 1:
-        return [1], x, y
+        return [1], x, y, True
     if x.count(0) == len(x) - 1 or y.count(0) == len(y) - 1:
         j = min(_low(x), _low(y))
-        return [0] * j + [1], x[j:], y[j:]
+        return [0] * j + [1], x[j:], y[j:], True
     px, py = _primitive(x), _primitive(y)
     if tuple(px) == tuple(py):
-        return px, [x[-1] // px[-1]], [y[-1] // py[-1]]
-    g, xg, yg = _heu_gcd(px, py)
-    return g, _scaled(xg, x[-1] // px[-1]), _scaled(yg, y[-1] // py[-1])
+        return px, [x[-1] // px[-1]], [y[-1] // py[-1]], True
+    if not full:
+        return [1], x, y, False
+    # polynomials in q^s have their gcd in q^s, so it is taken on the shorter lists
+    s = gcd(*(i for a in (px, py) for i in range(1, len(a)) if a[i]))
+    g, xg, yg = (_stretch(v, s) for v in _heu_gcd(px[::s], py[::s]))
+    return g, _scaled(xg, x[-1] // px[-1]), _scaled(yg, y[-1] // py[-1]), True
+
+
+def _stretch(a, s: int) -> list:
+    """a(q^s)."""
+    c = [0] * (s * len(a) - s + 1)
+    c[::s] = a
+    return c
 
 
 def _times(p: Poly, d) -> Poly:
@@ -518,39 +532,52 @@ _POLY_ZERO = Poly.zero()
 
 
 class RatFunc:
-    """Reduced fraction of two Poly values; the denominator is monic.
+    """Fraction of two Poly values with a monic denominator, reduced on demand.
 
-    The constructor always normalizes, so ``==`` compares canonical
-    forms and two constructions of the same function are equal objects.
-    Arithmetic cancels common factors between the reduced operands and
-    never reduces the assembled result (see the module docstring).
+    Arithmetic cancels only the common factors that need no GCDHEU (see
+    the module docstring), so the stored parts may share a factor;
+    ``_red`` says they are known not to.  ``num`` and ``den`` bring the
+    value to lowest terms on first access and keep it, so hashing,
+    evaluation, rendering and serialization see the canonical form,
+    while ``==`` decides by cross-multiplication.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d", "_red")
 
     def __init__(self, num: Poly, den: Poly = _POLY_ONE):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in rational function")
-        if num.is_zero:
-            num, den = _POLY_ZERO, _POLY_ONE
-        else:
-            # num/den = (x/num._den) / (y/den._den) with x, y coprime
-            _, x, y = _cancel(num._num, den._num)
-            num = _poly(_scaled(x, den._den), num._den * y[-1])
-            den = _poly(list(y), y[-1])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._put(num, den, False)._settle(False)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    def _put(self, num: Poly, den: Poly, red: bool) -> "RatFunc":
+        object.__setattr__(self, "_n", num)
+        object.__setattr__(self, "_d", den)
+        object.__setattr__(self, "_red", red)
+        return self
+
+    def _settle(self, full: bool) -> "RatFunc":
+        """self over a monic denominator, with what _cancel finds cancelled in place."""
+        num, den = self._n, self._d
+        if num.is_zero:
+            return self._put(_POLY_ZERO, _POLY_ONE, True)
+        # num/den = (x/num._den) / (y/den._den), x and y coprime when red
+        _, x, y, red = _cancel(num._num, den._num, full)
+        return self._put(_poly(_scaled(x, den._den), num._den * y[-1]), _poly(list(y), y[-1]), red)
+
+    def _lowest(self) -> "RatFunc":
+        """self, brought to lowest terms in place."""
+        return self if self._red else self._settle(True)
+
+    num = property(lambda self: self._lowest()._n, doc="numerator in lowest terms")
+    den = property(lambda self: self._lowest()._d, doc="monic denominator in lowest terms")
+
     @classmethod
-    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
-        # private fast path for results that are reduced by construction
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
+    def _reduced(cls, num: Poly, den: Poly, red: bool = True) -> "RatFunc":
+        # private fast path for a monic den; red says num/den is in lowest terms
+        return object.__new__(cls)._put(num, den, red)
 
     @classmethod
     def const(cls, c) -> "RatFunc":
@@ -577,12 +604,19 @@ class RatFunc:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self._n.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return False
+        if self._red and other._red or self._d == other._d:
+            return self._n == other._n and self._d == other._d
+        try:
+            # both denominators are nonzero, so a/b = c/d exactly when a d = c b
+            return self._n * other._d == other._n * self._d
+        except ResourceLimitError:
+            return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         # a constant equals its Fraction value, so it hashes like it
@@ -597,30 +631,42 @@ class RatFunc:
             return RatFunc.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _guarded(self, op, other):
+        """op(self, other, False), or past MAX_DEGREE op(self, other, True) in lowest terms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return other
+        try:
+            return op(self, other, False)
+        except ResourceLimitError:
+            self._lowest(), other._lowest()
+            return op(self, other, True)
+
+    def __add__(self, other):
+        return self._guarded(RatFunc._add, other)
+
+    __radd__ = __add__
+
+    def _add(self, other, full: bool) -> "RatFunc":
         if other.is_zero:
             return self
         if self.is_zero:
             return other
         # a/b + c/d with b = g b1, d = g d1: the sum is t/(g b1 d1) with
         # t = a d1 + c b1, and only g can share a factor with t
-        g, b1, d1 = _cancel(self.den._num, other.den._num)
-        t = _times(self.num, d1) + _times(other.num, b1)
+        g, b1, d1, red = _cancel(self._d._num, other._d._num, full)
+        t = _times(self._n, d1) + _times(other._n, b1)
         if t.is_zero:
             return RatFunc.zero()
         if len(g) > 1:
             # t is over the monic g b1 d1, so h's leading coefficient stays in t
-            h, t1, g = _cancel(t._num, g)
+            h, t1, g, done = _cancel(t._num, g, full)
             t = _poly(_scaled(t1, h[-1]), t._den)
-        return RatFunc._reduced(t, _monic(_prod(g, _prod(b1, d1))))
-
-    __radd__ = __add__
+            red = red and done
+        return RatFunc._reduced(t, _monic(_prod(g, _prod(b1, d1))), red and self._red and other._red)
 
     def __neg__(self):
-        return RatFunc._reduced(-self.num, self.den)
+        return RatFunc._reduced(-self._n, self._d, self._red)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -632,36 +678,32 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if a.is_zero or c.is_zero:
+        return self._guarded(RatFunc._mul, other)
+
+    __rmul__ = __mul__
+
+    def _mul(self, other, full: bool) -> "RatFunc":
+        if self.is_zero or other.is_zero:
             return RatFunc.zero()
         # a/b * c/d: cancel gcd(a, d) and gcd(c, b); what is left is coprime.
         # b and d are primitive parts over their leading coefficients, so
         # over the monic b1 d1 the gcds' leading coefficients stay on top
-        g1, a1, d1 = _cancel(a._num, d._num)
-        g2, c1, b1 = _cancel(c._num, b._num)
+        a, b, c, d = self._n, self._d, other._n, other._d
+        g1, a1, d1, red1 = _cancel(a._num, d._num, full)
+        g2, c1, b1, red2 = _cancel(c._num, b._num, full)
         num = _poly(_scaled(_prod(a1, c1), g1[-1] * g2[-1]), a._den * c._den)
-        return RatFunc._reduced(num, _monic(_prod(b1, d1)))
-
-    __rmul__ = __mul__
+        return RatFunc._reduced(num, _monic(_prod(b1, d1)), red1 and red2 and self._red and other._red)
 
     def _spread(self, g: int) -> "RatFunc":
-        """self at Q^g in place of Q, still reduced: gcd(f(Q^g), h(Q^g)) = gcd(f, h)(Q^g)."""
-        parts = []
-        for p in (self.num, self.den):
-            c = [0] * (g * p.degree + 1)
-            c[::g] = p._num
-            parts.append(_raw(tuple(c), p._den))
-        return RatFunc._reduced(*parts)
+        """self at Q^g in place of Q, reduced if self is: gcd(f(Q^g), h(Q^g)) = gcd(f, h)(Q^g)."""
+        n, d = (_raw(tuple(_stretch(p._num, g)), p._den) for p in (self._n, self._d))
+        return RatFunc._reduced(n, d, self._red)
 
     def _inv(self) -> "RatFunc":
         """1/self for nonzero self."""
-        n, d = self.num, self.den
+        n, d = self._n, self._d
         c = n._num
-        return RatFunc._reduced(_poly(_scaled(d._num, n._den), d._den * c[-1]), _poly(list(c), c[-1]))
+        return RatFunc._reduced(_poly(_scaled(d._num, n._den), d._den * c[-1]), _poly(list(c), c[-1]), self._red)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -684,7 +726,10 @@ class RatFunc:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             return self._inv() ** -e
-        return RatFunc._reduced(self.num**e, self.den**e)
+        try:
+            return RatFunc._reduced(self._n**e, self._d**e, self._red)
+        except ResourceLimitError:
+            return RatFunc._reduced(self.num**e, self.den**e)
 
     def eval_at(self, q0) -> Fraction:
         """Evaluate at an exact rational point of the reduced form."""

@@ -1,7 +1,7 @@
 """Structured outcomes of identity checks.
 
 One report covers one identity at one parameter point.  The status is
-either the string "exact" (reduced-form equality), an object
+either the string "exact" (exact equality), an object
 {"padic_agreement": v, "precision": K} when the two sides cannot be
 told apart at working precision v >= (their joint absolute precision),
 or {"fail": witness} with enough of both sides to reproduce the

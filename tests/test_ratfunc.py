@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qde import ratfunc
+from qde import qeuler, ratfunc
+from qde.catalog import check
 from qde.errors import PoleError, PreconditionError, ResourceLimitError
 from qde.exact import parse_rational
-from qde.qeuler import SymbolicMode, q_int
+from qde.qeuler import SymbolicMode, measure, q_int
 from qde.ratfunc import (
     KRONECKER_MIN_LEN,
     MAX_DEGREE,
@@ -64,7 +65,11 @@ rational_leads = st.fractions(min_value=-20, max_value=20, max_denominator=12).f
 
 @st.composite
 def ratfuncs(draw, nonzero=False):
-    """A reduced RatFunc built by the constructor from a product of factors."""
+    """A RatFunc built by the constructor from a product of factors.
+
+    The constructor cancels only factors that need no gcd, so the value
+    may be unreduced until its lowest terms are read.
+    """
     num = Poly.const(draw(rational_leads if nonzero else st.one_of(rational_leads, st.just(0))))
     for f in draw(st.lists(ratfunc_factors, max_size=3)):
         num = num * f
@@ -294,10 +299,12 @@ class TestRatFunc:
         assert _heu_gcd(list(a._num), list(b._num))[0] == [2, 5, 3]   # (3q + 2)(q + 1)
         f = RatFunc(a, b)
         assert f == RatFunc(P(0, 6, 5, 1), P(-1, 1))
+        assert f.to_json() == RatFunc(P(0, 6, 5, 1), P(-1, 1)).to_json()
         assert (f.num, f.den) == (P(0, 6, 5, 1), P(-1, 1))
         # the same quotient under a further common factor with rational coefficients
         c = P(Fraction(-1, 7), 0, 5, Fraction(2, 3))
         assert RatFunc(a * c, b * c) == f
+        assert RatFunc(a * c, b * c).to_json() == f.to_json()
 
     def test_monic_denominator(self):
         f = RatFunc(P(1), P(-2, 2))
@@ -384,6 +391,7 @@ class TestRatFunc:
             got = op()
             assert calls == []
             assert got == want
+            assert got.to_json() == want.to_json()
         for c in (P(0), P(1), P(-1, Fraction(2, 3)), P(0, 0, 0, 5)):
             g = RatFunc.from_poly(c)
             assert f + g - f == g
@@ -393,25 +401,100 @@ class TestRatFunc:
     @given(ratfuncs(), ratfuncs(nonzero=True), rational_leads, st.integers(min_value=1, max_value=3))
     def test_arithmetic_matches_constructor_reduction(self, f, g, c, e):
         # cross-cancelled results against the defining fraction reduced as
-        # a whole, with the reduced form checked by the reference PRS gcd
-        results = [
-            (f + g, RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)),
-            (f - g, RatFunc(f.num * g.den - g.num * f.den, f.den * g.den)),
-            (f * g, RatFunc(f.num * g.num, f.den * g.den)),
-            (f / g, RatFunc(f.num * g.den, f.den * g.num)),
-            (c * f, RatFunc(f.num.scale(c), f.den)),
-            (f * c, RatFunc(f.num.scale(c), f.den)),
-            (0 * f, RatFunc.zero()),
-            (f * 0, RatFunc.zero()),
-            (g ** -e, RatFunc(g.den**e, g.num**e)),
+        # a whole, with the reduced form checked by the reference PRS gcd;
+        # the results are formed first, while f and g may be unreduced
+        gots = [f + g, f - g, f * g, f / g, c * f, f * c, 0 * f, f * 0, g ** -e]
+        wants = [
+            RatFunc(f.num * g.den + g.num * f.den, f.den * g.den),
+            RatFunc(f.num * g.den - g.num * f.den, f.den * g.den),
+            RatFunc(f.num * g.num, f.den * g.den),
+            RatFunc(f.num * g.den, f.den * g.num),
+            RatFunc(f.num.scale(c), f.den),
+            RatFunc(f.num.scale(c), f.den),
+            RatFunc.zero(),
+            RatFunc.zero(),
+            RatFunc(g.den**e, g.num**e),
         ]
-        for got, want in results:
+        for got, want in zip(gots, wants):
             assert got == want
+            assert got.to_json() == want.to_json()
             assert got.den.coeffs[-1] == 1
             if got.is_zero:
                 assert got.den == Poly.one()
             else:
                 assert prs_gcd(_primitive(list(got.num._num)), _primitive(list(got.den._num))) == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratfuncs(), st.lists(ratfunc_factors, min_size=1, max_size=2))
+    def test_unreduced_value_behaves_like_its_reduced_twin(self, f, factors):
+        # f times c/c keeps c on both sides until its lowest terms are read;
+        # each use starts from a fresh copy, since reading reduces in place
+        c = Poly.one()
+        for factor in factors:
+            c = c * factor
+        twin = f._lowest()
+
+        def lazy():
+            return RatFunc(twin.num * c, twin.den * c)
+
+        assume(not lazy()._red)
+        assert lazy() == twin and twin == lazy() and lazy() == lazy()
+        assert lazy() != twin + 1 and lazy() - twin == 0
+        assert hash(lazy()) == hash(twin)
+        assert lazy().render() == twin.render()
+        assert lazy().to_json() == twin.to_json()
+        for q0 in (-2, -1, 0, Fraction(1, 2), 1, 3):
+            if twin.den(q0):
+                assert lazy().eval_at(q0) == twin.eval_at(q0)
+            else:
+                with pytest.raises(PoleError):
+                    lazy().eval_at(q0)
+
+    def test_unreduced_sum_is_reduced_when_read(self):
+        # the denominators share 1 + q^2, which no gcd-free rule finds
+        f = RatFunc(P(1), P(1, 0, 1) * P(1, 1, 1))
+        g = RatFunc(P(1), P(1, 0, 1) * P(1, -1, 1))
+        s = f + g
+        assert not s._red and s._d.degree == 8
+        assert s == RatFunc(P(2), P(1, 0, 1, 0, 1))
+        assert s.to_json() == {"num": ["2"], "den": ["1", "0", "1", "0", "1"]}
+        assert s._red and s._d.degree == 4
+
+    def test_gcd_in_a_power_of_q_runs_on_the_shorter_lists(self, monkeypatch):
+        # (1+Q^9)/(1+Q^6+Q^12) is reduced by one GCDHEU of 1+Q^3 and 1+Q^2+Q^4
+        calls = []
+        heu = ratfunc._heu_gcd
+        monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: calls.append((list(a), list(b))) or heu(a, b))
+        f = RatFunc(P(1, 1) * P(1, -1, 1), P(1, 1, 1) * P(1, -1, 1))._spread(3)
+        assert f.to_json() == {"num": ["1", "0", "0", "1"], "den": ["1", "0", "0", "1", "0", "0", "1"]}
+        assert calls == [([1, 0, 0, 1], [1, 0, 1, 0, 1])]
+
+    def test_degree_guard_reduces_and_retries(self, monkeypatch):
+        # unreduced degrees are higher: where an unreduced sum, product,
+        # power or cross-product would pass the limit, the operands are
+        # reduced and the operation is redone with every gcd taken
+        monkeypatch.setattr(ratfunc, "MAX_DEGREE", 6)
+        f = RatFunc(P(1), P(1, 0, 1) * P(1, 1, 1))      # 1/((1+q^2)(1+q+q^2))
+        g = RatFunc(P(1), P(1, 0, 1) * P(1, -1, 1))     # 1/((1+q^2)(1-q+q^2))
+        assert f + g == RatFunc(P(2), P(1, 0, 1, 0, 1))
+        assert (f + g).to_json() == {"num": ["2"], "den": ["1", "0", "1", "0", "1"]}
+        assert f + g == g + f
+
+        def x():
+            return RatFunc(P(1, 1) * P(1, 0, 1), P(1, 1, 1) * P(1, 0, 1))    # (1+q)/(1+q+q^2)
+
+        def y():
+            return RatFunc(P(1, 1) * P(1, -1, 1), P(1, 1, 1) * P(1, -1, 1))  # the same
+
+        square = RatFunc(P(1, 2, 1), P(1, 2, 3, 2, 1))
+        assert not x()._red and not y()._red
+        assert x() == y()
+        assert x() * y() == square
+        assert x() ** 2 == square
+        assert x() / (1 / y()) == square
+        # a reduced result past the limit still raises
+        with pytest.raises(ResourceLimitError, match="polynomial degree 8 exceeds limit 6"):
+            f * g
 
     def test_constant_hashes_like_its_value(self):
         assert {1, RatFunc.one()} == {1}
@@ -430,6 +513,46 @@ class TestRatFunc:
         f = RatFunc(P(0, -1), P(1, 0, 1))
         assert f.render() == "(-q)/(1+q^2)"
         assert RatFunc.from_poly(P(1, 1)).render() == "1+q"
+
+
+class TestVerdictsRunNoGcd:
+    """Symbolic verdicts decide equality without bringing values to lowest terms."""
+
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch):
+        # each GCDHEU call, tagged with whether a fail witness was being serialized
+        calls, serializing = [], []
+        heu, serialize = ratfunc._heu_gcd, qeuler.serialize_value
+        monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: calls.append(bool(serializing)) or heu(a, b))
+
+        def tagged(v):
+            serializing.append(1)
+            try:
+                return serialize(v)
+            finally:
+                serializing.pop()
+
+        monkeypatch.setattr(qeuler, "serialize_value", tagged)
+        return calls
+
+    def test_passing_theorem1(self, gcd_calls):
+        point = {"m": 3, "h": 2, "k": 5, "alpha": 1, "p": 3}
+        assert check("theorem1", "corrected", point, SymbolicMode()).status == "exact"
+        assert gcd_calls == []
+
+    def test_measure_mass(self, gcd_calls):
+        sym = SymbolicMode()
+        total = RatFunc.zero()
+        for a in range(9):
+            total = total + measure(a, 2, sym, 3).value
+        assert total == 1
+        assert gcd_calls == []
+
+    def test_failing_eq5_reduces_only_its_witness(self, gcd_calls):
+        point = {"n": 3, "alpha": 2, "d": 5, "x": Fraction(0)}
+        report = check("eq5", "printed", point, SymbolicMode(5))
+        assert "fail" in report.status
+        assert gcd_calls and all(gcd_calls)
 
 
 class TestQBracket:
