@@ -159,7 +159,7 @@ class PadicMode:
     """Evaluate with q a p-adic number satisfying v_p(1 - q) >= 1."""
 
     kind = "padic"
-    __slots__ = ("q", "cfg")
+    __slots__ = ("q", "cfg", "_fixed")
 
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
@@ -170,6 +170,12 @@ class PadicMode:
             raise PreconditionError(f"padic mode needs v_{cfg.p}(1 - q) >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
+        # what _fixed_modulus returns at base 1, capped and not, built once rather than per kernel call
+        fixed = {}
+        for capped, prec in ((True, min(q.abs_prec, cfg.prec)), (False, q.abs_prec)):
+            m = cfg.p**prec
+            fixed[capped] = (cfg.p, prec, m, _residue_power(cfg.p, q.unit, m))
+        object.__setattr__(self, "_fixed", fixed)
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicMode is immutable")
@@ -583,11 +589,15 @@ def _fixed_modulus(mode, capped: bool = True):
     root = root_mode(mode)
     if root.kind != "padic":
         return None
-    p, u = root.cfg.p, root.q.unit
-    prec = min(root.q.abs_prec, root.cfg.prec) if capped else root.q.abs_prec
-    m = p**prec
-    base = mode.base if isinstance(mode, BaseLifted) else 1
+    fixed = root._fixed[capped]
+    if isinstance(mode, BaseLifted):
+        p, prec, m, _ = fixed
+        fixed = p, prec, m, _residue_power(p, root.q.unit, m, mode.base)
+    return fixed
 
+
+def _residue_power(p: int, u: int, m: int, base: int = 1):
+    """e -> the residue mod m = p^A of q^(base e) for q = u + O(p^A), a 1-unit, as an int."""
     def q_power(e) -> int:
         if type(e) is int:
             return pow(u, base * e, m)
@@ -596,7 +606,7 @@ def _fixed_modulus(mode, capped: bool = True):
             raise ExponentError(f"exponent {e} is not a {p}-adic integer")
         return pow(u, e.numerator * pow(e.denominator, -1, m), m)
 
-    return p, prec, m, q_power
+    return q_power
 
 
 def _fixed_denominator(mode):

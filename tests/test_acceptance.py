@@ -21,10 +21,9 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from click.testing import CliRunner
+from conftest import run_cli
 
 from qde.catalog import check
-from qde.cli import main as cli_main
 from qde.dedekind import dc_sum, q_dc_sum
 from qde.oracle import IntegrandSpec, convergence_profile
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, q_pow, teichmuller
@@ -219,14 +218,10 @@ def test_acceptance_8_character_and_exponential(capsys):
 
 def test_acceptance_9_command_line(capsys):
     with acceptance(9, "command line end to end", capsys):
-        runner = CliRunner()
-
-        res = runner.invoke(cli_main, ["verify", "--identity", "eq4", "--params", "n<=6,alpha<=3,x<=3"])
+        res = run_cli(["verify", "--identity", "eq4", "--params", "n<=6,alpha<=3,x<=3"])
         assert res.exit_code == 0, res.output
 
-        res = runner.invoke(
-            cli_main, ["verify", "--identity", "eq5", "--params", "n=1,alpha=1,d=3,x=0"]
-        )
+        res = run_cli(["verify", "--identity", "eq5", "--params", "n=1,alpha=1,d=3,x=0"])
         assert res.exit_code == 1
         by_variant = {}
         for line in res.output.splitlines():
@@ -235,10 +230,8 @@ def test_acceptance_9_command_line(capsys):
         assert by_variant["corrected"] == "exact"
         assert "fail" in by_variant["printed"]
 
-        res = runner.invoke(
-            cli_main,
-            ["verify", "--identity", "theorem1", "--variant", "corrected",
-             "--params", "p=3,m=1,h=1,k=2"],
+        res = run_cli(
+            ["verify", "--identity", "theorem1", "--variant", "corrected", "--params", "p=3,m=1,h=1,k=2"]
         )
         assert res.exit_code == 0, res.output
 
@@ -251,4 +244,4 @@ def test_acceptance_9_command_line(capsys):
             return out
 
         args = ["verify", "--identity", "eq8", "--params", "m<=2,a=1,N=2,p=3"]
-        assert stripped(runner.invoke(cli_main, args)) == stripped(runner.invoke(cli_main, args))
+        assert stripped(run_cli(args)) == stripped(run_cli(args))

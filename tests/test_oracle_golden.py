@@ -17,9 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from qde.cli import main
+from conftest import run_cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
 
@@ -43,8 +41,8 @@ def golden_runs() -> list:
     ]
 
 
-def run_digest(runner: CliRunner, args: list) -> str:
-    result = runner.invoke(main, ["oracle"] + args)
+def run_digest(args: list) -> str:
+    result = run_cli(["oracle"] + args)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     text = result.output + f"exit={result.exit_code}\n"
@@ -52,8 +50,7 @@ def run_digest(runner: CliRunner, args: list) -> str:
 
 
 def current_digests() -> dict:
-    runner = CliRunner()
-    return {" ".join(args): run_digest(runner, args) for args in golden_runs()}
+    return {" ".join(args): run_digest(args) for args in golden_runs()}
 
 
 def test_oracle_output_matches_golden_digests():

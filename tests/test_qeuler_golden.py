@@ -21,9 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from qde.cli import main
+from conftest import run_cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "qeuler_golden.json"
 
@@ -37,7 +35,7 @@ def golden_runs() -> list:
     for n in range(7):
         for alpha in (1, 2, 3):
             head = ["--n", str(n), "--alpha", str(alpha)]
-            # --x=-1, not --x -1, which click would read as an option
+            # written --x=<value>, as the golden file names the runs
             for x in ("0", "3", "1/3", "2/5", "-1"):
                 runs.append(head + [f"--x={x}"])
             runs.append(head + ["--x=2/5", "--mode", "symbolic:scale=15"])
@@ -49,8 +47,8 @@ def golden_runs() -> list:
     return runs
 
 
-def run_digest(runner: CliRunner, args: list) -> str:
-    result = runner.invoke(main, ["qeuler"] + args)
+def run_digest(args: list) -> str:
+    result = run_cli(["qeuler"] + args)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     text = result.stdout + f"exit={result.exit_code}\n"
@@ -58,8 +56,7 @@ def run_digest(runner: CliRunner, args: list) -> str:
 
 
 def current_digests() -> dict:
-    runner = CliRunner()
-    return {" ".join(args): run_digest(runner, args) for args in golden_runs()}
+    return {" ".join(args): run_digest(args) for args in golden_runs()}
 
 
 def test_qeuler_output_matches_golden_digests():
@@ -71,11 +68,10 @@ def test_qeuler_output_matches_golden_digests():
 
 
 def test_padic_runs_with_p_in_the_denominator_are_exponent_errors():
-    runner = CliRunner()
     for mode, x in PADIC_MODES.items():
         p = mode.split(",")[0].split("=")[1]
         for n in (0, 1, 6):
-            result = runner.invoke(main, ["qeuler", "--n", str(n), "--alpha", "2", f"--x={x}", "--mode", mode])
+            result = run_cli(["qeuler", "--n", str(n), "--alpha", "2", f"--x={x}", "--mode", mode])
             if n == 0:
                 # E_0(x) forms no q^(alpha l x) with l > 0
                 assert result.exit_code == 0

@@ -19,9 +19,7 @@ import re
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from qde.cli import main
+from conftest import run_cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "verify_golden.json"
 
@@ -60,8 +58,8 @@ def golden_runs() -> list:
     return runs
 
 
-def run_digest(runner: CliRunner, args: list) -> str:
-    result = runner.invoke(main, ["verify"] + args)
+def run_digest(args: list) -> str:
+    result = run_cli(["verify"] + args)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     lines = [ELAPSED.sub("", line) for line in result.output.splitlines()]
@@ -70,8 +68,7 @@ def run_digest(runner: CliRunner, args: list) -> str:
 
 
 def current_digests() -> dict:
-    runner = CliRunner()
-    return {" ".join(args): run_digest(runner, args) for args in golden_runs()}
+    return {" ".join(args): run_digest(args) for args in golden_runs()}
 
 
 def test_verify_output_matches_golden_digests():
