@@ -14,7 +14,7 @@ from math import inf
 
 from .errors import PoleError, PreconditionError, ResourceLimitError
 from .padic import PadicNum, rational_valuation
-from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, _fixed_rational, _ratio, measure, qeuler_poly
+from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, _ints, measure, qeuler_poly
 from .qeuler import resolve_prime, root_mode
 from .ratfunc import RatFunc, _guard_degree, _poly
 
@@ -113,8 +113,8 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
     lifted = BaseLifted(mode, f.base_exponent)
     value = _integrand(f, lifted)
     fd = _fixed_denominator(lifted) if f.kind == "q_power" and f.e >= -1 else None
-    fr = _fixed_rational(lifted) if fd is None else None
-    ints = fr and _rational_terms(f, *fr)
+    iv = _ints(lifted) if root_mode(mode).kind == "rational" else None
+    ints = iv and _rational_terms(f, iv.power)
     total, acc, h = mode.from_rational(0), [], 0
     start = 0
     for n in sorted(set(levels)):
@@ -139,15 +139,16 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
         yield n, total * measure(0, n, lifted, p).value
 
 
-def _rational_terms(f: IntegrandSpec, u: int, v: int, k):
-    """(c, w, t) for (u, v, k) from _fixed_rational: sum_{a<N} (-1)^a q^a f(a) = sum_{a<N} t_a w^(N-1-a) / (c w^(N-1))."""
+def _rational_terms(f: IntegrandSpec, power):
+    """(c, w, t) for power from _ints at a rational q: sum_{a<N} (-1)^a q^a f(a) = sum_{a<N} t_a w^(N-1-a) / (c w^(N-1))."""
     if f.kind == "bracket_power" and (f.x.denominator != 1 or f.x < 0):
         return None  # q^(alpha (x + a)) may fail for such an x: the generic loop runs
     if f.kind == "q_power":
-        # q^a, then q^(e a) at a = 1, the first residue where either can fail; n = 0 leaves (r, d) unused
-        (s, w), n, x, (r, d) = _ratio(u, v, k(1) + k(f.e)), 0, 0, (0, 1)
+        # q^a q^(e a) = q^((1 + e) a), but q^(e a) at a = 1 is the power that can fail; n = 0 leaves (r, d) unused
+        power(f.e)
+        (s, w), n, x, (r, d) = power(1 + f.e), 0, 0, (0, 1)
     else:
-        (s, w), n, x, (r, d) = _ratio(u, v, k(1)), f.n, f.x.numerator, _ratio(u, v, k(f.alpha))
+        (s, w), n, x, (r, d) = power(1), f.n, f.x.numerator, power(f.alpha)
         if n and r == d:
             return None  # the generic loop divides by 1 - q^alpha = 0
 

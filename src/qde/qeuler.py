@@ -24,22 +24,24 @@ recurrence, whose divisors are p-adic units, and keeps every digit.
 Callers that need many E_j (the additive form, interp_series) take one
 such table per call.
 
-In p-adic mode qeuler_poly, the qeuler_numbers recurrence, the additive
-sum and q_int run on ints mod p^A and wrap their result once as a
-PadicNum (_fixed_modulus).  Their divisors 1 + q^k are 2 mod p, units
-for odd p, so integers mod p^A are exact there (the fixed-modulus
-model; Caruso, arXiv:1701.06794).  A is the least absolute precision of
-the inputs, and the capped-relative path knows each of these sums to
-exactly A digits too, so the result is the same PadicNum digit for
-digit and in its claimed precision.  qeuler_poly's one non-unit
-divisor, (1 - q^alpha)^n = p^(n v) d^n, takes the valuation and the
-precision that path gives it (_closed_form_mod).
+At a fixed q, rational or p-adic, the four kernels are each one formula
+on ints over one denominator (_closed_form_at, _numbers_at, _geometric),
+with q^e an int pair (a, b), q^e = a/b, from _ints.  At q = u/v the pair
+is exact and the value one Fraction, reduced once.  At a p-adic q it is
+(q^e mod p^A, 1) and the value is wrapped once as a PadicNum.  Its
+divisors 1 + q^k are 2 mod p, units for odd p, so ints mod p^A are exact
+(the fixed-modulus model; Caruso, arXiv:1701.06794).  A is the least
+absolute precision of the inputs, and the capped-relative path knows
+each of these sums to exactly A digits too, so the result is the same
+PadicNum digit for digit and in its claimed precision.  qeuler_poly's
+one non-unit divisor, (1 - q^alpha)^n = p^(n v) d^n, takes the
+valuation and the precision that path gives it (_Ints.finish).
 
 The alternating sums that combine such values (alternating_sum: the
 residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
-bracket_weighted_sum) add on ints too.  A capped-relative sum is the
-true sum mod p^N, N the least absolute precision of its terms, in
-normalized form: each addition keeps the running sum mod the smaller
+bracket_weighted_sum) add on ints mod p^A too.  A capped-relative sum
+is the true sum mod p^N, N the least absolute precision of its terms,
+in normalized form: each addition keeps the running sum mod the smaller
 absolute precision.  So one wrap of the int sum mod p^N is the same
 PadicNum as adding term by term.
 
@@ -54,8 +56,6 @@ denominator divides the product up to j = l, so each step's division is
 exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
 every exponent is a multiple of g, the lists are in Q^g and the value
 is spread back.  measure needs no gcd at all for odd p (see there).
-In rational mode, at q = u/v, they run on ints over one denominator and
-reduce each value once, one Fraction per value (_fixed_rational).
 
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, prod
 from functools import lru_cache, reduce
-from operator import mul
+from operator import mul, pos
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
 from .exact import format_rational, frac_floor_parts
@@ -80,10 +80,11 @@ class RationalMode:
     """Evaluate with q fixed at an exact rational number."""
 
     kind = "rational"
-    __slots__ = ("q0",)
+    __slots__ = ("q0", "_ints")
 
     def __init__(self, q0):
         object.__setattr__(self, "q0", Fraction(q0))
+        object.__setattr__(self, "_ints", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMode is immutable")
@@ -159,7 +160,7 @@ class PadicMode:
     """Evaluate with q a p-adic number satisfying v_p(1 - q) >= 1."""
 
     kind = "padic"
-    __slots__ = ("q", "cfg", "_fixed")
+    __slots__ = ("q", "cfg", "_ints")
 
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
@@ -170,12 +171,7 @@ class PadicMode:
             raise PreconditionError(f"padic mode needs v_{cfg.p}(1 - q) >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
-        # what _fixed_modulus returns at base 1, capped and not, built once rather than per kernel call
-        fixed = {}
-        for capped, prec in ((True, min(q.abs_prec, cfg.prec)), (False, q.abs_prec)):
-            m = cfg.p**prec
-            fixed[capped] = (cfg.p, prec, m, _residue_power(cfg.p, q.unit, m))
-        object.__setattr__(self, "_fixed", fixed)
+        object.__setattr__(self, "_ints", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicMode is immutable")
@@ -304,13 +300,9 @@ def q_int(x: int, alpha: int, mode):
             _axpy(acc, 1, [1], fd(alpha * i))
         return RatFunc.from_poly(_poly(acc, 1))
     # only q enters, so the sum keeps q's digits even past K
-    fm = _fixed_modulus(mode, capped=False)
-    if fm is not None and x:
-        p, prec, m, q_power = fm
-        return PadicNum(p, 0, _geometric_mod(q_power(alpha), x, m), prec)
-    if (fr := _fixed_rational(mode)) and x:
-        a, b = _ratio(fr[0], fr[1], fr[2](alpha)) if x > 1 else (1, 1)  # q^alpha is formed from x = 2 on
-        return Fraction(sum(a**i * b ** (x - 1 - i) for i in range(x)), b ** (x - 1))
+    if (iv := _ints(mode, capped=False)) and x:
+        a, b = iv.power(alpha) if x > 1 else (1, 1)  # q^alpha is formed from x = 2 on
+        return iv.finish(_geometric(a, b, x, iv.red), b**x)
     acc = mode.from_rational(0)
     for i in range(x):
         acc = acc + mode.q_power(alpha * i)
@@ -390,27 +382,14 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
             return _wrap(mode, _closed_form_ints(n, alpha, x, fd))
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
-    if fm := _fixed_modulus(mode):
-        return _wrap(mode, _closed_form_mod(n, alpha, x, *fm))
-    one = mode.from_rational(1)
     try:
-        if fr := _fixed_rational(mode):
-            (u, v, k), num, den = fr, 0, 1
-            for l in range(n + 1):
-                # the loop below on ints, its powers of q in its order: num/den + (-1)^l C(n,l) (a/b) / (1 + d/e)
-                a, b = _ratio(u, v, k(alpha * l * x)) if x else (1, 1)
-                d, e = _ratio(u, v, k(alpha * l + 1))
-                if d == -e:
-                    raise ZeroDivisionError
-                num, den = num * b * (e + d) + (-1) ** l * comb(n, l) * a * e * den, den * b * (e + d)
-            (d, e), (a, b) = _ratio(u, v, k(1)), _ratio(u, v, k(alpha))
-            return _wrap(mode, Fraction(num * (e + d) * b**n, den * e * (b - a) ** n))
-        else:
-            acc = mode.from_rational(0)
-            for l in range(n + 1):
-                c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-                num = c if x == 0 else c * mode.q_power(alpha * l * x)
-                acc = acc + num / (one + mode.q_power(alpha * l + 1))
+        if iv := _ints(mode):
+            return _wrap(mode, _closed_form_at(n, alpha, x, iv))
+        one, acc = mode.from_rational(1), mode.from_rational(0)
+        for l in range(n + 1):
+            c = comb(n, l) if l % 2 == 0 else -comb(n, l)
+            num = c if x == 0 else c * mode.q_power(alpha * l * x)
+            acc = acc + num / (one + mode.q_power(alpha * l + 1))
         v = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
@@ -441,12 +420,9 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
             return [one] + [_ratfunc(e_n, list(nums[0]), g) for e_n in nums[1:]]
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
-    fm = _fixed_modulus(mode)
-    if fm is not None:
-        p, prec, m, q_power = fm
-        return [one] + [PadicNum(p, 0, e_n, prec) for e_n in _numbers_mod(top, alpha, m, q_power)[1:]]
-    if (fr := _fixed_rational(mode)) and (nums := _numbers_rational(top, alpha, *fr)):
-        return [one] + [Fraction(e_n, nums[0]) for e_n in nums[1:]]
+    if iv := _ints(mode):
+        nums = _numbers_at(top, alpha, iv)
+        return [one] + [iv.finish(e_n, nums[0]) for e_n in nums[1:]]
     q = mode.q_power(1)
     numbers = [one]
     # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
@@ -474,13 +450,12 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     _check_n_alpha(n, alpha)
     if not isinstance(x, int) or x < 0:
         raise PreconditionError(f"additive form needs a nonnegative integer x, got {x}")
-    fm = _fixed_modulus(mode)
-    if fm is not None:
-        p, prec, m, q_power = fm
-        numbers = _numbers_mod(n, alpha, m, q_power)
-        bracket, step = _geometric_mod(q_power(alpha), x, m), q_power(alpha * x)
-        s = sum(comb(n, l) * pow(step, l, m) * numbers[l] * pow(bracket, n - l, m) for l in range(n + 1))
-        return _wrap(mode, PadicNum(p, 0, s % m, prec))
+    if iv := _ints(mode):
+        # q^alpha = a/b and [x] = g / b^x, m None at a rational q; every term is over b^(n x) N[0]
+        nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
+        g, step = _geometric(a, b, x, iv.red), pow(a, x, m)
+        s = sum(comb(n, l) * pow(step, l, m) * nums[l] * pow(g, n - l, m) for l in range(n + 1))
+        return _wrap(mode, iv.finish(s, nums[0] * b ** (n * x)))
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
@@ -496,12 +471,6 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
             return _wrap(mode, _ratfunc(acc, nums[0], g))
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
-    if (fr := _fixed_rational(mode)) and (nums := _numbers_rational(n, alpha, *fr)):
-        # q^alpha = a/b and [x] = g / b^(x-1); the sum is over b^(n x) N[0]
-        a, b = _ratio(fr[0], fr[1], fr[2](alpha))
-        g = sum(a**i * b ** (x - 1 - i) for i in range(x))
-        s = sum(comb(n, l) * a ** (x * l) * b ** (n - l) * nums[l] * g ** (n - l) for l in range(n + 1))
-        return _wrap(mode, Fraction(s, nums[0] * b ** (n * x)))
     bracket = q_int(x, alpha, mode)
     numbers = qeuler_numbers(n, alpha, mode)
     acc = mode.from_rational(0)
@@ -521,8 +490,7 @@ def alternating_sum(mode, terms, weight=None):
     zero term is skipped, an approximate zero adds only its absolute
     precision, and q^e carries q's digits, as q ** e does.
     """
-    fm = _fixed_modulus(mode, capped=False)
-    if fm is None:
+    if (iv := _ints(mode, capped=False)) is None or iv.m is None:
         acc = mode.from_rational(0)
         for i, factors in enumerate(terms):
             t = reduce(mul, factors)
@@ -530,14 +498,14 @@ def alternating_sum(mode, terms, weight=None):
                 t = t * mode.q_power(weight(i))
             acc = acc + t if i % 2 == 0 else acc - t
         return acc
-    p, q_prec, _, q_power = fm
+    p, q_prec = iv.p, iv.prec
     parts = []  # (valuation, signed unit or 0 for an approximate zero, absolute precision)
     for i, factors in enumerate(terms):
         v, u, r = 0, -1 if i % 2 else 1, inf
         for f in factors:
             v, u, r = v + f.val, u * f.unit, min(r, f.prec)
         if weight is not None:
-            u, r = u * q_power(weight(i)), min(r, q_prec)
+            u, r = u * iv.power(weight(i))[0], min(r, q_prec)
         # an exact zero factor has infinite valuation and leaves the term out
         if v != inf:
             parts.append((v, u, v + r if u else v))
@@ -558,16 +526,14 @@ def residue_split(mode, count: int, step: int, corrected: bool, term):
     the sum on ints.
     """
     acc = alternating_sum(mode, map(term, range(count)), (lambda i: step * i) if corrected else None)
-    fm = _fixed_modulus(mode)
-    if fm is None:
+    if (iv := _ints(mode)) is None or iv.m is None:
         one = mode.from_rational(1)
         return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
-    p, prec, _, q_power = fm
     if acc.is_zero:
         return acc
-    r = min(prec, acc.prec)
-    ratio = (1 + q_power(step)) * pow(1 + q_power(step * count), -1, p**r)
-    return PadicNum(p, acc.val, acc.unit * ratio, r)
+    r = min(iv.prec, acc.prec)
+    (a, _), (b, _) = iv.power(step), iv.power(step * count)
+    return PadicNum(iv.p, acc.val, acc.unit * (1 + a) * pow(1 + b, -1, iv.p**r), r)
 
 
 def _check_n_alpha(n: int, alpha: int) -> None:
@@ -577,64 +543,76 @@ def _check_n_alpha(n: int, alpha: int) -> None:
         raise PreconditionError(f"weight must be a positive integer, got {alpha}")
 
 
-def _fixed_modulus(mode, capped: bool = True):
-    """(p, A, p^A, q_power) for a p-adic mode; None for any other mode.
+class _Ints:
+    """q^e as an int pair (a, b), q^e = a/b, raising what the mode's q_power raises.
 
-    A is q's absolute precision, capped at the working precision K when
-    the kernel also adds the mode's one, which carries K digits.
-    q_power(e) is the residue mod p^A of mode.q_power(e), as an int.  q
-    is a 1-unit, so q^X mod p^A depends only on X mod p^A, and a
-    fractional e (after the base) is X = num * den^-1 mod p^A.
+    Exact at q = u/v, where red leaves an int alone and m is None.  At a
+    p-adic q it is (q^e mod m, 1), m = p^A, and red reduces mod m; A is q's
+    absolute precision, capped at K where the kernel adds the K-digit one.
     """
+
+    def __init__(self, root, base: int, capped: bool):
+        if root.kind == "rational":
+            u, v = root.q0.numerator, root.q0.denominator
+            self.red, self.m = pos, None
+
+            def power(e) -> tuple:
+                k = root._exponent(e * base)  # u != 0 when k < 0
+                return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
+        else:
+            p, u = root.cfg.p, root.q.unit
+            self.p, self.prec = p, min(root.q.abs_prec, root.cfg.prec) if capped else root.q.abs_prec
+            m = self.m = p**self.prec
+            self.red = m.__rmod__
+
+            def power(e) -> tuple:
+                # q is a 1-unit, so q^X mod p^A depends only on X mod p^A; a fractional X is num den^-1
+                if type(e) is int:
+                    return pow(u, base * e, m), 1
+                e = Fraction(e) * base
+                if e.denominator % p == 0:
+                    raise ExponentError(f"exponent {e} is not a {p}-adic integer")
+                return pow(u, e.numerator * pow(e.denominator, -1, m), m), 1
+
+        self.power = power
+
+    def finish(self, num: int, den: int, w: int = 1, n: int = 0):
+        """num / (den w^n) for a unit den, as a Fraction or as the PadicNum path states it.
+
+        That path knows num / den to A digits and w = 1 - q^alpha = p^v d
+        to A, so d^n to A - v; where w is zero to A digits, its w ** 0
+        gives 1 DEFAULT_PRECISION digits and any other power fails.
+        """
+        if self.m is None:
+            return Fraction(num, den * w**n)
+        if w == 1:
+            return PadicNum(self.p, 0, num * pow(den, -1, self.m), self.prec)
+        p, prec, m = self.p, self.prec, self.m
+        num, den, w = num % m, den % m, w % m
+        if w == 0 and n:
+            zero = PadicNum.approx_zero(p, n * prec)
+            raise PrecisionError(f"precision exhausted: division by {zero!r}, zero at working precision")
+        v = _vp(w, p) if w else 0
+        # r digits before the constructor takes v_p(num) out of the unit; w = 0 only at n = 0, where 0^0 = 1
+        r = min(prec, (prec - v if w else DEFAULT_PRECISION) + (_vp(num, p) if num else prec))
+        return PadicNum(p, -n * v, num * pow(den * (w // p**v) ** n, -1, p**r), r)
+
+
+def _ints(mode, capped: bool = True):
+    """The _Ints of a rational or p-adic mode, built once per root mode, base and cap; None for a symbolic mode."""
     root = root_mode(mode)
-    if root.kind != "padic":
+    if root.kind == "symbolic":
         return None
-    fixed = root._fixed[capped]
-    if isinstance(mode, BaseLifted):
-        p, prec, m, _ = fixed
-        fixed = p, prec, m, _residue_power(p, root.q.unit, m, mode.base)
-    return fixed
-
-
-def _residue_power(p: int, u: int, m: int, base: int = 1):
-    """e -> the residue mod m = p^A of q^(base e) for q = u + O(p^A), a 1-unit, as an int."""
-    def q_power(e) -> int:
-        if type(e) is int:
-            return pow(u, base * e, m)
-        e = Fraction(e) * base
-        if e.denominator % p == 0:
-            raise ExponentError(f"exponent {e} is not a {p}-adic integer")
-        return pow(u, e.numerator * pow(e.denominator, -1, m), m)
-
-    return q_power
+    key = mode.base if isinstance(mode, BaseLifted) else 1, capped
+    if key not in root._ints:
+        root._ints[key] = _Ints(root, *key)
+    return root._ints[key]
 
 
 def _fixed_denominator(mode):
     """For a symbolic mode, e -> k with mode.q_power(e) = Q^k, raising what q_power raises; else None."""
     root, base = root_mode(mode), mode.base if isinstance(mode, BaseLifted) else 1
     return (lambda e: root._exponent(e * base)) if root.kind == "symbolic" else None
-
-
-def _fixed_rational(mode):
-    """For a rational mode at q0 = u/v, (u, v, k) with mode.q_power(e) = q0^k(e), k raising what q_power raises; else None."""
-    root, base = root_mode(mode), mode.base if isinstance(mode, BaseLifted) else 1
-    return (*root.q0.as_integer_ratio(), lambda e: root._exponent(e * base)) if root.kind == "rational" else None
-
-
-def _ratio(u: int, v: int, k: int) -> tuple:
-    """(a, b) with (u/v)^k = a/b as ints; u != 0 when k < 0."""
-    return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
-
-
-def _numbers_rational(top: int, alpha: int, u: int, v: int, k) -> list:
-    """N with E_l = N[l] / N[0] at q = u/v on ints; None where a 1 + q^(alpha j + 1) vanishes, for the generic loop."""
-    (c, _), (a, b) = _ratio(u, v, k(1)), _ratio(u, v, k(alpha))
-    # N[0] = prod_j d_j with d_j = v^b (1 + q^b) for q^b = q^(alpha j + 1); d_n divides N[l] for l < n
-    dens = [sum(_ratio(u, v, k(alpha * j + 1))) for j in range(1, top + 1)]
-    nums = [prod(dens)]
-    for n, d in enumerate(dens if nums[0] else (), 1):
-        nums.append(-c * sum(comb(n, l) * a**l * b ** (n - l) * nums[l] for l in range(n)) // d)
-    return nums if nums[0] else None
 
 
 def _binomial(k: int) -> list:
@@ -701,67 +679,55 @@ def _ratfunc(num: list, den: list, g: int) -> RatFunc:
     return RatFunc(_poly(num, 1), _poly(den, 1))._spread(g)
 
 
-def _geometric_mod(r: int, x: int, m: int) -> int:
-    """1 + r + ... + r^(x-1) mod m."""
-    s, t = 0, 1
+def _geometric(a: int, b: int, x: int, red) -> int:
+    """g with 1 + r + ... + r^(x-1) = g / b^x for r = a/b."""
+    g, t = 0, 1
     for _ in range(x):
-        s += t
-        t = t * r % m
-    return s % m
+        t *= b
+        g = red(g * a + t)
+    return g
 
 
-def _closed_form_mod(n: int, alpha: int, x, p: int, prec: int, m: int, q_power) -> PadicNum:
-    """qeuler_poly on ints mod p^A, A = prec, as the PadicNum path states it.
-
-    The sum is S / D over D = prod_l (1 + q^(alpha l + 1)), a unit, so one
-    inverse serves it and the tail.  That path knows (1 + q) S / D to A
-    digits and 1 - q^alpha = p^v d to A, so d^n to A - v; where
-    1 - q^alpha is zero to A digits, its x ** 0 gives 1 DEFAULT_PRECISION
-    digits and any other power fails.
-    """
-    # q^(alpha l x) and q^(alpha l + 1) as running products; like the
-    # generic loop, n = 0 forms no q^(alpha l x) with l > 0, so a p in
-    # x's denominator raises nothing there
-    step = q_power(alpha * x) if n else 1
-    q, q_alpha = q_power(1), q_power(alpha)
-    num, den, top, bot = 1, q, 0, 1
+def _closed_form_at(n: int, alpha: int, x, iv):
+    """qeuler_poly's generic loop on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e."""
+    power, red = iv.power, iv.red
+    (c, w), (a, b) = power(1), power(alpha)
+    # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as in the generic loop,
+    # 1 + q = 0 at l = 0 is that pole before q^(alpha x) can fail, and n = 0 forms no q^(alpha x)
+    sa, sb = power(alpha * x) if n and x and c != -w else (1, 1)
+    num, den, s, t, d, e = 0, 1, 1, 1, c, w
     for l in range(n + 1):
-        c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-        top, bot = (top * (1 + den) + c * num * bot) % m, bot * (1 + den) % m
-        num, den = num * step % m, den * q_alpha % m
-    d = (1 - q_alpha) % m
-    if d == 0 and n:
-        zero = PadicNum.approx_zero(p, n * prec)
-        raise PrecisionError(f"precision exhausted: division by {zero!r}, zero at working precision")
-    v = _vp(d, p) if d else 0
-    if top == 0:
-        return PadicNum.approx_zero(p, prec - n * v)
-    w = _vp(top, p)
-    r = min(prec - w, prec - v if d else DEFAULT_PRECISION)
-    # d = 0 only at n = 0, where (d / p^v)^n is 0^0 = 1
-    unit = (1 + q) * (top // p**w) * pow(bot * (d // p**v) ** n, -1, p**r)
-    return PadicNum._unit(p, w - n * v, unit % p**r, r)
+        f = t * (e + d)
+        num, den = num * f + (-1) ** l * comb(n, l) * s * e * den, den * f
+        s, t, d, e = red(s * sa), t * sb, red(d * a), e * b
+    return iv.finish(num * (w + c) * b**n, den * w, b - a, n)
 
 
-def _numbers_mod(top: int, alpha: int, m: int, q_power) -> list:
-    """qeuler_numbers' recurrence on ints mod p^A, E_0 = 1 included.
+def _numbers_at(top: int, alpha: int, iv) -> list:
+    """N with E_l = N[l] / N[0] for l <= top at a fixed q.
 
-    Every E_n with n >= 1 claims exactly A digits on the PadicNum path
-    too.  Its sum adds the K-digit one to terms known to A + v_p(C(n,l))
-    digits, so it is known to A digits unless n = p^k, where p divides
-    every C(n,l) with 0 < l < n.  There E_n = -1/2 mod p (Kummer's
-    congruence; for p = 3, von Staudt's theorem), so the sum is 1 mod p,
-    a unit, and E_n = -q * sum / (1 + q^(alpha n + 1)) keeps A digits.
+    With q = c/w, q^alpha = a/b = (c/w)^alpha and 1 + q^(alpha n + 1) =
+    d_n / w^(alpha n + 1), E_n = b^n M[n] / N[0] for M[0] = N[0] and M[n]
+    = -c sum_{l<n} C(n,l) a^l M[l] / d_n.  At q = u/v, N[0] = prod_n d_n
+    makes each division exact; at a p-adic q, N[0] = 1 = b.  A p-adic E_n
+    with n >= 1 claims exactly A digits on the PadicNum path too.  Its
+    sum adds the K-digit one to terms known to A + v_p(C(n,l)) digits, so
+    it is known to A digits unless n = p^k, where p divides every C(n,l)
+    with 0 < l < n.  There E_n = -1/2 mod p (Kummer's congruence; for
+    p = 3, von Staudt's theorem), so the sum is 1 mod p, a unit, and
+    E_n = -q * sum / (1 + q^(alpha n + 1)) keeps A digits.
     """
-    q, q_alpha = q_power(1), q_power(alpha)
-    numbers = [1]
-    # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
-    weighted = [1]
-    q_an = 1
-    for n in range(1, top + 1):
-        acc = 1 + sum(comb(n, l) * weighted[l] for l in range(1, n))
-        q_an = q_an * q_alpha % m
-        e_n = -q * acc * pow(1 + q * q_an, -1, m) % m
-        numbers.append(e_n)
-        weighted.append(q_an * e_n % m)
-    return numbers
+    power, red, m = iv.power, iv.red, iv.m
+    (c, _), (a, b) = power(1), power(alpha)
+    dens = [sum(power(alpha * n + 1)) for n in range(1, top + 1)]
+    nums = [prod(dens) if m is None else 1]
+    # weighted[l] = a^l M[l], the factor every later M[n] sums over
+    weighted, a_n = nums[:], 1
+    for n, d in enumerate(dens, 1):
+        if d == 0:
+            raise PoleError(f"pole in q-Euler numbers (1 + q^{alpha * n + 1} vanishes at this q)")
+        acc = -c * sum(comb(n, l) * weighted[l] for l in range(n))
+        nums.append(acc // d if m is None else acc * pow(d, -1, m) % m)
+        a_n = red(a_n * a)
+        weighted.append(red(a_n * nums[n]))
+    return [b**l * v for l, v in enumerate(nums)]

@@ -220,7 +220,10 @@ class Poly:
         return Fraction(acc, bp * self._den)
 
     def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+        den = self._den
+        if den == 1:
+            return [str(c) for c in self._num]
+        return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}" for c in self._num]
 
     def render(self, var: str = "q") -> str:
         if self.is_zero:

@@ -257,8 +257,8 @@ class TestIntRationalLevelSums:
     def assert_same(run):
         fast = _typed_outcome(run)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qeuler, "_fixed_rational", lambda mode: None)
-            mp.setattr(oracle, "_fixed_rational", lambda mode: None)
+            mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
+            mp.setattr(oracle, "_ints", lambda mode, capped=True: None)
             slow = _typed_outcome(run)
         assert fast == slow
 

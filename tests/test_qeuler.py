@@ -513,8 +513,8 @@ class TestFixedModulus:
     def assert_same(run):
         fast = _outcome(run)
         with pytest.MonkeyPatch.context() as mp:
-            # every int kernel, the sums' included, asks _fixed_modulus first
-            mp.setattr(qeuler, "_fixed_modulus", lambda mode, capped=True: None)
+            # every int kernel, the sums' included, asks _ints first
+            mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
             slow = _outcome(run)
         assert fast == slow
 
@@ -717,7 +717,7 @@ class TestFixedRational:
     def assert_same(run):
         fast = _typed(_outcome(run))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qeuler, "_fixed_rational", lambda mode: None)
+            mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
             slow = _typed(_outcome(run))
         assert fast == slow
 
@@ -764,3 +764,25 @@ class TestFixedRational:
         assert qeuler_poly(4, 2, -3, mode).value != qeuler_poly_additive(4, 2, 3, mode).value
         assert len(qeuler_numbers(5, 2, mode)) == 6
         assert q_int(4, 2, mode) == sum(Fraction(-2, 3) ** (4 * i) for i in range(4))
+
+
+class TestIntView:
+    """_ints builds the int view of q^e once per root mode, base and cap."""
+
+    @pytest.mark.parametrize("mode", [RationalMode(Fraction(-2, 3)), padic_mode(4, 3, 16)])
+    def test_lifted_wrappers_share_one_cached_view(self, mode):
+        view = qeuler._ints(BaseLifted(mode, 3))
+        assert view is not None and qeuler._ints(BaseLifted(mode, 3)) is view
+        assert qeuler._ints(BaseLifted(BaseLifted(mode, 3), 1)) is view
+        assert qeuler._ints(BaseLifted(mode, 2)) is not view
+        assert qeuler._ints(mode) is qeuler._ints(mode) is not view
+        # q^e at base 3 is the lifted mode's q^e, exactly or as its residue mod p^A
+        lifted = BaseLifted(mode, 3)
+        if view.m is None:
+            assert Fraction(*view.power(-2)) == lifted.q_power(-2)
+        else:
+            assert view.power(Fraction(2, 5)) == (lifted.q_power(Fraction(2, 5)).unit % view.m, 1)
+
+    def test_a_symbolic_mode_has_none(self):
+        assert qeuler._ints(SYM) is None
+        assert qeuler._ints(BaseLifted(SymbolicMode(2), 3)) is None

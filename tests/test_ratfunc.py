@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qde import qeuler, ratfunc
 from qde.catalog import check
 from qde.errors import PoleError, PreconditionError, ResourceLimitError
-from qde.exact import parse_rational
+from qde.exact import format_rational, parse_rational
 from qde.qeuler import SymbolicMode, measure, q_int
 from qde.ratfunc import (
     KRONECKER_MIN_LEN,
@@ -178,6 +178,12 @@ class TestPoly:
         p = P(Fraction(-1, 2), 0, 1)
         assert p.to_strings() == ["-1/2", "0", "1"]
         assert Poly(map(parse_rational, p.to_strings())) == p
+
+    @given(wide_polys)
+    def test_strings_match_format_rational(self, p):
+        # wide_polys mixes ints and Fractions; scaled by its denominator, p has none
+        for q in (p, p.scale(p._den)):
+            assert q.to_strings() == [format_rational(c) for c in q.coeffs]
 
     def test_render(self):
         assert P(Fraction(-1, 2), 1).render("x") == "-1/2+x"
