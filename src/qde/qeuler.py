@@ -490,7 +490,8 @@ def alternating_sum(mode, terms, weight=None):
     zero term is skipped, an approximate zero adds only its absolute
     precision, and q^e carries q's digits, as q ** e does.
     """
-    if (iv := _ints(mode, capped=False)) is None or iv.m is None:
+    iv = _ints(mode, capped=False) if root_mode(mode).kind == "padic" else None
+    if iv is None:
         acc = mode.from_rational(0)
         for i, factors in enumerate(terms):
             t = reduce(mul, factors)
@@ -526,7 +527,8 @@ def residue_split(mode, count: int, step: int, corrected: bool, term):
     the sum on ints.
     """
     acc = alternating_sum(mode, map(term, range(count)), (lambda i: step * i) if corrected else None)
-    if (iv := _ints(mode)) is None or iv.m is None:
+    iv = _ints(mode) if root_mode(mode).kind == "padic" else None
+    if iv is None:
         one = mode.from_rational(1)
         return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
     if acc.is_zero:
@@ -585,8 +587,6 @@ class _Ints:
         """
         if self.m is None:
             return Fraction(num, den * w**n)
-        if w == 1:
-            return PadicNum(self.p, 0, num * pow(den, -1, self.m), self.prec)
         p, prec, m = self.p, self.prec, self.m
         num, den, w = num % m, den % m, w % m
         if w == 0 and n:
@@ -595,7 +595,7 @@ class _Ints:
         v = _vp(w, p) if w else 0
         # r digits before the constructor takes v_p(num) out of the unit; w = 0 only at n = 0, where 0^0 = 1
         r = min(prec, (prec - v if w else DEFAULT_PRECISION) + (_vp(num, p) if num else prec))
-        return PadicNum(p, -n * v, num * pow(den * (w // p**v) ** n, -1, p**r), r)
+        return PadicNum(p, -n * v, num * pow(den * (w // p**v) ** n, -1, m if r == prec else p**r), r)
 
 
 def _ints(mode, capped: bool = True):
@@ -698,7 +698,7 @@ def _closed_form_at(n: int, alpha: int, x, iv):
     num, den, s, t, d, e = 0, 1, 1, 1, c, w
     for l in range(n + 1):
         f = t * (e + d)
-        num, den = num * f + (-1) ** l * comb(n, l) * s * e * den, den * f
+        num, den = red(num * f + (-1) ** l * comb(n, l) * s * e * den), red(den * f)
         s, t, d, e = red(s * sa), t * sb, red(d * a), e * b
     return iv.finish(num * (w + c) * b**n, den * w, b - a, n)
 
@@ -707,7 +707,7 @@ def _numbers_at(top: int, alpha: int, iv) -> list:
     """N with E_l = N[l] / N[0] for l <= top at a fixed q.
 
     With q = c/w, q^alpha = a/b = (c/w)^alpha and 1 + q^(alpha n + 1) =
-    d_n / w^(alpha n + 1), E_n = b^n M[n] / N[0] for M[0] = N[0] and M[n]
+    d_n / (w b^n), E_n = b^n M[n] / N[0] for M[0] = N[0] and M[n]
     = -c sum_{l<n} C(n,l) a^l M[l] / d_n.  At q = u/v, N[0] = prod_n d_n
     makes each division exact; at a p-adic q, N[0] = 1 = b.  A p-adic E_n
     with n >= 1 claims exactly A digits on the PadicNum path too.  Its
@@ -717,9 +717,9 @@ def _numbers_at(top: int, alpha: int, iv) -> list:
     p = 3, von Staudt's theorem), so the sum is 1 mod p, a unit, and
     E_n = -q * sum / (1 + q^(alpha n + 1)) keeps A digits.
     """
-    power, red, m = iv.power, iv.red, iv.m
-    (c, _), (a, b) = power(1), power(alpha)
-    dens = [sum(power(alpha * n + 1)) for n in range(1, top + 1)]
+    red, m = iv.red, iv.m
+    (c, w), (a, b) = iv.power(1), iv.power(alpha)
+    dens = [c * pow(a, n, m) + w * b**n for n in range(1, top + 1)]  # pow(a, n, None) is a**n
     nums = [prod(dens) if m is None else 1]
     # weighted[l] = a^l M[l], the factor every later M[n] sums over
     weighted, a_n = nums[:], 1
