@@ -6,8 +6,12 @@ x in {0, 3, 1/3, 2/5, -1}, plus the runs at x = 2/5 with the scale
 forced to 15; and in p-adic mode at p = 3, K = 32 and p = 5, K = 128, at
 x in {0, 3, 1/2, 2/5, -1, 1/3}.  At p = 3 the x = 1/3 runs, and at
 p = 5 the x = 2/5 runs, have p in x's denominator: from n = 1 on they
-exit 1 with an ExponentError on stderr.  Its digest is the SHA-256 of stdout followed by the exit
-code, so any change to a value, its rendering or the exit code shows up.
+exit 1 with an ExponentError on stderr.  At n <= 4 and alpha <= 2 it
+also runs p = 3, K = 128 and p = 5, K = 32 at x in {-1/2, -2/7, 3/4,
+5/7}: fractional powers of q with a negative numerator, and with the
+denominators 4 and 7.  Each run's digest is the SHA-256 of stdout
+followed by the exit code, so any change to a value, its rendering or
+the exit code shows up.
 A deliberate output change regenerates the file with
 
     PYTHONPATH=src python tests/test_qeuler_golden.py
@@ -27,6 +31,9 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "qeuler_golden.json"
 
 # (mode, the golden x with p in its denominator)
 PADIC_MODES = {"padic:p=3,K=32": "1/3", "padic:p=5,K=128": "2/5"}
+# the other precision at each prime, at fractional x with a negative numerator or a new denominator
+FRACTION_MODES = ("padic:p=3,K=128", "padic:p=5,K=32")
+FRACTION_XS = ("-1/2", "-2/7", "3/4", "5/7")
 
 
 def golden_runs() -> list:
@@ -43,6 +50,11 @@ def golden_runs() -> list:
         for n in range(7):
             for alpha in (1, 2, 3):
                 for x in ("0", "3", "1/2", "2/5", "-1", "1/3"):
+                    runs.append(["--n", str(n), "--alpha", str(alpha), f"--x={x}", "--mode", mode])
+    for mode in FRACTION_MODES:
+        for n in range(5):
+            for alpha in (1, 2):
+                for x in FRACTION_XS:
                     runs.append(["--n", str(n), "--alpha", str(alpha), f"--x={x}", "--mode", mode])
     return runs
 
