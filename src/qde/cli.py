@@ -6,10 +6,10 @@ identity over a parameter grid and streams one JSON report per point,
 and oracle prints a convergence profile of definition-level Riemann
 sums against the closed form.
 
-Exit codes: 0 all good, 1 a computation or an identity check failed,
-2 the invocation itself was wrong.  Flag values outside their
-documented ranges count as usage errors; domain violations discovered
-while computing (a pole, a gcd constraint) exit 1.
+Exit codes: 0 all good, 1 a computation or an identity check failed or
+stdout was closed early, 2 the invocation itself was wrong.  Flag
+values outside their documented ranges count as usage errors; domain
+violations discovered while computing (a pole, a gcd constraint) exit 1.
 """
 
 import argparse
@@ -237,14 +237,24 @@ def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
     """Run one qde command line, by default sys.argv[1:].
 
     A usage error exits 2, verify exits 0 or 1, and the other commands exit 1 on a
-    QdeError; otherwise standalone mode exits 0, and without it main returns.
+    QdeError; every command exits 1, with no traceback, when stdout is closed
+    before its output is written (qde ... | head).  Otherwise standalone mode
+    exits 0, and without it main returns.
     """
     options = vars(_parser(prog_name).parse_args(args))
     cmd, parser = options.pop("command"), options.pop("parser")
     try:
-        cmd.callback(**options)
-    except UsageError as exc:
-        parser.error(str(exc))
+        try:
+            cmd.callback(**options)
+        except UsageError as exc:
+            parser.error(str(exc))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing reads stdout any more: so that the interpreter's own last flush fails
+        # with no traceback either, the rest of the output goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     if standalone_mode:
         sys.exit(0)
 

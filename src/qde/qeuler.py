@@ -37,6 +37,14 @@ PadicNum digit for digit and in its claimed precision.  qeuler_poly's
 one non-unit divisor, (1 - q^alpha)^n = p^(n v) d^n, takes the
 valuation and the precision that path gives it (_Ints.finish).
 
+What depends only on the mode is formed once and cached on it: one int
+view per lifted base and A, so a q known to at most K digits has one
+view whether or not the kernel caps at K; one root r_b = q^(1/b) =
+q^(b^-1 mod p^A) per A and exponent denominator b, shared by every
+base, so q^(a/b) = r_b^a is a power with a small exponent; (q^(b^-1))^a
+is q^(a b^-1), the residue one large power gives.  The recurrence takes
+one modular inverse per table (_inverses).
+
 The alternating sums that combine such values (alternating_sum: the
 residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
 bracket_weighted_sum) add on ints mod p^A too.  A capped-relative sum
@@ -68,6 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, prod
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import mul, pos
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
@@ -160,7 +169,7 @@ class PadicMode:
     """Evaluate with q a p-adic number satisfying v_p(1 - q) >= 1."""
 
     kind = "padic"
-    __slots__ = ("q", "cfg", "_ints")
+    __slots__ = ("q", "cfg", "_ints", "_roots")
 
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
@@ -172,6 +181,7 @@ class PadicMode:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "_ints", {})
+        object.__setattr__(self, "_roots", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicMode is immutable")
@@ -549,11 +559,12 @@ class _Ints:
     """q^e as an int pair (a, b), q^e = a/b, raising what the mode's q_power raises.
 
     Exact at q = u/v, where red leaves an int alone and m is None.  At a
-    p-adic q it is (q^e mod m, 1), m = p^A, and red reduces mod m; A is q's
-    absolute precision, capped at K where the kernel adds the K-digit one.
+    p-adic q it is (q^e mod m, 1), m = p^prec, and red reduces mod m;
+    q^(a/b) is r_b^a for the root r_b = q^(1/b) the mode caches per prec
+    and b.
     """
 
-    def __init__(self, root, base: int, capped: bool):
+    def __init__(self, root, base: int, prec):
         if root.kind == "rational":
             u, v = root.q0.numerator, root.q0.denominator
             self.red, self.m = pos, None
@@ -562,9 +573,9 @@ class _Ints:
                 k = root._exponent(e * base)  # u != 0 when k < 0
                 return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
         else:
-            p, u = root.cfg.p, root.q.unit
-            self.p, self.prec = p, min(root.q.abs_prec, root.cfg.prec) if capped else root.q.abs_prec
-            m = self.m = p**self.prec
+            p, u, roots = root.cfg.p, root.q.unit, root._roots
+            self.p, self.prec = p, prec
+            m = self.m = p**prec
             self.red = m.__rmod__
 
             def power(e) -> tuple:
@@ -572,9 +583,12 @@ class _Ints:
                 if type(e) is int:
                     return pow(u, base * e, m), 1
                 e = Fraction(e) * base
-                if e.denominator % p == 0:
+                b = e.denominator
+                if b % p == 0:
                     raise ExponentError(f"exponent {e} is not a {p}-adic integer")
-                return pow(u, e.numerator * pow(e.denominator, -1, m), m), 1
+                if (prec, b) not in roots:
+                    roots[prec, b] = pow(u, pow(b, -1, m), m)
+                return pow(roots[prec, b], e.numerator, m), 1
 
         self.power = power
 
@@ -599,11 +613,16 @@ class _Ints:
 
 
 def _ints(mode, capped: bool = True):
-    """The _Ints of a rational or p-adic mode, built once per root mode, base and cap; None for a symbolic mode."""
+    """The _Ints of a rational or p-adic mode, built once per root mode, base and precision; None for a symbolic mode.
+
+    The precision is q's absolute one, capped at K where the kernel adds
+    the K-digit one, so for a q known to at most K digits both are one view.
+    """
     root = root_mode(mode)
     if root.kind == "symbolic":
         return None
-    key = mode.base if isinstance(mode, BaseLifted) else 1, capped
+    prec = None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
+    key = mode.base if isinstance(mode, BaseLifted) else 1, prec
     if key not in root._ints:
         root._ints[key] = _Ints(root, *key)
     return root._ints[key]
@@ -721,13 +740,31 @@ def _numbers_at(top: int, alpha: int, iv) -> list:
     (c, w), (a, b) = iv.power(1), iv.power(alpha)
     dens = [c * pow(a, n, m) + w * b**n for n in range(1, top + 1)]  # pow(a, n, None) is a**n
     nums = [prod(dens) if m is None else 1]
+    if m is not None:
+        # each d_n is 2 mod p, a unit: multiply by its inverse, all of them from one pow
+        dens = _inverses(dens, m)
     # weighted[l] = a^l M[l], the factor every later M[n] sums over
     weighted, a_n = nums[:], 1
     for n, d in enumerate(dens, 1):
         if d == 0:
             raise PoleError(f"pole in q-Euler numbers (1 + q^{alpha * n + 1} vanishes at this q)")
         acc = -c * sum(comb(n, l) * weighted[l] for l in range(n))
-        nums.append(acc // d if m is None else acc * pow(d, -1, m) % m)
+        nums.append(acc // d if m is None else acc * d % m)
         a_n = red(a_n * a)
         weighted.append(red(a_n * nums[n]))
     return [b**l * v for l, v in enumerate(nums)]
+
+
+def _inverses(xs: list, m: int) -> list:
+    """[x^-1 mod m for x in xs], every x a unit mod m, from one modular inverse (Montgomery's trick).
+
+    With prefix products P_i = x_0 ... x_(i-1), x_i^-1 = P_i (P_(i+1))^-1,
+    and each (P_i)^-1 is x_i (P_(i+1))^-1 (P. L. Montgomery, Math. Comp.
+    48, 1987).
+    """
+    pre = list(accumulate(xs, lambda s, x: s * x % m, initial=1))
+    inv, out = pow(pre.pop(), -1, m), []
+    for x, before in zip(reversed(xs), reversed(pre)):
+        out.append(inv * before % m)
+        inv = inv * x % m
+    return out[::-1]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qde
 from conftest import run_cli
 from qde.cli import main
 
@@ -92,6 +97,20 @@ class TestContract:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "--out" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--identity", "eq4", "--params", "n<=3,alpha=1,x=2", "--mode", "rational:q=1/2"],
+        ["euler", "--n", "3"],
+    ], ids=" ".join)
+    def test_closed_stdout_exits_one_without_a_traceback(self, args):
+        # as in `qde verify ... | head -c 200`: the reader is gone before qde writes
+        env = {**os.environ, "PYTHONPATH": str(Path(qde.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "qde", *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert stderr == ""
 
     def test_in_process_entry_point(self, capsys):
         # the call shape of in-process callers: the exit code travels only in a SystemExit

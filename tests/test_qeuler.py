@@ -767,7 +767,7 @@ class TestFixedRational:
 
 
 class TestIntView:
-    """_ints builds the int view of q^e once per root mode, base and cap."""
+    """_ints builds the int view of q^e once per root mode, base and precision."""
 
     @pytest.mark.parametrize("mode", [RationalMode(Fraction(-2, 3)), padic_mode(4, 3, 16)])
     def test_lifted_wrappers_share_one_cached_view(self, mode):
@@ -786,3 +786,66 @@ class TestIntView:
     def test_a_symbolic_mode_has_none(self):
         assert qeuler._ints(SYM) is None
         assert qeuler._ints(BaseLifted(SymbolicMode(2), 3)) is None
+
+    @pytest.mark.parametrize("extra", [-3, 0, 4])
+    @pytest.mark.parametrize("K", [1, 2, 16, 128])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @settings(max_examples=8)
+    @given(st.integers(1, 10**9), st.integers(1, 5),
+           st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 30)), min_size=1, max_size=8))
+    def test_fractional_power_is_one_modular_power(self, p, K, extra, k, base, exps):
+        # q known to K - 3, K or K + 4 digits; q^(a/b) at base B is one power u^(a' b'^-1) mod p^A with
+        # a'/b' = a B / b in lowest terms, whatever root it went through
+        q = PadicNum.from_rational(1 + p * k, p, max(1, K + extra))
+        mode = BaseLifted(PadicMode(q, PadicConfig(p, K)), base)
+        roots = root_mode(mode)._roots
+        for view in (qeuler._ints(mode), qeuler._ints(mode, capped=False)):
+            m = view.m
+            for a, b in exps:
+                e = Fraction(a, b) * base
+                if e.denominator % p == 0:
+                    before = dict(roots)
+                    with pytest.raises(ExponentError, match=f"is not a {p}-adic integer"):
+                        view.power(Fraction(a, b))
+                    assert roots == before
+                else:
+                    assert view.power(Fraction(a, b)) == (pow(q.unit, e.numerator * pow(e.denominator, -1, m), m), 1)
+
+    def test_lifted_bases_share_one_root_per_denominator(self):
+        mode = padic_mode(4, 3, 128)
+        # q^(2/7) at base 1, q^(4/7) at base 2 and q^(-12/7) at base 6 all come from q^(1/7)
+        for base, e in ((1, Fraction(2, 7)), (2, Fraction(2, 7)), (6, Fraction(-2, 7))):
+            qeuler._ints(BaseLifted(mode, base)).power(e)
+        assert list(mode._roots) == [(128, 7)]
+
+    def test_a_capped_q_has_one_view_per_precision(self):
+        # q known to at most K digits: the capped and uncapped views are one view
+        for q_prec in (12, 16):
+            mode = PadicMode(PadicNum.from_rational(4, 3, q_prec), PadicConfig(3, 16))
+            assert qeuler._ints(mode, capped=False) is qeuler._ints(mode)
+            assert qeuler._ints(mode).m == 3**q_prec
+        # known to more, the kernels that add the K-digit one work mod p^K and the others mod p^abs_prec(q)
+        mode = PadicMode(PadicNum.from_rational(4, 3, 20), PadicConfig(3, 16))
+        capped, uncapped = qeuler._ints(mode), qeuler._ints(mode, capped=False)
+        assert capped is not uncapped
+        assert (capped.m, uncapped.m) == (3**16, 3**20)
+
+    def test_the_recurrence_makes_one_modular_inverse(self, monkeypatch):
+        # finish divides each E_n by N[0] = 1; inverting 1 is no work, so only the other inverses count
+        inverses = []
+
+        def counting_pow(x, e, m=None):
+            if e == -1 and x % m != 1:
+                inverses.append(x)
+            return pow(x, e, m)
+
+        monkeypatch.setattr(qeuler, "pow", counting_pow, raising=False)
+        qeuler_numbers(8, 2, padic_mode(4, 3, 128))
+        assert len(inverses) == 1
+
+    @pytest.mark.parametrize("K", [1, 2, 128])
+    def test_one_inverse_gives_the_per_step_table(self, K, monkeypatch):
+        table = qeuler_numbers(8, 2, padic_mode(4, 3, K))
+        # one pow(d_n, -1, p^A) per step, as the recurrence divided before
+        monkeypatch.setattr(qeuler, "_inverses", lambda xs, m: [pow(x, -1, m) for x in xs])
+        assert table == qeuler_numbers(8, 2, padic_mode(4, 3, K))
