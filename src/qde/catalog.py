@@ -149,9 +149,9 @@ def _eq6(pt, variant, mode):
         raise PreconditionError(f"need p = {p} dividing k = {k}")
     if (m + 1) % (p - 1) != 0:
         raise PreconditionError(f"need m + 1 divisible by p - 1, got m={m} p={p}")
-    for big_m in range(1, k):
-        if (h * big_m) % p == 0:
-            raise PreconditionError(f"p = {p} divides h*M at M = {big_m}")
+    # h is a unit mod p | k, so p | hM first at M = p
+    if k > p:
+        raise PreconditionError(f"p = {p} divides h*M at M = {p}")
     lhs = q_int(k, alpha, mode) ** (m + 1) * q_dc_sum(m, h, k, alpha, k, mode).value
     return lhs, bracket_weighted_sum(m, h, k, alpha, "naive", mode)
 

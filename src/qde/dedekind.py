@@ -103,8 +103,6 @@ def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode) -> QEulerValue:
     ExponentError from the inside; no pre-check duplicates that.
     """
     DCParams(h=h, k=k, m=m, alpha=alpha, l=l)
-    if k == 1:
-        return _wrap(mode, mode.from_rational(0))
     lifted = BaseLifted(mode, l)
     acc = alternating_sum(mode, (
         (q_int(big_m, alpha, mode), qeuler_poly(m, alpha, Fraction((h * big_m) % k, k), lifted).value)
@@ -141,8 +139,6 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     inner = qeuler_poly(m, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p)).value
     if variant == "interpolated_printed":
         second = q_int(n_mod * p, alpha, mode) ** m * inner
-    elif m == 0:
-        second = q_int(n_mod * p, alpha, mode) / q_int(n_mod, alpha, mode) * inner
     else:
         second = q_int(n_mod, alpha, mode) ** (m - 1) * q_int(n_mod * p, alpha, mode) * inner
     return _wrap(mode, first - second)
@@ -189,9 +185,8 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     acc = mode.from_rational(0)
     rpow = one
     for j, (coeff, euler_j) in enumerate(zip(coeffs, numbers)):
-        if j > 0:
-            rpow = rpow * ratio
         acc = acc + coeff * mode.q_power(alpha * a * j) * euler_j * rpow
+        rpow = rpow * ratio
     value = head * acc
     if not terminates:
         value = value + PadicNum.approx_zero(cfg.p, (j_trunc + 1) * int(ratio.valuation))

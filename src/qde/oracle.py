@@ -189,11 +189,7 @@ def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
 
 def _difference_valuation(diff, p: int):
     """v_p of a level difference, a PadicNum or a Fraction; None when exactly zero."""
-    if isinstance(diff, PadicNum):
-        if diff.is_exact_zero:
-            return None
-        return int(diff.valuation)
-    v = rational_valuation(diff, p)
+    v = diff.valuation if isinstance(diff, PadicNum) else rational_valuation(diff, p)
     return None if v is inf else int(v)
 
 

@@ -48,6 +48,8 @@ def _vp(n: int, p: int) -> int:
 
 def rational_valuation(x, p: int):
     """v_p of an exact Fraction or int; inf for zero."""
+    if p < 2:  # _vp(n, 1) and _vp(n, -1) never return
+        raise PreconditionError(f"p must be at least 2, got {p}")
     x = Fraction(x)
     if x == 0:
         return inf
@@ -137,6 +139,8 @@ class PadicNum:
 
     @classmethod
     def from_rational(cls, x, p: int, prec: int = DEFAULT_PRECISION) -> "PadicNum":
+        if p < 2:
+            raise PreconditionError(f"p must be at least 2, got {p}")
         x = Fraction(x)
         if x == 0:
             return cls.zero(p)

@@ -51,7 +51,9 @@ bracket_weighted_sum) add on ints mod p^A too.  A capped-relative sum
 is the true sum mod p^N, N the least absolute precision of its terms,
 in normalized form: each addition keeps the running sum mod the smaller
 absolute precision.  So one wrap of the int sum mod p^N is the same
-PadicNum as adding term by term.
+PadicNum as adding term by term.  residue_split's ratio
+(1 + q^step)/(1 + q^(step count)) is finished by the int view at a
+rational q and at a p-adic one alike.
 
 In symbolic mode the same four kernels run on int coefficient lists
 over a denominator known in advance, a product of binomials 1 + q^k,
@@ -246,9 +248,7 @@ class QEulerValue:
 def serialize_value(v):
     if isinstance(v, Fraction):
         return format_rational(v)
-    if isinstance(v, RatFunc):
-        return v.to_json()
-    if isinstance(v, PadicNum):
+    if isinstance(v, (RatFunc, PadicNum)):
         return v.to_json()
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
@@ -356,8 +356,6 @@ def euler_classical(n: int) -> Poly:
     """
     if n < 0:
         raise PreconditionError(f"index must be nonnegative, got {n}")
-    if n == 0:
-        return Poly.one()
     acc = Poly.zero()
     for k in range(n):
         acc = acc + euler_classical(k).scale(comb(n, k))
@@ -427,7 +425,7 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
             # a bound on every degree the recurrence forms
             _guard_degree(g * (alpha * top * (top + 3) // 2 + top))
             nums = _numbers_ints(top, alpha)
-            return [one] + [_ratfunc(e_n, list(nums[0]), g) for e_n in nums[1:]]
+            return [one] + [_ratfunc(e_n, nums[0], g) for e_n in nums[1:]]
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     if iv := _ints(mode):
@@ -472,9 +470,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
             g = fd(1)
             # a bound on every degree the recurrence and the sum form
             _guard_degree(g * (alpha * n * (n + 3) // 2 + n + alpha * x * (2 * n + 1)))
-            nums, bracket, acc, power = _numbers_ints(n, alpha), [], [], [1]
-            for i in range(x):
-                _axpy(bracket, 1, [1], alpha * i)
+            nums, bracket, acc, power = _numbers_ints(n, alpha), _stretch([1] * x, alpha), [], [1]
             for l in range(n, -1, -1):
                 _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
                 power = _prod(power, bracket)
@@ -532,20 +528,16 @@ def residue_split(mode, count: int, step: int, corrected: bool, term):
     """(1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i term(i).
 
     term(i) is a tuple of factors.  The weight w_i is q^(step i) in the
-    corrected reading and 1 in the printed one.  In p-adic mode the
-    ratio, a unit known to A digits on the PadicNum path too, multiplies
-    the sum on ints.
+    corrected reading and 1 in the printed one.  At a rational or p-adic
+    q the int view finishes the ratio, one Fraction or a unit known to A
+    digits as on the PadicNum path.
     """
     acc = alternating_sum(mode, map(term, range(count)), (lambda i: step * i) if corrected else None)
-    iv = _ints(mode) if root_mode(mode).kind == "padic" else None
-    if iv is None:
-        one = mode.from_rational(1)
-        return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
-    if acc.is_zero:
-        return acc
-    r = min(iv.prec, acc.prec)
-    (a, _), (b, _) = iv.power(step), iv.power(step * count)
-    return PadicNum(iv.p, acc.val, acc.unit * (1 + a) * pow(1 + b, -1, iv.p**r), r)
+    if iv := _ints(mode):
+        (a, b), (c, d) = iv.power(step), iv.power(step * count)
+        return iv.finish((b + a) * d, b * (d + c)) * acc
+    one = mode.from_rational(1)
+    return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
 
 
 def _check_n_alpha(n: int, alpha: int) -> None:
@@ -634,11 +626,6 @@ def _fixed_denominator(mode):
     return (lambda e: root._exponent(e * base)) if root.kind == "symbolic" else None
 
 
-def _binomial(k: int) -> list:
-    """1 + Q^k as ints, k >= 1."""
-    return [1] + [0] * (k - 1) + [1]
-
-
 def _axpy(acc: list, c: int, t, shift: int) -> None:
     """acc += c Q^shift t on int lists, growing acc as needed."""
     end = shift + len(t)
@@ -670,20 +657,20 @@ def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
     g = gcd(a, *tops, *bots)
     a, shift, prod, acc = a // g, shift // g, [1], []
     for b in bots:
-        prod = _prod(prod, _binomial(b // g))
+        prod = _prod(prod, _stretch([1, 1], b // g))
     for l, (t, b) in enumerate(zip(tops, bots)):
         # a negative power of q in a numerator moves into the denominator
         _axpy(acc, (-1) ** l * comb(n, l), _quo_binomial(prod, b // g), t // g + shift)
     power = _stretch([(-1) ** k * comb(n, k) for k in range(n + 1)], a)
     # the factor 1 + q is 1 + q^(alpha 0 + 1)
-    return _ratfunc(_prod(acc, _binomial(bots[0] // g)), [0] * shift + _prod(prod, power), g)
+    return _ratfunc(_prod(acc, _stretch([1, 1], bots[0] // g)), [0] * shift + _prod(prod, power), g)
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
     """N with E_l = N[l] / N[0] for l <= top, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1)), at q = Q."""
     nums = [[1]]
     for n in range(1, top + 1):
-        nums[0] = _prod(nums[0], _binomial(alpha * n + 1))
+        nums[0] = _prod(nums[0], _stretch([1, 1], alpha * n + 1))
     for n in range(1, top + 1):
         acc = []
         for l in range(n):
@@ -695,7 +682,7 @@ def _numbers_ints(top: int, alpha: int) -> list:
 
 def _ratfunc(num: list, den: list, g: int) -> RatFunc:
     """num / den with Q^g in place of Q, for int lists num and den; reduced when read."""
-    return RatFunc(_poly(num, 1), _poly(den, 1))._spread(g)
+    return RatFunc(_poly(_stretch(num, g), 1), _poly(_stretch(den, g), 1))
 
 
 def _geometric(a: int, b: int, x: int, red) -> int:

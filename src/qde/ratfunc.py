@@ -697,11 +697,6 @@ class RatFunc:
         num = _poly(_scaled(_prod(a1, c1), g1[-1] * g2[-1]), a._den * c._den)
         return RatFunc._reduced(num, _monic(_prod(b1, d1)), red1 and red2 and self._red and other._red)
 
-    def _spread(self, g: int) -> "RatFunc":
-        """self at Q^g in place of Q, reduced if self is: gcd(f(Q^g), h(Q^g)) = gcd(f, h)(Q^g)."""
-        n, d = (_raw(tuple(_stretch(p._num, g)), p._den) for p in (self._n, self._d))
-        return RatFunc._reduced(n, d, self._red)
-
     def _inv(self) -> "RatFunc":
         """1/self for nonzero self."""
         n, d = self._n, self._d

@@ -83,6 +83,15 @@ class TestQSum:
     def test_k_one_is_zero(self):
         assert q_dc_sum(2, 1, 1, 1, 1, SYM).value.is_zero
 
+    @pytest.mark.parametrize("m,alpha,l", [(0, 1, 1), (2, 1, 1), (3, 2, 5)])
+    def test_k_one_is_the_exact_zero_at_a_fixed_q(self, m, alpha, l):
+        # an empty alternating sum over [1]
+        v = q_dc_sum(m, 1, 1, alpha, l, RationalMode(Fraction(-2, 3))).value
+        assert type(v) is Fraction and v == 0
+        for mode in (PAD3, PadicMode(PadicNum.from_rational(6, 5, 128), PadicConfig(5, 128))):
+            v = q_dc_sum(m, 1, 1, alpha, l, mode).value
+            assert v.is_exact_zero and v == PadicNum.zero(mode.cfg.p)
+
     @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 3), (3, 2), (1, 5), (2, 5)])
     def test_limit_at_one_matches_classical_at_h_one(self, m, k):
         lim = SYM.limit_at_one(q_dc_sum(m, 1, k, 1, k, SYM).value)
@@ -152,6 +161,37 @@ class TestInterpValue:
         ratio = interp_value(0, 1, 2, "interpolated", SYM, p=3).value
         want = 1 - q_int(6, 1, SYM) / q_int(2, 1, SYM)
         assert ratio == want
+
+    @staticmethod
+    def degree_zero_ratio_reading(a, n_mod, alpha, p, mode):
+        """interp_value(0, a, N, "interpolated") built by hand: first - [Np]/[N] * inner."""
+        first = qeuler_poly(0, alpha, Fraction(a % n_mod, n_mod), BaseLifted(mode, n_mod)).value
+        a_inv = pow(p, -1, n_mod) * a % n_mod
+        inner = qeuler_poly(0, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p)).value
+        return q_int(n_mod, alpha, mode) ** 0 * first - q_int(n_mod * p, alpha, mode) / q_int(n_mod, alpha, mode) * inner
+
+    @pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-2, 3), 4, -2])
+    def test_degree_zero_ratio_reading_at_a_rational_q(self, q0):
+        mode = RationalMode(q0)
+        for a, n_mod, alpha in [(1, 2, 1), (2, 5, 2), (4, 7, 1), (9, 4, 3)]:
+            got = interp_value(0, a, n_mod, "interpolated", mode, alpha=alpha, p=3).value
+            assert type(got) is Fraction and got == self.degree_zero_ratio_reading(a, n_mod, alpha, 3, mode)
+
+    def test_degree_zero_ratio_reading_where_the_bracket_vanishes(self):
+        # [2] = 1 + q is 0 at q = -1: the ratio divides by zero
+        with pytest.raises(ZeroDivisionError):
+            interp_value(0, 1, 2, "interpolated", RationalMode(-1), p=3)
+
+    @pytest.mark.parametrize("kdigits", [1, 2, 16, 128])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_degree_zero_ratio_reading_at_a_padic_q(self, kdigits, p):
+        # the same digits and the same claimed precision, q known to K digits and to fewer
+        for q_prec in {kdigits, max(1, kdigits - 1)}:
+            mode = PadicMode(PadicNum.from_rational(1 + p, p, q_prec), PadicConfig(p, kdigits))
+            for a, n_mod, alpha in [(1, 2, 1), (3, 4, 2), (3, 7, 1), (13, 8, 2)]:
+                got = interp_value(0, a, n_mod, "interpolated", mode, alpha=alpha, p=p).value
+                want = self.degree_zero_ratio_reading(a, n_mod, alpha, p, mode)
+                assert got.to_json() == want.to_json()
 
 
 class TestInterpSeries:
@@ -294,6 +334,14 @@ class TestExpansion:
     def test_all_terms_must_be_units(self):
         with pytest.raises(PreconditionError):
             check("eq6", "printed", {"m": 1, "h": 1, "k": 6, "alpha": 1, "p": 3}, SYM)
+
+    @pytest.mark.parametrize("h,k,p", [(1, 6, 3), (5, 9, 3), (2, 15, 5), (7, 15, 3), (3, 10, 5)])
+    def test_first_non_unit_term_is_at_p(self, h, k, p):
+        # h is a unit mod p | k, so p | hM first at M = p, which k > p puts in range
+        m = p - 2
+        with pytest.raises(PreconditionError, match=rf"^p = {p} divides h\*M at M = {p}$"):
+            check("eq6", "printed", {"m": m, "h": h, "k": k, "alpha": 1, "p": p}, RationalMode(2))
+        assert check("eq6", "printed", {"m": m, "h": h % p or 1, "k": p, "alpha": 1, "p": p}, RationalMode(2)).status == "exact"
 
 
 class TestSplitting:

@@ -188,6 +188,19 @@ class TestConstruction:
         assert rational_valuation(Fraction(2, 27), 3) == -3
         assert rational_valuation(0, 3) == inf
 
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    def test_bases_below_two_are_rejected(self, p):
+        # the valuation loop never ends at p = 1 or -1 and divides by zero at p = 0
+        with pytest.raises(PreconditionError, match=f"p must be at least 2, got {p}"):
+            PadicNum.from_rational(6, p)
+        with pytest.raises(PreconditionError, match=f"p must be at least 2, got {p}"):
+            rational_valuation(6, p)
+
+    def test_two_is_a_base(self):
+        # the symbolic measure and the oracle take p = 2
+        assert PadicNum.from_rational(6, 2, 4) == PadicNum(2, 1, 3, 4)
+        assert rational_valuation(Fraction(12, 5), 2) == 2
+
 
 class TestArithmetic:
     def test_add_exact(self):

@@ -669,7 +669,7 @@ class TestReducedMeasure:
 def binomial_multiples(draw):
     q = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(lambda c: c[-1]))
     k = draw(st.integers(1, 9))
-    return q, k, _prod(q, qeuler._binomial(k))
+    return q, k, _prod(q, qeuler._stretch([1, 1], k))
 
 
 class TestQuoBinomial:
@@ -743,6 +743,19 @@ class TestFixedRational:
         # a negative weight forms a negative power of q from x = 2 on
         for x in range(4):
             self.assert_same(lambda: q_int(x, -1, mode))
+
+    @pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-2, 3), 4, -2])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_residue_split_matches_the_generic_ratio(self, q0, corrected):
+        # the ratio (1 + q^step)/(1 + q^(step count)) from the int view, against Fractions
+        for base in (1, 2):
+            mode = RationalMode(q0) if base == 1 else BaseLifted(RationalMode(q0), base)
+            for count, step, n in [(1, 1, 2), (3, 1, 3), (5, 2, 1), (3, 4, 2), (2, 3, 0)]:
+                inner = BaseLifted(mode, count * step)
+                self.assert_same(lambda: qeuler.residue_split(
+                    mode, count, step, corrected,
+                    lambda i: (q_int(i + 1, 2, mode), qeuler_poly(n, 1, Fraction(i + 1, count), inner).value),
+                ))
 
     def test_poles_and_exponent_errors(self):
         # 1 + q^(alpha l + 1) = 0 at l = 0, before q^(1/3) fails at l = 1

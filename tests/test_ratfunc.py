@@ -471,7 +471,7 @@ class TestRatFunc:
         calls = []
         heu = ratfunc._heu_gcd
         monkeypatch.setattr(ratfunc, "_heu_gcd", lambda a, b: calls.append((list(a), list(b))) or heu(a, b))
-        f = RatFunc(P(1, 1) * P(1, -1, 1), P(1, 1, 1) * P(1, -1, 1))._spread(3)
+        f = RatFunc(P(1, 0, 0, 0, 0, 0, 0, 0, 0, 1), P(1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1))
         assert f.to_json() == {"num": ["1", "0", "0", "1"], "den": ["1", "0", "0", "1", "0", "0", "1"]}
         assert calls == [([1, 0, 0, 1], [1, 0, 1, 0, 1])]
 
