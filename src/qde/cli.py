@@ -217,8 +217,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The parser for every command, built once per process and prog: building it costs more than a parse."""
+def _parser(prog: str) -> tuple:
+    """The top-level parser and each command's parser by name, built once per process and prog.
+
+    Building them costs more than a parse.
+    """
     parser = _Parser(prog=prog, description="Exact q-Euler values, Dedekind-type alternating sums, identity sweeps.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
     for name, cmd in COMMANDS.items():
@@ -230,7 +233,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
                 kwargs = {**kwargs, "help": kwargs.get("help", "") + " (default: %(default)s)"}
             sub.add_argument("--" + key, **kwargs)
         sub.set_defaults(command=cmd, parser=sub)
-    return parser
+    return parser, commands.choices
 
 
 def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
@@ -241,7 +244,16 @@ def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
     before its output is written (qde ... | head).  Otherwise standalone mode
     exits 0, and without it main returns.
     """
-    options = vars(_parser(prog_name).parse_args(args))
+    args = sys.argv[1:] if args is None else list(args)
+    parser, subparsers = _parser(prog_name)
+    if args and args[0] in subparsers:
+        # the command's parser alone: the top-level one would hand it the same words to parse again
+        namespace, extras = subparsers[args[0]].parse_known_args(args[1:])
+        if extras:
+            parser.error("unrecognized arguments: %s" % " ".join(extras))
+    else:
+        namespace = parser.parse_args(args)
+    options = vars(namespace)
     cmd, parser = options.pop("command"), options.pop("parser")
     try:
         try:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, PoleError, PreconditionError
 from .padic import (
     PadicConfig,
     PadicNum,
@@ -140,7 +140,11 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     if variant == "interpolated_printed":
         second = q_int(n_mod * p, alpha, mode) ** m * inner
     else:
-        second = q_int(n_mod, alpha, mode) ** (m - 1) * q_int(n_mod * p, alpha, mode) * inner
+        try:
+            second = q_int(n_mod, alpha, mode) ** (m - 1) * q_int(n_mod * p, alpha, mode) * inner
+        except ZeroDivisionError:
+            # only m = 0 divides, by [N]
+            raise PoleError(f"pole in the interpolated value ([{n_mod}] vanishes at this q)") from None
     return _wrap(mode, first - second)
 
 

@@ -535,6 +535,9 @@ def residue_split(mode, count: int, step: int, corrected: bool, term):
     acc = alternating_sum(mode, map(term, range(count)), (lambda i: step * i) if corrected else None)
     if iv := _ints(mode):
         (a, b), (c, d) = iv.power(step), iv.power(step * count)
+        # b != 0, and d + c is a unit at a p-adic q
+        if not d + c:
+            raise PoleError(f"pole in the residue split (1 + q^{step * count} vanishes at this q)")
         return iv.finish((b + a) * d, b * (d + c)) * acc
     one = mode.from_rational(1)
     return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc

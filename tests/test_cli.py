@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -120,6 +121,36 @@ class TestContract:
         assert exc.value.code == 1
         assert main.main(args=["euler", "--n", "2"], prog_name="qde", standalone_mode=False) is None
         assert json.loads(capsys.readouterr().out.splitlines()[-1])[2]["text"] == "-x+x^2"
+
+    def test_no_args_reads_the_process_arguments(self, monkeypatch, capsys):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["qde", "dcsum", "--m", "1", "--h", "2", "--k", "3"])
+        assert main(standalone_mode=False) is None
+        assert json.loads(capsys.readouterr().out)["value"] == "-1/18"
+        monkeypatch.setattr(sys, "argv", ["qde", "verify", "--identity", "eq4", "--bogus", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("qde: error: unrecognized arguments: --bogus 1\n")
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--identity", "eq4", "--params", "n=1,x=1", "--mode", "rational:q=2"],
+        ["qeuler", "--n", "2", "--x=-1/2", "--mode", "padic:p=3,K=8"],
+        ["euler", "--n", "2"],
+        ["dcsum", "--m", "1", "--h", "2", "--k", "3"],
+        ["oracle", "--integrand", "one", "--level", "1"],
+    ], ids=" ".join)
+    def test_a_command_line_is_parsed_once(self, monkeypatch, args):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *a, **kw):
+            calls.append(self.prog)
+            return parse(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run_cli(args).exit_code == 0
+        assert calls == ["qde " + args[0]]
 
 
 class TestEuler:

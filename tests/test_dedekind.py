@@ -11,7 +11,7 @@ from qde.dedekind import (
     padic_dc_sum,
     q_dc_sum,
 )
-from qde.errors import ConvergenceError, ExponentError, PreconditionError
+from qde.errors import ConvergenceError, ExponentError, PoleError, PreconditionError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, teichmuller_inverse
 from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, q_int, qeuler_poly
 
@@ -178,8 +178,8 @@ class TestInterpValue:
             assert type(got) is Fraction and got == self.degree_zero_ratio_reading(a, n_mod, alpha, 3, mode)
 
     def test_degree_zero_ratio_reading_where_the_bracket_vanishes(self):
-        # [2] = 1 + q is 0 at q = -1: the ratio divides by zero
-        with pytest.raises(ZeroDivisionError):
+        # [2] = 1 + q is 0 at q = -1: the ratio divides by zero, a pole
+        with pytest.raises(PoleError, match=r"\[2\] vanishes"):
             interp_value(0, 1, 2, "interpolated", RationalMode(-1), p=3)
 
     @pytest.mark.parametrize("kdigits", [1, 2, 16, 128])

@@ -757,6 +757,14 @@ class TestFixedRational:
                     lambda i: (q_int(i + 1, 2, mode), qeuler_poly(n, 1, Fraction(i + 1, count), inner).value),
                 ))
 
+    @pytest.mark.parametrize("base, count, step", [(1, 3, 1), (1, 1, 1), (1, 5, 3), (3, 3, 1)])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_residue_split_where_the_ratio_has_a_pole(self, base, count, step, corrected):
+        # at q = -1, 1 + q^(step count) vanishes for odd base step count; with count = 1 the ratio is 0/0
+        mode = RationalMode(-1) if base == 1 else BaseLifted(RationalMode(-1), base)
+        with pytest.raises(PoleError, match=rf"1 \+ q\^{step * count} vanishes"):
+            qeuler.residue_split(mode, count, step, corrected, lambda i: (mode.from_rational(1),))
+
     def test_poles_and_exponent_errors(self):
         # 1 + q^(alpha l + 1) = 0 at l = 0, before q^(1/3) fails at l = 1
         with pytest.raises(PoleError, match="q-Euler polynomial"):
