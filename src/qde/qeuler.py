@@ -43,7 +43,13 @@ view whether or not the kernel caps at K; one root r_b = q^(1/b) =
 q^(b^-1 mod p^A) per A and exponent denominator b, shared by every
 base, so q^(a/b) = r_b^a is a power with a small exponent; (q^(b^-1))^a
 is q^(a b^-1), the residue one large power gives.  The recurrence takes
-one modular inverse per table (_inverses).
+one modular inverse per table (_inverses).  A symbolic mode keeps
+qeuler_poly's binomial products (_closed_form_ints): the quotients
+P / (1 + q^(alpha l + 1)) and P (1 - q^alpha)^n, as int lists in Q^g,
+keyed by (n, a, b) with q^alpha = Q^(g a) and q = Q^(g b), so every
+base and every x with the same stride g share them.  The table lives on
+the root mode: a fresh mode starts empty, and a long-lived one keeps one
+entry per key, each under the degree guard, which runs first.
 
 The alternating sums that combine such values (alternating_sum: the
 residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
@@ -79,7 +85,7 @@ from fractions import Fraction
 from math import comb, gcd, inf, prod
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import mul, pos
+from operator import add, mul, pos
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
 from .exact import format_rational, frac_floor_parts
@@ -129,12 +135,13 @@ class SymbolicMode:
     """
 
     kind = "symbolic"
-    __slots__ = ("scale",)
+    __slots__ = ("scale", "_binomials")
 
     def __init__(self, scale: int = 1):
         if scale < 1:
             raise PreconditionError(f"scale must be a positive integer, got {scale}")
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_binomials", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicMode is immutable")
@@ -387,7 +394,7 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
-            return _wrap(mode, _closed_form_ints(n, alpha, x, fd))
+            return _wrap(mode, _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials))
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     try:
@@ -646,8 +653,21 @@ def _quo_binomial(a: list, k: int):
     return q if n > 0 and ([0] * k + q)[n:] == a[n:] else None
 
 
-def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
-    """qeuler_poly over P (1 - q^alpha)^n with P = prod_l (1 + q^(alpha l + 1))."""
+def _times_binomial(a: list, k: int) -> list:
+    """a (1 + Q^k) by c_(i+k) += a_i, the inverse of _quo_binomial."""
+    c = a + [0] * k
+    c[k:] = map(add, c[k:], a)
+    return c
+
+
+def _closed_form_ints(n: int, alpha: int, x, fd, table: dict) -> RatFunc:
+    """qeuler_poly over P (1 - q^alpha)^n with P = prod_l (1 + q^(alpha l + 1)).
+
+    In Q^g, 1 + q^(alpha l + 1) is 1 + Q^(b + l a) with a = fd(alpha)/g
+    and b = fd(1)/g, so the quotients P / (1 + Q^(b + l a)) and
+    P (1 - Q^a)^n depend on (n, a, b) alone; table keeps them per key.
+    Only the shifts q^(alpha l x) depend on x.
+    """
     tops, bots = [], []
     for l in range(n + 1):
         # the generic loop's powers of q in its order, so that the same one fails first
@@ -658,22 +678,26 @@ def _closed_form_ints(n: int, alpha: int, x, fd) -> RatFunc:
     _guard_degree(shift + max(tops) + sum(bots) + max(n * a, bots[0]))
     # every power of q here is one of Q^g
     g = gcd(a, *tops, *bots)
-    a, shift, prod, acc = a // g, shift // g, [1], []
-    for b in bots:
-        prod = _prod(prod, _stretch([1, 1], b // g))
-    for l, (t, b) in enumerate(zip(tops, bots)):
+    a, b, shift, acc = a // g, bots[0] // g, shift // g, []
+    if (n, a, b) not in table:
+        prod = [1]
+        for k in bots:
+            prod = _times_binomial(prod, k // g)
+        power = _stretch([(-1) ** k * comb(n, k) for k in range(n + 1)], a)
+        table[n, a, b] = [_quo_binomial(prod, k // g) for k in bots], _prod(prod, power)
+    quotients, den = table[n, a, b]
+    for l, (t, quo) in enumerate(zip(tops, quotients)):
         # a negative power of q in a numerator moves into the denominator
-        _axpy(acc, (-1) ** l * comb(n, l), _quo_binomial(prod, b // g), t // g + shift)
-    power = _stretch([(-1) ** k * comb(n, k) for k in range(n + 1)], a)
-    # the factor 1 + q is 1 + q^(alpha 0 + 1)
-    return _ratfunc(_prod(acc, _stretch([1, 1], bots[0] // g)), [0] * shift + _prod(prod, power), g)
+        _axpy(acc, (-1) ** l * comb(n, l), quo, t // g + shift)
+    # the factor 1 + q is 1 + q^(alpha 0 + 1); the lists in the table are copied, never changed
+    return _ratfunc(_times_binomial(acc, b), [0] * shift + den, g)
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
     """N with E_l = N[l] / N[0] for l <= top, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1)), at q = Q."""
     nums = [[1]]
     for n in range(1, top + 1):
-        nums[0] = _prod(nums[0], _stretch([1, 1], alpha * n + 1))
+        nums[0] = _times_binomial(nums[0], alpha * n + 1)
     for n in range(1, top + 1):
         acc = []
         for l in range(n):

@@ -14,6 +14,9 @@ import json
 import time
 from dataclasses import dataclass
 
+# one encoder for every line: json.dumps with these options builds a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -50,7 +53,7 @@ class IdentityReport:
         return out
 
     def json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.to_json())
 
 
 def timed_report(identity: str, variant: str, params: dict, compute_status) -> IdentityReport:

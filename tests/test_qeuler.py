@@ -686,6 +686,69 @@ class TestQuoBinomial:
         a = a[:j] + [a[j] + data.draw(st.sampled_from((-2, -1, 1, 3)))] + a[j + 1:]
         assert qeuler._quo_binomial(a, k) is None
 
+    @given(binomial_multiples())
+    def test_shift_add_is_the_product_the_quotient_inverts(self, case):
+        q, k, a = case
+        for c in (q, a):
+            product = qeuler._times_binomial(c, k)
+            assert product == _prod(c, qeuler._stretch([1, 1], k))
+            assert qeuler._quo_binomial(product, k) == c
+
+
+@st.composite
+def table_sequences(draw):
+    """A scale and qeuler_poly calls (n, alpha, base, x), several x per (n, alpha, base)."""
+    scale = draw(st.sampled_from((1, 2, 3, 6)))
+    xs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    keys = st.tuples(st.integers(0, 5), st.integers(1, 3), st.sampled_from((1, 2, 3)))
+    calls = []
+    for n, alpha, base in draw(st.lists(keys, min_size=1, max_size=4)):
+        calls += [(n, alpha, base, x) for x in draw(st.lists(xs, min_size=2, max_size=4))]
+    return scale, draw(st.permutations(calls))
+
+
+def _lifted(mode, base):
+    return mode if base == 1 else BaseLifted(mode, base)
+
+
+class TestBinomialTable:
+    """qeuler_poly's per-mode table of binomial products: a warm mode answers as a fresh one does."""
+
+    @settings(max_examples=100)
+    @given(table_sequences())
+    def test_a_warm_mode_matches_a_cold_one(self, case):
+        scale, calls = case
+        mode = SymbolicMode(scale)
+        # the second round reads only entries the first made, so a changed list shows there
+        for _ in range(2):
+            for n, alpha, base, x in calls:
+                warm = _outcome(lambda: qeuler_poly(n, alpha, x, _lifted(mode, base)).value)
+                cold = _outcome(lambda: qeuler_poly(n, alpha, x, _lifted(SymbolicMode(scale), base)).value)
+                assert _json(warm) == _json(cold)
+
+    def test_modes_do_not_share_a_table_and_wrappers_of_one_root_do(self):
+        mode, other = SymbolicMode(2), SymbolicMode(2)
+        qeuler_poly(3, 2, 0, BaseLifted(mode, 2))
+        # at x = 0 every exponent is a multiple of fd(1), so every base has the key (n, alpha, 1)
+        entry = mode._binomials[3, 2, 1]
+        for lifted in (mode, BaseLifted(mode, 3), BaseLifted(BaseLifted(mode, 2), 5)):
+            qeuler_poly(3, 2, 0, lifted)
+            assert list(mode._binomials) == [(3, 2, 1)]
+            assert mode._binomials[3, 2, 1] is entry
+        assert other._binomials == {}
+
+    def test_the_guard_and_the_exponents_come_before_the_table(self):
+        mode = SymbolicMode()
+        fd = qeuler._fixed_denominator(mode)
+        # the alpha = 30000 case of TestFixedDenominator, and a shift q^(alpha l x) alone past the limit
+        for alpha, x in ((30000, 0), (1, 50000)):
+            with pytest.raises(ResourceLimitError, match="exceeds limit"):
+                qeuler._closed_form_ints(2, alpha, x, fd, mode._binomials)
+            assert mode._binomials == {}
+        with pytest.raises(ExponentError, match="multiple of 3"):
+            qeuler_poly(2, 1, Fraction(1, 3), mode)
+        assert mode._binomials == {}
+
 
 RATIONAL_QS = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 4)
 
