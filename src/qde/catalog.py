@@ -74,13 +74,13 @@ def _integral(x):
 
 def _eq4(pt, variant, mode):
     n, alpha, x = pt["n"], pt["alpha"], _integral(pt["x"])
-    return qeuler_poly(n, alpha, x, mode).value, qeuler_poly_additive(n, alpha, x, mode).value
+    return qeuler_poly(n, alpha, x, mode), qeuler_poly_additive(n, alpha, x, mode)
 
 
 def _numbers(pt, variant, mode):
     # the closed form at x = 0 against the fermionic recurrence's table
     n, alpha = pt["n"], pt["alpha"]
-    return qeuler_poly(n, alpha, 0, mode).value, qeuler_numbers(n, alpha, mode)[n]
+    return qeuler_poly(n, alpha, 0, mode), qeuler_numbers(n, alpha, mode)[n]
 
 
 def _distribution(lift_printed: bool):
@@ -92,13 +92,13 @@ def _distribution(lift_printed: bool):
 
     def sides(pt, variant, mode):
         n, alpha, x, d = pt["n"], pt["alpha"], Fraction(pt["x"]), pt["d"]
-        lhs = qeuler_poly(n, alpha, x, mode).value
+        lhs = qeuler_poly(n, alpha, x, mode)
         if d < 1 or d % 2 == 0:
             raise PreconditionError(f"modulus must be odd and positive, got {d}")
         corrected = variant == "corrected"
         inner = BaseLifted(mode, d) if corrected or lift_printed else mode
         rhs = q_int(d, alpha, mode) ** n * residue_split(
-            mode, d, 1, corrected, lambda a: (qeuler_poly(n, alpha, (x + a) / d, inner).value,)
+            mode, d, 1, corrected, lambda a: (qeuler_poly(n, alpha, (x + a) / d, inner),)
         )
         return lhs, rhs
 
@@ -128,12 +128,12 @@ def _shifted(reduce: bool):
             a %= n
         elif m < 0 or a < 1 or n < 1:
             raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n}")
-        lhs = q_int(n, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a, n), BaseLifted(mode, n)).value
+        lhs = q_int(n, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a, n), BaseLifted(mode, n))
         big = q_int(n * p, alpha, mode) ** m
         lifted = BaseLifted(mode, n * p)
 
         def term(i):
-            return big, qeuler_poly(m, alpha, Fraction(a + i * n, n * p), lifted).value
+            return big, qeuler_poly(m, alpha, Fraction(a + i * n, n * p), lifted)
 
         return lhs, residue_split(mode, p, n, variant == "corrected", term)
 
@@ -152,7 +152,7 @@ def _eq6(pt, variant, mode):
     # h is a unit mod p | k, so p | hM first at M = p
     if k > p:
         raise PreconditionError(f"p = {p} divides h*M at M = {p}")
-    lhs = q_int(k, alpha, mode) ** (m + 1) * q_dc_sum(m, h, k, alpha, k, mode).value
+    lhs = q_int(k, alpha, mode) ** (m + 1) * q_dc_sum(m, h, k, alpha, k, mode)
     return lhs, bracket_weighted_sum(m, h, k, alpha, "naive", mode)
 
 
@@ -164,13 +164,13 @@ def _theorem1(pt, variant, mode):
     for m >= 2.
     """
     m, h, k, alpha, p = pt["m"], pt["h"], pt["k"], pt["alpha"], pt["p"]
-    lhs = padic_dc_sum(m, h, k, alpha, p, mode, THEOREM1_READINGS[variant]).value
+    lhs = padic_dc_sum(m, h, k, alpha, p, mode, THEOREM1_READINGS[variant])
     if k == 1:
         return lhs, mode.from_rational(0)
     h_inv = (pow(p, -1, k) * h) % k
     bk = q_int(k, alpha, mode)
-    j_one = q_dc_sum(m, h, k, alpha, k, mode).value
-    j_two = q_dc_sum(m, h_inv, k, alpha, p * k, mode).value
+    j_one = q_dc_sum(m, h, k, alpha, k, mode)
+    j_two = q_dc_sum(m, h_inv, k, alpha, p * k, mode)
     return lhs, bk ** (m + 1) * j_one - bk**m * q_int(k * p, alpha, mode) * j_two
 
 

@@ -271,7 +271,7 @@ def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
         sys.exit(0)
 
 
-# click's call shape, qde.cli.main.main(args=..., prog_name=..., standalone_mode=...), stays valid
+# perfbench/workloads.py and tests/conftest.py call main.main(args=..., prog_name=..., standalone_mode=...)
 main.main = main
 
 
@@ -331,7 +331,7 @@ def cmd_qeuler(n, alpha, x_text, mode_text):
     parsed = parse_mode(mode_text)
     mode = make_mode(parsed, x.denominator)
     try:
-        value = qeuler_poly(n, alpha, x, mode).value
+        value = qeuler_poly(n, alpha, x, mode)
     except QdeError as exc:
         _fail(exc)
     payload = {"n": n, "alpha": alpha, "x": str(x), "mode": root_mode(mode).describe(),

@@ -30,8 +30,6 @@ from .padic import (
 from .qeuler import (
     BaseLifted,
     PadicMode,
-    QEulerValue,
-    _wrap,
     alternating_sum,
     periodic_euler,
     q_int,
@@ -94,7 +92,7 @@ def dc_sum(m: int, h: int, k: int) -> Fraction:
     return total
 
 
-def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode) -> QEulerValue:
+def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode):
     """q-deformed Dedekind-type sum with inner values at base exponent l.
 
     Each term pairs the bracket ratio [M]/[k] with the degree-m weighted
@@ -105,13 +103,13 @@ def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode) -> QEulerValue:
     DCParams(h=h, k=k, m=m, alpha=alpha, l=l)
     lifted = BaseLifted(mode, l)
     acc = alternating_sum(mode, (
-        (q_int(big_m, alpha, mode), qeuler_poly(m, alpha, Fraction((h * big_m) % k, k), lifted).value)
+        (q_int(big_m, alpha, mode), qeuler_poly(m, alpha, Fraction((h * big_m) % k, k), lifted))
         for big_m in range(1, k)
     ))
-    return _wrap(mode, acc / q_int(k, alpha, mode))
+    return acc / q_int(k, alpha, mode)
 
 
-def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int = 1, p: int = None) -> QEulerValue:
+def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int = 1, p: int = None):
     """Scaled q-Euler value at a residue, in one of three readings.
 
     "naive" is [N]^m Etilde_m(a/N) at base q^N with a reduced into 1..N-1.
@@ -126,17 +124,15 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     a_red = a % n_mod
     if a_red == 0:
         raise PreconditionError(f"residue a = {a} vanishes mod N = {n_mod}")
-    first = q_int(n_mod, alpha, mode) ** m * qeuler_poly(
-        m, alpha, Fraction(a_red, n_mod), BaseLifted(mode, n_mod)
-    ).value
+    first = q_int(n_mod, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a_red, n_mod), BaseLifted(mode, n_mod))
     if variant == "naive":
-        return _wrap(mode, first)
+        return first
     if p is None or not is_odd_prime(p):
         raise PreconditionError(f"interpolated variants need an odd prime p, got {p}")
     if gcd(p, n_mod) != 1:
         raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
     a_inv = (pow(p, -1, n_mod) * a_red) % n_mod
-    inner = qeuler_poly(m, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p)).value
+    inner = qeuler_poly(m, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p))
     if variant == "interpolated_printed":
         second = q_int(n_mod * p, alpha, mode) ** m * inner
     else:
@@ -145,7 +141,7 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
         except ZeroDivisionError:
             # only m = 0 divides, by [N]
             raise PoleError(f"pole in the interpolated value ([{n_mod}] vanishes at this q)") from None
-    return _wrap(mode, first - second)
+    return first - second
 
 
 def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, cfg: PadicConfig) -> PadicNum:
@@ -204,12 +200,12 @@ def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode,
     readings need p.
     """
     return alternating_sum(mode, (
-        (q_int(big_m, alpha, mode), interp_value(m, h * big_m, k, variant, mode, alpha=alpha, p=p).value)
+        (q_int(big_m, alpha, mode), interp_value(m, h * big_m, k, variant, mode, alpha=alpha, p=p))
         for big_m in range(1, k)
     ))
 
 
-def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str = "interpolated") -> QEulerValue:
+def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str = "interpolated"):
     """Interpolated Dedekind-type sum: bracket-weighted interp values.
 
     Runs under the interpolation constraints (p odd, p does not divide
@@ -218,4 +214,4 @@ def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str 
     """
     params = DCParams(h=h, k=k, m=m, alpha=alpha, l=k, p=p)
     params.require_interpolation_domain()
-    return _wrap(mode, bracket_weighted_sum(m, h, k, alpha, variant, mode, p))
+    return bracket_weighted_sum(m, h, k, alpha, variant, mode, p)

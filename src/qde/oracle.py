@@ -174,7 +174,7 @@ def riemann_level(f: IntegrandSpec, level: int, mode, p: int = None) -> QEulerVa
     return QEulerValue(root_mode(mode).kind, total)
 
 
-def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
+def closed_form(f: IntegrandSpec, mode):
     """The limit the level sums approach, from the closed-form module."""
     lifted = BaseLifted(mode, f.base_exponent)
     if f.kind == "q_power":
@@ -183,7 +183,7 @@ def closed_form(f: IntegrandSpec, mode) -> QEulerValue:
             v = (one + lifted.q_power(1)) / (one + lifted.q_power(f.e + 1))
         except ZeroDivisionError:
             raise PoleError("closed form undefined at this q (a denominator vanishes)") from None
-        return QEulerValue(root_mode(mode).kind, v)
+        return v
     return qeuler_poly(f.n, f.alpha, f.x, lifted)
 
 
@@ -207,6 +207,6 @@ def convergence_profile(f: IntegrandSpec, levels, mode, p: int = None) -> list:
         raise PreconditionError("convergence profiles need p-adic or rational coefficients")
     levels = [int(n) for n in levels]
     _check_levels(levels, p)
-    limit = closed_form(f, mode).value
+    limit = closed_form(f, mode)
     sums = dict(_level_sums(f, levels, mode, p))
     return [{"level": n, "valuation": _difference_valuation(sums[n] - limit, p)} for n in levels]

@@ -246,7 +246,12 @@ def root_mode(mode):
 
 @dataclass(frozen=True)
 class QEulerValue:
-    """A scalar tagged with the coefficient mode that produced it."""
+    """A scalar tagged with the coefficient mode that produced it.
+
+    Only measure and oracle.riemann_level still return one, because the
+    benchmark's workloads (perfbench/workloads.py) read .value on them;
+    every other kernel returns the bare value.
+    """
 
     mode: str
     value: object
@@ -285,10 +290,6 @@ def compare_values(mode, lhs, rhs):
     if lhs == rhs:
         return "exact"
     return {"fail": {"lhs": serialize_value(lhs), "rhs": serialize_value(rhs)}}
-
-
-def _wrap(mode, v) -> QEulerValue:
-    return QEulerValue(root_mode(mode).kind, v)
 
 
 def resolve_prime(mode, p):
@@ -347,12 +348,12 @@ def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
         _guard_degree(k_a + k)
         den = [0] * (fd(p**level) - k + 1)
         den[::k] = [1, -1] * (p**level // 2) + [1]
-        return _wrap(mode, RatFunc._reduced(Poly.monomial(k_a, sign), _poly(den, 1)))
+        return QEulerValue("symbolic", RatFunc._reduced(Poly.monomial(k_a, sign), _poly(den, 1)))
     try:
         v = mode.q_power(a) * (one + mode.q_power(1)) / (one + mode.q_power(p**level))
     except ZeroDivisionError:
         raise PoleError("measure undefined at this q (a denominator vanishes)") from None
-    return _wrap(mode, sign * v)
+    return QEulerValue(root_mode(mode).kind, sign * v)
 
 
 @lru_cache(maxsize=None)
@@ -376,7 +377,7 @@ def periodic_euler(m: int, x) -> Fraction:
     return -v if fl % 2 else v
 
 
-def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
+def qeuler_poly(n: int, alpha: int, x, mode):
     """n-th q-Euler polynomial at weight alpha and argument x.
 
     (1+q)/(1-q^alpha)^n * sum_l C(n,l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + 1)).
@@ -394,12 +395,12 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
-            return _wrap(mode, _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials))
+            return _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials)
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     try:
         if iv := _ints(mode):
-            return _wrap(mode, _closed_form_at(n, alpha, x, iv))
+            return _closed_form_at(n, alpha, x, iv)
         one, acc = mode.from_rational(1), mode.from_rational(0)
         for l in range(n + 1):
             c = comb(n, l) if l % 2 == 0 else -comb(n, l)
@@ -408,7 +409,7 @@ def qeuler_poly(n: int, alpha: int, x, mode) -> QEulerValue:
         v = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
-    return _wrap(mode, v)
+    return v
 
 
 def qeuler_numbers(top: int, alpha: int, mode) -> list:
@@ -455,7 +456,7 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     return numbers
 
 
-def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
+def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     """Addition form of the q-Euler polynomial at a nonnegative integer x.
 
     sum_l C(n,l) q^(alpha l x) E_l * [x]^(n-l), with [x] the weight-alpha
@@ -470,7 +471,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
         nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
         g, step = _geometric(a, b, x, iv.red), pow(a, x, m)
         s = sum(comb(n, l) * pow(step, l, m) * nums[l] * pow(g, n - l, m) for l in range(n + 1))
-        return _wrap(mode, iv.finish(s, nums[0] * b ** (n * x)))
+        return iv.finish(s, nums[0] * b ** (n * x))
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
@@ -481,7 +482,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
             for l in range(n, -1, -1):
                 _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
                 power = _prod(power, bracket)
-            return _wrap(mode, _ratfunc(acc, nums[0], g))
+            return _ratfunc(acc, nums[0], g)
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     bracket = q_int(x, alpha, mode)
@@ -492,7 +493,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode) -> QEulerValue:
     for l in range(n, -1, -1):
         acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * numbers[l] * power
         power = power * bracket
-    return _wrap(mode, acc)
+    return acc
 
 
 def alternating_sum(mode, terms, weight=None):

@@ -28,11 +28,13 @@ from qde.dedekind import dc_sum, q_dc_sum
 from qde.oracle import IntegrandSpec, convergence_profile
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, q_pow, teichmuller
 from qde.qeuler import (
+    BaseLifted,
     PadicMode,
     RationalMode,
     SymbolicMode,
     euler_classical,
     measure,
+    q_int,
     qeuler_poly,
 )
 from qde.ratfunc import RatFunc
@@ -77,7 +79,7 @@ def test_acceptance_2_classical_limits(capsys):
             for alpha in (1, 2):
                 for x in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2)):
                     mode = SymbolicMode(x.denominator)
-                    lim = mode.limit_at_one(qeuler_poly(n, alpha, x, mode).value)
+                    lim = mode.limit_at_one(qeuler_poly(n, alpha, x, mode))
                     assert lim == euler_classical(n)(x), (n, alpha, x)
 
 
@@ -128,19 +130,33 @@ def test_acceptance_4_variant_resolver(capsys):
         )
 
 
+def signed_q_dc_sum(m, h, k):
+    """q_dc_sum(m, h, k, 1, k) with each term signed by (-1)^floor(hM/k), dc_sum's convention."""
+    lifted, total = BaseLifted(SYM, k), SYM.from_rational(0)
+    for big_m in range(1, k):
+        term = q_int(big_m, 1, SYM) * qeuler_poly(m, 1, Fraction(h * big_m % k, k), lifted)
+        total = total + (-1) ** (big_m - 1 + h * big_m // k) * term
+    return total / q_int(k, 1, SYM)
+
+
 def test_acceptance_5_classical_sum_recovered(capsys):
-    with acceptance(5, "classical sum recovered at h=1, defect recorded", capsys):
+    with acceptance(5, "classical sum recovered, sign convention named", capsys):
         assert dc_sum(1, 1, 2) == 0
         assert dc_sum(1, 1, 3) == Fraction(-1, 6)
         assert dc_sum(1, 2, 3) == Fraction(-1, 18)
         for m, k in [(1, 2), (1, 3), (2, 3), (3, 2), (1, 5), (2, 5)]:
-            lim = SYM.limit_at_one(q_dc_sum(m, 1, k, 1, k, SYM).value)
+            lim = SYM.limit_at_one(q_dc_sum(m, 1, k, 1, k, SYM))
             assert lim == dc_sum(m, 1, k), (m, k)
-        # at h > 1 the limit genuinely departs from the classical sum;
-        # this point records the defect instead of hiding it
-        defect = SYM.limit_at_one(q_dc_sum(1, 2, 3, 1, 3, SYM).value)
-        assert defect == Fraction(1, 6)
-        assert defect != dc_sum(1, 2, 3)
+        # q_dc_sum takes E_m({hM/k}), dc_sum the periodic
+        # Ebar_m(hM/k) = (-1)^floor(hM/k) E_m({hM/k}); at h = 1 every floor is 0.
+        # At h > 1 the limits part, which this point records
+        departed = SYM.limit_at_one(q_dc_sum(1, 2, 3, 1, 3, SYM))
+        assert departed == Fraction(1, 6)
+        assert departed != dc_sum(1, 2, 3)
+        # and with dc_sum's sign on each term the limit is dc_sum again
+        for m in (1, 2, 3):
+            for h, k in [(1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 7), (3, 7), (5, 9)]:
+                assert SYM.limit_at_one(signed_q_dc_sum(m, h, k)) == dc_sum(m, h, k), (m, h, k)
 
 
 MAIN_POINTS = [(3, 1, 1, 2), (3, 3, 1, 4), (5, 3, 2, 3)]
