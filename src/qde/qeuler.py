@@ -53,11 +53,13 @@ entry per key, each under the degree guard, which runs first.
 
 The alternating sums that combine such values (alternating_sum: the
 residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
-bracket_weighted_sum) add on ints mod p^A too.  A capped-relative sum
-is the true sum mod p^N, N the least absolute precision of its terms,
-in normalized form: each addition keeps the running sum mod the smaller
-absolute precision.  So one wrap of the int sum mod p^N is the same
-PadicNum as adding term by term.  residue_split's ratio
+bracket_weighted_sum) add on ints mod p^A too, and so does
+dedekind.interp_series, whose binomial series reads E_j from
+_numbers_at's residues.  A capped-relative sum is the true sum mod p^N,
+N the least absolute precision of its terms, in normalized form: each
+addition keeps the running sum mod the smaller absolute precision.  So
+one wrap of the int sum mod p^N (_wrap) is the same PadicNum as adding
+term by term.  residue_split's ratio
 (1 + q^step)/(1 + q^(step count)) is finished by the int view at a
 rational q and at a p-adic one alike.
 
@@ -84,7 +86,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, prod
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, mul, pos
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
@@ -524,6 +526,16 @@ def alternating_sum(mode, terms, weight=None):
         # an exact zero factor has infinite valuation and leaves the term out
         if v != inf:
             parts.append((v, u, v + r if u else v))
+    return _wrap(p, parts)
+
+
+def _wrap(p: int, parts: list) -> PadicNum:
+    """The capped-relative sum of terms (valuation, unit or 0 for an approximate zero, absolute precision).
+
+    The sum is the true sum mod p^N, N the least absolute precision, in
+    normalized form, which is what adding the terms one at a time gives
+    (see the module docstring); no terms is the exact zero.
+    """
     if not parts:
         return PadicNum.zero(p)
     top = min(n for *_, n in parts)
@@ -600,19 +612,24 @@ class _Ints:
 
         That path knows num / den to A digits and w = 1 - q^alpha = p^v d
         to A, so d^n to A - v; where w is zero to A digits, its w ** 0
-        gives 1 DEFAULT_PRECISION digits and any other power fails.
+        gives 1 DEFAULT_PRECISION digits and any other power fails.  A
+        unit w keeps all A digits without a valuation of num, and a
+        divisor of 1, as for a table entry or a q-integer, is not
+        inverted.
         """
         if self.m is None:
             return Fraction(num, den * w**n)
-        p, prec, m = self.p, self.prec, self.m
-        num, den, w = num % m, den % m, w % m
+        p, prec = self.p, self.prec
+        w %= self.m
         if w == 0 and n:
             zero = PadicNum.approx_zero(p, n * prec)
             raise PrecisionError(f"precision exhausted: division by {zero!r}, zero at working precision")
         v = _vp(w, p) if w else 0
         # r digits before the constructor takes v_p(num) out of the unit; w = 0 only at n = 0, where 0^0 = 1
-        r = min(prec, (prec - v if w else DEFAULT_PRECISION) + (_vp(num, p) if num else prec))
-        return PadicNum(p, -n * v, num * pow(den * (w // p**v) ** n, -1, m if r == prec else p**r), r)
+        r = prec - v if w else DEFAULT_PRECISION
+        r = min(prec, r + (_vp(num, p) if num % self.m else prec)) if r < prec else prec
+        d = den * (w // p**v) ** n
+        return PadicNum(p, -n * v, num if d == 1 else num * pow(d, -1, self.m), r)
 
 
 def _ints(mode, capped: bool = True):
@@ -763,7 +780,7 @@ def _numbers_at(top: int, alpha: int, iv) -> list:
     for n, d in enumerate(dens, 1):
         if d == 0:
             raise PoleError(f"pole in q-Euler numbers (1 + q^{alpha * n + 1} vanishes at this q)")
-        acc = -c * sum(comb(n, l) * weighted[l] for l in range(n))
+        acc = -c * sum(map(mul, map(comb, repeat(n), range(n)), weighted))
         nums.append(acc // d if m is None else acc * d % m)
         a_n = red(a_n * a)
         weighted.append(red(a_n * nums[n]))

@@ -11,7 +11,7 @@ from qde.dedekind import (
     padic_dc_sum,
     q_dc_sum,
 )
-from qde.errors import ConvergenceError, ExponentError, PoleError, PreconditionError
+from qde.errors import ConvergenceError, ExponentError, PoleError, PrecisionError, PreconditionError
 from qde.padic import PadicConfig, PadicNum, agreement_valuation, teichmuller_inverse
 from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, q_int, qeuler_poly
 
@@ -264,18 +264,53 @@ class TestInterpSeries:
             assert agreement_valuation(value, half) >= n + 1, (n, s)
 
     def test_series_needs_p_dividing_n(self):
-        with pytest.raises(ConvergenceError):
-            interp_series(Fraction(1, 2), 1, 2, 4, 1, Q3, CFG3)
-        with pytest.raises(ConvergenceError):
-            interp_series(5, 1, 2, 2, 1, Q3, CFG3)
+        for s, n_mod, j_trunc, alpha in [(Fraction(1, 2), 2, 4, 1), (5, 2, 2, 1), (Fraction(1, 3), 2, 4, 1), (-1, 4, 6, 2)]:
+            with pytest.raises(ConvergenceError) as info:
+                interp_series(s, 1, n_mod, j_trunc, alpha, Q3, CFG3)
+            assert str(info.value) == f"series at s = {s} needs p = 3 dividing N = {n_mod} to converge"
+
+    def test_divergent_series_fails_before_any_work(self):
+        # q = 2 is no 1-unit, so building the mode would raise; the series check comes first
+        q = PadicNum.from_rational(2, 3, 32)
+        for s in (Fraction(1, 2), -1, 5, PadicNum.from_rational(2, 3, 32)):
+            with pytest.raises(ConvergenceError):
+                interp_series(s, 1, 2, 2, 1, q, CFG3)
+
+    def test_exponent_must_be_padic_integer(self):
+        # with 3 | N the series would converge; the head's power <a>^s rejects s = 1/3
+        with pytest.raises(PreconditionError) as info:
+            interp_series(Fraction(1, 3), 1, 3, 4, 1, Q3, CFG3)
+        assert str(info.value) == "exponent 1/3 is not a 3-adic integer"
+
+    def test_padic_exponent_at_another_prime(self):
+        # s passes the head and fails where C(s, 1) meets q
+        with pytest.raises(PreconditionError) as info:
+            interp_series(PadicNum.from_rational(2, 5, 32), 1, 3, 4, 1, Q3, CFG3)
+        assert str(info.value) == "mixed primes 5 and 3"
+
+    @pytest.mark.parametrize("q_prec,s,alpha,zero", [(1, 2, 1, "O(3^1)"), (2, Fraction(1, 2), 3, "O(3^2)")])
+    def test_q_with_too_few_digits(self, q_prec, s, alpha, zero):
+        # 1 - q^(alpha a) is an approximate zero; the head's bracket divides by 1 - q^alpha first
+        q = PadicNum.from_rational(4, 3, q_prec)
+        with pytest.raises(PrecisionError) as info:
+            interp_series(s, 2, 3, 4, alpha, q, CFG3)
+        assert str(info.value) == f"precision exhausted: division by PadicNum({zero}), zero at working precision"
 
     def test_argument_must_be_unit(self):
-        with pytest.raises(PreconditionError):
-            interp_series(1, 3, 3, 3, 1, Q3, CFG3)
+        for a, message in [
+            (3, "a = 3 must be a unit mod p = 3"),
+            (6, "a = 6 must be a unit mod p = 3"),
+            (0, "need a >= 1, N >= 1, alpha >= 1, got a=0 N=3 alpha=1"),
+        ]:
+            with pytest.raises(PreconditionError) as info:
+                interp_series(1, a, 3, 3, 1, Q3, CFG3)
+            assert str(info.value) == message
 
     def test_truncation_must_be_positive(self):
-        with pytest.raises(PreconditionError):
-            interp_series(1, 1, 3, 0, 1, Q3, CFG3)
+        for j_trunc in (0, -3):
+            with pytest.raises(PreconditionError) as info:
+                interp_series(1, 1, 3, j_trunc, 1, Q3, CFG3)
+            assert str(info.value) == f"truncation order must be >= 1, got {j_trunc}"
 
 
 class TestRecursion:
