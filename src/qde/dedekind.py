@@ -22,7 +22,6 @@ from .padic import (
     PadicConfig,
     PadicNum,
     _binomial_coeffs,
-    _vp,
     is_odd_prime,
     normalized_bracket,
     q_pow,
@@ -31,10 +30,8 @@ from .padic import (
 from .qeuler import (
     BaseLifted,
     PadicMode,
-    _ints,
-    _numbers_at,
-    _wrap,
     alternating_sum,
+    binomial_series,
     periodic_euler,
     q_int,
     qeuler_poly,
@@ -155,9 +152,10 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     s+1 terms, since C(s, s+1) is exactly zero; any other s is a genuine
     series and requires p | N so the ratio is small.
 
-    The numbers E_j come from one qeuler_numbers table at base q^N, whose
-    recurrence divides only by p-adic units: every E_j keeps all K
-    digits and is a p-adic integer.  (The closed form would lose
+    The numbers E_j are the residues of one _numbers_at table at base
+    q^N, whose recurrence divides only by p-adic units: E_0 is known to
+    K digits and every E_j, j >= 1, to A = min(abs_prec(q), K)
+    absolute digits, a p-adic integer.  (The closed form would lose
     j v_p(1 - q^(alpha N)) digits of E_j, which leaves the terminating
     value at s = 122, p = 3, N = 3 no digit.)  Since C(s, j) and E_j are
     integral, the tail after J is divisible by ratio^(J+1); when it is
@@ -165,34 +163,11 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     the returned precision stays honest.
 
     The head and the ratio (1 - q^(alpha N)) / (1 - q^(alpha a)) are
-    PadicNum values.  The sum runs on ints mod p^A, A = min(abs_prec(q),
-    K), and claims what multiplying and adding the terms as PadicNum
-    values claims.  A term is a product of factors, each a valuation, a
-    unit and a relative precision: the valuations add, the units
-    multiply and the least relative precision stays, and an approximate
-    zero factor makes the term O(p^(sum of the valuations)).  The
-    factors claim:
-
-    - C(s, j) q^(alpha a j): q's relative precision.  An exact C(s, j)
-      is coerced to at least the digits of q^(alpha a j), which are q's;
-      C(s, 0) = 1 is exact for every s.  A p-adic C(s, j) adds its own.
-    - E_j: K digits at j = 0, the mode's one; A absolute digits for
-      j >= 1, the table's, so a zero residue is O(p^A).
-    - ratio^j: K digits at j = 0, the mode's one; the ratio's relative
-      precision for j >= 1, and O(p^(j v)) when the ratio is an
-      approximate zero O(p^v).
-
-    No term claims more than A digits past its valuation (term 0
-    claims A, the ratio fewer), so units mod p^A carry every claimed
-    digit.  One wrap of the summed terms (qeuler._wrap) equals adding
-    them one by one: a capped-relative addition keeps the sum mod the
-    smaller absolute precision, so the running sum is the true sum mod
-    p^N, N the least absolute precision of the terms, in normalized
-    form.
-
-    For an int or Fraction s = u/v, C(s, j) = prod_{i<j} (u - iv) /
-    ((i+1) v) is formed on ints (_binomial_units); any other s keeps
-    _binomial_coeffs.
+    PadicNum values.  C(s, j) comes from _binomial_coeffs in s's own
+    arithmetic, and the sum is qeuler.binomial_series, on ints mod p^A:
+    it claims what multiplying and adding the terms as PadicNum values
+    claims, and a p-adic s at another prime fails where C(s, 1) would
+    meet q.
     """
     if a < 1 or n_mod < 1 or alpha < 1:
         raise PreconditionError(f"need a >= 1, N >= 1, alpha >= 1, got a={a} N={n_mod} alpha={alpha}")
@@ -200,15 +175,9 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
         raise PreconditionError(f"truncation order must be >= 1, got {j_trunc}")
     if gcd(a, cfg.p) != 1:
         raise PreconditionError(f"a = {a} must be a unit mod p = {cfg.p}")
-    exact = isinstance(s, (int, Fraction))
-    if exact:
-        terminates = s.denominator == 1 and 0 <= s <= j_trunc
-        top = int(s) if terminates else j_trunc
-    else:
-        # C(s, j) for j <= J, plus one more when the series does not end by J
-        coeffs = list(islice(_binomial_coeffs(s), j_trunc + 2))
-        terminates = len(coeffs) <= j_trunc + 1
-        top = len(coeffs) - 1 if terminates else j_trunc
+    # C(s, j) for j <= J, plus one more when the series does not end by J
+    coeffs = list(islice(_binomial_coeffs(s), j_trunc + 2))
+    terminates = len(coeffs) <= j_trunc + 1
     if not terminates and n_mod % cfg.p != 0:
         raise ConvergenceError(
             f"series at s = {s} needs p = {cfg.p} dividing N = {n_mod} to converge"
@@ -218,48 +187,10 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     head = teichmuller_inverse(a, cfg) * q_pow(normalized_bracket(a, q, alpha, cfg), s, cfg)
     ratio = (one - mode.q_power(alpha * n_mod)) / (one - mode.q_power(alpha * a))
 
-    iv = _ints(BaseLifted(mode, n_mod))
-    p, prec, m = cfg.p, iv.prec, iv.m
-    numbers = _numbers_at(top, alpha, iv)
-    if exact:
-        coeffs = [(v, u, q.prec) for v, u in _binomial_units(s, top, p, m)]
-    else:
-        if top:
-            # where the first p-adic C(s, j) meets q^(alpha a j)
-            coeffs[1]._check_same_prime(q)
-        coeffs = [(0, 1, q.prec)] + [(c.val, c.unit, min(c.prec, q.prec)) for c in coeffs[1 : top + 1]]
-    step = pow(q.unit, alpha * a, m) * ratio.unit  # 0 when the ratio is an approximate zero
-    parts, power = [], 1
-    for j, ((vc, uc, rc), e) in enumerate(zip(coeffs, numbers)):
-        ve = _vp(e, p) if e else prec
-        v, u = vc + ve + j * ratio.val, uc * (e // p**ve) * power % m
-        # E_0 and ratio^0 are the mode's one, K digits
-        r = min(rc, prec - ve, ratio.prec) if j else min(rc, cfg.prec)
-        parts.append((v, u, v + r if u else v))
-        power = power * step % m
-    value = head * _wrap(p, parts)
+    value = head * binomial_series(BaseLifted(mode, n_mod), alpha, coeffs[: j_trunc + 1], alpha * a, ratio)
     if not terminates:
         value = value + PadicNum.approx_zero(cfg.p, (j_trunc + 1) * int(ratio.valuation))
     return value
-
-
-def _binomial_units(s, top: int, p: int, m: int) -> list:
-    """(v_p(C(s, j)), C(s, j) p^-v mod m) for j <= top, s = u/v with p not dividing v.
-
-    C(s, j) = prod_{i<j} (u - iv) / ((i+1) v): the p-free parts of the
-    factors multiply mod m and their valuations add.  u - iv is nonzero
-    for i < top, since top <= s when s is a nonnegative integer.  Each
-    (i+1) v is small, so its own inverse costs less than the products
-    a batch inversion (_inverses) multiplies.
-    """
-    u, v = s.numerator, s.denominator
-    vals, units = [0], [1]
-    for i in range(top):
-        x, y = u - i * v, i + 1
-        a, b = _vp(x, p), _vp(y, p)
-        vals.append(vals[-1] + a - b)
-        units.append(units[-1] * (x // p**a) * pow(y // p**b * v, -1, m) % m)
-    return list(zip(vals, units))
 
 
 def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode, p: int = None):

@@ -54,12 +54,12 @@ entry per key, each under the degree guard, which runs first.
 The alternating sums that combine such values (alternating_sum: the
 residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
 bracket_weighted_sum) add on ints mod p^A too, and so does
-dedekind.interp_series, whose binomial series reads E_j from
-_numbers_at's residues.  A capped-relative sum is the true sum mod p^N,
-N the least absolute precision of its terms, in normalized form: each
-addition keeps the running sum mod the smaller absolute precision.  So
-one wrap of the int sum mod p^N (_wrap) is the same PadicNum as adding
-term by term.  residue_split's ratio
+dedekind.interp_series's binomial series (binomial_series), which reads
+E_j from _numbers_at's residues.  A capped-relative sum is the true sum
+mod p^N, N the least absolute precision of its terms, in normalized
+form: each addition keeps the running sum mod the smaller absolute
+precision.  So one wrap of the int sum mod p^N (_wrap) is the same
+PadicNum as adding term by term.  residue_split's ratio
 (1 + q^step)/(1 + q^(step count)) is finished by the int view at a
 rational q and at a p-adic one alike.
 
@@ -526,6 +526,45 @@ def alternating_sum(mode, terms, weight=None):
         # an exact zero factor has infinite valuation and leaves the term out
         if v != inf:
             parts.append((v, u, v + r if u else v))
+    return _wrap(p, parts)
+
+
+def binomial_series(mode, alpha: int, coeffs: list, weight: int, ratio: PadicNum) -> PadicNum:
+    """sum_j c_j q^(weight j) E_j ratio^j at a p-adic q, E_j the q-Euler numbers at mode's base.
+
+    The sum runs on ints mod p^A like alternating_sum's, each term a
+    (valuation, unit, precision) product.  c_j q^(weight j) claims q's
+    relative precision for an exact c_j, an int or Fraction, which is
+    what coercion gives it against q^(weight j); a PadicNum c_j keeps
+    the fewer of its own digits and q's.  E_0 and ratio^0 claim the
+    mode's one (K digits), E_j for j >= 1 A absolute digits (a zero
+    residue is O(p^A)), and ratio^j for j >= 1 the ratio's relative
+    precision, O(p^(j v)) when the ratio is an approximate zero O(p^v).
+    No term claims more than A digits past its valuation, so units
+    mod p^A carry every claimed digit.  The p-free denominators of the
+    exact c_j share one modular inverse (_inverses).
+    """
+    iv, root = _ints(mode), root_mode(mode)
+    p, prec, m, q = iv.p, iv.prec, iv.m, root.q
+    one = PadicNum.from_rational(1, p, q.prec)
+    reads = []  # (valuation, p-free numerator, p-free denominator, relative precision) of c_j
+    for c in coeffs:
+        if isinstance(c, PadicNum):
+            c = c * one  # fails here, where c would meet q, when c is at another prime
+            reads.append((c.val, c.unit, 1, c.prec))
+        else:
+            a, b = _vp(c.numerator, p), _vp(c.denominator, p)
+            reads.append((a - b, c.numerator // p**a, c.denominator // p**b, q.prec))
+    vals, nums, dens, precs = zip(*reads)
+    step = pow(q.unit, weight, m) * ratio.unit  # 0 when the ratio is an approximate zero
+    parts, power = [], 1
+    terms = zip(vals, nums, _inverses(dens, m), precs, _numbers_at(len(coeffs) - 1, alpha, iv))
+    for j, (vc, nc, dc, rc, e) in enumerate(terms):
+        ve = _vp(e, p) if e else prec
+        v, u = vc + ve + j * ratio.val, nc * dc * (e // p**ve) * power % m
+        r = min(rc, prec - ve, ratio.prec) if j else min(rc, root.cfg.prec)
+        parts.append((v, u, v + r if u else v))
+        power = power * step % m
     return _wrap(p, parts)
 
 
