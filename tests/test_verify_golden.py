@@ -43,6 +43,11 @@ def golden_runs() -> list:
     for identity in ("eq5", "eq7"):
         for mode in ("padic:p=5,K=128", "symbolic"):
             runs.append(["--identity", identity, "--params", "x=1/2", "--mode", mode])
+    # a negative x: the inner arguments (x + a)/d change sign within one residue split
+    for identity in ("eq5", "eq7"):
+        for params, mode in (("x=-1/3", "symbolic"), ("x=-2", "symbolic"),
+                             ("x=-1", "rational:q=-2"), ("x=-5/2", "padic:p=3,K=32")):
+            runs.append(["--identity", identity, "--params", params, "--mode", mode])
     # the p-adic residue splits and theorem1's sums at a high and a low K
     for mode, p, n_mod, points in (
         ("padic:p=3,K=128", 3, 3, ("m=1,h=1,k=2", "m=3,h=2,k=5", "m=5,h=1,k=7")),
