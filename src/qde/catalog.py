@@ -11,7 +11,8 @@ identity's domain raises QdeError out of check().
 
 Where two variants exist, "printed" is the identity as displayed in its
 source and "corrected" the derivation-consistent reading.  eq5/eq7 and
-eq8/recursion share one alternating residue sum, qeuler.residue_split.
+eq8/recursion share one alternating residue sum, qeuler.residue_split,
+whose terms all have one denominator and are summed over it.
 """
 
 from dataclasses import dataclass, field
@@ -96,11 +97,9 @@ def _distribution(lift_printed: bool):
         if d < 1 or d % 2 == 0:
             raise PreconditionError(f"modulus must be odd and positive, got {d}")
         corrected = variant == "corrected"
-        inner = BaseLifted(mode, d) if corrected or lift_printed else mode
-        rhs = q_int(d, alpha, mode) ** n * residue_split(
-            mode, d, 1, corrected, lambda a: (qeuler_poly(n, alpha, (x + a) / d, inner),)
-        )
-        return lhs, rhs
+        base = d if corrected or lift_printed else 1
+        xs = [(x + a) / d for a in range(d)]
+        return lhs, q_int(d, alpha, mode) ** n * residue_split(mode, base, n, alpha, xs, 1, corrected)
 
     return sides
 
@@ -129,13 +128,8 @@ def _shifted(reduce: bool):
         elif m < 0 or a < 1 or n < 1:
             raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n}")
         lhs = q_int(n, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a, n), BaseLifted(mode, n))
-        big = q_int(n * p, alpha, mode) ** m
-        lifted = BaseLifted(mode, n * p)
-
-        def term(i):
-            return big, qeuler_poly(m, alpha, Fraction(a + i * n, n * p), lifted)
-
-        return lhs, residue_split(mode, p, n, variant == "corrected", term)
+        xs = [Fraction(a + i * n, n * p) for i in range(p)]
+        return lhs, q_int(n * p, alpha, mode) ** m * residue_split(mode, n * p, m, alpha, xs, n, variant == "corrected")
 
     return sides
 

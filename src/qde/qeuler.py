@@ -51,17 +51,20 @@ base and every x with the same stride g share them.  The table lives on
 the root mode: a fresh mode starts empty, and a long-lived one keeps one
 entry per key, each under the degree guard, which runs first.
 
-The alternating sums that combine such values (alternating_sum: the
-residue splits of eq5/eq7/eq8/recursion in residue_split, q_dc_sum and
-bracket_weighted_sum) add on ints mod p^A too, and so does
+The residue splits of eq5/eq7/eq8/recursion (residue_split) add
+values E_n(x_i; q^B) that all have one denominator, P (1 - q^(alpha
+B))^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends on
+n, alpha and B alone.  So their numerators are summed over it and the
+sum is finished once per mode: one Fraction, one wrap with one modular
+inverse at a p-adic q, one RatFunc in symbolic mode.  The other
+alternating sums (alternating_sum: q_dc_sum and bracket_weighted_sum)
+add finished values on ints mod p^A too, and so does
 dedekind.interp_series's binomial series (binomial_series), which reads
 E_j from _numbers_at's residues.  A capped-relative sum is the true sum
 mod p^N, N the least absolute precision of its terms, in normalized
 form: each addition keeps the running sum mod the smaller absolute
 precision.  So one wrap of the int sum mod p^N (_wrap) is the same
-PadicNum as adding term by term.  residue_split's ratio
-(1 + q^step)/(1 + q^(step count)) is finished by the int view at a
-rational q and at a p-adic one alike.
+PadicNum as adding term by term.
 
 In symbolic mode the same four kernels run on int coefficient lists
 over a denominator known in advance, a product of binomials 1 + q^k,
@@ -397,12 +400,13 @@ def qeuler_poly(n: int, alpha: int, x, mode):
     fd = _fixed_denominator(mode)
     if fd is not None:
         try:
-            return _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials)
+            num, shift, den, g = _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials)
+            return _ratfunc(num, [0] * shift + den, g)
         except ResourceLimitError:
             pass  # unreduced, the degrees pass the limit; the generic loop's may not
     try:
         if iv := _ints(mode):
-            return _closed_form_at(n, alpha, x, iv)
+            return iv.finish(*_closed_form_at(n, alpha, x, iv), n)
         one, acc = mode.from_rational(1), mode.from_rational(0)
         for l in range(n + 1):
             c = comb(n, l) if l % 2 == 0 else -comb(n, l)
@@ -498,35 +502,29 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     return acc
 
 
-def alternating_sum(mode, terms, weight=None):
-    """sum_i (-1)^i t_i q^weight(i), each t_i a tuple of factors multiplied left to right.
+def alternating_sum(mode, terms):
+    """sum_i (-1)^i t_i, each t_i a tuple of factors multiplied left to right.
 
-    With weight None no power of q is multiplied in.  In p-adic mode the
-    products and the sum run on ints (see the module docstring): an exact
-    zero term is skipped, an approximate zero adds only its absolute
-    precision, and q^e carries q's digits, as q ** e does.
+    In p-adic mode the products and the sum run on ints (see the module
+    docstring): an exact zero term is skipped and an approximate zero
+    adds only its absolute precision.
     """
     iv = _ints(mode, capped=False) if root_mode(mode).kind == "padic" else None
     if iv is None:
         acc = mode.from_rational(0)
         for i, factors in enumerate(terms):
             t = reduce(mul, factors)
-            if weight is not None:
-                t = t * mode.q_power(weight(i))
             acc = acc + t if i % 2 == 0 else acc - t
         return acc
-    p, q_prec = iv.p, iv.prec
     parts = []  # (valuation, signed unit or 0 for an approximate zero, absolute precision)
     for i, factors in enumerate(terms):
         v, u, r = 0, -1 if i % 2 else 1, inf
         for f in factors:
             v, u, r = v + f.val, u * f.unit, min(r, f.prec)
-        if weight is not None:
-            u, r = u * iv.power(weight(i))[0], min(r, q_prec)
         # an exact zero factor has infinite valuation and leaves the term out
         if v != inf:
             parts.append((v, u, v + r if u else v))
-    return _wrap(p, parts)
+    return _wrap(iv.p, parts)
 
 
 def binomial_series(mode, alpha: int, coeffs: list, weight: int, ratio: PadicNum) -> PadicNum:
@@ -583,23 +581,83 @@ def _wrap(p: int, parts: list) -> PadicNum:
     return PadicNum(p, low, s, top - low)
 
 
-def residue_split(mode, count: int, step: int, corrected: bool, term):
-    """(1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i term(i).
+def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corrected: bool):
+    """(1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i E_n(x_i; q^base), count = len(xs).
 
-    term(i) is a tuple of factors.  The weight w_i is q^(step i) in the
-    corrected reading and 1 in the printed one.  At a rational or p-adic
-    q the int view finishes the ratio, one Fraction or a unit known to A
-    digits as on the PadicNum path.
+    The weight w_i is q^(step i) in the corrected reading and 1 in the
+    printed one.  Every term has the one denominator D = P (1 - q^(alpha
+    base))^n, P = prod_l (1 + q^((alpha l + 1) base)), since D depends
+    on n, alpha and the base alone, never on x_i.  So the terms'
+    numerators are summed over D and the sum, ratio included, is
+    finished once: one RatFunc (_split_ints), one Fraction, or one wrap
+    with one modular inverse (_split_at).  Errors come as term by term:
+    the first term's before any later term is formed, the ratio's last.
+    Past the degree guard the generic loop sums the terms one by one.
     """
-    acc = alternating_sum(mode, map(term, range(count)), (lambda i: step * i) if corrected else None)
-    if iv := _ints(mode):
-        (a, b), (c, d) = iv.power(step), iv.power(step * count)
-        # b != 0, and d + c is a unit at a p-adic q
-        if not d + c:
-            raise PoleError(f"pole in the residue split (1 + q^{step * count} vanishes at this q)")
-        return iv.finish((b + a) * d, b * (d + c)) * acc
+    _check_n_alpha(n, alpha)
+    inner = BaseLifted(mode, base)
+    fd = _fixed_denominator(mode)
+    if fd is not None:
+        try:
+            return _split_ints(n, alpha, xs, step, corrected, _fixed_denominator(inner), fd, root_mode(mode)._binomials)
+        except ResourceLimitError:
+            pass  # unreduced, the degrees pass the limit; the generic loop's may not
+    elif iv := _ints(inner):
+        return _split_at(n, alpha, xs, step, corrected, iv, _ints(mode))
+    acc = mode.from_rational(0)
+    for i, x in enumerate(xs):
+        t = qeuler_poly(n, alpha, x, inner)
+        if corrected:
+            t = t * mode.q_power(step * i)
+        acc = acc + t if i % 2 == 0 else acc - t
     one = mode.from_rational(1)
-    return (one + mode.q_power(step)) / (one + mode.q_power(step * count)) * acc
+    return (one + mode.q_power(step)) / (one + mode.q_power(step * len(xs))) * acc
+
+
+def _split_ints(n: int, alpha: int, xs: list, step: int, corrected: bool, fd_inner, fd, table: dict) -> RatFunc:
+    """residue_split in symbolic mode, on int lists over Q^top D (1 + Q^(k count)), q^step = Q^k.
+
+    Term i is num_i / (Q^s_i D) in Q^g_i (_closed_form_ints), its
+    weight Q^(k i) or 1.  A negative x_i gives s_i > 0, so every list is
+    shifted onto top = max s_i.  Every g_i, s_i and k is a multiple of
+    G, so the sum is formed in Q^G.
+    """
+    k, count = fd(step), len(xs)
+    terms = [_closed_form_ints(n, alpha, x, fd_inner, table) for x in xs]
+    top = max(shift * g for _, shift, _, g in terms)
+    # a bound on every degree formed below
+    _guard_degree(top + k * count + max(g * (max(len(num), len(den)) - 1) for num, _, den, g in terms))
+    big_g, w = gcd(k, *(g for *_, g in terms)), k if corrected else 0
+    acc = []
+    for i, (num, shift, den, g) in enumerate(terms):
+        _axpy(acc, (-1) ** i, _stretch(num, g // big_g), (w * i + top - shift * g) // big_g)
+    # every term's D in Q^g is the same polynomial in Q
+    den = [0] * (top // big_g) + _stretch(den, g // big_g)
+    return _ratfunc(_times_binomial(acc, k // big_g), _times_binomial(den, k * count // big_g), big_g)
+
+
+def _split_at(n: int, alpha: int, xs: list, step: int, corrected: bool, iv, outer):
+    """residue_split at a fixed q: each term's numerator from _closed_form_at, finished together.
+
+    iv is the view at the terms' base, outer the one at q, which forms
+    the weights and the ratio.
+    """
+    terms = []
+    try:
+        for i, x in enumerate(xs):
+            num, den, w = _closed_form_at(n, alpha, x, iv)
+            if not i:
+                # the first term's finish fails before the next term's exponents are formed
+                iv.check(den, w, n)
+            a, b = outer.power(step * i) if corrected else (1, 1)
+            terms.append((-a * num if i % 2 else a * num, b * den))
+    except ZeroDivisionError:
+        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    (a, b), (c, d) = outer.power(step), outer.power(step * len(xs))
+    # b != 0, and d + c is a unit at a p-adic q
+    if not d + c:
+        raise PoleError(f"pole in the residue split (1 + q^{step * len(xs)} vanishes at this q)")
+    return iv.finish_sum(terms, w, n, (b + a) * d, b * (d + c))
 
 
 def _check_n_alpha(n: int, alpha: int) -> None:
@@ -649,26 +707,66 @@ class _Ints:
     def finish(self, num: int, den: int, w: int = 1, n: int = 0):
         """num / (den w^n) for a unit den, as a Fraction or as the PadicNum path states it.
 
-        That path knows num / den to A digits and w = 1 - q^alpha = p^v d
-        to A, so d^n to A - v; where w is zero to A digits, its w ** 0
-        gives 1 DEFAULT_PRECISION digits and any other power fails.  A
-        unit w keeps all A digits without a valuation of num, and a
-        divisor of 1, as for a table entry or a q-integer, is not
-        inverted.
+        A divisor of 1, as for a table entry or a q-integer, is not
+        inverted; see _claim for the digits.
         """
         if self.m is None:
             return Fraction(num, den * w**n)
-        p, prec = self.p, self.prec
+        p, prec, m = self.p, self.prec, self.m
+        self.check(den, w, n)
+        v, d, r = self._claim(w)
+        r = min(prec, r + _vp(num, p)) if num % m and r < prec else prec
+        d = den * d**n
+        return PadicNum(p, -n * v, num if d == 1 else num * pow(d, -1, m), r)
+
+    def finish_sum(self, terms: list, w: int, n: int, num: int, den: int):
+        """sum_i t_i / (d_i w^n) times num / den, for terms (t_i, d_i), as the PadicNum path states it.
+
+        At q = u/v that is one Fraction.  At a p-adic q, where the d_i,
+        num and den are units, each term claims what finish claims for
+        it, the terms are added as capped-relative values (_wrap), and
+        num / den shifts no digit.  The d_i and den w^n share one
+        modular inverse (_inverses).
+        """
+        if self.m is None:
+            s, d = 0, 1
+            for t, dt in terms:
+                s, d = s * dt + t * d, d * dt
+            return Fraction(s * num, d * den * w**n)
+        p, prec, m = self.p, self.prec, self.m
+        v, d, r = self._claim(w)
+        *invs, inv = _inverses([dt for _, dt in terms] + [den * d**n], m)
+        num = num * inv % m
+        parts = []
+        for (t, _), t_inv in zip(terms, invs):
+            t %= m
+            rt = min(prec, r + _vp(t, p)) if t and r < prec else prec
+            u = t * t_inv * num % p**rt
+            g = _vp(u, p) if u else rt
+            parts.append((g - n * v, u // p**g, rt - n * v))
+        return _wrap(p, parts)
+
+    def _claim(self, w: int) -> tuple:
+        """(v, d, r) with w = p^v d mod p^A, and the digits num / (den w^n) claims: r plus v_p(num), at most A.
+
+        The PadicNum path knows num / den to A digits and w = 1 - q^alpha
+        to A, so d^n to A - v; where w is zero to A digits, its w ** 0
+        gives 1 DEFAULT_PRECISION digits (and any other power fails, see
+        check).  A unit w keeps all A digits without a valuation of num.
+        """
         w %= self.m
-        if w == 0 and n:
-            zero = PadicNum.approx_zero(p, n * prec)
+        v = _vp(w, self.p) if w else 0
+        # w = 0 only at n = 0, where 0^0 = 1
+        return v, w // self.p**v, self.prec - v if w else DEFAULT_PRECISION
+
+    def check(self, den: int, w: int, n: int) -> None:
+        """Raise what finish(num, den, w, n) raises whatever num is."""
+        if self.m is None:
+            if not den or n and not w:
+                raise ZeroDivisionError("a denominator vanishes")
+        elif n and not w % self.m:
+            zero = PadicNum.approx_zero(self.p, n * self.prec)
             raise PrecisionError(f"precision exhausted: division by {zero!r}, zero at working precision")
-        v = _vp(w, p) if w else 0
-        # r digits before the constructor takes v_p(num) out of the unit; w = 0 only at n = 0, where 0^0 = 1
-        r = prec - v if w else DEFAULT_PRECISION
-        r = min(prec, r + (_vp(num, p) if num % self.m else prec)) if r < prec else prec
-        d = den * (w // p**v) ** n
-        return PadicNum(p, -n * v, num if d == 1 else num * pow(d, -1, self.m), r)
 
 
 def _ints(mode, capped: bool = True):
@@ -717,13 +815,14 @@ def _times_binomial(a: list, k: int) -> list:
     return c
 
 
-def _closed_form_ints(n: int, alpha: int, x, fd, table: dict) -> RatFunc:
+def _closed_form_ints(n: int, alpha: int, x, fd, table: dict) -> tuple:
     """qeuler_poly over P (1 - q^alpha)^n with P = prod_l (1 + q^(alpha l + 1)).
 
     In Q^g, 1 + q^(alpha l + 1) is 1 + Q^(b + l a) with a = fd(alpha)/g
     and b = fd(1)/g, so the quotients P / (1 + Q^(b + l a)) and
-    P (1 - Q^a)^n depend on (n, a, b) alone; table keeps them per key.
-    Only the shifts q^(alpha l x) depend on x.
+    D = P (1 - Q^a)^n depend on (n, a, b) alone; table keeps them per
+    key.  Only the shifts q^(alpha l x) depend on x.  Returns (num,
+    shift, D, g), the value being num / (Q^shift D) in Q^g.
     """
     tops, bots = [], []
     for l in range(n + 1):
@@ -747,7 +846,7 @@ def _closed_form_ints(n: int, alpha: int, x, fd, table: dict) -> RatFunc:
         # a negative power of q in a numerator moves into the denominator
         _axpy(acc, (-1) ** l * comb(n, l), quo, t // g + shift)
     # the factor 1 + q is 1 + q^(alpha 0 + 1); the lists in the table are copied, never changed
-    return _ratfunc(_times_binomial(acc, b), [0] * shift + den, g)
+    return _times_binomial(acc, b), shift, den, g
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
@@ -778,8 +877,11 @@ def _geometric(a: int, b: int, x: int, red) -> int:
     return g
 
 
-def _closed_form_at(n: int, alpha: int, x, iv):
-    """qeuler_poly's generic loop on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e."""
+def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
+    """qeuler_poly's generic loop on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
+
+    Returns (num, den, w), the value being iv.finish(num, den, w, n).
+    """
     power, red = iv.power, iv.red
     (c, w), (a, b) = power(1), power(alpha)
     # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as in the generic loop,
@@ -790,7 +892,7 @@ def _closed_form_at(n: int, alpha: int, x, iv):
         f = t * (e + d)
         num, den = red(num * f + (-1) ** l * comb(n, l) * s * e * den), red(den * f)
         s, t, d, e = red(s * sa), t * sb, red(d * a), e * b
-    return iv.finish(num * (w + c) * b**n, den * w, b - a, n)
+    return num * (w + c) * b**n, den * w, b - a
 
 
 def _numbers_at(top: int, alpha: int, iv) -> list:

@@ -525,23 +525,21 @@ class TestFixedModulus:
     def test_sums_match_the_padic_path(self, case, count, corrected):
         # the sums' own valuation and precision, before a report's comparison caps them
         mode, alpha, n, x, _ = case
-        inner = BaseLifted(mode, count)
-        self.assert_same(lambda: qeuler.residue_split(
-            mode, count, 1 + alpha, corrected,
-            lambda i: (q_int(i + 1, alpha, mode), qeuler_poly(n, alpha, (x + i) / count, inner)),
-        ))
+        xs = [(x + i) / count for i in range(count)]
+        self.assert_same(lambda: qeuler.residue_split(mode, count, n, alpha, xs, 1 + alpha, corrected))
         k = count + 1
         self.assert_same(lambda: q_dc_sum(n, 1, k, alpha, 2, mode))
         self.assert_same(lambda: bracket_weighted_sum(n, k - 1, k, alpha, "naive", mode))
 
     def test_terms_known_past_q_are_capped(self):
-        # more relative digits than q's 12: the weights q^i and the ratio cap
-        # them; corrected, 4/9 - q/9 + 3 q^2 cancels down to valuation 1
+        # K = 16 digits past q's 12: the terms, the weights q^i and the ratio keep q's 12
         mode = PadicMode(PadicNum.from_rational(4, 3, 12), PadicConfig(3, 16))
-        terms = [PadicNum.from_rational(t, 3, 40) for t in (Fraction(4, 9), Fraction(1, 9), 3)]
+        xs = [Fraction(4, 5), Fraction(1, 2), Fraction(3)]
         for corrected in (False, True):
-            self.assert_same(lambda: qeuler.residue_split(mode, 3, 1, corrected, lambda i: (terms[i],)))
-        assert qeuler.residue_split(mode, 1, 1, False, lambda i: (PadicNum.from_rational(1, 3, 40),)).prec == 12
+            self.assert_same(lambda: qeuler.residue_split(mode, 3, 2, 1, xs, 1, corrected))
+        self.assert_same(lambda: qeuler.residue_split(mode, 1, 0, 1, [Fraction(1)], 1, False))
+        # E_0 claims 12 - v_3(1 - q) digits, and the ratio 1 adds none past q's
+        assert qeuler.residue_split(mode, 1, 0, 1, [Fraction(1)], 1, False).prec == 11
 
     @pytest.mark.parametrize("q_prec", [13, 16, 20])
     def test_sums_at_the_benchmark_points(self, q_prec):
@@ -810,19 +808,17 @@ class TestFixedRational:
         for base in (1, 2):
             mode = RationalMode(q0) if base == 1 else BaseLifted(RationalMode(q0), base)
             for count, step, n in [(1, 1, 2), (3, 1, 3), (5, 2, 1), (3, 4, 2), (2, 3, 0)]:
-                inner = BaseLifted(mode, count * step)
-                self.assert_same(lambda: qeuler.residue_split(
-                    mode, count, step, corrected,
-                    lambda i: (q_int(i + 1, 2, mode), qeuler_poly(n, 1, Fraction(i + 1, count), inner)),
-                ))
+                xs = [Fraction(i + 1, count) for i in range(count)]
+                self.assert_same(lambda: qeuler.residue_split(mode, count * step, n, 1, xs, step, corrected))
 
     @pytest.mark.parametrize("base, count, step", [(1, 3, 1), (1, 1, 1), (1, 5, 3), (3, 3, 1)])
     @pytest.mark.parametrize("corrected", [False, True])
     def test_residue_split_where_the_ratio_has_a_pole(self, base, count, step, corrected):
-        # at q = -1, 1 + q^(step count) vanishes for odd base step count; with count = 1 the ratio is 0/0
+        # at q = -1, 1 + q^(step count) vanishes for odd base step count; with count = 1 the ratio is 0/0;
+        # E_0 at an even base has no pole of its own
         mode = RationalMode(-1) if base == 1 else BaseLifted(RationalMode(-1), base)
         with pytest.raises(PoleError, match=rf"1 \+ q\^{step * count} vanishes"):
-            qeuler.residue_split(mode, count, step, corrected, lambda i: (mode.from_rational(1),))
+            qeuler.residue_split(mode, 2, 0, 1, [Fraction(0)] * count, step, corrected)
 
     def test_poles_and_exponent_errors(self):
         # 1 + q^(alpha l + 1) = 0 at l = 0, before q^(1/3) fails at l = 1
