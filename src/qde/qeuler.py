@@ -78,6 +78,16 @@ exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
 every exponent is a multiple of g, the lists are in Q^g and the value
 is spread back.  measure needs no gcd at all for odd p (see there).
 
+So each of the five kernels (q_int, qeuler_poly, qeuler_numbers,
+qeuler_poly_additive, residue_split) has two paths: int lists in
+symbolic mode, the int view at a fixed q.  A symbolic kernel bounds the
+degrees of the lists it forms, and where a bound passes MAX_DEGREE it
+raises ResourceLimitError naming it, even where the reduced value would
+fit.  Each kernel forms its powers of q in the order the formula states
+them, so an unrepresentable power or a pole raises the error a
+term-by-term evaluation in the mode's own arithmetic raises; the tests
+keep that evaluation as the kernels' reference.
+
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
 in a formula means the chosen q sits on a pole of the expression and
@@ -92,7 +102,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul, pos
 
-from .errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
+from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
 from .exact import format_rational, frac_floor_parts
 from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _vp, q_pow
 from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod, _stretch
@@ -322,14 +332,12 @@ def q_int(x: int, alpha: int, mode):
         for i in range(x):
             _axpy(acc, 1, [1], fd(alpha * i))
         return RatFunc.from_poly(_poly(acc, 1))
+    if not x:
+        return mode.from_rational(0)
     # only q enters, so the sum keeps q's digits even past K
-    if (iv := _ints(mode, capped=False)) and x:
-        a, b = iv.power(alpha) if x > 1 else (1, 1)  # q^alpha is formed from x = 2 on
-        return iv.finish(_geometric(a, b, x, iv.red), b**x)
-    acc = mode.from_rational(0)
-    for i in range(x):
-        acc = acc + mode.q_power(alpha * i)
-    return acc
+    iv = _ints(mode, capped=False)
+    a, b = iv.power(alpha) if x > 1 else (1, 1)  # q^alpha is formed from x = 2 on
+    return iv.finish(_geometric(a, b, x, iv.red), b**x)
 
 
 def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
@@ -399,23 +407,13 @@ def qeuler_poly(n: int, alpha: int, x, mode):
         x = x.numerator
     fd = _fixed_denominator(mode)
     if fd is not None:
-        try:
-            num, shift, den, g = _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials)
-            return _ratfunc(num, [0] * shift + den, g)
-        except ResourceLimitError:
-            pass  # unreduced, the degrees pass the limit; the generic loop's may not
+        num, shift, den, g = _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials)
+        return _ratfunc(num, [0] * shift + den, g)
+    iv = _ints(mode)
     try:
-        if iv := _ints(mode):
-            return iv.finish(*_closed_form_at(n, alpha, x, iv), n)
-        one, acc = mode.from_rational(1), mode.from_rational(0)
-        for l in range(n + 1):
-            c = comb(n, l) if l % 2 == 0 else -comb(n, l)
-            num = c if x == 0 else c * mode.q_power(alpha * l * x)
-            acc = acc + num / (one + mode.q_power(alpha * l + 1))
-        v = (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
+        return iv.finish(*_closed_form_at(n, alpha, x, iv), n)
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
-    return v
 
 
 def qeuler_numbers(top: int, alpha: int, mode) -> list:
@@ -434,32 +432,14 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
     one = mode.from_rational(1)
     fd = _fixed_denominator(mode)
     if fd is not None:
-        try:
-            g = fd(1)
-            # a bound on every degree the recurrence forms
-            _guard_degree(g * (alpha * top * (top + 3) // 2 + top))
-            nums = _numbers_ints(top, alpha)
-            return [one] + [_ratfunc(e_n, nums[0], g) for e_n in nums[1:]]
-        except ResourceLimitError:
-            pass  # unreduced, the degrees pass the limit; the generic loop's may not
-    if iv := _ints(mode):
-        nums = _numbers_at(top, alpha, iv)
-        return [one] + [iv.finish(e_n, nums[0]) for e_n in nums[1:]]
-    q = mode.q_power(1)
-    numbers = [one]
-    # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
-    weighted = [one]
-    for n in range(1, top + 1):
-        acc = weighted[0]
-        for l in range(1, n):
-            acc = acc + comb(n, l) * weighted[l]
-        try:
-            e_n = -q * acc / (one + mode.q_power(alpha * n + 1))
-        except ZeroDivisionError:
-            raise PoleError(f"pole in q-Euler numbers (1 + q^{alpha * n + 1} vanishes at this q)") from None
-        numbers.append(e_n)
-        weighted.append(mode.q_power(alpha * n) * e_n)
-    return numbers
+        g = fd(1)
+        # the longest list formed: deg N[0] = alpha top (top + 1)/2 + top, since alpha l + deg N[l] = deg N[0]
+        _guard_degree(g * (alpha * top * (top + 1) // 2 + top))
+        nums = _numbers_ints(top, alpha)
+        return [one] + [_ratfunc(e_n, nums[0], g) for e_n in nums[1:]]
+    iv = _ints(mode)
+    nums = _numbers_at(top, alpha, iv)
+    return [one] + [iv.finish(e_n, nums[0]) for e_n in nums[1:]]
 
 
 def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
@@ -472,34 +452,25 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     _check_n_alpha(n, alpha)
     if not isinstance(x, int) or x < 0:
         raise PreconditionError(f"additive form needs a nonnegative integer x, got {x}")
-    if iv := _ints(mode):
-        # q^alpha = a/b and [x] = g / b^x, m None at a rational q; every term is over b^(n x) N[0]
-        nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
-        g, step = _geometric(a, b, x, iv.red), pow(a, x, m)
-        s = sum(comb(n, l) * pow(step, l, m) * nums[l] * pow(g, n - l, m) for l in range(n + 1))
-        return iv.finish(s, nums[0] * b ** (n * x))
     fd = _fixed_denominator(mode)
     if fd is not None:
-        try:
-            g = fd(1)
-            # a bound on every degree the recurrence and the sum form
-            _guard_degree(g * (alpha * n * (n + 3) // 2 + n + alpha * x * (2 * n + 1)))
-            nums, bracket, acc, power = _numbers_ints(n, alpha), _stretch([1] * x, alpha), [], [1]
-            for l in range(n, -1, -1):
-                _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
-                power = _prod(power, bracket)
-            return _ratfunc(acc, nums[0], g)
-        except ResourceLimitError:
-            pass  # unreduced, the degrees pass the limit; the generic loop's may not
-    bracket = q_int(x, alpha, mode)
-    numbers = qeuler_numbers(n, alpha, mode)
-    acc = mode.from_rational(0)
-    # [x]^(n-l) as a running product: no power of an exact zero is formed
-    power = mode.from_rational(1)
-    for l in range(n, -1, -1):
-        acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * numbers[l] * power
-        power = power * bracket
-    return acc
+        g, b = fd(1), alpha * max(x - 1, 0)
+        # the longest list formed: [x] has degree b, and term l has degree alpha l x + deg N[l] + (n - l) b,
+        # which is deg N[0] + n b for every l, as alpha l + deg N[l] = deg N[0]; at x = 0, [x] = 0 and N[0]
+        # is the longest
+        _guard_degree(max(g * (alpha * n * (n + 1) // 2 + n + n * b), b))
+        nums, bracket, acc = _numbers_ints(n, alpha), _stretch([1] * x, alpha), []
+        # [x]^(n-l) for l = n down to 0
+        powers = accumulate(repeat(bracket, n), _prod, initial=[1])
+        for l, power in zip(range(n, -1, -1), powers):
+            _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
+        return _ratfunc(acc, nums[0], g)
+    iv = _ints(mode)
+    # q^alpha = a/b and [x] = g / b^x, m None at a rational q; every term is over b^(n x) N[0]
+    nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
+    g, step = _geometric(a, b, x, iv.red), pow(a, x, m)
+    s = sum(comb(n, l) * pow(step, l, m) * nums[l] * pow(g, n - l, m) for l in range(n + 1))
+    return iv.finish(s, nums[0] * b ** (n * x))
 
 
 def alternating_sum(mode, terms):
@@ -592,26 +563,15 @@ def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corr
     finished once: one RatFunc (_split_ints), one Fraction, or one wrap
     with one modular inverse (_split_at).  Errors come as term by term:
     the first term's before any later term is formed, the ratio's last.
-    Past the degree guard the generic loop sums the terms one by one.
+    A sum whose lists would pass the degree limit raises
+    ResourceLimitError naming their degree.
     """
     _check_n_alpha(n, alpha)
     inner = BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is not None:
-        try:
-            return _split_ints(n, alpha, xs, step, corrected, _fixed_denominator(inner), fd, root_mode(mode)._binomials)
-        except ResourceLimitError:
-            pass  # unreduced, the degrees pass the limit; the generic loop's may not
-    elif iv := _ints(inner):
-        return _split_at(n, alpha, xs, step, corrected, iv, _ints(mode))
-    acc = mode.from_rational(0)
-    for i, x in enumerate(xs):
-        t = qeuler_poly(n, alpha, x, inner)
-        if corrected:
-            t = t * mode.q_power(step * i)
-        acc = acc + t if i % 2 == 0 else acc - t
-    one = mode.from_rational(1)
-    return (one + mode.q_power(step)) / (one + mode.q_power(step * len(xs))) * acc
+        return _split_ints(n, alpha, xs, step, corrected, _fixed_denominator(inner), fd, root_mode(mode)._binomials)
+    return _split_at(n, alpha, xs, step, corrected, _ints(inner), _ints(mode))
 
 
 def _split_ints(n: int, alpha: int, xs: list, step: int, corrected: bool, fd_inner, fd, table: dict) -> RatFunc:
@@ -826,7 +786,8 @@ def _closed_form_ints(n: int, alpha: int, x, fd, table: dict) -> tuple:
     """
     tops, bots = [], []
     for l in range(n + 1):
-        # the generic loop's powers of q in its order, so that the same one fails first
+        # the powers of q in the formula's order, l by l, so that the one a term-by-term evaluation
+        # fails at fails first
         tops.append(fd(alpha * l * x) if x else 0)
         bots.append(fd(alpha * l + 1))
     a, shift = fd(alpha), -min(tops)
@@ -878,13 +839,13 @@ def _geometric(a: int, b: int, x: int, red) -> int:
 
 
 def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
-    """qeuler_poly's generic loop on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
+    """qeuler_poly's sum at a fixed q on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
 
     Returns (num, den, w), the value being iv.finish(num, den, w, n).
     """
     power, red = iv.power, iv.red
     (c, w), (a, b) = power(1), power(alpha)
-    # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as in the generic loop,
+    # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as term by term,
     # 1 + q = 0 at l = 0 is that pole before q^(alpha x) can fail, and n = 0 forms no q^(alpha x)
     sa, sb = power(alpha * x) if n and x and c != -w else (1, 1)
     num, den, s, t, d, e = 0, 1, 1, 1, c, w

@@ -1,0 +1,141 @@
+"""The q-Euler kernels written term by term in the mode's own arithmetic.
+
+Each reference below is the kernel's formula evaluated one mode value at
+a time: every power of q comes from mode.q_power and every sum, product
+and quotient is Fraction, RatFunc or PadicNum arithmetic.  The kernels
+in qde.qeuler put each formula over one denominator instead, on int
+lists in symbolic mode and on ints at a fixed rational or p-adic q, and
+build the value once.  The two must agree: as rational functions with
+the same to_json() in symbolic mode, as Fractions at a rational q, and
+digit for digit, in valuation, unit and claimed precision, at a p-adic
+q.  The references form the powers of q in the formula's order, so an
+unrepresentable power or a pole raises here what the kernel raises, in
+type and message.  The property tests that hold the kernels to these
+references are TestFixedDenominator, TestFixedRational and
+TestFixedModulus in test_qeuler.py, and test_residue_reference.py.
+
+The one place the two differ on purpose is the degree limit: a symbolic
+kernel raises ResourceLimitError when a list it would form passes
+MAX_DEGREE, while a reference may still answer, because RatFunc redoes
+an operation in lowest terms where its unreduced degree would pass it.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from qde import catalog, dedekind, qeuler
+from qde.errors import PoleError, PreconditionError
+from qde.qeuler import BaseLifted, _check_n_alpha, alternating_sum
+
+
+def reference_q_int(x, alpha, mode):
+    """1 + q^alpha + ... + q^(alpha(x-1)), summed term by term."""
+    if x < 0:
+        raise PreconditionError(f"q_int needs a nonnegative integer, got {x}")
+    acc = mode.from_rational(0)
+    for i in range(x):
+        acc = acc + mode.q_power(alpha * i)
+    return acc
+
+
+def reference_qeuler_poly(n, alpha, x, mode):
+    """(1+q)/(1-q^alpha)^n * sum_l C(n,l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + 1)), term by term."""
+    _check_n_alpha(n, alpha)
+    x = Fraction(x)
+    if x.denominator == 1:
+        x = x.numerator
+    one, acc = mode.from_rational(1), mode.from_rational(0)
+    try:
+        for l in range(n + 1):
+            c = comb(n, l) if l % 2 == 0 else -comb(n, l)
+            num = c if x == 0 else c * mode.q_power(alpha * l * x)
+            acc = acc + num / (one + mode.q_power(alpha * l + 1))
+        return (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
+    except ZeroDivisionError:
+        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+
+
+def reference_qeuler_numbers(top, alpha, mode):
+    """E_0..E_top from E_n = -q/(1 + q^(alpha n + 1)) * sum_{l<n} C(n,l) q^(alpha l) E_l, term by term."""
+    _check_n_alpha(top, alpha)
+    one = mode.from_rational(1)
+    q = mode.q_power(1)
+    numbers = [one]
+    # weighted[l] = q^(alpha l) E_l, the factor every later E_n sums over
+    weighted = [one]
+    for n in range(1, top + 1):
+        acc = weighted[0]
+        for l in range(1, n):
+            acc = acc + comb(n, l) * weighted[l]
+        try:
+            e_n = -q * acc / (one + mode.q_power(alpha * n + 1))
+        except ZeroDivisionError:
+            raise PoleError(f"pole in q-Euler numbers (1 + q^{alpha * n + 1} vanishes at this q)") from None
+        numbers.append(e_n)
+        weighted.append(mode.q_power(alpha * n) * e_n)
+    return numbers
+
+
+def reference_qeuler_poly_additive(n, alpha, x, mode):
+    """sum_l C(n,l) q^(alpha l x) E_l [x]^(n-l), term by term."""
+    _check_n_alpha(n, alpha)
+    if not isinstance(x, int) or x < 0:
+        raise PreconditionError(f"additive form needs a nonnegative integer x, got {x}")
+    bracket = reference_q_int(x, alpha, mode)
+    numbers = reference_qeuler_numbers(n, alpha, mode)
+    acc = mode.from_rational(0)
+    # [x]^(n-l) as a running product: no power of an exact zero is formed
+    power = mode.from_rational(1)
+    for l in range(n, -1, -1):
+        acc = acc + comb(n, l) * mode.q_power(alpha * l * x) * numbers[l] * power
+        power = power * bracket
+    return acc
+
+
+def reference_residue_split(mode, base, n, alpha, xs, step, corrected, factor=None):
+    """(1+q^step)/(1+q^(step count)) * sum_i (-1)^i [factor] w_i E_n(x_i; q^base), term by term."""
+    inner = BaseLifted(mode, base)
+
+    def factors(i, x):
+        t = (reference_qeuler_poly(n, alpha, x, inner),)
+        if factor is not None:
+            t = (factor,) + t
+        return t + (mode.q_power(step * i),) if corrected else t
+
+    acc = alternating_sum(mode, (factors(i, x) for i, x in enumerate(xs)))
+    one = mode.from_rational(1)
+    try:
+        ratio = (one + mode.q_power(step)) / (one + mode.q_power(step * len(xs)))
+    except ZeroDivisionError:
+        raise PoleError(f"pole in the residue split (1 + q^{step * len(xs)} vanishes at this q)") from None
+    return ratio * acc
+
+
+# by the name of the kernel in qde.qeuler
+REFERENCES = {
+    "q_int": reference_q_int,
+    "qeuler_poly": reference_qeuler_poly,
+    "qeuler_numbers": reference_qeuler_numbers,
+    "qeuler_poly_additive": reference_qeuler_poly_additive,
+    "residue_split": reference_residue_split,
+}
+
+
+@contextmanager
+def reference_kernels():
+    """Run catalog checks and Dedekind-type sums on the references, in the modes' own arithmetic.
+
+    The references take the place of the kernels qde.catalog and
+    qde.dedekind import, and qeuler._ints gives no int view, so that
+    alternating_sum adds PadicNum values one at a time.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (catalog, dedekind):
+            for name, ref in REFERENCES.items():
+                if hasattr(module, name):
+                    mp.setattr(module, name, ref)
+        mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
+        yield

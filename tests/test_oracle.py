@@ -257,7 +257,6 @@ class TestIntRationalLevelSums:
     def assert_same(run):
         fast = _typed_outcome(run)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
             mp.setattr(oracle, "_ints", lambda mode, capped=True: None)
             slow = _typed_outcome(run)
         assert fast == slow

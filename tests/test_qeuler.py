@@ -28,6 +28,7 @@ from qde.qeuler import (
     serialize_value,
 )
 from qde.ratfunc import Poly, RatFunc, _prod
+from test_kernel_reference import REFERENCES, reference_kernels
 
 SYM = SymbolicMode()
 CFG3 = PadicConfig(3, 32)
@@ -499,19 +500,27 @@ def fixed_modulus_identity_cases(draw):
     return identity, draw(st.sampled_from(CATALOG[identity].variants)), point, mode
 
 
+def _against_reference(kernel, args):
+    """(kernel(*args), its reference's outcome) as _outcome gives them.
+
+    A kernel of qde.qeuler runs against its reference; any other
+    function runs against itself on the reference kernels.
+    """
+    fast = _outcome(lambda: kernel(*args))
+    with reference_kernels():
+        slow = _outcome(lambda: REFERENCES.get(kernel.__name__, kernel)(*args))
+    return fast, slow
+
+
 class TestFixedModulus:
-    """The p-adic kernels on ints mod p^A against the PadicNum path.
+    """The p-adic kernels on ints mod p^A against the PadicNum references.
 
     Equal means equal unit, valuation and precision, or the same error.
     """
 
     @staticmethod
-    def assert_same(run):
-        fast = _outcome(run)
-        with pytest.MonkeyPatch.context() as mp:
-            # every int kernel, the sums' included, asks _ints first
-            mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
-            slow = _outcome(run)
+    def assert_same(kernel, *args):
+        fast, slow = _against_reference(kernel, args)
         assert fast == slow
 
     @settings(max_examples=200, deadline=None)
@@ -526,18 +535,18 @@ class TestFixedModulus:
         # the sums' own valuation and precision, before a report's comparison caps them
         mode, alpha, n, x, _ = case
         xs = [(x + i) / count for i in range(count)]
-        self.assert_same(lambda: qeuler.residue_split(mode, count, n, alpha, xs, 1 + alpha, corrected))
+        self.assert_same(qeuler.residue_split, mode, count, n, alpha, xs, 1 + alpha, corrected)
         k = count + 1
-        self.assert_same(lambda: q_dc_sum(n, 1, k, alpha, 2, mode))
-        self.assert_same(lambda: bracket_weighted_sum(n, k - 1, k, alpha, "naive", mode))
+        self.assert_same(q_dc_sum, n, 1, k, alpha, 2, mode)
+        self.assert_same(bracket_weighted_sum, n, k - 1, k, alpha, "naive", mode)
 
     def test_terms_known_past_q_are_capped(self):
         # K = 16 digits past q's 12: the terms, the weights q^i and the ratio keep q's 12
         mode = PadicMode(PadicNum.from_rational(4, 3, 12), PadicConfig(3, 16))
         xs = [Fraction(4, 5), Fraction(1, 2), Fraction(3)]
         for corrected in (False, True):
-            self.assert_same(lambda: qeuler.residue_split(mode, 3, 2, 1, xs, 1, corrected))
-        self.assert_same(lambda: qeuler.residue_split(mode, 1, 0, 1, [Fraction(1)], 1, False))
+            self.assert_same(qeuler.residue_split, mode, 3, 2, 1, xs, 1, corrected)
+        self.assert_same(qeuler.residue_split, mode, 1, 0, 1, [Fraction(1)], 1, False)
         assert qeuler.residue_split(mode, 1, 0, 1, [Fraction(1)], 1, False).abs_prec <= 12
 
     @pytest.mark.parametrize("q_prec", [13, 16, 20])
@@ -556,7 +565,7 @@ class TestFixedModulus:
         # q = 1 to K digits: E_n with n >= 1 divides by O(p^(n K)); E_0 gets DEFAULT_PRECISION digits
         mode = PadicMode(PadicNum.from_rational(1 + 3**20, 3, 20), PadicConfig(3, 16))
         for n in (0, 1, 3):
-            self.assert_same(lambda: qeuler_poly(n, 2, Fraction(1, 2), mode))
+            self.assert_same(qeuler_poly, n, 2, Fraction(1, 2), mode)
         with pytest.raises(PrecisionError, match=r"division by PadicNum\(O\(3\^48\)\)"):
             qeuler_poly(3, 2, 0, mode)
 
@@ -564,10 +573,10 @@ class TestFixedModulus:
     @given(fixed_modulus_cases())
     def test_kernels_match_the_padic_path(self, case):
         mode, alpha, n, x, x_int = case
-        self.assert_same(lambda: qeuler_poly(n, alpha, x, mode))
-        self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
-        self.assert_same(lambda: qeuler_poly_additive(n, alpha, x_int, mode))
-        self.assert_same(lambda: q_int(x_int, alpha, mode))
+        self.assert_same(qeuler_poly, n, alpha, x, mode)
+        self.assert_same(qeuler_numbers, n, alpha, mode)
+        self.assert_same(qeuler_poly_additive, n, alpha, x_int, mode)
+        self.assert_same(q_int, x_int, alpha, mode)
 
     @pytest.mark.parametrize("p,top", [(3, 27), (5, 25)])
     def test_numbers_at_powers_of_p_with_a_short_q(self, p, top):
@@ -575,7 +584,7 @@ class TestFixedModulus:
         # E_n = -1/2 mod p keeps the PadicNum path's E_n at q's 20 digits
         mode = PadicMode(PadicNum.from_rational(1 + p, p, 20), PadicConfig(p, 32))
         for alpha in (1, 2):
-            self.assert_same(lambda: qeuler_numbers(top, alpha, mode))
+            self.assert_same(qeuler_numbers, top, alpha, mode)
         assert all(e.abs_prec == 20 for e in qeuler_numbers(top, 1, mode)[1:])
 
 
@@ -585,7 +594,7 @@ def fixed_denominator_cases(draw):
     mode = SymbolicMode(scale) if base == 1 else BaseLifted(SymbolicMode(scale), base)
     # x integral, negative, fractional, or with a denominator the scale cannot take
     x = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 5, 15))))
-    # the generic loops slow down with the stride scale * base; from 6 on,
+    # the references slow down with the stride scale * base; from 6 on,
     # n <= 3 keeps the test near 2 s
     n = draw(st.integers(0, 7 if scale * base < 6 else 3))
     return mode, draw(st.integers(1, 3)), n, x, draw(st.integers(0, 6))
@@ -598,18 +607,15 @@ def _json(outcome):
 
 
 class TestFixedDenominator:
-    """The symbolic kernels over a known denominator against the generic loops.
+    """The symbolic kernels over a known denominator against the RatFunc references.
 
     Equal means an equal RatFunc with the same to_json(), or the same
     error type and message.
     """
 
     @staticmethod
-    def assert_same(run):
-        fast = _outcome(run)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qeuler, "_fixed_denominator", lambda mode: None)
-            slow = _outcome(run)
+    def assert_same(kernel, *args):
+        fast, slow = _against_reference(kernel, args)
         assert fast == slow
         assert _json(fast) == _json(slow)
 
@@ -617,16 +623,46 @@ class TestFixedDenominator:
     @given(fixed_denominator_cases())
     def test_kernels_match_the_generic_loops(self, case):
         mode, alpha, n, x, x_int = case
-        self.assert_same(lambda: qeuler_poly(n, alpha, x, mode))
-        self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
-        self.assert_same(lambda: qeuler_poly_additive(n, alpha, x_int, mode))
-        self.assert_same(lambda: q_int(x_int, alpha, mode))
+        self.assert_same(qeuler_poly, n, alpha, x, mode)
+        self.assert_same(qeuler_numbers, n, alpha, mode)
+        self.assert_same(qeuler_poly_additive, n, alpha, x_int, mode)
+        self.assert_same(q_int, x_int, alpha, mode)
 
-    def test_past_the_unreduced_bound_the_generic_loops_answer(self):
-        # over D = (1 + q^30001)(1 + q^60001) the recurrence's lists would pass
-        # the degree limit; the generic loop's reduced values stay below it
+    def test_the_int_lists_answer_up_to_their_longest_list(self):
+        # over D = (1 + q^30001)(1 + q^60001) the longest list has degree 90,002, under the limit
         assert qeuler_numbers(2, 30000, SYM)[2].den.degree == 90002
         assert qeuler_poly_additive(2, 30000, 0, SYM).den.degree == 90002
+
+    @pytest.mark.parametrize("kernel, args", [
+        (qeuler_numbers, (5, 2)),
+        (qeuler_numbers, (0, 3)),
+        (qeuler_poly_additive, (4, 2, 0)),
+        (qeuler_poly_additive, (4, 2, 1)),
+        (qeuler_poly_additive, (3, 1, 5)),
+        (qeuler_poly_additive, (0, 3, 4)),
+    ])
+    @pytest.mark.parametrize("mode", [SYM, SymbolicMode(3), BaseLifted(SymbolicMode(2), 3)])
+    def test_the_degree_guard_is_the_longest_list(self, monkeypatch, kernel, args, mode):
+        guards, degrees = [], []
+        guard = qeuler._guard_degree
+        monkeypatch.setattr(qeuler, "_guard_degree", lambda d: guards.append(d) or guard(d))
+
+        def recorded(helper):
+            return lambda *a: degrees.append(len(out := helper(*a)) - 1) or out
+
+        for name in ("_prod", "_stretch", "_times_binomial", "_quo_binomial"):
+            monkeypatch.setattr(qeuler, name, recorded(getattr(qeuler, name)))
+        axpy = qeuler._axpy
+        monkeypatch.setattr(qeuler, "_axpy", lambda acc, *a: axpy(acc, *a) or degrees.append(len(acc) - 1))
+        kernel(*args, mode)
+        # the kernel's own guard comes last, after fd(1)'s
+        assert guards[-1] == max(degrees, default=0)
+
+    def test_past_the_limit_a_kernel_names_its_degree(self):
+        # the closed form's denominator (1 + Q)(1 + Q^50001)(1 - Q^50000) has degree 100,002;
+        # reduced, the value's has degree 50,001
+        with pytest.raises(ResourceLimitError, match="polynomial degree 100002 exceeds limit 100000"):
+            qeuler_poly(1, 50000, 0, SymbolicMode())
 
 
 @st.composite
@@ -645,7 +681,13 @@ class TestReducedMeasure:
     @settings(max_examples=150)
     @given(measure_cases())
     def test_matches_the_generic_formula(self, case):
-        TestFixedDenominator.assert_same(lambda: measure(*case).value)
+        fast = _outcome(lambda: measure(*case).value)
+        with pytest.MonkeyPatch.context() as mp:
+            # the formula measure uses at a fixed q
+            mp.setattr(qeuler, "_fixed_denominator", lambda mode: None)
+            slow = _outcome(lambda: measure(*case).value)
+        assert fast == slow
+        assert _json(fast) == _json(slow)
 
     def test_no_gcd(self, monkeypatch):
         calls = []
@@ -764,27 +806,24 @@ def _typed(outcome):
 
 
 class TestFixedRational:
-    """The rational kernels on ints against the generic Fraction loops.
+    """The rational kernels on ints against the Fraction references.
 
     Equal means the same Fraction, or the same error type and message.
     """
 
     @staticmethod
-    def assert_same(run):
-        fast = _typed(_outcome(run))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qeuler, "_ints", lambda mode, capped=True: None)
-            slow = _typed(_outcome(run))
-        assert fast == slow
+    def assert_same(kernel, *args):
+        fast, slow = _against_reference(kernel, args)
+        assert _typed(fast) == _typed(slow)
 
     @settings(max_examples=300)
     @given(fixed_rational_cases())
     def test_kernels_match_the_generic_loops(self, case):
         mode, alpha, n, x, x_int = case
-        self.assert_same(lambda: qeuler_poly(n, alpha, x, mode))
-        self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
-        self.assert_same(lambda: qeuler_poly_additive(n, alpha, x_int, mode))
-        self.assert_same(lambda: q_int(x_int, alpha, mode))
+        self.assert_same(qeuler_poly, n, alpha, x, mode)
+        self.assert_same(qeuler_numbers, n, alpha, mode)
+        self.assert_same(qeuler_poly_additive, n, alpha, x_int, mode)
+        self.assert_same(q_int, x_int, alpha, mode)
 
     @pytest.mark.parametrize("q0", RATIONAL_QS)
     @pytest.mark.parametrize("base", [1, 2])
@@ -793,12 +832,12 @@ class TestFixedRational:
         for n in range(5):
             for alpha in (1, 2):
                 for x in (0, 2, -1, Fraction(1, 2), Fraction(-3, 2)):
-                    self.assert_same(lambda: qeuler_poly(n, alpha, x, mode))
-                self.assert_same(lambda: qeuler_numbers(n, alpha, mode))
-                self.assert_same(lambda: qeuler_poly_additive(n, alpha, 3, mode))
+                    self.assert_same(qeuler_poly, n, alpha, x, mode)
+                self.assert_same(qeuler_numbers, n, alpha, mode)
+                self.assert_same(qeuler_poly_additive, n, alpha, 3, mode)
         # a negative weight forms a negative power of q from x = 2 on
         for x in range(4):
-            self.assert_same(lambda: q_int(x, -1, mode))
+            self.assert_same(q_int, x, -1, mode)
 
     @pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-2, 3), 4, -2])
     @pytest.mark.parametrize("corrected", [False, True])
@@ -808,7 +847,7 @@ class TestFixedRational:
             mode = RationalMode(q0) if base == 1 else BaseLifted(RationalMode(q0), base)
             for count, step, n in [(1, 1, 2), (3, 1, 3), (5, 2, 1), (3, 4, 2), (2, 3, 0)]:
                 xs = [Fraction(i + 1, count) for i in range(count)]
-                self.assert_same(lambda: qeuler.residue_split(mode, count * step, n, 1, xs, step, corrected))
+                self.assert_same(qeuler.residue_split, mode, count * step, n, 1, xs, step, corrected)
 
     @pytest.mark.parametrize("base, count, step", [(1, 3, 1), (1, 1, 1), (1, 5, 3), (3, 3, 1)])
     @pytest.mark.parametrize("corrected", [False, True])

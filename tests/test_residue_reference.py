@@ -1,9 +1,10 @@
 """residue_split against a term-by-term reference.
 
-The reference below is the residue sum written one finished value per
-term: each E_n(x_i; q^base) comes from qeuler_poly, is weighted by
-q^(step i) in the corrected reading, and the terms are added by
-alternating_sum, then multiplied by the ratio
+The reference, test_kernel_reference.reference_residue_split, is the
+residue sum written one finished value per term: each E_n(x_i; q^base)
+comes from reference_qeuler_poly, term by term in the mode's own
+arithmetic, is weighted by q^(step i) in the corrected reading, and the
+terms are added by alternating_sum, then multiplied by the ratio
 (1 + q^step)/(1 + q^(step count)).  residue_split sums the terms'
 numerators over their one denominator and finishes the sum once.  The
 two must agree: as rational functions in symbolic mode, as Fractions at
@@ -26,37 +27,10 @@ from hypothesis import strategies as st
 
 from qde import qeuler
 from qde.catalog import check
-from qde.errors import ExponentError, PoleError, PrecisionError
+from qde.errors import ExponentError, PoleError, PrecisionError, ResourceLimitError
 from qde.padic import PadicConfig, PadicNum
-from qde.qeuler import (
-    BaseLifted,
-    PadicMode,
-    RationalMode,
-    SymbolicMode,
-    alternating_sum,
-    q_int,
-    qeuler_poly,
-    residue_split,
-)
-
-
-def reference_residue_split(mode, base, n, alpha, xs, step, corrected, factor=None):
-    """(1+q^step)/(1+q^(step count)) * sum_i (-1)^i [factor] w_i E_n(x_i; q^base), term by term."""
-    inner = BaseLifted(mode, base)
-
-    def factors(i, x):
-        t = (qeuler_poly(n, alpha, x, inner),)
-        if factor is not None:
-            t = (factor,) + t
-        return t + (mode.q_power(step * i),) if corrected else t
-
-    acc = alternating_sum(mode, (factors(i, x) for i, x in enumerate(xs)))
-    one = mode.from_rational(1)
-    try:
-        ratio = (one + mode.q_power(step)) / (one + mode.q_power(step * len(xs)))
-    except ZeroDivisionError:
-        raise PoleError(f"pole in the residue split (1 + q^{step * len(xs)} vanishes at this q)") from None
-    return ratio * acc
+from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, q_int, residue_split
+from test_kernel_reference import reference_residue_split
 
 
 def outcome(run):
@@ -187,10 +161,12 @@ class TestErrors:
             check("eq5", "printed", {"n": 1, "alpha": 1, "d": 3, "x": 0}, RationalMode(4))
 
     @pytest.mark.parametrize("scale, xs, step", [
-        (3, [0], 1),  # within the guard: one RatFunc over D (1 + Q^3)
-        (2, [0], 40000),  # the ratio's 1 + q^40000 passes the guard; term by term it cancels
-        (2, [0, 1, 2], 20000),  # term by term passes the limit too
+        (3, [0], 1),  # the first term's D = (1 + Q^3)(1 + Q^90003)(1 - Q^90000) passes the limit
+        (2, [0], 40000),  # so does D = (1 + Q^2)(1 + Q^60002)(1 - Q^60000)
+        (2, [0, 1, 2], 20000),  # and every term's
     ])
-    def test_past_the_degree_guard_as_term_by_term(self, scale, xs, step):
+    def test_past_the_degree_guard_the_split_raises(self, scale, xs, step):
+        # the term-by-term reference answers the first two: RatFunc redoes a step past the limit in lowest terms
         for corrected in (False, True):
-            assert_matches(SymbolicMode(scale), 1, 1, 30000, [Fraction(x) for x in xs], step, corrected)
+            with pytest.raises(ResourceLimitError, match="exceeds limit 100000"):
+                residue_split(SymbolicMode(scale), 1, 1, 30000, [Fraction(x) for x in xs], step, corrected)
