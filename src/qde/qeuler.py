@@ -56,7 +56,11 @@ values E_n(x_i; q^B) that all have one denominator, P (1 - q^(alpha
 B))^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends on
 n, alpha and B alone.  So their numerators are summed over it and the
 sum is finished once per mode: one Fraction, one wrap with one modular
-inverse at a p-adic q, one RatFunc in symbolic mode.  The other
+inverse at a p-adic q, one RatFunc in symbolic mode.  There what no
+x_i enters (the exponents of q^(alpha l + 1) and q^alpha, the table
+entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
+split, and qeuler_poly's closed form is its one-term case
+(_closed_form_ints).  The other
 alternating sums (alternating_sum: q_dc_sum and bracket_weighted_sum)
 add finished values on ints mod p^A too, and so does
 dedekind.interp_series's binomial series (binomial_series), which reads
@@ -328,10 +332,12 @@ def q_int(x: int, alpha: int, mode):
         raise PreconditionError(f"q_int needs a nonnegative integer, got {x}")
     fd = _fixed_denominator(mode)
     if fd is not None:
-        acc = []
-        for i in range(x):
-            _axpy(acc, 1, [1], fd(alpha * i))
-        return RatFunc.from_poly(_poly(acc, 1))
+        ks, acc = [fd(alpha * i) for i in range(x)], []
+        # ks[0] = 0, so a negative weight's powers are over Q^-low and the sum's constant term is 1: reduced
+        low = min(ks, default=0)
+        for k in ks:
+            _axpy(acc, 1, [1], k - low)
+        return RatFunc._reduced(_poly(acc, 1), Poly.monomial(-low))
     if not x:
         return mode.from_rational(0)
     # only q enters, so the sum keeps q's digits even past K
@@ -407,8 +413,7 @@ def qeuler_poly(n: int, alpha: int, x, mode):
         x = x.numerator
     fd = _fixed_denominator(mode)
     if fd is not None:
-        num, shift, den, g = _closed_form_ints(n, alpha, x, fd, root_mode(mode)._binomials)
-        return _ratfunc(num, [0] * shift + den, g)
+        return _ratfunc(*_closed_form_ints(n, alpha, [x], fd, root_mode(mode)._binomials))
     iv = _ints(mode)
     try:
         return iv.finish(*_closed_form_at(n, alpha, x, iv), n)
@@ -560,40 +565,21 @@ def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corr
     base))^n, P = prod_l (1 + q^((alpha l + 1) base)), since D depends
     on n, alpha and the base alone, never on x_i.  So the terms'
     numerators are summed over D and the sum, ratio included, is
-    finished once: one RatFunc (_split_ints), one Fraction, or one wrap
-    with one modular inverse (_split_at).  Errors come as term by term:
-    the first term's before any later term is formed, the ratio's last.
-    A sum whose lists would pass the degree limit raises
-    ResourceLimitError naming their degree.
+    finished once: one RatFunc (_closed_form_ints, whose part that no
+    x_i enters is formed once), one Fraction, or one wrap with one
+    modular inverse (_split_at).  Errors come as term by term: the first
+    term's before any later term is formed, the ratio's last, and
+    q^step's exponent first in symbolic mode.  A sum whose lists would
+    pass the degree limit raises ResourceLimitError naming their degree.
     """
     _check_n_alpha(n, alpha)
     inner = BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is not None:
-        return _split_ints(n, alpha, xs, step, corrected, _fixed_denominator(inner), fd, root_mode(mode)._binomials)
+        k = fd(step)
+        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), root_mode(mode)._binomials, k, corrected)
+        return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * len(xs) // g), g)
     return _split_at(n, alpha, xs, step, corrected, _ints(inner), _ints(mode))
-
-
-def _split_ints(n: int, alpha: int, xs: list, step: int, corrected: bool, fd_inner, fd, table: dict) -> RatFunc:
-    """residue_split in symbolic mode, on int lists over Q^top D (1 + Q^(k count)), q^step = Q^k.
-
-    Term i is num_i / (Q^s_i D) in Q^g_i (_closed_form_ints), its
-    weight Q^(k i) or 1.  A negative x_i gives s_i > 0, so every list is
-    shifted onto top = max s_i.  Every g_i, s_i and k is a multiple of
-    G, so the sum is formed in Q^G.
-    """
-    k, count = fd(step), len(xs)
-    terms = [_closed_form_ints(n, alpha, x, fd_inner, table) for x in xs]
-    top = max(shift * g for _, shift, _, g in terms)
-    # a bound on every degree formed below
-    _guard_degree(top + k * count + max(g * (max(len(num), len(den)) - 1) for num, _, den, g in terms))
-    big_g, w = gcd(k, *(g for *_, g in terms)), k if corrected else 0
-    acc = []
-    for i, (num, shift, den, g) in enumerate(terms):
-        _axpy(acc, (-1) ** i, _stretch(num, g // big_g), (w * i + top - shift * g) // big_g)
-    # every term's D in Q^g is the same polynomial in Q
-    den = [0] * (top // big_g) + _stretch(den, g // big_g)
-    return _ratfunc(_times_binomial(acc, k // big_g), _times_binomial(den, k * count // big_g), big_g)
 
 
 def _split_at(n: int, alpha: int, xs: list, step: int, corrected: bool, iv, outer):
@@ -775,39 +761,51 @@ def _times_binomial(a: list, k: int) -> list:
     return c
 
 
-def _closed_form_ints(n: int, alpha: int, x, fd, table: dict) -> tuple:
-    """qeuler_poly over P (1 - q^alpha)^n with P = prod_l (1 + q^(alpha l + 1)).
+def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, k: int = None, corrected: bool = False) -> tuple:
+    """sum_i (-1)^i w_i E_n(x_i) as (num, den, g), the value num / den in Q^g; one x is qeuler_poly.
 
-    In Q^g, 1 + q^(alpha l + 1) is 1 + Q^(b + l a) with a = fd(alpha)/g
-    and b = fd(1)/g, so the quotients P / (1 + Q^(b + l a)) and
-    D = P (1 - Q^a)^n depend on (n, a, b) alone; table keeps them per
-    key.  Only the shifts q^(alpha l x) depend on x.  Returns (num,
-    shift, D, g), the value being num / (Q^shift D) in Q^g.
+    In Q^g every term is over Q^top D, D = P (1 - Q^a)^n, P = prod_l (1 +
+    Q^(b + l a)), q^alpha = Q^(g a) and q = Q^(g b), so the quotients P /
+    (1 + Q^(b + l a)) and D depend on (n, a, b) alone; table keeps them.
+    Only term i's shifts q^(alpha l x_i) = Q^(l s_i) depend on x_i, and
+    top = max -n s_i.  So the rest, the guards' sums and the factor 1 + q
+    included, is formed once per call.  A residue split passes its q^step
+    = Q^k, which g divides, and multiplies its ratio in; w_i = Q^(k i)
+    when corrected, else 1.
     """
-    tops, bots = [], []
-    for l in range(n + 1):
-        # the powers of q in the formula's order, l by l, so that the one a term-by-term evaluation
-        # fails at fails first
-        tops.append(fd(alpha * l * x) if x else 0)
-        bots.append(fd(alpha * l + 1))
-    a, shift = fd(alpha), -min(tops)
-    # a bound on every degree formed below
-    _guard_degree(shift + max(tops) + sum(bots) + max(n * a, bots[0]))
+    # the powers of q in the formula's order, l by l, so that the one a term-by-term evaluation fails at
+    # fails first: q^(alpha l x) = Q^(l s), then q^(alpha l + 1), which the first term forms for all
+    bots, shifts = [fd(1)], []
+    for x in xs:
+        s = fd(alpha * x) if n and x else 0
+        for l in range(1, n + 1):
+            _guard_degree(l * abs(s))
+            if not shifts:
+                bots.append(fd(alpha * l + 1))
+        if not shifts:
+            a = fd(alpha)
+        # a bound on every degree a term forms
+        _guard_degree(n * abs(s) + sum(bots) + max(n * a, bots[0]))
+        shifts.append(s)
+    top = -n * min(0, *shifts)
+    if k is not None:
+        # a bound on every degree the split forms, its ratio included
+        _guard_degree(top + k * len(xs) + sum(bots) + n * max(a, -min(shifts), max(shifts) - a))
     # every power of q here is one of Q^g
-    g = gcd(a, *tops, *bots)
-    a, b, shift, acc = a // g, bots[0] // g, shift // g, []
+    g = gcd(k or 0, a, bots[0], *shifts)
+    a, b, w, acc = a // g, bots[0] // g, k if corrected else 0, []
+    cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
     if (n, a, b) not in table:
         prod = [1]
-        for k in bots:
-            prod = _times_binomial(prod, k // g)
-        power = _stretch([(-1) ** k * comb(n, k) for k in range(n + 1)], a)
-        table[n, a, b] = [_quo_binomial(prod, k // g) for k in bots], _prod(prod, power)
+        for e in bots:
+            prod = _times_binomial(prod, e // g)
+        table[n, a, b] = [_quo_binomial(prod, e // g) for e in bots], _prod(prod, _stretch(cs, a))
     quotients, den = table[n, a, b]
-    for l, (t, quo) in enumerate(zip(tops, quotients)):
-        # a negative power of q in a numerator moves into the denominator
-        _axpy(acc, (-1) ** l * comb(n, l), quo, t // g + shift)
+    for i, s in enumerate(shifts):
+        for l, (c, quo) in enumerate(zip(cs, quotients)):
+            _axpy(acc, -c if i % 2 else c, quo, (w * i + top + l * s) // g)
     # the factor 1 + q is 1 + q^(alpha 0 + 1); the lists in the table are copied, never changed
-    return _times_binomial(acc, b), shift, den, g
+    return _times_binomial(acc, b), [0] * (top // g) + den, g
 
 
 def _numbers_ints(top: int, alpha: int) -> list:

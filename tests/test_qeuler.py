@@ -597,7 +597,8 @@ def fixed_denominator_cases(draw):
     # the references slow down with the stride scale * base; from 6 on,
     # n <= 3 keeps the test near 2 s
     n = draw(st.integers(0, 7 if scale * base < 6 else 3))
-    return mode, draw(st.integers(1, 3)), n, x, draw(st.integers(0, 6))
+    # q_int takes any integer weight, a negative one moving its powers into the denominator
+    return mode, draw(st.integers(1, 3)), n, x, draw(st.integers(0, 6)), draw(st.integers(-3, 3))
 
 
 def _json(outcome):
@@ -622,11 +623,19 @@ class TestFixedDenominator:
     @settings(max_examples=300)
     @given(fixed_denominator_cases())
     def test_kernels_match_the_generic_loops(self, case):
-        mode, alpha, n, x, x_int = case
+        mode, alpha, n, x, x_int, weight = case
         self.assert_same(qeuler_poly, n, alpha, x, mode)
         self.assert_same(qeuler_numbers, n, alpha, mode)
         self.assert_same(qeuler_poly_additive, n, alpha, x_int, mode)
-        self.assert_same(q_int, x_int, alpha, mode)
+        self.assert_same(q_int, x_int, weight, mode)
+
+    def test_q_int_at_a_negative_weight_keeps_its_negative_powers(self):
+        # 1 + q^-1 + q^-2 = (1 + Q + Q^2)/Q^2, and at scale 2, 1 + q^-2 = 1 + Q^-4
+        one, monomial = RatFunc.const(1), RatFunc.monomial
+        assert q_int(3, -1, SYM) == one + monomial(-1) + monomial(-2)
+        assert q_int(2, -2, SymbolicMode(2)) == one + monomial(-4)
+        self.assert_same(q_int, 3, -1, SYM)
+        self.assert_same(q_int, 2, -2, SymbolicMode(2))
 
     def test_the_int_lists_answer_up_to_their_longest_list(self):
         # over D = (1 + q^30001)(1 + q^60001) the longest list has degree 90,002, under the limit
@@ -778,7 +787,7 @@ class TestBinomialTable:
         # the alpha = 30000 case of TestFixedDenominator, and a shift q^(alpha l x) alone past the limit
         for alpha, x in ((30000, 0), (1, 50000)):
             with pytest.raises(ResourceLimitError, match="exceeds limit"):
-                qeuler._closed_form_ints(2, alpha, x, fd, mode._binomials)
+                qeuler._closed_form_ints(2, alpha, [x], fd, mode._binomials)
             assert mode._binomials == {}
         with pytest.raises(ExponentError, match="multiple of 3"):
             qeuler_poly(2, 1, Fraction(1, 3), mode)

@@ -95,6 +95,13 @@ def padic_cases(draw):
 @example((SymbolicMode(2), 1, 2, 1, [Fraction(0), Fraction(1, 2), Fraction(-3, 2)], 1, True))
 # every term negative, each with its own shift; scale 3 at base 3
 @example((SymbolicMode(3), 3, 3, 2, [Fraction(-1, 3), Fraction(-2), Fraction(-5, 3)], 2, False))
+# the first term is representable and the second is not: the split fails at the second term's q^(1/3)
+@example((SymbolicMode(1), 1, 2, 1, [Fraction(0), Fraction(1, 3)], 1, True))
+# the first term's q^(2 x) passes the degree limit before the second term's q^(1/3) is formed
+@example((SymbolicMode(1), 1, 2, 1, [Fraction(60000), Fraction(1, 3)], 1, False))
+# eq7's d = 7 shape from a negative start, x_i = (a - 3)/7 at base 7: strides 49 at x_i = 0 and 7 elsewhere, and
+# three negative x_i, each with its own shift
+@example((SymbolicMode(7), 7, 3, 2, [Fraction(a - 3, 7) for a in range(7)], 1, True))
 def test_symbolic_sum_is_the_term_by_term_sum(case):
     assert_matches(*case)
 
@@ -117,12 +124,28 @@ def test_padic_sum_is_the_term_by_term_sum(case):
     assert got == outcome(lambda: reference_residue_split(mode, base, n, alpha, xs, step, corrected, factor))
 
 
+def test_the_term_invariant_exponents_are_formed_once_per_split(monkeypatch):
+    # q^(alpha l + 1) and q^alpha do not depend on x_i: a split of five terms maps them once, and each
+    # term's shifts q^(alpha l x_i) = (q^(alpha x_i))^l from one exponent; no two exponents below coincide
+    calls, exponent = [], SymbolicMode._exponent
+    monkeypatch.setattr(SymbolicMode, "_exponent", lambda mode, e: calls.append(e) or exponent(mode, e))
+    n, alpha, xs, step = 3, 2, [Fraction(x) for x in (-2, -1, 3, 4, 5)], 4
+    residue_split(SymbolicMode(), 1, n, alpha, xs, step, True)
+    assert [calls.count(alpha * l + 1) for l in range(n + 1)] == [1] * (n + 1)
+    assert calls.count(alpha) == 1
+    assert sorted(calls) == sorted([step, alpha] + [alpha * l + 1 for l in range(n + 1)] + [alpha * x for x in xs])
+
+
 def test_the_example_terms_differ_in_stride_and_shift():
-    # the first symbolic example above: term i is num / (Q^shift D) in Q^g
+    # the first symbolic example above: alone, term i is num / (Q^shift D) in Q^g, D with constant term 1
     mode = SymbolicMode(2)
     fd = qeuler._fixed_denominator(mode)
-    forms = [qeuler._closed_form_ints(2, 1, x, fd, {}) for x in (0, Fraction(1, 2), Fraction(-3, 2))]
-    assert [(g, shift * g) for _, shift, _, g in forms] == [(2, 0), (1, 0), (1, 6)]
+    xs = [Fraction(0), Fraction(1, 2), Fraction(-3, 2)]
+    forms = [qeuler._closed_form_ints(2, 1, [x], fd, {}) for x in xs]
+    assert [(g, den.index(1) * g) for _, den, g in forms] == [(2, 0), (1, 0), (1, 6)]
+    # together, over the least stride and the largest shift
+    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, {}, fd(1), True)
+    assert (g, den.index(1) * g) == (1, 6)
 
 
 class TestErrors:
