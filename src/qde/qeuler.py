@@ -26,16 +26,19 @@ such table per call.
 
 At a fixed q, rational or p-adic, the four kernels are each one formula
 on ints over one denominator (_closed_form_at, _numbers_at, _geometric),
-with q^e an int pair (a, b), q^e = a/b, from _ints.  At q = u/v the pair
-is exact and the value one Fraction, reduced once.  At a p-adic q it is
-(q^e mod p^A, 1) and the value is wrapped once as a PadicNum.  Its
-divisors 1 + q^k are 2 mod p, units for odd p, so ints mod p^A are exact
-(the fixed-modulus model; Caruso, arXiv:1701.06794).  A is the least
-absolute precision of the inputs, and the capped-relative path knows
-each of these sums to exactly A digits too, so the result is the same
-PadicNum digit for digit and in its claimed precision.  qeuler_poly's
-one non-unit divisor, (1 - q^alpha)^n = p^(n v) d^n, takes the
-valuation and the precision that path gives it (_Ints.finish).
+with q^e an int pair (a, b), q^e = a/b, from _ints.  Every value has one
+finish (_Ints.finish), a sum of terms t_i / d_i over (1 - q^alpha)^n
+times a ratio; a q-integer, a table entry or an additive value is one
+term with no ratio.  At q = u/v the pair is exact and the value one
+Fraction, reduced once.  At a p-adic q it is (q^e mod p^A, 1) and the
+value one PadicNum, from at most one modular inverse.  Its divisors
+1 + q^k are 2 mod p, units for odd p, so ints mod p^A are exact (the
+fixed-modulus model; Caruso, arXiv:1701.06794).  A is the least absolute
+precision of the inputs, and the capped-relative path knows each of
+these sums to exactly A digits too, so the result is the same PadicNum
+digit for digit and in its claimed precision.  The one non-unit divisor,
+(1 - q^alpha)^n = p^(n v) d^n, takes the valuation and the precision that
+path gives it.
 
 What depends only on the mode is formed once and cached on it: one int
 view per lifted base and A, so a q known to at most K digits has one
@@ -55,12 +58,12 @@ The residue splits of eq5/eq7/eq8/recursion (residue_split) add
 values E_n(x_i; q^B) that all have one denominator, P (1 - q^(alpha
 B))^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends on
 n, alpha and B alone.  So their numerators are summed over it and the
-sum is finished once per mode: one Fraction, one wrap with one modular
-inverse at a p-adic q, one RatFunc in symbolic mode.  There what no
-x_i enters (the exponents of q^(alpha l + 1) and q^alpha, the table
-entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
-split, and qeuler_poly's closed form is its one-term case
-(_closed_form_ints).  The other
+sum is finished once per mode: one Fraction, one PadicNum from one
+modular inverse at a p-adic q, one RatFunc in symbolic mode.  In every
+mode qeuler_poly's closed form is the split's one-term case
+(_closed_form_ints, _split_at), and in symbolic mode what no x_i enters
+(the exponents of q^(alpha l + 1) and q^alpha, the table entry, the gcd,
+the guard's sums, the factor 1 + q) is formed once per split.  The other
 alternating sums (alternating_sum: q_dc_sum and bracket_weighted_sum)
 add finished values on ints mod p^A too, and so does
 dedekind.interp_series's binomial series (binomial_series), which reads
@@ -343,7 +346,7 @@ def q_int(x: int, alpha: int, mode):
     # only q enters, so the sum keeps q's digits even past K
     iv = _ints(mode, capped=False)
     a, b = iv.power(alpha) if x > 1 else (1, 1)  # q^alpha is formed from x = 2 on
-    return iv.finish(_geometric(a, b, x, iv.red), b**x)
+    return iv.finish([(_geometric(a, b, x, iv.red), b**x)])
 
 
 def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
@@ -414,11 +417,7 @@ def qeuler_poly(n: int, alpha: int, x, mode):
     fd = _fixed_denominator(mode)
     if fd is not None:
         return _ratfunc(*_closed_form_ints(n, alpha, [x], fd, root_mode(mode)._binomials))
-    iv = _ints(mode)
-    try:
-        return iv.finish(*_closed_form_at(n, alpha, x, iv), n)
-    except ZeroDivisionError:
-        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    return _split_at(n, alpha, [x], _ints(mode))
 
 
 def qeuler_numbers(top: int, alpha: int, mode) -> list:
@@ -444,7 +443,7 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
         return [one] + [_ratfunc(e_n, nums[0], g) for e_n in nums[1:]]
     iv = _ints(mode)
     nums = _numbers_at(top, alpha, iv)
-    return [one] + [iv.finish(e_n, nums[0]) for e_n in nums[1:]]
+    return [one] + [iv.finish([(e_n, nums[0])]) for e_n in nums[1:]]
 
 
 def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
@@ -475,7 +474,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
     g, step = _geometric(a, b, x, iv.red), pow(a, x, m)
     s = sum(comb(n, l) * pow(step, l, m) * nums[l] * pow(g, n - l, m) for l in range(n + 1))
-    return iv.finish(s, nums[0] * b ** (n * x))
+    return iv.finish([(s, nums[0] * b ** (n * x))])
 
 
 def alternating_sum(mode, terms):
@@ -566,8 +565,9 @@ def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corr
     on n, alpha and the base alone, never on x_i.  So the terms'
     numerators are summed over D and the sum, ratio included, is
     finished once: one RatFunc (_closed_form_ints, whose part that no
-    x_i enters is formed once), one Fraction, or one wrap with one
-    modular inverse (_split_at).  Errors come as term by term: the first
+    x_i enters is formed once), or one Fraction or one PadicNum from one
+    modular inverse (_split_at, _Ints.finish); qeuler_poly is the
+    one-term case of both.  Errors come as term by term: the first
     term's before any later term is formed, the ratio's last, and
     q^step's exponent first in symbolic mode.  A sum whose lists would
     pass the degree limit raises ResourceLimitError naming their degree.
@@ -579,14 +579,16 @@ def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corr
         k = fd(step)
         num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), root_mode(mode)._binomials, k, corrected)
         return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * len(xs) // g), g)
-    return _split_at(n, alpha, xs, step, corrected, _ints(inner), _ints(mode))
+    return _split_at(n, alpha, xs, _ints(inner), _ints(mode), step, corrected)
 
 
-def _split_at(n: int, alpha: int, xs: list, step: int, corrected: bool, iv, outer):
-    """residue_split at a fixed q: each term's numerator from _closed_form_at, finished together.
+def _split_at(n: int, alpha: int, xs: list, iv, outer=None, step: int = 0, corrected: bool = False):
+    """sum_i (-1)^i w_i E_n(x_i) at a fixed q, each term's numerator from _closed_form_at, finished once.
 
-    iv is the view at the terms' base, outer the one at q, which forms
-    the weights and the ratio.
+    iv is the view at the terms' base.  One x with no outer is
+    qeuler_poly; a residue split passes outer, the view at q, which
+    forms the weights w_i = q^(step i) when corrected (else 1) and the
+    ratio (1 + q^step)/(1 + q^(step count)).
     """
     terms = []
     try:
@@ -595,15 +597,19 @@ def _split_at(n: int, alpha: int, xs: list, step: int, corrected: bool, iv, oute
             if not i:
                 # the first term's finish fails before the next term's exponents are formed
                 iv.check(den, w, n)
-            a, b = outer.power(step * i) if corrected else (1, 1)
-            terms.append((-a * num if i % 2 else a * num, b * den))
+            if corrected:
+                a, b = outer.power(step * i)
+                num, den = a * num, b * den
+            terms.append((-num if i % 2 else num, den))
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    if outer is None:
+        return iv.finish(terms, w, n)
     (a, b), (c, d) = outer.power(step), outer.power(step * len(xs))
     # b != 0, and d + c is a unit at a p-adic q
     if not d + c:
         raise PoleError(f"pole in the residue split (1 + q^{step * len(xs)} vanishes at this q)")
-    return iv.finish_sum(terms, w, n, (b + a) * d, b * (d + c))
+    return iv.finish(terms, w, n, (b + a) * d, b * (d + c))
 
 
 def _check_n_alpha(n: int, alpha: int) -> None:
@@ -650,63 +656,43 @@ class _Ints:
 
         self.power = power
 
-    def finish(self, num: int, den: int, w: int = 1, n: int = 0):
-        """num / (den w^n) for a unit den, as a Fraction or as the PadicNum path states it.
+    def finish(self, terms: list, w: int = 1, n: int = 0, num: int = 1, den: int = 1):
+        """sum_i t_i / (d_i w^n) times num / den for terms (t_i, d_i), as the PadicNum path states it.
 
-        A divisor of 1, as for a table entry or a q-integer, is not
-        inverted; see _claim for the digits.
+        The terms are added cross-multiplied on ints; at q = u/v the value
+        is one Fraction.  At a p-adic q the d_i, num and den are units, and
+        with w = p^v u mod p^A, u a unit, the sum is divided by d_0 d_1 ...
+        den u^n mod p^A with one modular inverse, or none where that
+        product is 1.  The PadicNum path knows t_i / d_i to A digits and w
+        to A, so u^n to A - v: term i claims A - v + v_p(t_i) digits, at
+        most A, and a unit w keeps all A.  Where w is zero to A digits,
+        which check lets through only at n = 0, w ** 0 gives 1
+        DEFAULT_PRECISION digits in place of A.  A capped-relative sum
+        keeps the least of its terms' claims (see the module docstring),
+        and num / den shifts no digit.
         """
+        s, d = 0, 1
+        for t, dt in terms:
+            s, d = s * dt + t * d, d * dt
         if self.m is None:
-            return Fraction(num, den * w**n)
-        p, prec, m = self.p, self.prec, self.m
-        self.check(den, w, n)
-        v, d, r = self._claim(w)
-        r = min(prec, r + _vp(num, p)) if num % m and r < prec else prec
-        d = den * d**n
-        return PadicNum(p, -n * v, num if d == 1 else num * pow(d, -1, m), r)
-
-    def finish_sum(self, terms: list, w: int, n: int, num: int, den: int):
-        """sum_i t_i / (d_i w^n) times num / den, for terms (t_i, d_i), as the PadicNum path states it.
-
-        At q = u/v that is one Fraction.  At a p-adic q, where the d_i,
-        num and den are units, each term claims what finish claims for
-        it, the terms are added as capped-relative values (_wrap), and
-        num / den shifts no digit.  The d_i and den w^n share one
-        modular inverse (_inverses).
-        """
-        if self.m is None:
-            s, d = 0, 1
-            for t, dt in terms:
-                s, d = s * dt + t * d, d * dt
             return Fraction(s * num, d * den * w**n)
         p, prec, m = self.p, self.prec, self.m
-        v, d, r = self._claim(w)
-        *invs, inv = _inverses([dt for _, dt in terms] + [den * d**n], m)
-        num = num * inv % m
-        parts = []
-        for (t, _), t_inv in zip(terms, invs):
-            t %= m
-            rt = min(prec, r + _vp(t, p)) if t and r < prec else prec
-            u = t * t_inv * num % p**rt
-            g = _vp(u, p) if u else rt
-            parts.append((g - n * v, u // p**g, rt - n * v))
-        return _wrap(p, parts)
-
-    def _claim(self, w: int) -> tuple:
-        """(v, d, r) with w = p^v d mod p^A, and the digits num / (den w^n) claims: r plus v_p(num), at most A.
-
-        The PadicNum path knows num / den to A digits and w = 1 - q^alpha
-        to A, so d^n to A - v; where w is zero to A digits, its w ** 0
-        gives 1 DEFAULT_PRECISION digits (and any other power fails, see
-        check).  A unit w keeps all A digits without a valuation of num.
-        """
-        w %= self.m
-        v = _vp(w, self.p) if w else 0
-        # w = 0 only at n = 0, where 0^0 = 1
-        return v, w // self.p**v, self.prec - v if w else DEFAULT_PRECISION
+        w %= m
+        v = _vp(w, p) if w else 0
+        r, claim = prec - v if w else DEFAULT_PRECISION, prec
+        if r < prec:
+            for t, _ in terms:
+                if t % m:
+                    claim = min(claim, r + _vp(t, p))
+        d = d * den * (w // p**v) ** n
+        return PadicNum(p, -n * v, s * num if d == 1 else s * num * pow(d, -1, m), claim)
 
     def check(self, den: int, w: int, n: int) -> None:
-        """Raise what finish(num, den, w, n) raises whatever num is."""
+        """Raise where den w^n vanishes: ZeroDivisionError at q = u/v, PrecisionError where w is zero to A digits.
+
+        The PadicNum path raises that PrecisionError for (1 - q^alpha)^n
+        at n >= 1; finish divides only once this has passed.
+        """
         if self.m is None:
             if not den or n and not w:
                 raise ZeroDivisionError("a denominator vanishes")
@@ -716,14 +702,12 @@ class _Ints:
 
 
 def _ints(mode, capped: bool = True):
-    """The _Ints of a rational or p-adic mode, built once per root mode, base and precision; None for a symbolic mode.
+    """The _Ints of a rational or p-adic mode, built once per root mode, base and precision.
 
     The precision is q's absolute one, capped at K where the kernel adds
     the K-digit one, so for a q known to at most K digits both are one view.
     """
     root = root_mode(mode)
-    if root.kind == "symbolic":
-        return None
     prec = None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
     key = mode.base if isinstance(mode, BaseLifted) else 1, prec
     if key not in root._ints:
@@ -787,13 +771,15 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, k: int = No
         # a bound on every degree a term forms
         _guard_degree(n * abs(s) + sum(bots) + max(n * a, bots[0]))
         shifts.append(s)
-    top = -n * min(0, *shifts)
+    top, w = -n * min(0, *shifts), k if corrected else 0
     if k is not None:
-        # a bound on every degree the split forms, its ratio included
-        _guard_degree(top + k * len(xs) + sum(bots) + n * max(a, -min(shifts), max(shifts) - a))
+        # the longest list the split forms: Q^top D (1 + q^(step count)), or the numerator, (1 + q^step)(1 + q)
+        # times sum_(i,l) Q^(w i + top + l s_i) P / (1 + q^(alpha l + 1)), whose degree peaks at l = 0 or l = n
+        ends = (w * i + n * max(0, s - a) for i, s in enumerate(shifts))
+        _guard_degree(top + sum(bots) + max(n * a + k * len(xs), k + max(ends)))
     # every power of q here is one of Q^g
     g = gcd(k or 0, a, bots[0], *shifts)
-    a, b, w, acc = a // g, bots[0] // g, k if corrected else 0, []
+    a, b, acc = a // g, bots[0] // g, []
     cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
     if (n, a, b) not in table:
         prod = [1]
@@ -839,7 +825,7 @@ def _geometric(a: int, b: int, x: int, red) -> int:
 def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
     """qeuler_poly's sum at a fixed q on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
 
-    Returns (num, den, w), the value being iv.finish(num, den, w, n).
+    Returns (num, den, w), the value being iv.finish([(num, den)], w, n) once iv.check(den, w, n) has passed.
     """
     power, red = iv.power, iv.red
     (c, w), (a, b) = power(1), power(alpha)

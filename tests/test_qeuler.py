@@ -24,6 +24,7 @@ from qde.qeuler import (
     qeuler_numbers,
     qeuler_poly,
     qeuler_poly_additive,
+    residue_split,
     root_mode,
     serialize_value,
 )
@@ -607,6 +608,12 @@ def _json(outcome):
     return outcome.to_json() if isinstance(outcome, RatFunc) else outcome
 
 
+def split_mode_last(*args):
+    """residue_split with the mode last, as the other kernels take it."""
+    *args, mode = args
+    return residue_split(mode, *args)
+
+
 class TestFixedDenominator:
     """The symbolic kernels over a known denominator against the RatFunc references.
 
@@ -641,6 +648,8 @@ class TestFixedDenominator:
         # over D = (1 + q^30001)(1 + q^60001) the longest list has degree 90,002, under the limit
         assert qeuler_numbers(2, 30000, SYM)[2].den.degree == 90002
         assert qeuler_poly_additive(2, 30000, 0, SYM).den.degree == 90002
+        # a split's top = 60,000 is its one term's own shift, and its lists reach 60,014 (not read: reducing takes seconds)
+        assert isinstance(residue_split(SYM, 1, 3, 1, [Fraction(-20000)], 1, True), RatFunc)
 
     @pytest.mark.parametrize("kernel, args", [
         (qeuler_numbers, (5, 2)),
@@ -649,6 +658,11 @@ class TestFixedDenominator:
         (qeuler_poly_additive, (4, 2, 1)),
         (qeuler_poly_additive, (3, 1, 5)),
         (qeuler_poly_additive, (0, 3, 4)),
+        # residue_split's ratio and weights included: a negative x moves its shift into the denominator, and
+        # with weights q^(step i) the numerator can be the longest list
+        (split_mode_last, (1, 3, 1, [Fraction(-2)], 1, True)),
+        (split_mode_last, (2, 2, 1, [Fraction(0), Fraction(1, 2), Fraction(3)], 3, True)),
+        (split_mode_last, (1, 2, 2, [Fraction(-1), Fraction(5), Fraction(0)], 2, False)),
     ])
     @pytest.mark.parametrize("mode", [SYM, SymbolicMode(3), BaseLifted(SymbolicMode(2), 3)])
     def test_the_degree_guard_is_the_longest_list(self, monkeypatch, kernel, args, mode):
@@ -905,10 +919,6 @@ class TestIntView:
             assert Fraction(*view.power(-2)) == lifted.q_power(-2)
         else:
             assert view.power(Fraction(2, 5)) == (lifted.q_power(Fraction(2, 5)).unit % view.m, 1)
-
-    def test_a_symbolic_mode_has_none(self):
-        assert qeuler._ints(SYM) is None
-        assert qeuler._ints(BaseLifted(SymbolicMode(2), 3)) is None
 
     @pytest.mark.parametrize("extra", [-3, 0, 4])
     @pytest.mark.parametrize("K", [1, 2, 16, 128])

@@ -113,8 +113,17 @@ def test_rational_sum_is_the_term_by_term_sum(case):
     assert_matches(*case)
 
 
+PADIC_4 = PadicMode(PadicNum.from_rational(4, 3, 16), PadicConfig(3, 16))
+
+
 @settings(max_examples=300, deadline=None)
 @given(padic_cases())
+# the one finish's claims at q = 4, where 1 - q = -3 (v = 1): a one-term split, which is qeuler_poly times its ratio
+@example((PADIC_4, 1, 2, 1, [Fraction(1, 2)], 1, True, q_int(3, 1, PADIC_4)))
+# n = 0 in the printed reading: the two terms cancel, and both sides give O(3^15), A - v digits
+@example((PADIC_4, 1, 0, 1, [Fraction(0), Fraction(0)], 1, False, q_int(3, 1, PADIC_4)))
+# term numerators of valuations 3 and 1, so A - v + 3 and A - v + 1 claimed digits, capped at A
+@example((PADIC_4, 1, 1, 1, [Fraction(-4), Fraction(-2)], 1, True, q_int(3, 1, PADIC_4)))
 def test_padic_sum_is_the_term_by_term_sum(case):
     *args, factor = case
     assert_matches(*args)
