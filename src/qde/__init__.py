@@ -49,6 +49,7 @@ from .qeuler import (
     qeuler_numbers,
     qeuler_poly,
     qeuler_poly_additive,
+    scaled_qeuler,
 )
 from .ratfunc import MAX_DEGREE, Poly, RatFunc
 from .reports import IdentityReport
@@ -66,6 +67,6 @@ __all__ = [
     "interp_value", "is_odd_prime", "measure", "normalized_bracket",
     "padic_dc_sum", "parse_rational", "periodic_euler",
     "q_dc_sum", "q_int", "q_pow", "qeuler_numbers", "qeuler_poly",
-    "qeuler_poly_additive", "rational_valuation", "riemann_level",
+    "qeuler_poly_additive", "rational_valuation", "riemann_level", "scaled_qeuler",
     "teichmuller", "teichmuller_inverse",
 ]

@@ -12,7 +12,12 @@ identity's domain raises QdeError out of check().
 Where two variants exist, "printed" is the identity as displayed in its
 source and "corrected" the derivation-consistent reading.  eq5/eq7 and
 eq8/recursion share one alternating residue sum, qeuler.residue_split,
-whose terms all have one denominator and are summed over it.
+whose terms all have one denominator and are summed over it.  The
+paper states these relations for scaled values [d]^n E_n(y/d; q^d),
+and since [d]^n / (1 - q^(alpha d))^n = 1 / (1 - q^alpha)^n the kernels
+form them with no product (qeuler.scaled_qeuler, and a split at base
+q^d): only the division uses 1 - q^alpha, and a pole or exhausted
+precision of E_n(y/d; q^d) itself still raises.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +29,6 @@ from .dedekind import DCParams, bracket_weighted_sum, padic_dc_sum, q_dc_sum
 from .errors import PreconditionError
 from .padic import is_odd_prime
 from .qeuler import (
-    BaseLifted,
     compare_values,
     q_int,
     qeuler_numbers,
@@ -32,6 +36,7 @@ from .qeuler import (
     qeuler_poly_additive,
     residue_split,
     root_mode,
+    scaled_qeuler,
 )
 from .reports import IdentityReport, timed_report
 
@@ -89,6 +94,8 @@ def _distribution(lift_printed: bool):
 
     The corrected reading weights by q^a and evaluates at base q^d; the
     printed eq7 keeps base q^d without weights, printed eq5 drops both.
+    At base q^d the split returns the sum with [d]^n in it (see
+    residue_split); printed eq5 splits at base q and multiplies by [d]^n.
     """
 
     def sides(pt, variant, mode):
@@ -99,13 +106,19 @@ def _distribution(lift_printed: bool):
         corrected = variant == "corrected"
         base = d if corrected or lift_printed else 1
         xs = [(x + a) / d for a in range(d)]
-        return lhs, q_int(d, alpha, mode) ** n * residue_split(mode, base, n, alpha, xs, 1, corrected)
+        rhs = residue_split(mode, base, n, alpha, xs, 1, corrected)
+        # the split has [base]^n in it; printed eq5 splits at base q, so [d]^n is a factor there
+        return lhs, rhs if base == d else q_int(d, alpha, mode) ** n * rhs
 
     return sides
 
 
 def _shifted(reduce: bool):
     """eq8/recursion: [N]^m E_m(a/N; q^N) split over a + iN, i < p, at base q^(Np).
+
+    Both sides are scaled values: scaled_qeuler on the left, and a split
+    whose terms are [Np]^m E_m(x_i; q^(Np)) on the right, each over (1 -
+    q^alpha)^m with no q-integer power formed.
 
     recursion (reduce) first reduces a mod N, as interp_value does, so
     every shifted residue a + iN lies below Np, and needs p | N with a a
@@ -127,9 +140,8 @@ def _shifted(reduce: bool):
             a %= n
         elif m < 0 or a < 1 or n < 1:
             raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n}")
-        lhs = q_int(n, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a, n), BaseLifted(mode, n))
         xs = [Fraction(a + i * n, n * p) for i in range(p)]
-        return lhs, q_int(n * p, alpha, mode) ** m * residue_split(mode, n * p, m, alpha, xs, n, variant == "corrected")
+        return scaled_qeuler(m, alpha, a, n, mode), residue_split(mode, n * p, m, alpha, xs, n, variant == "corrected")
 
     return sides
 

@@ -35,6 +35,7 @@ from .qeuler import (
     periodic_euler,
     q_int,
     qeuler_poly,
+    scaled_qeuler,
 )
 
 INTEGER_VARIANTS = ("naive", "interpolated", "interpolated_printed")
@@ -116,6 +117,11 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     The interpolated variants subtract a second term at base q^(Np) and
     the p-inverted residue; "interpolated" scales it by [N]^(m-1) [Np]
     (ratio [Np]/[N] when m = 0), "interpolated_printed" by [Np]^m.
+
+    A term [d]^m E_m(y/d; q^d) is qeuler.scaled_qeuler: since [d]^m / (1 -
+    q^(alpha d))^m = 1 / (1 - q^alpha)^m it is formed over (1 - q^alpha)^m
+    with no product, only the division using 1 - q^alpha.  The
+    "interpolated" second term is not of that form and stays a product.
     """
     if variant not in INTEGER_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
@@ -124,7 +130,7 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     a_red = a % n_mod
     if a_red == 0:
         raise PreconditionError(f"residue a = {a} vanishes mod N = {n_mod}")
-    first = q_int(n_mod, alpha, mode) ** m * qeuler_poly(m, alpha, Fraction(a_red, n_mod), BaseLifted(mode, n_mod))
+    first = scaled_qeuler(m, alpha, a_red, n_mod, mode)
     if variant == "naive":
         return first
     if p is None or not is_odd_prime(p):
@@ -132,10 +138,10 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     if gcd(p, n_mod) != 1:
         raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
     a_inv = (pow(p, -1, n_mod) * a_red) % n_mod
-    inner = qeuler_poly(m, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p))
     if variant == "interpolated_printed":
-        second = q_int(n_mod * p, alpha, mode) ** m * inner
+        second = scaled_qeuler(m, alpha, a_inv * p, n_mod * p, mode)
     else:
+        inner = qeuler_poly(m, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p))
         try:
             second = q_int(n_mod, alpha, mode) ** (m - 1) * q_int(n_mod * p, alpha, mode) * inner
         except ZeroDivisionError:

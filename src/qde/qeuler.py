@@ -49,21 +49,33 @@ is q^(a b^-1), the residue one large power gives.  The recurrence takes
 one modular inverse per table (_inverses).  A symbolic mode keeps
 qeuler_poly's binomial products (_closed_form_ints): the quotients
 P / (1 + q^(alpha l + 1)) and P (1 - q^alpha)^n, as int lists in Q^g,
-keyed by (n, a, b) with q^alpha = Q^(g a) and q = Q^(g b), so every
-base and every x with the same stride g share them.  The table lives on
-the root mode: a fresh mode starts empty, and a long-lived one keeps one
-entry per key, each under the degree guard, which runs first.
+keyed by (n, a, b, c) with q^alpha = Q^(g a), q = Q^(g b) and c = a
+(c is a scaled value's outer exponent, below), so every base and every
+x with the same stride g share them.  The table lives on the root mode:
+a fresh mode starts empty, and a long-lived one keeps one entry per
+key, each under the degree guard, which runs first.
 
-The residue splits of eq5/eq7/eq8/recursion (residue_split) add
-values E_n(x_i; q^B) that all have one denominator, P (1 - q^(alpha
-B))^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends on
-n, alpha and B alone.  So their numerators are summed over it and the
-sum is finished once per mode: one Fraction, one PadicNum from one
+The paper states its distribution and interpolation relations for
+scaled values S(n, y, d) = [d]^n E_n(y/d; q^d) (scaled_qeuler), [d]
+the weight-alpha q-integer.  Since [d]^n / (1 - q^(alpha d))^n = 1 /
+(1 - q^alpha)^n, S is the closed form at base q^d with (1 - q^alpha)^n
+in its denominator in place of (1 - q^(alpha d))^n, and needs no
+product.  Only that division uses 1 - q^alpha: E_n(y/d; q^d)'s own
+pole or 1 - q^(alpha d) zero to working precision still raises, and at
+a p-adic q S keeps the n v_p(d) digits a product would lose.  The
+residue splits of eq5/eq7/eq8/recursion (residue_split) add scaled
+values [B]^n E_n(x_i; q^B) that all have one denominator, P (1 -
+q^alpha)^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends
+on n, alpha and B alone.  So their numerators are summed over it and
+the sum is finished once per mode: one Fraction, one PadicNum from one
 modular inverse at a p-adic q, one RatFunc in symbolic mode.  In every
-mode qeuler_poly's closed form is the split's one-term case
-(_closed_form_ints, _split_at), and in symbolic mode what no x_i enters
-(the exponents of q^(alpha l + 1) and q^alpha, the table entry, the gcd,
-the guard's sums, the factor 1 + q) is formed once per split.  The other
+mode qeuler_poly's closed form and S are the split's one-term case,
+with no weight and no ratio (_closed_form_ints, _split_at): the split's
+outer view of q gives the q^alpha the value divides by, which for
+qeuler_poly is its own.  In symbolic mode what no x_i enters (the
+exponents of q^(alpha l + 1), q^alpha and the outer q^alpha, the table
+entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
+split, and the table's c is the outer exponent.  The other
 alternating sums (alternating_sum: q_dc_sum and bracket_weighted_sum)
 add finished values on ints mod p^A too, and so does
 dedekind.interp_series's binomial series (binomial_series), which reads
@@ -85,12 +97,12 @@ exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
 every exponent is a multiple of g, the lists are in Q^g and the value
 is spread back.  measure needs no gcd at all for odd p (see there).
 
-So each of the five kernels (q_int, qeuler_poly, qeuler_numbers,
-qeuler_poly_additive, residue_split) has two paths: int lists in
-symbolic mode, the int view at a fixed q.  A symbolic kernel bounds the
-degrees of the lists it forms, and where a bound passes MAX_DEGREE it
-raises ResourceLimitError naming it, even where the reduced value would
-fit.  Each kernel forms its powers of q in the order the formula states
+So each of the six kernels (q_int, qeuler_poly, qeuler_numbers,
+qeuler_poly_additive, scaled_qeuler, residue_split) has two paths: int
+lists in symbolic mode, the int view at a fixed q.  A symbolic kernel
+bounds the degrees of the lists it forms, and where a bound passes
+MAX_DEGREE it raises ResourceLimitError naming it, even where the
+reduced value would fit.  Each kernel forms its powers of q in the order the formula states
 them, so an unrepresentable power or a pole raises the error a
 term-by-term evaluation in the mode's own arithmetic raises; the tests
 keep that evaluation as the kernels' reference.
@@ -420,6 +432,21 @@ def qeuler_poly(n: int, alpha: int, x, mode):
     return _split_at(n, alpha, [x], _ints(mode))
 
 
+def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
+    """S(n, y, d) = [d]^n E_n(y/d; q^d), [d] the weight-alpha q-integer, as the paper states its relations.
+
+    Since [d]^n / (1 - q^(alpha d))^n = 1 / (1 - q^alpha)^n, this is
+    qeuler_poly's closed form at base q^d with (1 - q^alpha)^n in its
+    denominator, formed with no product: the one-term case of
+    residue_split, with no weight and no ratio.  Only the division uses
+    1 - q^alpha; where E_n(y/d; q^d) has a pole, or its 1 - q^(alpha d)
+    is zero to working precision, this raises what qeuler_poly raises.
+    """
+    _check_n_alpha(n, alpha)
+    x = Fraction(y) / d
+    return _scaled(mode, d, n, alpha, [x.numerator if x.denominator == 1 else x])
+
+
 def qeuler_numbers(top: int, alpha: int, mode) -> list:
     """The q-Euler numbers E_0..E_top at weight alpha, as one list.
 
@@ -557,53 +584,75 @@ def _wrap(p: int, parts: list) -> PadicNum:
 
 
 def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corrected: bool):
-    """(1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i E_n(x_i; q^base), count = len(xs).
+    """[base]^n (1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i E_n(x_i; q^base), count = len(xs).
 
-    The weight w_i is q^(step i) in the corrected reading and 1 in the
-    printed one.  Every term has the one denominator D = P (1 - q^(alpha
-    base))^n, P = prod_l (1 + q^((alpha l + 1) base)), since D depends
-    on n, alpha and the base alone, never on x_i.  So the terms'
-    numerators are summed over D and the sum, ratio included, is
-    finished once: one RatFunc (_closed_form_ints, whose part that no
-    x_i enters is formed once), or one Fraction or one PadicNum from one
-    modular inverse (_split_at, _Ints.finish); qeuler_poly is the
-    one-term case of both.  Errors come as term by term: the first
-    term's before any later term is formed, the ratio's last, and
-    q^step's exponent first in symbolic mode.  A sum whose lists would
-    pass the degree limit raises ResourceLimitError naming their degree.
+    [base] is the weight-alpha q-integer, and [base]^n E_n(x_i; q^base)
+    is E_n's closed form over (1 - q^alpha)^n in place of (1 - q^(alpha
+    base))^n, since [base]^n / (1 - q^(alpha base))^n = 1 / (1 -
+    q^alpha)^n; only that division uses 1 - q^alpha.  The weight w_i is
+    q^(step i) in the corrected reading and 1 in the printed one.  Every
+    term has the one denominator D = P (1 - q^alpha)^n, P = prod_l (1 +
+    q^((alpha l + 1) base)), since D depends on n, alpha and the base
+    alone, never on x_i.  So the terms' numerators are summed over D and
+    the sum, ratio included, is finished once: one RatFunc
+    (_closed_form_ints, whose part that no x_i enters is formed once), or
+    one Fraction or one PadicNum from one modular inverse (_split_at,
+    _Ints.finish); qeuler_poly and scaled_qeuler are the one-term case of
+    both.  Errors come as term by term for E_n(x_i; q^base): the first
+    term's, its 1 - q^(alpha base) that vanishes or is zero to working
+    precision included, before any later term is formed, the ratio's
+    last, and q^step's exponent first in symbolic mode.  A sum whose
+    lists would pass the degree limit raises ResourceLimitError naming
+    their degree.  An empty xs raises PreconditionError.
     """
     _check_n_alpha(n, alpha)
+    if not xs:
+        raise PreconditionError("a residue split needs at least one term")
+    return _scaled(mode, base, n, alpha, xs, step, corrected)
+
+
+def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, corrected: bool = False):
+    """residue_split's sum on either path; with no step it has no weights and no ratio (scaled_qeuler)."""
     inner = BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is not None:
-        k = fd(step)
-        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), root_mode(mode)._binomials, k, corrected)
+        k = None if step is None else fd(step)
+        table = root_mode(mode)._binomials
+        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), table, fd, k, corrected)
+        if k is None:
+            return _ratfunc(num, den, g)
         return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * len(xs) // g), g)
     return _split_at(n, alpha, xs, _ints(inner), _ints(mode), step, corrected)
 
 
-def _split_at(n: int, alpha: int, xs: list, iv, outer=None, step: int = 0, corrected: bool = False):
-    """sum_i (-1)^i w_i E_n(x_i) at a fixed q, each term's numerator from _closed_form_at, finished once.
+def _split_at(n: int, alpha: int, xs: list, iv, outer=None, step: int = None, corrected: bool = False):
+    """[B]^n sum_i (-1)^i w_i E_n(x_i; q^B) at a fixed q, each term's numerator from _closed_form_at, finished once.
 
-    iv is the view at the terms' base.  One x with no outer is
-    qeuler_poly; a residue split passes outer, the view at q, which
-    forms the weights w_i = q^(step i) when corrected (else 1) and the
-    ratio (1 + q^step)/(1 + q^(step count)).
+    iv is the view at the terms' base q^B and outer the view at q; one x
+    with no outer is qeuler_poly (B = 1).  The terms' sums come over 1 -
+    q^(alpha B), which check tests, and the finish divides by (1 -
+    q^alpha)^n = ((b - a)/b)^n from outer's q^alpha = a/b instead.  A
+    step forms the weights w_i = q^(step i) when corrected (else 1) and
+    the ratio (1 + q^step)/(1 + q^(step count)); with none there are
+    neither.
     """
     terms = []
     try:
         for i, x in enumerate(xs):
-            num, den, w = _closed_form_at(n, alpha, x, iv)
+            num, den, (a, b) = _closed_form_at(n, alpha, x, iv)
             if not i:
                 # the first term's finish fails before the next term's exponents are formed
-                iv.check(den, w, n)
+                iv.check(den, b - a, n)
+                a, b = (a, b) if outer is None else outer.power(alpha)
+                bn, w = b**n, b - a
+            num *= bn
             if corrected:
-                a, b = outer.power(step * i)
-                num, den = a * num, b * den
+                c, e = outer.power(step * i)
+                num, den = c * num, e * den
             terms.append((-num if i % 2 else num, den))
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
-    if outer is None:
+    if step is None:
         return iv.finish(terms, w, n)
     (a, b), (c, d) = outer.power(step), outer.power(step * len(xs))
     # b != 0, and d + c is a unit at a p-adic q
@@ -707,12 +756,13 @@ def _ints(mode, capped: bool = True):
     The precision is q's absolute one, capped at K where the kernel adds
     the K-digit one, so for a q known to at most K digits both are one view.
     """
-    root = root_mode(mode)
-    prec = None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
-    key = mode.base if isinstance(mode, BaseLifted) else 1, prec
-    if key not in root._ints:
-        root._ints[key] = _Ints(root, *key)
-    return root._ints[key]
+    # BaseLifted flattens nested wrappers, so one step reaches the root
+    root, base = (mode.inner, mode.base) if isinstance(mode, BaseLifted) else (mode, 1)
+    key = base, None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
+    view = root._ints.get(key)
+    if view is None:
+        view = root._ints[key] = _Ints(root, *key)
+    return view
 
 
 def _fixed_denominator(mode):
@@ -745,17 +795,21 @@ def _times_binomial(a: list, k: int) -> list:
     return c
 
 
-def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, k: int = None, corrected: bool = False) -> tuple:
-    """sum_i (-1)^i w_i E_n(x_i) as (num, den, g), the value num / den in Q^g; one x is qeuler_poly.
+def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None, k: int = None,
+                      corrected: bool = False) -> tuple:
+    """[B]^n sum_i (-1)^i w_i E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x is qeuler_poly.
 
-    In Q^g every term is over Q^top D, D = P (1 - Q^a)^n, P = prod_l (1 +
-    Q^(b + l a)), q^alpha = Q^(g a) and q = Q^(g b), so the quotients P /
-    (1 + Q^(b + l a)) and D depend on (n, a, b) alone; table keeps them.
-    Only term i's shifts q^(alpha l x_i) = Q^(l s_i) depend on x_i, and
-    top = max -n s_i.  So the rest, the guards' sums and the factor 1 + q
-    included, is formed once per call.  A residue split passes its q^step
-    = Q^k, which g divides, and multiplies its ratio in; w_i = Q^(k i)
-    when corrected, else 1.
+    fd maps the exponents at the terms' base q^B and outer those at q
+    (None: B = 1).  In Q^g every term is over Q^top D, D = P (1 - Q^c)^n,
+    P = prod_l (1 + Q^(b + l a)), q^(alpha B) = Q^(g a), q^B = Q^(g b) and
+    q^alpha = Q^(g c), as [B]^n / (1 - q^(alpha B))^n = 1 / (1 -
+    q^alpha)^n; so the quotients P / (1 + Q^(b + l a)) and D depend on
+    (n, a, b, c) alone, and table keeps them.  Only term i's shifts
+    q^(alpha l x_i) = Q^(l s_i) depend on x_i, and top = max -n s_i.  So
+    the rest, the guards' sums and the factor 1 + q^B included, is formed
+    once per call.  A residue split passes its q^step = Q^k, which g
+    divides, and multiplies its ratio in; w_i = Q^(k i) when corrected,
+    else 1.
     """
     # the powers of q in the formula's order, l by l, so that the one a term-by-term evaluation fails at
     # fails first: q^(alpha l x) = Q^(l s), then q^(alpha l + 1), which the first term forms for all
@@ -768,29 +822,30 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, k: int = No
                 bots.append(fd(alpha * l + 1))
         if not shifts:
             a = fd(alpha)
+            c = a if outer is None else outer(alpha)
         # a bound on every degree a term forms
-        _guard_degree(n * abs(s) + sum(bots) + max(n * a, bots[0]))
+        _guard_degree(n * abs(s) + sum(bots) + max(n * c, bots[0]))
         shifts.append(s)
     top, w = -n * min(0, *shifts), k if corrected else 0
     if k is not None:
-        # the longest list the split forms: Q^top D (1 + q^(step count)), or the numerator, (1 + q^step)(1 + q)
-        # times sum_(i,l) Q^(w i + top + l s_i) P / (1 + q^(alpha l + 1)), whose degree peaks at l = 0 or l = n
+        # the longest list the split forms: Q^top D (1 + q^(step count)), or the numerator, (1 + q^step)(1 + q^B)
+        # times sum_(i,l) Q^(w i + top + l s_i) P / (1 + q^((alpha l + 1) B)), whose degree peaks at l = 0 or l = n
         ends = (w * i + n * max(0, s - a) for i, s in enumerate(shifts))
-        _guard_degree(top + sum(bots) + max(n * a + k * len(xs), k + max(ends)))
-    # every power of q here is one of Q^g
-    g = gcd(k or 0, a, bots[0], *shifts)
-    a, b, acc = a // g, bots[0] // g, []
+        _guard_degree(top + sum(bots) + max(n * c + k * len(xs), k + max(ends)))
+    # every power of q here is one of Q^g; c divides a
+    g = gcd(k or 0, c, bots[0], *shifts)
+    a, b, c, acc = a // g, bots[0] // g, c // g, []
     cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
-    if (n, a, b) not in table:
+    if (n, a, b, c) not in table:
         prod = [1]
         for e in bots:
             prod = _times_binomial(prod, e // g)
-        table[n, a, b] = [_quo_binomial(prod, e // g) for e in bots], _prod(prod, _stretch(cs, a))
-    quotients, den = table[n, a, b]
+        table[n, a, b, c] = [_quo_binomial(prod, e // g) for e in bots], _prod(prod, _stretch(cs, c))
+    quotients, den = table[n, a, b, c]
     for i, s in enumerate(shifts):
-        for l, (c, quo) in enumerate(zip(cs, quotients)):
-            _axpy(acc, -c if i % 2 else c, quo, (w * i + top + l * s) // g)
-    # the factor 1 + q is 1 + q^(alpha 0 + 1); the lists in the table are copied, never changed
+        for l, (cl, quo) in enumerate(zip(cs, quotients)):
+            _axpy(acc, -cl if i % 2 else cl, quo, (w * i + top + l * s) // g)
+    # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B); the lists in the table are copied, never changed
     return _times_binomial(acc, b), [0] * (top // g) + den, g
 
 
@@ -825,7 +880,8 @@ def _geometric(a: int, b: int, x: int, red) -> int:
 def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
     """qeuler_poly's sum at a fixed q on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
 
-    Returns (num, den, w), the value being iv.finish([(num, den)], w, n) once iv.check(den, w, n) has passed.
+    Returns (num, den, (a, b)) with q^alpha = a/b: the value is iv.finish([(num b^n, den)], b - a, n) once
+    iv.check(den, b - a, n) has passed.
     """
     power, red = iv.power, iv.red
     (c, w), (a, b) = power(1), power(alpha)
@@ -837,7 +893,7 @@ def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
         f = t * (e + d)
         num, den = red(num * f + (-1) ** l * comb(n, l) * s * e * den), red(den * f)
         s, t, d, e = red(s * sa), t * sb, red(d * a), e * b
-    return num * (w + c) * b**n, den * w, b - a
+    return num * (w + c), den * w, (a, b)
 
 
 def _numbers_at(top: int, alpha: int, iv) -> list:

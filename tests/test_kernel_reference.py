@@ -28,7 +28,7 @@ import pytest
 
 from qde import catalog, dedekind, qeuler
 from qde.errors import PoleError, PreconditionError
-from qde.qeuler import BaseLifted, _check_n_alpha, alternating_sum
+from qde.qeuler import BaseLifted, _check_n_alpha, alternating_sum, root_mode
 
 
 def reference_q_int(x, alpha, mode):
@@ -41,8 +41,14 @@ def reference_q_int(x, alpha, mode):
     return acc
 
 
-def reference_qeuler_poly(n, alpha, x, mode):
-    """(1+q)/(1-q^alpha)^n * sum_l C(n,l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + 1)), term by term."""
+def reference_qeuler_poly(n, alpha, x, mode, outer=None):
+    """(1+q)/(1-q^alpha)^n * sum_l C(n,l) (-1)^l q^(alpha l x) / (1 + q^(alpha l + 1)), term by term.
+
+    With outer, the mode at q of a mode at base q^B, it is the same sum
+    over outer's (1 - q^alpha)^n: [B]^n E_n(x; q^B), since [B]^n / (1 -
+    q^(alpha B))^n = 1 / (1 - q^alpha)^n.  E_n's own division is made
+    first, so that where it fails this raises what E_n raises.
+    """
     _check_n_alpha(n, alpha)
     x = Fraction(x)
     if x.denominator == 1:
@@ -53,9 +59,31 @@ def reference_qeuler_poly(n, alpha, x, mode):
             c = comb(n, l) if l % 2 == 0 else -comb(n, l)
             num = c if x == 0 else c * mode.q_power(alpha * l * x)
             acc = acc + num / (one + mode.q_power(alpha * l + 1))
-        return (one + mode.q_power(1)) * acc / (one - mode.q_power(alpha)) ** n
+        value = (one + mode.q_power(1)) * acc
+        e_n = value / (one - mode.q_power(alpha)) ** n
+        return e_n if outer is None else value / (one - outer.q_power(alpha)) ** n
     except ZeroDivisionError:
         raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+
+
+def reference_scaled(n, alpha, x, base, mode):
+    """[base]^n E_n(x; q^base), with [base] the weight-alpha q-integer, term by term.
+
+    In symbolic and rational mode it is that product, E_n first.  At a
+    p-adic q it is E_n's sum over (1 - q^alpha)^n, which keeps the n
+    v_p(base) digits that dividing by (1 - q^(alpha base))^n and
+    multiplying by [base]^n lose.
+    """
+    inner = BaseLifted(mode, base)
+    if root_mode(mode).kind == "padic":
+        return reference_qeuler_poly(n, alpha, x, inner, mode)
+    return reference_qeuler_poly(n, alpha, x, inner) * reference_q_int(base, alpha, mode) ** n
+
+
+def reference_scaled_qeuler(n, alpha, y, d, mode):
+    """[d]^n E_n(y/d; q^d), term by term (reference_scaled)."""
+    _check_n_alpha(n, alpha)
+    return reference_scaled(n, alpha, Fraction(y) / d, d, mode)
 
 
 def reference_qeuler_numbers(top, alpha, mode):
@@ -96,11 +124,10 @@ def reference_qeuler_poly_additive(n, alpha, x, mode):
 
 
 def reference_residue_split(mode, base, n, alpha, xs, step, corrected, factor=None):
-    """(1+q^step)/(1+q^(step count)) * sum_i (-1)^i [factor] w_i E_n(x_i; q^base), term by term."""
-    inner = BaseLifted(mode, base)
+    """(1+q^step)/(1+q^(step count)) * sum_i (-1)^i [factor] w_i [base]^n E_n(x_i; q^base), term by term."""
 
     def factors(i, x):
-        t = (reference_qeuler_poly(n, alpha, x, inner),)
+        t = (reference_scaled(n, alpha, x, base, mode),)
         if factor is not None:
             t = (factor,) + t
         return t + (mode.q_power(step * i),) if corrected else t
@@ -121,6 +148,7 @@ REFERENCES = {
     "qeuler_numbers": reference_qeuler_numbers,
     "qeuler_poly_additive": reference_qeuler_poly_additive,
     "residue_split": reference_residue_split,
+    "scaled_qeuler": reference_scaled_qeuler,
 }
 
 

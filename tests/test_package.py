@@ -28,6 +28,7 @@ def test_every_public_name_resolves():
 def test_kernels_return_the_bare_value(mode, kind):
     values = [
         qde.qeuler_poly(2, 1, Fraction(1, 2), qde.BaseLifted(mode, 2)),
+        qde.scaled_qeuler(2, 1, 1, 2, mode),
         qde.qeuler_poly_additive(2, 1, 1, mode),
         qde.q_dc_sum(1, 1, 3, 1, 3, mode),
         qde.interp_value(1, 1, 2, "interpolated", mode, p=3),

@@ -787,12 +787,13 @@ class TestBinomialTable:
     def test_modes_do_not_share_a_table_and_wrappers_of_one_root_do(self):
         mode, other = SymbolicMode(2), SymbolicMode(2)
         qeuler_poly(3, 2, 0, BaseLifted(mode, 2))
-        # at x = 0 every exponent is a multiple of fd(1), so every base has the key (n, alpha, 1)
-        entry = mode._binomials[3, 2, 1]
+        # at x = 0 every exponent is a multiple of fd(1), so every base has the key (n, alpha, 1, alpha), the
+        # last entry the exponent of the q^alpha whose 1 - q^alpha the value divides by
+        entry = mode._binomials[3, 2, 1, 2]
         for lifted in (mode, BaseLifted(mode, 3), BaseLifted(BaseLifted(mode, 2), 5)):
             qeuler_poly(3, 2, 0, lifted)
-            assert list(mode._binomials) == [(3, 2, 1)]
-            assert mode._binomials[3, 2, 1] is entry
+            assert list(mode._binomials) == [(3, 2, 1, 2)]
+            assert mode._binomials[3, 2, 1, 2] is entry
         assert other._binomials == {}
 
     def test_the_guard_and_the_exponents_come_before_the_table(self):

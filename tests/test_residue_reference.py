@@ -1,9 +1,11 @@
 """residue_split against a term-by-term reference.
 
 The reference, test_kernel_reference.reference_residue_split, is the
-residue sum written one finished value per term: each E_n(x_i; q^base)
-comes from reference_qeuler_poly, term by term in the mode's own
-arithmetic, is weighted by q^(step i) in the corrected reading, and the
+residue sum written one finished value per term: each [base]^n
+E_n(x_i; q^base) comes from reference_scaled, term by term in the mode's
+own arithmetic (in symbolic and rational mode the product of [base]^n
+and reference_qeuler_poly, at a p-adic q E_n's sum divided by (1 -
+q^alpha)^n), is weighted by q^(step i) in the corrected reading, and the
 terms are added by alternating_sum, then multiplied by the ratio
 (1 + q^step)/(1 + q^(step count)).  residue_split sums the terms'
 numerators over their one denominator and finishes the sum once.  The
@@ -14,9 +16,10 @@ precision, at a p-adic q.  Errors must agree in type and message.
 The cases mix integral, fractional and negative x_i, so within one sum
 the terms' strides g_i (every exponent of term i is a multiple of Q^g_i)
 differ, and so do their shifts (a negative x_i moves q^(alpha l x_i)
-into the denominator, so term i is over Q^s_i D).  eq8 and recursion
-multiply the sum by [Np]^m; the reference multiplies every term by it
-instead, and the two must agree too.
+into the denominator, so term i is over Q^s_i D).  A common factor, a
+bracket of positive valuation to a power, multiplies the finished sum
+at a p-adic q; the reference multiplies every term by it instead, and
+the two must agree too.
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from qde import qeuler
 from qde.catalog import check
-from qde.errors import ExponentError, PoleError, PrecisionError, ResourceLimitError
+from qde.errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
 from qde.padic import PadicConfig, PadicNum
 from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode, q_int, residue_split
 from test_kernel_reference import reference_residue_split
@@ -84,7 +87,7 @@ def padic_cases(draw):
     mode = PadicMode(PadicNum.from_rational(q0, p, q_prec), PadicConfig(p, prec))
     # a denominator divisible by p is not a p-adic exponent
     args = _split_args(draw, (1, 1, 2, p))
-    # eq8's [Np]^m: a bracket with a positive valuation, to a power
+    # a bracket with a positive valuation, to a power
     factor = q_int(p * draw(st.integers(1, 2)), args[2], mode) ** draw(st.integers(0, 2))
     return (_lifted(mode, draw(st.sampled_from((1, 2)))),) + args + (factor,)
 
@@ -134,15 +137,18 @@ def test_padic_sum_is_the_term_by_term_sum(case):
 
 
 def test_the_term_invariant_exponents_are_formed_once_per_split(monkeypatch):
-    # q^(alpha l + 1) and q^alpha do not depend on x_i: a split of five terms maps them once, and each
-    # term's shifts q^(alpha l x_i) = (q^(alpha x_i))^l from one exponent; no two exponents below coincide
+    # q^((alpha l + 1) B), q^(alpha B) and the outer q^alpha do not depend on x_i: a split of five terms at
+    # base B maps them once, and each term's shifts q^(alpha l x_i B) = (q^(alpha x_i B))^l from one
+    # exponent; the mode sees each exponent times its base, and no two exponents below coincide
     calls, exponent = [], SymbolicMode._exponent
     monkeypatch.setattr(SymbolicMode, "_exponent", lambda mode, e: calls.append(e) or exponent(mode, e))
-    n, alpha, xs, step = 3, 2, [Fraction(x) for x in (-2, -1, 3, 4, 5)], 4
-    residue_split(SymbolicMode(), 1, n, alpha, xs, step, True)
-    assert [calls.count(alpha * l + 1) for l in range(n + 1)] == [1] * (n + 1)
+    n, alpha, base, xs, step = 3, 2, 3, [Fraction(x) for x in (-2, -1, 3, 4, 5)], 4
+    residue_split(SymbolicMode(), base, n, alpha, xs, step, True)
+    assert [calls.count((alpha * l + 1) * base) for l in range(n + 1)] == [1] * (n + 1)
+    assert calls.count(alpha * base) == 1
     assert calls.count(alpha) == 1
-    assert sorted(calls) == sorted([step, alpha] + [alpha * l + 1 for l in range(n + 1)] + [alpha * x for x in xs])
+    inner = [alpha * base] + [(alpha * l + 1) * base for l in range(n + 1)] + [alpha * x * base for x in xs]
+    assert sorted(calls) == sorted([step, alpha] + inner)
 
 
 def test_the_example_terms_differ_in_stride_and_shift():
@@ -153,7 +159,7 @@ def test_the_example_terms_differ_in_stride_and_shift():
     forms = [qeuler._closed_form_ints(2, 1, [x], fd, {}) for x in xs]
     assert [(g, den.index(1) * g) for _, den, g in forms] == [(2, 0), (1, 0), (1, 6)]
     # together, over the least stride and the largest shift
-    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, {}, fd(1), True)
+    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, {}, fd, fd(1), True)
     assert (g, den.index(1) * g) == (1, 6)
 
 
@@ -186,6 +192,16 @@ class TestErrors:
         for mode in (RationalMode(1), padic):
             for corrected in (False, True):
                 assert_matches(mode, 1, 1, 1, xs, 1, corrected)
+
+    @pytest.mark.parametrize("mode", [RationalMode(2), SymbolicMode(), PadicMode(PadicNum.from_rational(4, 3, 16),
+                                                                             PadicConfig(3, 16))])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_an_empty_split_is_a_precondition_error(self, monkeypatch, mode, corrected):
+        # raised before any power of q is formed, in every mode
+        for name in ("_fixed_denominator", "_ints", "BaseLifted"):
+            monkeypatch.setattr(qeuler, name, lambda *a, **k: pytest.fail("a power of q was formed"))
+        with pytest.raises(PreconditionError, match="^a residue split needs at least one term$"):
+            residue_split(mode, 1, 2, 1, [], 1, corrected)
 
     def test_printed_eq5_at_a_rational_q_is_an_exponent_error(self):
         # the printed inner values stay at base q, so the second term needs q^(1/3)
