@@ -6,6 +6,15 @@ weighted q-Euler polynomial values, and interpolates p-adically through
 a two-term combination of scaled q-Euler values (interp_value) or the
 binomial series built on the unit bracket (interp_series).
 
+The sums have one kernel each in qeuler, summed over one known
+denominator: q_dc_sum is weighted_euler_sum, over P_l (1 -
+q^(alpha l))^m (1 - q^(alpha k)), and bracket_weighted_sum (so
+padic_dc_sum) is weighted_scaled_sum, over P_kp (1 - q^alpha)^(m+1)
+[p]^(m-1), P_B = prod_l (1 + q^((alpha l + 1) B)).  The two stay
+separate formulations: eq6 compares [k]^(m+1) q_dc_sum with the naive
+bracket-weighted sum, and theorem1 the interpolated one with two
+q_dc_sum values.
+
 Reduction conventions, recorded once here: interp_value always reduces
 its residue argument into 1..N before evaluating, matching the finite
 expansion of identity eq6; interp_series uses the residue literally, so
@@ -14,14 +23,12 @@ the two agree only for arguments already below N.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from .errors import ConvergenceError, PoleError, PreconditionError
 from .padic import (
     PadicConfig,
     PadicNum,
-    _binomial_coeffs,
     is_odd_prime,
     normalized_bracket,
     q_pow,
@@ -30,12 +37,13 @@ from .padic import (
 from .qeuler import (
     BaseLifted,
     PadicMode,
-    alternating_sum,
     binomial_series,
     periodic_euler,
     q_int,
     qeuler_poly,
     scaled_qeuler,
+    weighted_euler_sum,
+    weighted_scaled_sum,
 )
 
 INTEGER_VARIANTS = ("naive", "interpolated", "interpolated_printed")
@@ -96,18 +104,15 @@ def dc_sum(m: int, h: int, k: int) -> Fraction:
 def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode):
     """q-deformed Dedekind-type sum with inner values at base exponent l.
 
-    Each term pairs the bracket ratio [M]/[k] with the degree-m weighted
-    q-Euler polynomial at the reduced fraction {hM/k}, base q^l.  Modes
-    that cannot represent the resulting fractional q-exponents raise
+    (1/[k]) sum_{M=1}^{k-1} (-1)^(M-1) [M] E_m({hM/k}; q^l): each term
+    pairs the bracket ratio [M]/[k] with the degree-m weighted q-Euler
+    polynomial at the reduced fraction {hM/k}, base q^l.  The sum is
+    qeuler.weighted_euler_sum, over the one denominator its terms share.
+    Modes that cannot represent the resulting fractional q-exponents raise
     ExponentError from the inside; no pre-check duplicates that.
     """
     DCParams(h=h, k=k, m=m, alpha=alpha, l=l)
-    lifted = BaseLifted(mode, l)
-    acc = alternating_sum(mode, (
-        (q_int(big_m, alpha, mode), qeuler_poly(m, alpha, Fraction((h * big_m) % k, k), lifted))
-        for big_m in range(1, k)
-    ))
-    return acc / q_int(k, alpha, mode)
+    return weighted_euler_sum(m, alpha, [Fraction(h * big_m % k, k) for big_m in range(1, k)], l, k, mode)
 
 
 def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int = 1, p: int = None):
@@ -123,20 +128,14 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     with no product, only the division using 1 - q^alpha.  The
     "interpolated" second term is not of that form and stays a product.
     """
-    if variant not in INTEGER_VARIANTS:
-        raise PreconditionError(f"unknown variant {variant!r}")
-    if m < 0 or n_mod < 1 or alpha < 1:
-        raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n_mod} alpha={alpha}")
+    _check_reading(variant, m, n_mod, alpha)
     a_red = a % n_mod
     if a_red == 0:
         raise PreconditionError(f"residue a = {a} vanishes mod N = {n_mod}")
     first = scaled_qeuler(m, alpha, a_red, n_mod, mode)
     if variant == "naive":
         return first
-    if p is None or not is_odd_prime(p):
-        raise PreconditionError(f"interpolated variants need an odd prime p, got {p}")
-    if gcd(p, n_mod) != 1:
-        raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
+    _check_prime(p, n_mod)
     a_inv = (pow(p, -1, n_mod) * a_red) % n_mod
     if variant == "interpolated_printed":
         second = scaled_qeuler(m, alpha, a_inv * p, n_mod * p, mode)
@@ -148,6 +147,21 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
             # only m = 0 divides, by [N]
             raise PoleError(f"pole in the interpolated value ([{n_mod}] vanishes at this q)") from None
     return first - second
+
+
+def _check_reading(variant: str, m: int, n_mod: int, alpha: int) -> None:
+    if variant not in INTEGER_VARIANTS:
+        raise PreconditionError(f"unknown variant {variant!r}")
+    if m < 0 or n_mod < 1 or alpha < 1:
+        raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n_mod} alpha={alpha}")
+
+
+def _check_prime(p: int, n_mod: int) -> None:
+    """The interpolated readings' p: an odd prime, invertible mod N."""
+    if p is None or not is_odd_prime(p):
+        raise PreconditionError(f"interpolated variants need an odd prime p, got {p}")
+    if gcd(p, n_mod) != 1:
+        raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
 
 
 def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, cfg: PadicConfig) -> PadicNum:
@@ -169,11 +183,10 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     the returned precision stays honest.
 
     The head and the ratio (1 - q^(alpha N)) / (1 - q^(alpha a)) are
-    PadicNum values.  C(s, j) comes from _binomial_coeffs in s's own
-    arithmetic, and the sum is qeuler.binomial_series, on ints mod p^A:
-    it claims what multiplying and adding the terms as PadicNum values
-    claims, and a p-adic s at another prime fails where C(s, 1) would
-    meet q.
+    PadicNum values.  The sum, C(s, j) from one int recurrence included,
+    is qeuler.binomial_series, on ints mod p^A: it claims what
+    multiplying and adding the terms as PadicNum values claims, and a
+    p-adic s at another prime fails there.
     """
     if a < 1 or n_mod < 1 or alpha < 1:
         raise PreconditionError(f"need a >= 1, N >= 1, alpha >= 1, got a={a} N={n_mod} alpha={alpha}")
@@ -181,9 +194,9 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
         raise PreconditionError(f"truncation order must be >= 1, got {j_trunc}")
     if gcd(a, cfg.p) != 1:
         raise PreconditionError(f"a = {a} must be a unit mod p = {cfg.p}")
-    # C(s, j) for j <= J, plus one more when the series does not end by J
-    coeffs = list(islice(_binomial_coeffs(s), j_trunc + 2))
-    terminates = len(coeffs) <= j_trunc + 1
+    # only a nonnegative integer s <= J, or an exact zero, ends the series by J
+    exact = s if not isinstance(s, PadicNum) else 0 if s.is_exact_zero else None
+    terminates = exact is not None and Fraction(exact).denominator == 1 and 0 <= exact <= j_trunc
     if not terminates and n_mod % cfg.p != 0:
         raise ConvergenceError(
             f"series at s = {s} needs p = {cfg.p} dividing N = {n_mod} to converge"
@@ -193,7 +206,7 @@ def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, 
     head = teichmuller_inverse(a, cfg) * q_pow(normalized_bracket(a, q, alpha, cfg), s, cfg)
     ratio = (one - mode.q_power(alpha * n_mod)) / (one - mode.q_power(alpha * a))
 
-    value = head * binomial_series(BaseLifted(mode, n_mod), alpha, coeffs[: j_trunc + 1], alpha * a, ratio)
+    value = head * binomial_series(BaseLifted(mode, n_mod), alpha, s, j_trunc, alpha * a, ratio)
     if not terminates:
         value = value + PadicNum.approx_zero(cfg.p, (j_trunc + 1) * int(ratio.valuation))
     return value
@@ -203,12 +216,24 @@ def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode,
     """sum_{M=1}^{k-1} (-1)^(M-1) [M] interp_value(m, hM, k, variant), unchecked.
 
     The variant is the reading each term uses; the interpolated
-    readings need p.
+    readings need p.  The sum is qeuler.weighted_scaled_sum, over the one
+    denominator its terms share, not a sum of interp_value calls: its
+    preconditions are interp_value's, checked before any term is formed.
     """
-    return alternating_sum(mode, (
-        (q_int(big_m, alpha, mode), interp_value(m, h * big_m, k, variant, mode, alpha=alpha, p=p))
-        for big_m in range(1, k)
-    ))
+    if k <= 1:
+        return mode.from_rational(0)
+    _check_reading(variant, m, k, alpha)
+    firsts = [h * big_m % k for big_m in range(1, k)]
+    zero = [big_m for big_m, a in enumerate(firsts, 1) if not a]
+    if zero and zero[0] == 1:
+        raise PreconditionError(f"residue a = {h} vanishes mod N = {k}")
+    seconds = None
+    if variant != "naive":
+        _check_prime(p, k)
+        seconds = [pow(p, -1, k) * a % k for a in firsts]
+    if zero:
+        raise PreconditionError(f"residue a = {h * zero[0]} vanishes mod N = {k}")
+    return weighted_scaled_sum(m, alpha, k, firsts, seconds, p, variant == "interpolated", mode)
 
 
 def padic_dc_sum(m: int, h: int, k: int, alpha: int, p: int, mode, variant: str = "interpolated"):

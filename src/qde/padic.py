@@ -353,18 +353,6 @@ def teichmuller_inverse(a: int, cfg: PadicConfig) -> PadicNum:
     return teichmuller(pow(a, -1, cfg.p) if a % cfg.p else a, cfg)
 
 
-def _binomial_coeffs(x):
-    """C(x, 0), C(x, 1), ... in x's own arithmetic, ending before the first exact zero."""
-    c = Fraction(1)
-    j = 0
-    while True:
-        yield c
-        j += 1
-        c = c * (x - (j - 1)) / j
-        if c.is_exact_zero if isinstance(c, PadicNum) else c == 0:
-            return
-
-
 def _one_unit_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     """b^x for a 1-unit b = 1 + t, v_p(t) >= 1, and a p-adic integer x.
 
@@ -400,12 +388,14 @@ def _one_unit_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
 def q_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     """b^x for a p-adic unit b.
 
-    An integer x (an int, or a Fraction with denominator 1) is a plain
-    power.  Any other x needs v_p(b - 1) >= 1 and x a p-adic integer,
-    and is one modular power of b's unit to an integer congruent to x
-    mod p^N, at the precision N that _one_unit_pow states.
+    A 1-unit b, v_p(b - 1) >= 1, takes every exponent, an int, a Fraction
+    or a p-adic integer, through _one_unit_pow: one modular power of b's
+    unit at the precision N it states, so b^9 claims v_p(9) digits more
+    than b, up to K, whether 9 is given as an int or p-adically.  Any
+    other b takes only an integer x (an int, or a Fraction with
+    denominator 1), as a plain power.
     """
-    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+    if isinstance(x, (int, Fraction)) and x.denominator == 1 and (b.val or b.unit % cfg.p != 1):
         return b ** int(x)
     return _one_unit_pow(b, x, cfg)
 

@@ -75,15 +75,20 @@ outer view of q gives the q^alpha the value divides by, which for
 qeuler_poly is its own.  In symbolic mode what no x_i enters (the
 exponents of q^(alpha l + 1), q^alpha and the outer q^alpha, the table
 entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
-split, and the table's c is the outer exponent.  The other
-alternating sums (alternating_sum: q_dc_sum and bracket_weighted_sum)
-add finished values on ints mod p^A too, and so does
-dedekind.interp_series's binomial series (binomial_series), which reads
-E_j from _numbers_at's residues.  A capped-relative sum is the true sum
-mod p^N, N the least absolute precision of its terms, in normalized
-form: each addition keeps the running sum mod the smaller absolute
-precision.  So one wrap of the int sum mod p^N (_wrap) is the same
-PadicNum as adding term by term.
+split, and the table's c is the outer exponent.  At a p-adic q every
+term of a split is over the same P, so the view keeps P's quotients
+mod p^A per (n, alpha) (_quotients_at) and each term is one Horner pass.
+
+The Dedekind-type sums (weighted_euler_sum, weighted_scaled_sum) are
+summed over one known denominator and finished once the same way; in
+symbolic mode their weights [M] are binomials over 1 - q^alpha and no
+gcd is taken.  dedekind.interp_series's binomial series (binomial_series)
+reads C(s, j) off one int recurrence and E_j off _numbers_at's residues,
+each term a (valuation, unit, precision) product.  A capped-relative sum is the true sum mod p^N, N the least
+absolute precision of its terms, in normalized form: each addition
+keeps the running sum mod the smaller absolute precision.  So one wrap
+of the int sum mod p^N (_wrap) is the same PadicNum as adding term by
+term.
 
 In symbolic mode the same four kernels run on int coefficient lists
 over a denominator known in advance, a product of binomials 1 + q^k,
@@ -97,9 +102,10 @@ exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
 every exponent is a multiple of g, the lists are in Q^g and the value
 is spread back.  measure needs no gcd at all for odd p (see there).
 
-So each of the six kernels (q_int, qeuler_poly, qeuler_numbers,
-qeuler_poly_additive, scaled_qeuler, residue_split) has two paths: int
-lists in symbolic mode, the int view at a fixed q.  A symbolic kernel
+So each of the eight kernels (q_int, qeuler_poly, qeuler_numbers,
+qeuler_poly_additive, scaled_qeuler, residue_split, weighted_euler_sum,
+weighted_scaled_sum) has two paths: int lists in symbolic mode, the int
+view at a fixed q.  A symbolic kernel
 bounds the degrees of the lists it forms, and where a bound passes
 MAX_DEGREE it raises ResourceLimitError naming it, even where the
 reduced value would fit.  Each kernel forms its powers of q in the order the formula states
@@ -117,9 +123,9 @@ precision raises PrecisionError instead.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, prod
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul, pos
+from operator import add, mul, pos, sub
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
 from .exact import format_rational, frac_floor_parts
@@ -230,6 +236,9 @@ class PadicMode:
         raise AttributeError("PadicMode is immutable")
 
     def q_power(self, e) -> PadicNum:
+        # an integer power keeps q's relative precision, as the kernels' int views (_Ints) know every power of q
+        if type(e) is int:
+            return self.q**e
         try:
             return q_pow(self.q, e, self.cfg)
         except PreconditionError as exc:
@@ -504,61 +513,133 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     return iv.finish([(s, nums[0] * b ** (n * x))])
 
 
-def alternating_sum(mode, terms):
-    """sum_i (-1)^i t_i, each t_i a tuple of factors multiplied left to right.
+def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, k: int, mode):
+    """(1/[k]) sum_{M=1}^{count} (-1)^(M-1) [M] E_m(x_M; q^base), count = len(xs), [.] the weight-alpha q-integer.
 
-    In p-adic mode the products and the sum run on ints (see the module
-    docstring): an exact zero term is skipped and an approximate zero
-    adds only its absolute precision.
+    dedekind.q_dc_sum's sum.  Every E_m(x_M; q^base) is over P (1 -
+    q^(alpha base))^m, P = prod_l (1 + q^((alpha l + 1) base)), so the
+    numerators are summed over it and finished once.  In symbolic mode
+    [M]/[k] = (1 - q^(alpha M))/(1 - q^(alpha k)): the weights are
+    binomials, and no gcd is taken.  Errors come as term by term: the
+    first E_m's, then a vanishing [k]'s.
     """
-    iv = _ints(mode, capped=False) if root_mode(mode).kind == "padic" else None
-    if iv is None:
-        acc = mode.from_rational(0)
-        for i, factors in enumerate(terms):
-            t = reduce(mul, factors)
-            acc = acc + t if i % 2 == 0 else acc - t
-        return acc
-    parts = []  # (valuation, signed unit or 0 for an approximate zero, absolute precision)
-    for i, factors in enumerate(terms):
-        v, u, r = 0, -1 if i % 2 else 1, inf
-        for f in factors:
-            v, u, r = v + f.val, u * f.unit, min(r, f.prec)
-        # an exact zero factor has infinite valuation and leaves the term out
-        if v != inf:
-            parts.append((v, u, v + r if u else v))
-    return _wrap(iv.p, parts)
+    _check_n_alpha(m, alpha)
+    if not xs:
+        return mode.from_rational(0)
+    inner = BaseLifted(mode, base)
+    fd = _fixed_denominator(mode)
+    if fd is None:
+        return _weighted_at(m, alpha, xs, k, _ints(inner), _ints(mode, capped=False), mode)
+    ek = fd(alpha * k)
+    weights = _bracket_weights(fd, alpha, len(xs))
+    num, den, g = _closed_form_ints(m, alpha, xs + xs, _fixed_denominator(inner), root_mode(mode)._binomials,
+                                    weights=weights, tail=(0, ek), strides=(ek,))
+    return _ratfunc(num, _times_binomial(den, ek // g, -1), g)
 
 
-def binomial_series(mode, alpha: int, coeffs: list, weight: int, ratio: PadicNum) -> PadicNum:
-    """sum_j c_j q^(weight j) E_j ratio^j at a p-adic q, E_j the q-Euler numbers at mode's base.
+def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list, p: int, corrected: bool, mode):
+    """sum_{M=1}^{count} (-1)^(M-1) [M] (S(m, a_M, k) - T_M), a_M = firsts[M-1], count = len(firsts).
 
-    The sum runs on ints mod p^A like alternating_sum's, each term a
-    (valuation, unit, precision) product.  c_j q^(weight j) claims q's
-    relative precision for an exact c_j, an int or Fraction, which is
-    what coercion gives it against q^(weight j); a PadicNum c_j keeps
-    the fewer of its own digits and q's.  E_0 and ratio^0 claim the
-    mode's one (K digits), E_j for j >= 1 A absolute digits (a zero
-    residue is O(p^A)), and ratio^j for j >= 1 the ratio's relative
-    precision, O(p^(j v)) when the ratio is an approximate zero O(p^v).
-    No term claims more than A digits past its valuation, so units
-    mod p^A carry every claimed digit.  The p-free denominators of the
-    exact c_j share one modular inverse (_inverses).
+    dedekind.bracket_weighted_sum's sum, S the scaled value.  T_M = 0
+    with no seconds (naive), else, b_M = seconds[M-1], S(m, b_M p, kp)
+    (printed) or [k]^(m-1) [kp] E_m(b_M/k; q^(kp)) = S(m, b_M p, kp) /
+    [p]^(m-1) (corrected), [p] = (1 - q^(alpha kp))/(1 - q^(alpha k)).
+    With P_B = prod_l (1 + q^((alpha l + 1) B)), and P_k dividing P_kp as
+    1 + x divides 1 + x^p for odd p, the sum is over P_kp (1 - q^alpha)^(m+1)
+    [p]^(m-1), the last 1 - q^alpha from [M] = (1 - q^(alpha M))/(1 -
+    q^alpha).  Errors come as term by term: the first S's, the first
+    T's, then, at m = 0, a vanishing [k]'s.
+    """
+    _check_n_alpha(m, alpha)
+    if not firsts:
+        return mode.from_rational(0)
+    fd = _fixed_denominator(mode)
+    if fd is None:
+        return _scaled_weighted_at(m, alpha, k, firsts, seconds, p, corrected, mode)
+    table, c, count = root_mode(mode)._binomials, fd(alpha), len(firsts)
+    weights = _bracket_weights(fd, alpha, count)
+    near = _fixed_denominator(BaseLifted(mode, k))
+    # every residue is positive, so no term's shift moves into the denominator: both sums are over Q^0 P (1 - Q^c)^m
+    num, den, g = _closed_form_ints(m, alpha, [Fraction(y, k) for y in firsts] * 2, near, table, fd, weights, (0, c))
+    if seconds is None:
+        return _ratfunc(num, _times_binomial(den, c // g, -1), g)
+    ek = fd(alpha * k)
+    far = _fixed_denominator(BaseLifted(mode, k * p))
+    num2, den, g2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, table, fd, weights,
+                                      strides=(g, ek))
+    # in Q^g2, which divides g: P_kp / P_k = prod_l (1 + x_l^p)/(1 + x_l), x_l = q^((alpha l + 1) k)
+    num = _stretch(num, g // g2)
+    for e in [near(alpha * l + 1) // g2 for l in range(m + 1)]:
+        _guard_degree((len(num) - 1 + p * e) * g2)
+        num = _quo_binomial(_times_binomial(num, p * e), e)
+    # corrected: T_M = S / [p]^(m-1), so the firsts and the denominator take (1 - q^(alpha kp))^(m-1) and
+    # the seconds (1 - q^(alpha k))^(m-1); at m = 0 the two exchange places
+    ek, c = ek // g2, c // g2
+    up, down = (p * ek, ek) if m else (ek, p * ek)
+    more = abs(m - 1) if corrected else 0
+    _guard_degree(g2 * max(len(num) - 1 + more * up, len(num2) - 1 + more * down, len(den) - 1 + more * up + c))
+    for _ in range(more):
+        num, num2, den = (_times_binomial(v, e, -1) for v, e in ((num, up), (num2, down), (den, up)))
+    _axpy(num, -1, num2, 0)
+    return _ratfunc(num, _times_binomial(den, c, -1), g2)
+
+
+def _bracket_weights(fd, alpha: int, count: int) -> list:
+    """The weights of a sum over xs + xs: (-1)^(M-1) on the first copy, -(-1)^(M-1) q^(alpha M) on the second.
+
+    Together they weight term M by (-1)^(M-1) (1 - q^(alpha M)), which is
+    [M] (1 - q^alpha).
+    """
+    signs = [-1 if i % 2 else 1 for i in range(count)]
+    return [(s, 0) for s in signs] + [(-s, fd(alpha * big_m)) for big_m, s in enumerate(signs, 1)]
+
+
+def binomial_series(mode, alpha: int, s, top: int, weight: int, ratio: PadicNum) -> PadicNum:
+    """sum_{j<=top} C(s, j) q^(weight j) E_j ratio^j at a p-adic q, E_j the q-Euler numbers at mode's base.
+
+    C(s, j) comes from c_j = c_(j-1) (s - j + 1)/j on ints, for an exact
+    s and a PadicNum s = a/b (b a power of p) alike.  An exact c_j claims
+    q's relative precision, what coercion gives it against q^(weight j);
+    for a PadicNum s known to N digits, s - i is known to N - v_p(s - i)
+    relative ones, or is O(p^N), and c_j keeps the fewest of these and of
+    q's, as PadicNum arithmetic does.  A nonnegative integer s ends the
+    series after C(s, s).  E_0 and ratio^0 claim the mode's one (K
+    digits), E_j for j >= 1 A absolute digits (a zero residue is O(p^A)),
+    and ratio^j for j >= 1 the ratio's relative precision, O(p^(j v)) when
+    the ratio is O(p^v).  No term claims more than A digits past its
+    valuation, so units mod p^A carry every claimed digit; the sum is
+    wrapped once (_wrap), and the p-free denominators share one modular
+    inverse (_inverses).
     """
     iv, root = _ints(mode), root_mode(mode)
     p, prec, m, q = iv.p, iv.prec, iv.m, root.q
-    one = PadicNum.from_rational(1, p, q.prec)
-    reads = []  # (valuation, p-free numerator, p-free denominator, relative precision) of c_j
-    for c in coeffs:
-        if isinstance(c, PadicNum):
-            c = c * one  # fails here, where c would meet q, when c is at another prime
-            reads.append((c.val, c.unit, 1, c.prec))
-        else:
-            a, b = _vp(c.numerator, p), _vp(c.denominator, p)
-            reads.append((a - b, c.numerator // p**a, c.denominator // p**b, q.prec))
+    if isinstance(s, PadicNum) and not s.is_exact_zero:
+        if s.p != p:
+            raise PreconditionError(f"mixed primes {s.p} and {p}")
+        known = s.abs_prec
+        a, b = (s.unit * p**s.val, 1) if s.val >= 0 else (s.unit, p**-s.val)
+    else:
+        s, known = Fraction(0 if isinstance(s, PadicNum) else s), inf
+        a, b = s.numerator, s.denominator
+        if b == 1 and 0 <= a < top:
+            top = a  # C(s, j) = 0 for j > s
+    vb = _vp(b, p)
+    vc, num, den, rel, reads = 0, 1, 1, q.prec, []  # c_0 = 1
+    for j in range(top + 1):
+        if j:
+            f = a - (j - 1) * b
+            vf = _vp(f, p) if f else inf
+            if vf - vb >= known:
+                num, vc = 0, vc + known  # s - (j - 1) is O(p^N), and so is every later c_j
+            else:
+                vc, rel, num = vc + vf - vb, min(rel, known + vb - vf), num * (f // p**vf) % m
+            vj = _vp(j, p)
+            vc, den = vc - vj, den * (j // p**vj) * (b // p**vb) % m
+        reads.append((vc, num, den, rel))
     vals, nums, dens, precs = zip(*reads)
     step = pow(q.unit, weight, m) * ratio.unit  # 0 when the ratio is an approximate zero
     parts, power = [], 1
-    terms = zip(vals, nums, _inverses(dens, m), precs, _numbers_at(len(coeffs) - 1, alpha, iv))
+    terms = zip(vals, nums, _inverses(dens, m), precs, _numbers_at(top, alpha, iv))
     for j, (vc, nc, dc, rc, e) in enumerate(terms):
         ve = _vp(e, p) if e else prec
         v, u = vc + ve + j * ratio.val, nc * dc * (e // p**ve) * power % m
@@ -616,12 +697,13 @@ def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, cor
     inner = BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is not None:
-        k = None if step is None else fd(step)
         table = root_mode(mode)._binomials
-        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), table, fd, k, corrected)
-        if k is None:
-            return _ratfunc(num, den, g)
-        return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * len(xs) // g), g)
+        if step is None:
+            return _ratfunc(*_closed_form_ints(n, alpha, xs, _fixed_denominator(inner), table, fd))
+        k, count = fd(step), len(xs)
+        weights = [(-1 if i % 2 else 1, k * i if corrected else 0) for i in range(count)]
+        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), table, fd, weights, (k, k * count), (k,))
+        return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * count // g), g)
     return _split_at(n, alpha, xs, _ints(inner), _ints(mode), step, corrected)
 
 
@@ -661,6 +743,80 @@ def _split_at(n: int, alpha: int, xs: list, iv, outer=None, step: int = None, co
     return iv.finish(terms, w, n, (b + a) * d, b * (d + c))
 
 
+def _weighted_at(m: int, alpha: int, xs: list, k: int, iv, wide, mode):
+    """weighted_euler_sum at a fixed q: the terms from _weighted_terms, finished once with the division by [k].
+
+    Where [k] vanishes, or is zero to its digits, the finished sum is
+    divided by q_int(k), which raises what the term-by-term sum raises.
+    """
+    wa, wb = wide.power(alpha)
+    brackets = [_geometric(wa, wb, big_m, wide.red) for big_m in range(1, k + 1)]
+    try:
+        terms, (a, b) = _weighted_terms(m, alpha, xs, iv, brackets, wb)
+    except ZeroDivisionError:
+        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    if not (brackets[-1] % wide.m if wide.m else brackets[-1]):
+        return iv.finish(terms, b - a, m, b**m) / q_int(k, alpha, mode)
+    return iv.finish(terms, b - a, m, b**m * wb**k, brackets[-1], den_prec=wide.prec)
+
+
+def _scaled_weighted_at(m: int, alpha: int, k: int, firsts: list, seconds: list, p: int, corrected: bool, mode):
+    """weighted_scaled_sum at a fixed q: the firsts' and the seconds' terms from _weighted_terms, finished once.
+
+    Corrected, the sum is divided by [p]^(m-1), [p] = g / c^p at
+    q^(alpha k) = d/c, and the firsts are multiplied by it (the seconds by
+    [p] at m = 0).  Each term's rank is what its term claims on the
+    PadicNum path: A - v_p(1 - q^alpha) for a first or a printed second,
+    and for a corrected second the least of A - v_p(1 - q^(alpha kp)) and
+    the uncapped A' - 1 of [kp].  [p], of valuation 1, caps no claim.
+    """
+    near, outer, wide = _ints(BaseLifted(mode, k)), _ints(mode), _ints(mode, capped=False)
+    (a, b), (wa, wb) = outer.power(alpha), wide.power(alpha)
+    brackets = [_geometric(wa, wb, big_m, wide.red) for big_m in range(1, len(firsts) + 1)]
+    try:
+        # a later term raises nothing the first one did not: its exponents are integers and its
+        # denominator vanishes where the first one's does
+        terms, (d, c) = _weighted_terms(m, alpha, [Fraction(y, k) for y in firsts], near, brackets, wb)
+        if seconds:
+            far = _ints(BaseLifted(mode, k * p))
+            more, (d2, c2) = _weighted_terms(m, alpha, [Fraction(z, k) for z in seconds], far, brackets, wb)
+    except ZeroDivisionError:
+        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    w, num, den = b - a, b**m, 1
+    ranks = [near.m and near.rank(w)] * len(terms)
+    if not seconds:
+        return near.finish(terms, w, m, num, den, near.m and ranks)
+    lift, lift2 = (1, 1), (-1, 1)
+    if corrected:
+        g, e = _geometric(d, c, p, near.red), c**p
+        if m:
+            lift, num, den = (g ** (m - 1), e ** (m - 1)), num * e ** (m - 1), g ** (m - 1)
+        elif not _geometric(wa, wb, k, wide.red):
+            raise PoleError(f"pole in the interpolated value ([{k}] vanishes at this q)")
+        else:
+            lift2 = (-g, e)
+        ranks += [near.m and min(far.rank(c2 - d2), wide.prec - 1)] * len(more)
+    else:
+        ranks += ranks
+    terms = [(t * lift[0], u * lift[1]) for t, u in terms] + [(t * lift2[0], u * lift2[1]) for t, u in more]
+    return near.finish(terms, w, m, num, den, near.m and ranks)
+
+
+def _weighted_terms(m: int, alpha: int, xs: list, iv, brackets: list, b: int) -> tuple:
+    """((-1)^(M-1) [M] t_M as (num, den) pairs, q^alpha at iv's base): t_M the closed form at x_M, the first checked.
+
+    [M] = brackets[M-1] / b^M; the finish divides by t_M's (1 - q^alpha)^m
+    and multiplies by its b^m.
+    """
+    terms = []
+    for i, (x, g) in enumerate(zip(xs, brackets)):
+        num, den, ab = _closed_form_at(m, alpha, x, iv)
+        if not i:
+            iv.check(den, ab[1] - ab[0], m)
+        terms.append((-num * g if i % 2 else num * g, den * b ** (i + 1)))
+    return terms, ab
+
+
 def _check_n_alpha(n: int, alpha: int) -> None:
     if n < 0:
         raise PreconditionError(f"degree must be nonnegative, got {n}")
@@ -680,14 +836,14 @@ class _Ints:
     def __init__(self, root, base: int, prec):
         if root.kind == "rational":
             u, v = root.q0.numerator, root.q0.denominator
-            self.red, self.m = pos, None
+            self.red, self.m, self.prec = pos, None, None
 
             def power(e) -> tuple:
                 k = root._exponent(e * base)  # u != 0 when k < 0
                 return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
         else:
             p, u, roots = root.cfg.p, root.q.unit, root._roots
-            self.p, self.prec = p, prec
+            self.p, self.prec, self.forms = p, prec, {}
             m = self.m = p**prec
             self.red = m.__rmod__
 
@@ -695,30 +851,36 @@ class _Ints:
                 # q is a 1-unit, so q^X mod p^A depends only on X mod p^A; a fractional X is num den^-1
                 if type(e) is int:
                     return pow(u, base * e, m), 1
-                e = Fraction(e) * base
-                b = e.denominator
+                a, b = e.numerator * base, e.denominator
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if b == 1:
+                    return pow(u, a, m), 1
                 if b % p == 0:
-                    raise ExponentError(f"exponent {e} is not a {p}-adic integer")
+                    raise ExponentError(f"exponent {Fraction(a, b)} is not a {p}-adic integer")
                 if (prec, b) not in roots:
                     roots[prec, b] = pow(u, pow(b, -1, m), m)
-                return pow(roots[prec, b], e.numerator, m), 1
+                return pow(roots[prec, b], a, m), 1
 
         self.power = power
 
-    def finish(self, terms: list, w: int = 1, n: int = 0, num: int = 1, den: int = 1):
-        """sum_i t_i / (d_i w^n) times num / den for terms (t_i, d_i), as the PadicNum path states it.
+    def finish(self, terms: list, w: int = 1, n: int = 0, num: int = 1, den: int = 1, ranks: list = None,
+               den_prec=inf):
+        """sum_i t_i / d_i over w^n den, times num, for terms (t_i, d_i), as the PadicNum path states it.
 
         The terms are added cross-multiplied on ints; at q = u/v the value
-        is one Fraction.  At a p-adic q the d_i, num and den are units, and
-        with w = p^v u mod p^A, u a unit, the sum is divided by d_0 d_1 ...
-        den u^n mod p^A with one modular inverse, or none where that
-        product is 1.  The PadicNum path knows t_i / d_i to A digits and w
-        to A, so u^n to A - v: term i claims A - v + v_p(t_i) digits, at
-        most A, and a unit w keeps all A.  Where w is zero to A digits,
+        is one Fraction.  At a p-adic q the d_i and num are units, and with
+        w = p^v u mod p^A, u a unit, and den = p^e d, the sum is divided by
+        d_0 d_1 ... d u^n mod p^A with one modular inverse, or none where
+        that product is 1.  The PadicNum path knows t_i / d_i to A digits
+        and w to A, so u^n to A - v: term i claims A - v + v_p(t_i) digits,
+        at most A, and a unit w keeps all A.  Where w is zero to A digits,
         which check lets through only at n = 0, w ** 0 gives 1
-        DEFAULT_PRECISION digits in place of A.  A capped-relative sum
-        keeps the least of its terms' claims (see the module docstring),
-        and num / den shifts no digit.
+        DEFAULT_PRECISION digits in place of A.  ranks[i], where given,
+        takes A - v's place for term i (rank).  A capped-relative sum keeps
+        the least of its terms' claims (see the module docstring); a den
+        known to den_prec absolute digits, where that is its one division
+        on the PadicNum path, caps the relative precision at den_prec - e.
         """
         s, d = 0, 1
         for t, dt in terms:
@@ -728,13 +890,19 @@ class _Ints:
         p, prec, m = self.p, self.prec, self.m
         w %= m
         v = _vp(w, p) if w else 0
-        r, claim = prec - v if w else DEFAULT_PRECISION, prec
-        if r < prec:
-            for t, _ in terms:
-                if t % m:
-                    claim = min(claim, r + _vp(t, p))
-        d = d * den * (w // p**v) ** n
-        return PadicNum(p, -n * v, s * num if d == 1 else s * num * pow(d, -1, m), claim)
+        claim = prec
+        for (t, _), r in zip(terms, ranks or repeat(self.rank(w))):
+            if r < prec and t % m:
+                claim = min(claim, r + _vp(t, p))
+        e = _vp(den, p)
+        d = d * (den // p**e) * (w // p**v) ** n
+        value = PadicNum(p, -n * v - e, s * num if d == 1 else s * num * pow(d, -1, m), claim)
+        return value if value.prec <= den_prec - e else PadicNum(p, value.val, value.unit, den_prec - e)
+
+    def rank(self, w: int) -> int:
+        """A - v_p(w), the relative digits the PadicNum path knows w / p^v to; DEFAULT_PRECISION for a zero w."""
+        w %= self.m
+        return self.prec - _vp(w, self.p) if w else DEFAULT_PRECISION
 
     def check(self, den: int, w: int, n: int) -> None:
         """Raise where den w^n vanishes: ZeroDivisionError at q = u/v, PrecisionError where w is zero to A digits.
@@ -788,16 +956,16 @@ def _quo_binomial(a: list, k: int):
     return q if n > 0 and ([0] * k + q)[n:] == a[n:] else None
 
 
-def _times_binomial(a: list, k: int) -> list:
-    """a (1 + Q^k) by c_(i+k) += a_i, the inverse of _quo_binomial."""
+def _times_binomial(a: list, k: int, sign: int = 1) -> list:
+    """a (1 + sign Q^k) by c_(i+k) += sign a_i; with sign 1, the inverse of _quo_binomial."""
     c = a + [0] * k
-    c[k:] = map(add, c[k:], a)
+    c[k:] = map(add, c[k:], a) if sign == 1 else map(sub, c[k:], a)
     return c
 
 
-def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None, k: int = None,
-                      corrected: bool = False) -> tuple:
-    """[B]^n sum_i (-1)^i w_i E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x is qeuler_poly.
+def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None, weights: list = None,
+                      tail: tuple = (0, 0), strides: tuple = ()) -> tuple:
+    """sum_i w_i [B]^n E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x is qeuler_poly.
 
     fd maps the exponents at the terms' base q^B and outer those at q
     (None: B = 1).  In Q^g every term is over Q^top D, D = P (1 - Q^c)^n,
@@ -807,9 +975,10 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None,
     (n, a, b, c) alone, and table keeps them.  Only term i's shifts
     q^(alpha l x_i) = Q^(l s_i) depend on x_i, and top = max -n s_i.  So
     the rest, the guards' sums and the factor 1 + q^B included, is formed
-    once per call.  A residue split passes its q^step = Q^k, which g
-    divides, and multiplies its ratio in; w_i = Q^(k i) when corrected,
-    else 1.
+    once per call.  weights[i] = (c_i, e_i) makes w_i = c_i Q^(e_i); with
+    none, the one term's weight is 1.  A weighted sum's guard adds tail,
+    the degrees by which the caller then multiplies num and den, and g
+    divides strides, the exponents of the caller's factors.
     """
     # the powers of q in the formula's order, l by l, so that the one a term-by-term evaluation fails at
     # fails first: q^(alpha l x) = Q^(l s), then q^(alpha l + 1), which the first term forms for all
@@ -826,27 +995,47 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None,
         # a bound on every degree a term forms
         _guard_degree(n * abs(s) + sum(bots) + max(n * c, bots[0]))
         shifts.append(s)
-    top, w = -n * min(0, *shifts), k if corrected else 0
-    if k is not None:
-        # the longest list the split forms: Q^top D (1 + q^(step count)), or the numerator, (1 + q^step)(1 + q^B)
-        # times sum_(i,l) Q^(w i + top + l s_i) P / (1 + q^((alpha l + 1) B)), whose degree peaks at l = 0 or l = n
-        ends = (w * i + n * max(0, s - a) for i, s in enumerate(shifts))
-        _guard_degree(top + sum(bots) + max(n * c + k * len(xs), k + max(ends)))
+    top = -n * min(0, *shifts)
+    if weights is None:
+        weights = [(1, 0)]
+    else:
+        # the longest list: Q^top D times the tail, or the numerator, (1 + q^B) times
+        # sum_(i,l) c_i Q^(e_i + top + l s_i) P / (1 + q^((alpha l + 1) B)), whose degree peaks at l = 0 or l = n
+        ends = (e + n * max(0, s - a) for (_, e), s in zip(weights, shifts))
+        _guard_degree(top + sum(bots) + max(n * c + tail[1], tail[0] + max(ends)))
     # every power of q here is one of Q^g; c divides a
-    g = gcd(k or 0, c, bots[0], *shifts)
-    a, b, c, acc = a // g, bots[0] // g, c // g, []
+    g = gcd(c, bots[0], *shifts, *(e for _, e in weights), *strides)
+    a, b, c = a // g, bots[0] // g, c // g
     cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
     if (n, a, b, c) not in table:
         prod = [1]
         for e in bots:
             prod = _times_binomial(prod, e // g)
-        table[n, a, b, c] = [_quo_binomial(prod, e // g) for e in bots], _prod(prod, _stretch(cs, c))
+        den = prod
+        for _ in range(n):
+            den = _times_binomial(den, c, -1)
+        table[n, a, b, c] = [_sparse(_quo_binomial(prod, e // g)) for e in bots], den
     quotients, den = table[n, a, b, c]
-    for i, s in enumerate(shifts):
-        for l, (cl, quo) in enumerate(zip(cs, quotients)):
-            _axpy(acc, -cl if i % 2 else cl, quo, (w * i + top + l * s) // g)
+    offsets = [[(e + top + l * s) // g for l in range(n + 1)] for (_, e), s in zip(weights, shifts)]
+    acc = [0] * max(o + len(quo) for offs in offsets for o, (quo, _) in zip(offs, quotients))
+    for (cw, _), offs in zip(weights, offsets):
+        for cl, (quo, nonzero), o in zip(cs, quotients, offs):
+            f = cw * cl
+            if nonzero is None:
+                acc[o:o + len(quo)] = [x + f * y for x, y in zip(acc[o:o + len(quo)], quo)]
+            else:
+                for j, y in nonzero:
+                    acc[o + j] += f * y
     # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B); the lists in the table are copied, never changed
     return _times_binomial(acc, b), [0] * (top // g) + den, g
+
+
+def _sparse(a: list) -> tuple:
+    """(a, its nonzero (index, coefficient) pairs), or (a, None) where a is too short or too dense for them to pay."""
+    if len(a) < 64:
+        return a, None
+    nonzero = [(j, y) for j, y in enumerate(a) if y]
+    return a, nonzero if 3 * len(nonzero) < len(a) else None
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
@@ -881,9 +1070,20 @@ def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
     """qeuler_poly's sum at a fixed q on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
 
     Returns (num, den, (a, b)) with q^alpha = a/b: the value is iv.finish([(num b^n, den)], b - a, n) once
-    iv.check(den, b - a, n) has passed.
+    iv.check(den, b - a, n) has passed.  At a p-adic q, t = e = 1, so den = P = prod_l (1 + q^(alpha l + 1))
+    for every x, and num is sum_l (-1)^l C(n,l) s^l P_l with P_l = P / (1 + q^(alpha l + 1)): the view keeps
+    those products mod p^A per (n, alpha) (_quotients_at), and each x adds one Horner pass in s.
     """
     power, red = iv.power, iv.red
+    if iv.m is not None:
+        key = n, alpha
+        if key not in iv.forms:
+            iv.forms[key] = _quotients_at(n, alpha, iv)
+        cqs, den, c, ab = iv.forms[key]
+        s, num, m = power(alpha * x)[0] if n and x else 1, 0, iv.m
+        for cq in cqs:
+            num = (num * s + cq) % m
+        return num * (1 + c), den, ab
     (c, w), (a, b) = power(1), power(alpha)
     # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as term by term,
     # 1 + q = 0 at l = 0 is that pole before q^(alpha x) can fail, and n = 0 forms no q^(alpha x)
@@ -894,6 +1094,20 @@ def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
         num, den = red(num * f + (-1) ** l * comb(n, l) * s * e * den), red(den * f)
         s, t, d, e = red(s * sa), t * sb, red(d * a), e * b
     return num * (w + c), den * w, (a, b)
+
+
+def _quotients_at(n: int, alpha: int, iv) -> tuple:
+    """([(-1)^l C(n,l) P_l mod p^A for l = n..0], P, q mod p^A, q^alpha pair): _closed_form_at's part no x enters.
+
+    P = prod_(l<=n) (1 + q^(alpha l + 1)) and P_l = P / (1 + q^(alpha l + 1)),
+    each the product of the factors before l and after it.
+    """
+    m, (c, _), ab = iv.m, iv.power(1), iv.power(alpha)
+    factors = [(1 + c * pow(ab[0], l, m)) % m for l in range(n + 1)]
+    before = list(accumulate(factors, lambda x, y: x * y % m, initial=1))
+    after = list(accumulate(reversed(factors), lambda x, y: x * y % m, initial=1))[::-1]
+    cqs = [(-1) ** l * comb(n, l) * before[l] * after[l + 1] % m for l in range(n, -1, -1)]
+    return cqs, before[-1], c, ab
 
 
 def _numbers_at(top: int, alpha: int, iv) -> list:

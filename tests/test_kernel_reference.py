@@ -22,13 +22,24 @@ an operation in lowest terms where its unreduced degree would pass it.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
 
 from qde import catalog, dedekind, qeuler
 from qde.errors import PoleError, PreconditionError
-from qde.qeuler import BaseLifted, _check_n_alpha, alternating_sum, root_mode
+from qde.qeuler import BaseLifted, _check_n_alpha, root_mode
+
+
+def alternating_sum(mode, terms):
+    """sum_i (-1)^i t_i, each t_i a tuple of factors multiplied left to right, term by term."""
+    acc = mode.from_rational(0)
+    for i, factors in enumerate(terms):
+        t = reduce(mul, factors)
+        acc = acc + t if i % 2 == 0 else acc - t
+    return acc
 
 
 def reference_q_int(x, alpha, mode):
@@ -141,6 +152,40 @@ def reference_residue_split(mode, base, n, alpha, xs, step, corrected, factor=No
     return ratio * acc
 
 
+def reference_weighted_euler_sum(m, alpha, xs, base, k, mode):
+    """(1/[k]) sum_M (-1)^(M-1) [M] E_m(x_M; q^base), term by term: q_dc_sum's sum as it was written."""
+    _check_n_alpha(m, alpha)
+    lifted = BaseLifted(mode, base)
+    acc = alternating_sum(mode, (
+        (reference_q_int(big_m, alpha, mode), reference_qeuler_poly(m, alpha, x, lifted))
+        for big_m, x in enumerate(xs, 1)
+    ))
+    return acc / reference_q_int(k, alpha, mode)
+
+
+def reference_weighted_scaled_sum(m, alpha, k, firsts, seconds, p, corrected, mode):
+    """sum_M (-1)^(M-1) [M] (S(m, a_M, k) - T_M), term by term: bracket_weighted_sum's sum over interp_value's terms."""
+    _check_n_alpha(m, alpha)
+
+    def term(y, z):
+        first = reference_scaled_qeuler(m, alpha, y, k, mode)
+        if z is None:
+            return first
+        if not corrected:
+            return first - reference_scaled_qeuler(m, alpha, z * p, k * p, mode)
+        inner = reference_qeuler_poly(m, alpha, Fraction(z, k), BaseLifted(mode, k * p))
+        try:
+            second = reference_q_int(k, alpha, mode) ** (m - 1) * reference_q_int(k * p, alpha, mode) * inner
+        except ZeroDivisionError:
+            raise PoleError(f"pole in the interpolated value ([{k}] vanishes at this q)") from None
+        return first - second
+
+    return alternating_sum(mode, (
+        (reference_q_int(big_m, alpha, mode), term(y, None if seconds is None else seconds[big_m - 1]))
+        for big_m, y in enumerate(firsts, 1)
+    ))
+
+
 # by the name of the kernel in qde.qeuler
 REFERENCES = {
     "q_int": reference_q_int,
@@ -149,6 +194,8 @@ REFERENCES = {
     "qeuler_poly_additive": reference_qeuler_poly_additive,
     "residue_split": reference_residue_split,
     "scaled_qeuler": reference_scaled_qeuler,
+    "weighted_euler_sum": reference_weighted_euler_sum,
+    "weighted_scaled_sum": reference_weighted_scaled_sum,
 }
 
 
@@ -157,8 +204,7 @@ def reference_kernels():
     """Run catalog checks and Dedekind-type sums on the references, in the modes' own arithmetic.
 
     The references take the place of the kernels qde.catalog and
-    qde.dedekind import, and qeuler._ints gives no int view, so that
-    alternating_sum adds PadicNum values one at a time.
+    qde.dedekind import, and qeuler._ints gives no int view.
     """
     with pytest.MonkeyPatch.context() as mp:
         for module in (catalog, dedekind):

@@ -159,7 +159,8 @@ def test_the_example_terms_differ_in_stride_and_shift():
     forms = [qeuler._closed_form_ints(2, 1, [x], fd, {}) for x in xs]
     assert [(g, den.index(1) * g) for _, den, g in forms] == [(2, 0), (1, 0), (1, 6)]
     # together, over the least stride and the largest shift
-    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, {}, fd, fd(1), True)
+    weights = [((-1) ** i, fd(1) * i) for i in range(len(xs))]
+    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, {}, fd, weights, strides=(fd(1),))
     assert (g, den.index(1) * g) == (1, 6)
 
 

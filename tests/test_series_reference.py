@@ -22,8 +22,20 @@ from hypothesis import strategies as st
 
 from qde.dedekind import interp_series
 from qde.errors import ConvergenceError, PreconditionError
-from qde.padic import PadicConfig, PadicNum, _binomial_coeffs, normalized_bracket, q_pow, teichmuller_inverse
+from qde.padic import PadicConfig, PadicNum, normalized_bracket, q_pow, teichmuller_inverse
 from qde.qeuler import BaseLifted, PadicMode, qeuler_numbers
+
+
+def binomial_coeffs(x):
+    """C(x, 0), C(x, 1), ... in x's own arithmetic, ending before the first exact zero."""
+    c = Fraction(1)
+    j = 0
+    while True:
+        yield c
+        j += 1
+        c = c * (x - (j - 1)) / j
+        if c.is_exact_zero if isinstance(c, PadicNum) else c == 0:
+            return
 
 
 def reference_interp_series(s, a, n_mod, j_trunc, alpha, q, cfg):
@@ -34,7 +46,7 @@ def reference_interp_series(s, a, n_mod, j_trunc, alpha, q, cfg):
         raise PreconditionError(f"truncation order must be >= 1, got {j_trunc}")
     if gcd(a, cfg.p) != 1:
         raise PreconditionError(f"a = {a} must be a unit mod p = {cfg.p}")
-    coeffs = list(islice(_binomial_coeffs(s), j_trunc + 2))
+    coeffs = list(islice(binomial_coeffs(s), j_trunc + 2))
     terminates = len(coeffs) <= j_trunc + 1
     if not terminates and n_mod % cfg.p != 0:
         raise ConvergenceError(
