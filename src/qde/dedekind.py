@@ -112,7 +112,7 @@ def q_dc_sum(m: int, h: int, k: int, alpha: int, l: int, mode):
     ExponentError from the inside; no pre-check duplicates that.
     """
     DCParams(h=h, k=k, m=m, alpha=alpha, l=l)
-    return weighted_euler_sum(m, alpha, [Fraction(h * big_m % k, k) for big_m in range(1, k)], l, k, mode)
+    return weighted_euler_sum(m, alpha, [Fraction(h * big_m % k, k) for big_m in range(1, k)], l, mode)
 
 
 def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int = 1, p: int = None):
@@ -218,21 +218,20 @@ def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode,
     The variant is the reading each term uses; the interpolated
     readings need p.  The sum is qeuler.weighted_scaled_sum, over the one
     denominator its terms share, not a sum of interp_value calls: its
-    preconditions are interp_value's, checked before any term is formed.
+    preconditions are interp_value's, checked before any term is formed,
+    every residue before p.
     """
     if k <= 1:
         return mode.from_rational(0)
     _check_reading(variant, m, k, alpha)
     firsts = [h * big_m % k for big_m in range(1, k)]
-    zero = [big_m for big_m, a in enumerate(firsts, 1) if not a]
-    if zero and zero[0] == 1:
-        raise PreconditionError(f"residue a = {h} vanishes mod N = {k}")
+    for big_m, a in enumerate(firsts, 1):
+        if not a:
+            raise PreconditionError(f"residue a = {h * big_m} vanishes mod N = {k}")
     seconds = None
     if variant != "naive":
         _check_prime(p, k)
         seconds = [pow(p, -1, k) * a % k for a in firsts]
-    if zero:
-        raise PreconditionError(f"residue a = {h * zero[0]} vanishes mod N = {k}")
     return weighted_scaled_sum(m, alpha, k, firsts, seconds, p, variant == "interpolated", mode)
 
 

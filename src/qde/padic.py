@@ -388,14 +388,12 @@ def _one_unit_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
 def q_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     """b^x for a p-adic unit b.
 
-    A 1-unit b, v_p(b - 1) >= 1, takes every exponent, an int, a Fraction
-    or a p-adic integer, through _one_unit_pow: one modular power of b's
-    unit at the precision N it states, so b^9 claims v_p(9) digits more
-    than b, up to K, whether 9 is given as an int or p-adically.  Any
-    other b takes only an integer x (an int, or a Fraction with
-    denominator 1), as a plain power.
+    An integer x (an int, or a Fraction with denominator 1) is a plain
+    power.  Any other x needs v_p(b - 1) >= 1 and x a p-adic integer,
+    and is one modular power of b's unit to an integer congruent to x
+    mod p^N, at the precision N that _one_unit_pow states.
     """
-    if isinstance(x, (int, Fraction)) and x.denominator == 1 and (b.val or b.unit % cfg.p != 1):
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
         return b ** int(x)
     return _one_unit_pow(b, x, cfg)
 

@@ -48,8 +48,8 @@ base, so q^(a/b) = r_b^a is a power with a small exponent; (q^(b^-1))^a
 is q^(a b^-1), the residue one large power gives.  The recurrence takes
 one modular inverse per table (_inverses).  A symbolic mode keeps
 qeuler_poly's binomial products (_closed_form_ints): the quotients
-P / (1 + q^(alpha l + 1)) and P (1 - q^alpha)^n, as int lists in Q^g,
-keyed by (n, a, b, c) with q^alpha = Q^(g a), q = Q^(g b) and c = a
+P / (1 + q^(alpha l + 1)), as int lists in Q^(g gcd(a, b)), and
+P (1 - q^alpha)^n, in Q^g, keyed by (n, a, b, c) with q^alpha = Q^(g a), q = Q^(g b) and c = a
 (c is a scaled value's outer exponent, below), so every base and every
 x with the same stride g share them.  The table lives on the root mode:
 a fresh mode starts empty, and a long-lived one keeps one entry per
@@ -75,16 +75,15 @@ outer view of q gives the q^alpha the value divides by, which for
 qeuler_poly is its own.  In symbolic mode what no x_i enters (the
 exponents of q^(alpha l + 1), q^alpha and the outer q^alpha, the table
 entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
-split, and the table's c is the outer exponent.  At a p-adic q every
-term of a split is over the same P, so the view keeps P's quotients
-mod p^A per (n, alpha) (_quotients_at) and each term is one Horner pass.
+split, and the table's c is the outer exponent.
 
 The Dedekind-type sums (weighted_euler_sum, weighted_scaled_sum) are
 summed over one known denominator and finished once the same way; in
 symbolic mode their weights [M] are binomials over 1 - q^alpha and no
-gcd is taken.  dedekind.interp_series's binomial series (binomial_series)
-reads C(s, j) off one int recurrence and E_j off _numbers_at's residues,
-each term a (valuation, unit, precision) product.  A capped-relative sum is the true sum mod p^N, N the least
+gcd is taken.  dedekind.interp_series's binomial series
+(binomial_series) reads C(s, j) off one int recurrence and E_j off
+_numbers_at's residues, each term a (valuation, unit, precision)
+product.  A capped-relative sum is the true sum mod p^N, N the least
 absolute precision of its terms, in normalized form: each addition
 keeps the running sum mod the smaller absolute precision.  So one wrap
 of the int sum mod p^N (_wrap) is the same PadicNum as adding term by
@@ -236,9 +235,6 @@ class PadicMode:
         raise AttributeError("PadicMode is immutable")
 
     def q_power(self, e) -> PadicNum:
-        # an integer power keeps q's relative precision, as the kernels' int views (_Ints) know every power of q
-        if type(e) is int:
-            return self.q**e
         try:
             return q_pow(self.q, e, self.cfg)
         except PreconditionError as exc:
@@ -513,8 +509,8 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     return iv.finish([(s, nums[0] * b ** (n * x))])
 
 
-def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, k: int, mode):
-    """(1/[k]) sum_{M=1}^{count} (-1)^(M-1) [M] E_m(x_M; q^base), count = len(xs), [.] the weight-alpha q-integer.
+def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, mode):
+    """(1/[k]) sum_{M=1}^{k-1} (-1)^(M-1) [M] E_m(x_M; q^base), k = len(xs) + 1, [.] the weight-alpha q-integer.
 
     dedekind.q_dc_sum's sum.  Every E_m(x_M; q^base) is over P (1 -
     q^(alpha base))^m, P = prod_l (1 + q^((alpha l + 1) base)), so the
@@ -529,8 +525,8 @@ def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, k: int, mode):
     inner = BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is None:
-        return _weighted_at(m, alpha, xs, k, _ints(inner), _ints(mode, capped=False), mode)
-    ek = fd(alpha * k)
+        return _weighted_at(m, alpha, xs, _ints(inner), _ints(mode, capped=False), mode)
+    ek = fd(alpha * (len(xs) + 1))
     weights = _bracket_weights(fd, alpha, len(xs))
     num, den, g = _closed_form_ints(m, alpha, xs + xs, _fixed_denominator(inner), root_mode(mode)._binomials,
                                     weights=weights, tail=(0, ek), strides=(ek,))
@@ -743,13 +739,13 @@ def _split_at(n: int, alpha: int, xs: list, iv, outer=None, step: int = None, co
     return iv.finish(terms, w, n, (b + a) * d, b * (d + c))
 
 
-def _weighted_at(m: int, alpha: int, xs: list, k: int, iv, wide, mode):
+def _weighted_at(m: int, alpha: int, xs: list, iv, wide, mode):
     """weighted_euler_sum at a fixed q: the terms from _weighted_terms, finished once with the division by [k].
 
     Where [k] vanishes, or is zero to its digits, the finished sum is
     divided by q_int(k), which raises what the term-by-term sum raises.
     """
-    wa, wb = wide.power(alpha)
+    k, (wa, wb) = len(xs) + 1, wide.power(alpha)
     brackets = [_geometric(wa, wb, big_m, wide.red) for big_m in range(1, k + 1)]
     try:
         terms, (a, b) = _weighted_terms(m, alpha, xs, iv, brackets, wb)
@@ -843,7 +839,7 @@ class _Ints:
                 return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
         else:
             p, u, roots = root.cfg.p, root.q.unit, root._roots
-            self.p, self.prec, self.forms = p, prec, {}
+            self.p, self.prec = p, prec
             m = self.m = p**prec
             self.red = m.__rmod__
 
@@ -972,7 +968,9 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None,
     P = prod_l (1 + Q^(b + l a)), q^(alpha B) = Q^(g a), q^B = Q^(g b) and
     q^alpha = Q^(g c), as [B]^n / (1 - q^(alpha B))^n = 1 / (1 -
     q^alpha)^n; so the quotients P / (1 + Q^(b + l a)) and D depend on
-    (n, a, b, c) alone, and table keeps them.  Only term i's shifts
+    (n, a, b, c) alone, and table keeps them, the quotients as lists in
+    Q^(g h), h = gcd(a, b), which each term adds at every h-th place of
+    its accumulator.  Only term i's shifts
     q^(alpha l x_i) = Q^(l s_i) depend on x_i, and top = max -n s_i.  So
     the rest, the guards' sums and the factor 1 + q^B included, is formed
     once per call.  weights[i] = (c_i, e_i) makes w_i = c_i Q^(e_i); with
@@ -1008,34 +1006,23 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None,
     a, b, c = a // g, bots[0] // g, c // g
     cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
     if (n, a, b, c) not in table:
-        prod = [1]
+        # every b + l a is a multiple of h = gcd(a, b), so P and its quotients are lists in Q^(g h)
+        h, prod = gcd(a, b), [1]
         for e in bots:
-            prod = _times_binomial(prod, e // g)
-        den = prod
+            prod = _times_binomial(prod, e // (g * h))
+        den = _stretch(prod, h)
         for _ in range(n):
             den = _times_binomial(den, c, -1)
-        table[n, a, b, c] = [_sparse(_quo_binomial(prod, e // g)) for e in bots], den
-    quotients, den = table[n, a, b, c]
+        table[n, a, b, c] = h, [_quo_binomial(prod, e // (g * h)) for e in bots], den
+    h, quotients, den = table[n, a, b, c]
     offsets = [[(e + top + l * s) // g for l in range(n + 1)] for (_, e), s in zip(weights, shifts)]
-    acc = [0] * max(o + len(quo) for offs in offsets for o, (quo, _) in zip(offs, quotients))
+    acc = [0] * max(o + h * (len(quo) - 1) + 1 for offs in offsets for o, quo in zip(offs, quotients))
     for (cw, _), offs in zip(weights, offsets):
-        for cl, (quo, nonzero), o in zip(cs, quotients, offs):
-            f = cw * cl
-            if nonzero is None:
-                acc[o:o + len(quo)] = [x + f * y for x, y in zip(acc[o:o + len(quo)], quo)]
-            else:
-                for j, y in nonzero:
-                    acc[o + j] += f * y
+        for cl, quo, o in zip(cs, quotients, offs):
+            f, end = cw * cl, o + h * len(quo)
+            acc[o:end:h] = [x + f * y for x, y in zip(acc[o:end:h], quo)]
     # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B); the lists in the table are copied, never changed
     return _times_binomial(acc, b), [0] * (top // g) + den, g
-
-
-def _sparse(a: list) -> tuple:
-    """(a, its nonzero (index, coefficient) pairs), or (a, None) where a is too short or too dense for them to pay."""
-    if len(a) < 64:
-        return a, None
-    nonzero = [(j, y) for j, y in enumerate(a) if y]
-    return a, nonzero if 3 * len(nonzero) < len(a) else None
 
 
 def _numbers_ints(top: int, alpha: int) -> list:
@@ -1070,20 +1057,9 @@ def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
     """qeuler_poly's sum at a fixed q on ints over one denominator, q^(alpha l x) = s/t and q^(alpha l + 1) = d/e.
 
     Returns (num, den, (a, b)) with q^alpha = a/b: the value is iv.finish([(num b^n, den)], b - a, n) once
-    iv.check(den, b - a, n) has passed.  At a p-adic q, t = e = 1, so den = P = prod_l (1 + q^(alpha l + 1))
-    for every x, and num is sum_l (-1)^l C(n,l) s^l P_l with P_l = P / (1 + q^(alpha l + 1)): the view keeps
-    those products mod p^A per (n, alpha) (_quotients_at), and each x adds one Horner pass in s.
+    iv.check(den, b - a, n) has passed.
     """
     power, red = iv.power, iv.red
-    if iv.m is not None:
-        key = n, alpha
-        if key not in iv.forms:
-            iv.forms[key] = _quotients_at(n, alpha, iv)
-        cqs, den, c, ab = iv.forms[key]
-        s, num, m = power(alpha * x)[0] if n and x else 1, 0, iv.m
-        for cq in cqs:
-            num = (num * s + cq) % m
-        return num * (1 + c), den, ab
     (c, w), (a, b) = power(1), power(alpha)
     # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as term by term,
     # 1 + q = 0 at l = 0 is that pole before q^(alpha x) can fail, and n = 0 forms no q^(alpha x)
@@ -1094,20 +1070,6 @@ def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
         num, den = red(num * f + (-1) ** l * comb(n, l) * s * e * den), red(den * f)
         s, t, d, e = red(s * sa), t * sb, red(d * a), e * b
     return num * (w + c), den * w, (a, b)
-
-
-def _quotients_at(n: int, alpha: int, iv) -> tuple:
-    """([(-1)^l C(n,l) P_l mod p^A for l = n..0], P, q mod p^A, q^alpha pair): _closed_form_at's part no x enters.
-
-    P = prod_(l<=n) (1 + q^(alpha l + 1)) and P_l = P / (1 + q^(alpha l + 1)),
-    each the product of the factors before l and after it.
-    """
-    m, (c, _), ab = iv.m, iv.power(1), iv.power(alpha)
-    factors = [(1 + c * pow(ab[0], l, m)) % m for l in range(n + 1)]
-    before = list(accumulate(factors, lambda x, y: x * y % m, initial=1))
-    after = list(accumulate(reversed(factors), lambda x, y: x * y % m, initial=1))[::-1]
-    cqs = [(-1) ** l * comb(n, l) * before[l] * after[l + 1] % m for l in range(n, -1, -1)]
-    return cqs, before[-1], c, ab
 
 
 def _numbers_at(top: int, alpha: int, iv) -> list:

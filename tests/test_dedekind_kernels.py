@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 from qde import dedekind
 from qde.catalog import check
-from qde.dedekind import bracket_weighted_sum, q_dc_sum
-from qde.errors import QdeError
+from qde.dedekind import bracket_weighted_sum, interp_value, q_dc_sum
+from qde.errors import PreconditionError, QdeError
 from qde.padic import PadicConfig, PadicNum
-from qde.qeuler import PadicMode, RationalMode, SymbolicMode, weighted_euler_sum, weighted_scaled_sum
+from qde.qeuler import PadicMode, RationalMode, SymbolicMode, q_int, weighted_euler_sum, weighted_scaled_sum
 from qde.ratfunc import RatFunc
 from test_kernel_reference import reference_kernels
 
@@ -138,6 +138,14 @@ class TestKernelsAgainstReferences:
         fast = against_reference(lambda mode: q_dc_sum(0, 1, 2, 1, 2, mode), RationalMode(-1))
         assert fast[0] is ZeroDivisionError
 
+    @pytest.mark.parametrize("variant", ["naive", "interpolated", "interpolated_printed"])
+    @pytest.mark.parametrize("h,k,p,big_m", [(2, 4, 3, 2), (4, 4, 3, 1), (3, 6, 5, 2), (2, 4, 9, 2), (2, 4, None, 2)])
+    def test_a_vanishing_residue_is_checked_before_p(self, variant, h, k, p, big_m):
+        # gcd(h, k) > 1: term big_m's residue h big_m vanishes mod k, and every residue is checked before p
+        error = outcome(lambda: bracket_weighted_sum(2, h, k, 1, variant, RationalMode(2), p))
+        assert error == (PreconditionError, f"residue a = {h * big_m} vanishes mod N = {k}")
+        assert error == outcome(lambda: interp_value(2, h * big_m, k, variant, RationalMode(2), p=3))
+
     @pytest.mark.parametrize("k,base", [(3, 3), (6, 3), (9, 9), (3, 9)])
     def test_a_non_unit_k_caps_what_its_digits_allow(self, k, base):
         # q = 1 to K = 16 digits: at m = 0 the terms claim all 16, and [k] = p^v d, d known to 16 - v
@@ -198,9 +206,10 @@ class TestEq6WitnessesBothKernels:
     def test_each_planted_defect_fails_eq6(self, monkeypatch, q):
         assert self.statuses(q) == ["exact"] * len(self.POINTS)
         with monkeypatch.context() as mp:
-            # a wrong divisor: [k + 1] for [k]
-            mp.setattr(dedekind, "weighted_euler_sum",
-                       lambda m, alpha, xs, base, k, mode: weighted_euler_sum(m, alpha, xs, base, k + 1, mode))
+            # a wrong divisor: [k + 1] for [k], k = len(xs) + 1
+            mp.setattr(dedekind, "weighted_euler_sum", lambda m, alpha, xs, base, mode: (
+                weighted_euler_sum(m, alpha, xs, base, mode) * q_int(len(xs) + 1, alpha, mode)
+                / q_int(len(xs) + 2, alpha, mode)))
             assert all("fail" in status for status in self.statuses(q))
         with monkeypatch.context() as mp:
             mp.setattr(dedekind, "weighted_scaled_sum", _first_term_plus(weighted_scaled_sum))

@@ -152,15 +152,15 @@ def reference_residue_split(mode, base, n, alpha, xs, step, corrected, factor=No
     return ratio * acc
 
 
-def reference_weighted_euler_sum(m, alpha, xs, base, k, mode):
-    """(1/[k]) sum_M (-1)^(M-1) [M] E_m(x_M; q^base), term by term: q_dc_sum's sum as it was written."""
+def reference_weighted_euler_sum(m, alpha, xs, base, mode):
+    """(1/[k]) sum_M (-1)^(M-1) [M] E_m(x_M; q^base), k = len(xs) + 1, term by term: q_dc_sum's sum as it was written."""
     _check_n_alpha(m, alpha)
     lifted = BaseLifted(mode, base)
     acc = alternating_sum(mode, (
         (reference_q_int(big_m, alpha, mode), reference_qeuler_poly(m, alpha, x, lifted))
         for big_m, x in enumerate(xs, 1)
     ))
-    return acc / reference_q_int(k, alpha, mode)
+    return acc / reference_q_int(len(xs) + 1, alpha, mode)
 
 
 def reference_weighted_scaled_sum(m, alpha, k, firsts, seconds, p, corrected, mode):

@@ -430,17 +430,7 @@ class TestQPow:
         with pytest.raises(PreconditionError):
             q_pow(pn(4), pn(Fraction(1, 3)), CFG3)
 
-    def test_an_integer_exponent_takes_the_one_unit_rule(self):
-        # 4 known to 10 digits: b^9 is known mod 3^(10 + v_3(9)), whether 9 is an int, a Fraction or p-adic
-        b = PadicNum.from_rational(4, 3, 10)
-        for x in (9, Fraction(9), pn(9), -9):
-            assert q_pow(b, x, CFG3).abs_prec == 12
-        # past K the rule caps at K, and a base that is no 1-unit keeps its plain power
-        assert q_pow(b, 3**40, PadicConfig(3, 11)).abs_prec == 11
-        assert q_pow(PadicNum.from_rational(2, 3, 10), 9, CFG3) == PadicNum.from_rational(2, 3, 10) ** 9
-
     def test_integer_exponent_is_plain_power(self):
-        # at a base known to K digits the 1-unit rule claims what a plain power claims;
         # any unit, not only one in 1 + pZ_p, and a Fraction with denominator 1 alike
         for q in (pn(4), pn(2), pn(Fraction(5, 7))):
             for n in (0, 1, 3, -2):
