@@ -177,7 +177,8 @@ def _theorem1(pt, variant, mode):
     bk = q_int(k, alpha, mode)
     j_one = q_dc_sum(m, h, k, alpha, k, mode)
     j_two = q_dc_sum(m, h_inv, k, alpha, p * k, mode)
-    return lhs, bk ** (m + 1) * j_one - bk**m * q_int(k * p, alpha, mode) * j_two
+    bk_m = bk**m
+    return lhs, bk_m * bk * j_one - bk_m * q_int(k * p, alpha, mode) * j_two
 
 
 _SPLIT_KEYS = ("n", "alpha", "d", "x")

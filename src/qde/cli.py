@@ -364,9 +364,13 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
     points = [dict(zip(entry.keys, combo)) for combo in product(*(table[k] for k in entry.keys))]
     parsed_mode = parse_mode(mode_text)
 
-    reports = []
+    reports, modes = [], {}
     for point in points:
-        mode = make_mode(parsed_mode, entry.scale(point))
+        # one mode per scale, so a symbolic mode's binomial table carries from point to point
+        scale = entry.scale(point)
+        if scale not in modes:
+            modes[scale] = make_mode(parsed_mode, scale)
+        mode = modes[scale]
         for v in variants:
             try:
                 reports.append(check(identity, v, point, mode))

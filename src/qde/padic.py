@@ -11,9 +11,13 @@ claim, never an optimistic one.
 
 On top of the ring operations the module provides the Teichmuller
 character, exponentiation q^x for a p-adic integer exponent, and the
-unit-normalized bracket built from both.  Every power, integer or
-p-adic, and the Teichmuller lift are each one builtin modular pow on
-a unit.
+unit-normalized bracket built from both.  The Teichmuller lift and the
+root of order b behind a fractional exponent a/b are Newton (Hensel)
+lifts (_root): about log2 K steps, each a few products no wider than
+p^K.  An integer power, and the root's power a, is one builtin modular
+pow to a small exponent.  Only a p-adic exponent, which has no small
+denominator, takes one modular pow to an exponent of about K log2 p
+bits.
 """
 
 from dataclasses import dataclass
@@ -38,11 +42,34 @@ def is_odd_prime(n: int) -> bool:
 
 
 def _vp(n: int, p: int) -> int:
-    """Valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    """Valuation of a nonzero integer; ValueError for 0.
+
+    Most valuations are below 4, so the first three digits are tested one
+    at a time.  Past them p, p^2, p^4, ... are divided out while they
+    divide, then each smaller power of p at most once: about 2 log2 v
+    divisions where a digit loop takes v.
+    """
+    if n % p:
+        return 0
+    if (n := n // p) % p:
+        return 1
+    if (n := n // p) % p:
+        return 2
+    if (n := n // p) % p:
+        return 3
+    if not n:
+        raise ValueError("the valuation of 0 is infinite")
+    v, d, k = 3, p, 1
+    while n % d == 0:
+        n //= d
+        v += k
+        d, k = d * d, 2 * k
+    while k > 1:
+        k >>= 1
+        d = p**k
+        if n % d == 0:
+            n //= d
+            v += k
     return v
 
 
@@ -336,16 +363,38 @@ def agreement_valuation(x: PadicNum, y: PadicNum):
     return (x - y).valuation
 
 
+def _root(u: int, b: int, r: int, p: int, n: int) -> int:
+    """The root x = r mod p of x^b = u mod p^n, for b prime to p and r a unit below p with r^b = u mod p.
+
+    The derivative b x^(b-1) is then a unit, so the root is unique and
+    Newton's step x -> x - (x^b - u) s, s = 1 / (b x^(b-1)), doubles the
+    digits known (Hensel's lemma).  s takes its own Newton step s -> s (2
+    - b x^(b-1) s), so no inverse is formed past the first digit, and n
+    digits take about log2 n steps.
+    """
+    steps = []
+    while n > 1:
+        steps.append(n)
+        n = (n + 1) // 2
+    s = pow(b * pow(r, b - 1, p), -1, p)
+    for k in reversed(steps):
+        m = p**k
+        y = pow(r, b - 1, m)
+        s = s * (2 - b * y * s) % m
+        r = (r - (y * r - u) * s) % m
+    return r
+
+
 def teichmuller(a: int, cfg: PadicConfig) -> PadicNum:
     """The (p-1)-th root of unity congruent to a mod p.
 
-    a^(p^n) is congruent to it mod p^(n+1), so a^(p^(K-1)) gives all K
-    digits in one modular power.
+    It is the root of w^(p-1) = 1 that is a mod p, lifted to K digits
+    by Newton steps (_root).
     """
     p = cfg.p
     if a % p == 0:
         raise PreconditionError(f"{a} is not a unit mod {p}")
-    return PadicNum(p, 0, pow(a, p ** (cfg.prec - 1), p**cfg.prec), cfg.prec)
+    return PadicNum(p, 0, _root(1, p - 1, a % p, p, cfg.prec), cfg.prec)
 
 
 def teichmuller_inverse(a: int, cfg: PadicConfig) -> PadicNum:
@@ -357,13 +406,17 @@ def _one_unit_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
     """b^x for a 1-unit b = 1 + t, v_p(t) >= 1, and a p-adic integer x.
 
     x -> b^x is continuous on Z_p because b^(p^M) = 1 mod p^(M + v_p(t)),
-    so b^x = b^X mod p^N for any integer X = x mod p^N: one modular power.
-    N is the absolute precision the binomial series sum C(x,j) t^j
-    claims, which its j = 1 term sets:
+    so b^x = b^X mod p^N for any integer X = x mod p^N.  N is the
+    absolute precision the binomial series sum C(x,j) t^j claims, which
+    its j = 1 term sets:
 
         N = min(K, abs_prec(t) + v_p(x), v_p(t) + abs_prec(x)),
 
-    with abs_prec(x) infinite for an exact int or Fraction.
+    with abs_prec(x) infinite for an exact int or Fraction.  An exact
+    x = a/c is r^a for the 1-unit root r of r^c = b mod p^N (_root),
+    since y -> y^c is one-to-one on the 1-units, so the only power has
+    the small exponent a.  A PadicNum x has no small denominator and
+    stays one modular power to an X below p^N.
     """
     p = cfg.p
     t = b - 1
@@ -373,16 +426,15 @@ def _one_unit_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
         if x.denominator % p == 0:
             raise PreconditionError(f"exponent {x} is not a {p}-adic integer")
         n = min(cfg.prec, t.abs_prec + rational_valuation(x, p))
-        big_x = x.numerator * pow(x.denominator, -1, p**n)
+        r, e = _root(b.unit, x.denominator, 1, p, n), x.numerator
     elif isinstance(x, PadicNum):
         if x.val is not inf and x.val < 0:
             raise PreconditionError("exponent must have nonnegative valuation")
         n = min(cfg.prec, t.abs_prec + x.val, t.val + x.abs_prec)
-        big_x = x.lift(min(n, x.abs_prec))
+        r, e = b.unit, x.lift(min(n, x.abs_prec))
     else:
         raise TypeError(f"unsupported exponent type {type(x).__name__}")
-    m = p**n
-    return PadicNum(p, 0, pow(b.unit, big_x % m, m), n)
+    return PadicNum(p, 0, pow(r, e, p**n), n)
 
 
 def q_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
@@ -390,8 +442,9 @@ def q_pow(b: PadicNum, x, cfg: PadicConfig) -> PadicNum:
 
     An integer x (an int, or a Fraction with denominator 1) is a plain
     power.  Any other x needs v_p(b - 1) >= 1 and x a p-adic integer,
-    and is one modular power of b's unit to an integer congruent to x
-    mod p^N, at the precision N that _one_unit_pow states.
+    and is _one_unit_pow's value at the precision N it states: a root
+    lifted by Newton steps and raised to x's numerator for an exact x,
+    one full-width modular power for a PadicNum x.
     """
     if isinstance(x, (int, Fraction)) and x.denominator == 1:
         return b ** int(x)

@@ -9,8 +9,9 @@ what a power of q is:
   with q = Q^scale, so an exponent e is representable iff scale*e is an
   integer.  Raising the scale is how fractional arguments like x = 1/3
   stay exact.
-- PadicMode(q, cfg): powers are PadicNum values; fractional exponents
-  are one modular power (padic.q_pow) and need v_p(1 - q) >= 1.
+- PadicMode(q, cfg): powers are PadicNum values; a fractional exponent
+  a/b is a root of order b, lifted by Newton steps, to the power a
+  (padic.q_pow), and needs v_p(1 - q) >= 1.
 
 BaseLifted(mode, l) views any mode at base q^l by multiplying every
 exponent by l; the sum and integral formulas below never mention l
@@ -42,12 +43,13 @@ path gives it.
 
 What depends only on the mode is formed once and cached on it: one int
 view per lifted base and A, so a q known to at most K digits has one
-view whether or not the kernel caps at K; one root r_b = q^(1/b) =
-q^(b^-1 mod p^A) per A and exponent denominator b, shared by every
-base, so q^(a/b) = r_b^a is a power with a small exponent; (q^(b^-1))^a
-is q^(a b^-1), the residue one large power gives.  The recurrence takes
-one modular inverse per table (_inverses).  A symbolic mode keeps
-qeuler_poly's binomial products (_closed_form_ints): the quotients
+view whether or not the kernel caps at K; one root r_b = q^(1/b) per A
+and exponent denominator b, shared by every base, so q^(a/b) = r_b^a is
+a power with a small exponent.  r_b is the 1-unit root of r^b = q mod
+p^A, lifted from r = 1 by Newton steps (padic._root); it is unique, so
+it is the residue q^(b^-1 mod p^A) that one full-width power gives.
+The recurrence takes one modular inverse per table (_inverses).  A
+symbolic mode keeps qeuler_poly's binomial products (_closed_form_ints): the quotients
 P / (1 + q^(alpha l + 1)), as int lists in Q^(g gcd(a, b)), and
 P (1 - q^alpha)^n, in Q^g, keyed by (n, a, b, c) with q^alpha = Q^(g a), q = Q^(g b) and c = a
 (c is a scaled value's outer exponent, below), so every base and every
@@ -128,7 +130,7 @@ from operator import add, mul, pos, sub
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
 from .exact import format_rational, frac_floor_parts
-from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _vp, q_pow
+from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _root, _vp, q_pow
 from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod, _stretch
 
 
@@ -222,9 +224,8 @@ class PadicMode:
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
             raise PreconditionError(f"q lives at p = {q.p} but the config says {cfg.p}")
-        # an approximate zero's valuation is a lower bound: q = O(p^0) has none
-        t = q - 1
-        if t.valuation < 1:
+        # v_p(1 - q) >= 1 for a unit q = 1 mod p; a zero of either kind is not one, O(p^0) included
+        if q.val != 0 or q.unit % cfg.p != 1:
             raise PreconditionError(f"padic mode needs v_{cfg.p}(1 - q) >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
@@ -825,7 +826,8 @@ class _Ints:
 
     Exact at q = u/v, where red leaves an int alone and m is None.  At a
     p-adic q it is (q^e mod m, 1), m = p^prec, and red reduces mod m;
-    q^(a/b) is r_b^a for the root r_b = q^(1/b) the mode caches per prec
+    q^(a/b) is r_b^a for the root r_b = q^(1/b), the 1-unit root of
+    r^b = q mod m lifted by Newton steps, which the mode caches per prec
     and b.
     """
 
@@ -844,7 +846,6 @@ class _Ints:
             self.red = m.__rmod__
 
             def power(e) -> tuple:
-                # q is a 1-unit, so q^X mod p^A depends only on X mod p^A; a fractional X is num den^-1
                 if type(e) is int:
                     return pow(u, base * e, m), 1
                 a, b = e.numerator * base, e.denominator
@@ -855,7 +856,7 @@ class _Ints:
                 if b % p == 0:
                     raise ExponentError(f"exponent {Fraction(a, b)} is not a {p}-adic integer")
                 if (prec, b) not in roots:
-                    roots[prec, b] = pow(u, pow(b, -1, m), m)
+                    roots[prec, b] = _root(u, b, 1, p, prec)
                 return pow(roots[prec, b], a, m), 1
 
         self.power = power

@@ -9,7 +9,9 @@ import pytest
 
 import qde
 from conftest import run_cli
-from qde.cli import main
+from qde import cli
+from qde.catalog import CATALOG
+from qde.cli import main, make_mode
 
 
 def lines_of(result):
@@ -242,6 +244,28 @@ class TestVerify:
         reports = payloads(res)
         assert len(reports) == 4 * 2 * 3
         assert all(r["status"] == "exact" for r in reports)
+
+    @pytest.mark.parametrize("identity, params, scales", [
+        ("eq4", "", 1),
+        ("eq5", "n<=1,alpha=1,d<=5,x=1/2", 3),  # scales 2, 6 and 10
+    ])
+    def test_sweep_builds_one_mode_per_scale(self, identity, params, scales, monkeypatch):
+        # the sweep prints what one invocation per point, each with its own mode, prints
+        built = []
+
+        def counting(parsed, scale_needed=1):
+            built.append(scale_needed)
+            return make_mode(parsed, scale_needed)
+
+        monkeypatch.setattr(cli, "make_mode", counting)
+        sweep = run_cli(["verify", "--identity", identity, "--params", params])
+        assert len(built) == len(set(built)) == scales
+        monkeypatch.undo()
+        keys = CATALOG[identity].keys
+        points = dict.fromkeys(",".join(f"{k}={r['params'][k]}" for k in keys) for r in payloads(sweep))
+        one_each = [run_cli(["verify", "--identity", identity, "--params", point]) for point in points]
+        assert payloads(sweep) == [r for res in one_each for r in payloads(res)]
+        assert sweep.exit_code == max(res.exit_code for res in one_each)
 
     def test_distribution_both_variants(self):
         res = run_cli(["verify", "--identity", "eq5", "--params", "n=1,alpha=1,d=3,x=0"])
