@@ -366,11 +366,12 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
 
     reports, modes = [], {}
     for point in points:
-        # one mode per scale, so a symbolic mode's binomial table carries from point to point
-        scale = entry.scale(point)
-        if scale not in modes:
-            modes[scale] = make_mode(parsed_mode, scale)
-        mode = modes[scale]
+        # one mode per value make_mode depends on: the given mode or scale, else the
+        # scale the point needs; so a symbolic mode's binomial table carries from point to point
+        key = parsed_mode[1] or entry.scale(point)
+        if key not in modes:
+            modes[key] = make_mode(parsed_mode, entry.scale(point))
+        mode = modes[key]
         for v in variants:
             try:
                 reports.append(check(identity, v, point, mode))

@@ -42,34 +42,13 @@ def is_odd_prime(n: int) -> bool:
 
 
 def _vp(n: int, p: int) -> int:
-    """Valuation of a nonzero integer; ValueError for 0.
-
-    Most valuations are below 4, so the first three digits are tested one
-    at a time.  Past them p, p^2, p^4, ... are divided out while they
-    divide, then each smaller power of p at most once: about 2 log2 v
-    divisions where a digit loop takes v.
-    """
-    if n % p:
-        return 0
-    if (n := n // p) % p:
-        return 1
-    if (n := n // p) % p:
-        return 2
-    if (n := n // p) % p:
-        return 3
+    """Valuation of a nonzero integer; ValueError for 0."""
     if not n:
         raise ValueError("the valuation of 0 is infinite")
-    v, d, k = 3, p, 1
-    while n % d == 0:
-        n //= d
-        v += k
-        d, k = d * d, 2 * k
-    while k > 1:
-        k >>= 1
-        d = p**k
-        if n % d == 0:
-            n //= d
-            v += k
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
     return v
 
 

@@ -245,11 +245,13 @@ class TestVerify:
         assert len(reports) == 4 * 2 * 3
         assert all(r["status"] == "exact" for r in reports)
 
-    @pytest.mark.parametrize("identity, params, scales", [
-        ("eq4", "", 1),
-        ("eq5", "n<=1,alpha=1,d<=5,x=1/2", 3),  # scales 2, 6 and 10
+    @pytest.mark.parametrize("identity, params, mode, built_modes", [
+        ("eq4", "", "symbolic", 1),
+        ("eq5", "n<=1,alpha=1,d<=5,x=1/2", "symbolic", 3),  # scales 2, 6 and 10
+        ("eq5", "n<=1,alpha=1,d<=5,x=1/2", "symbolic:scale=30", 1),
+        ("eq5", "n<=1,alpha=1,d<=5,x=1/2", "rational:q=4", 1),
     ])
-    def test_sweep_builds_one_mode_per_scale(self, identity, params, scales, monkeypatch):
+    def test_sweep_builds_one_mode_per_scale(self, identity, params, mode, built_modes, monkeypatch):
         # the sweep prints what one invocation per point, each with its own mode, prints
         built = []
 
@@ -258,12 +260,12 @@ class TestVerify:
             return make_mode(parsed, scale_needed)
 
         monkeypatch.setattr(cli, "make_mode", counting)
-        sweep = run_cli(["verify", "--identity", identity, "--params", params])
-        assert len(built) == len(set(built)) == scales
+        sweep = run_cli(["verify", "--identity", identity, "--params", params, "--mode", mode])
+        assert len(built) == built_modes
         monkeypatch.undo()
         keys = CATALOG[identity].keys
         points = dict.fromkeys(",".join(f"{k}={r['params'][k]}" for k in keys) for r in payloads(sweep))
-        one_each = [run_cli(["verify", "--identity", identity, "--params", point]) for point in points]
+        one_each = [run_cli(["verify", "--identity", identity, "--params", point, "--mode", mode]) for point in points]
         assert payloads(sweep) == [r for res in one_each for r in payloads(res)]
         assert sweep.exit_code == max(res.exit_code for res in one_each)
 
