@@ -6,6 +6,13 @@ identity over a parameter grid and streams one JSON report per point,
 and oracle prints a convergence profile of definition-level Riemann
 sums against the closed form.
 
+Each command declares its options once, in a table that argparse is
+built from.  A plain line, the command and then `--key value` pairs
+that argparse would accept, each key once and no value starting with
+'-', is read straight from that table.  Every other line goes to
+argparse, so help, usage errors and the other spellings (`--key=value`,
+a negative value, a repeated key) are argparse's own.
+
 Exit codes: 0 all good, 1 a computation or an identity check failed or
 stdout was closed early, 2 the invocation itself was wrong.  Flag
 values outside their documented ranges count as usage errors; domain
@@ -232,8 +239,44 @@ def _parser(prog: str) -> tuple:
             if kwargs.get("default") not in (None, ""):
                 kwargs = {**kwargs, "help": kwargs.get("help", "") + " (default: %(default)s)"}
             sub.add_argument("--" + key, **kwargs)
-        sub.set_defaults(command=cmd, parser=sub)
+        sub.set_defaults(command=name)
     return parser, commands.choices
+
+
+def _read(args: list):
+    """The options of a plain `COMMAND --key value ...` line, as argparse gives them, or None.
+
+    A plain line is a command, then `--key value` pairs: each key one of the
+    command's, given at most once, each value a word that does not start with
+    '-' and that passes the key's type and choices, and every required key
+    there.  Keys left out take their defaults.  Any other line, such as help,
+    --key=value, a negative value, an unknown, abbreviated or repeated key, a
+    missing or wrong value, is None, and argparse reads it: the reader never
+    decides an error, so help, usage errors and exit codes are argparse's.
+    """
+    cmd = COMMANDS.get(args[0]) if args else None
+    if cmd is None or len(args) % 2 == 0:
+        return None
+    given = {}
+    for flag, text in zip(args[1::2], args[2::2]):
+        key = flag[2:] if flag.startswith("--") else None
+        if key not in cmd.options or key in given or text.startswith("-"):
+            return None
+        given[key] = text
+    options = {"command": args[0]}
+    for key, opt in cmd.options.items():
+        value = opt.get("default")
+        if key in given:
+            try:
+                value = opt.get("type", str)(given[key])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if "choices" in opt and value not in opt["choices"]:
+                return None
+        elif opt.get("required"):
+            return None
+        options[opt.get("dest", key)] = value
+    return options
 
 
 def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
@@ -245,21 +288,23 @@ def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
     exits 0, and without it main returns.
     """
     args = sys.argv[1:] if args is None else list(args)
-    parser, subparsers = _parser(prog_name)
-    if args and args[0] in subparsers:
-        # the command's parser alone: the top-level one would hand it the same words to parse again
-        namespace, extras = subparsers[args[0]].parse_known_args(args[1:])
-        if extras:
-            parser.error("unrecognized arguments: %s" % " ".join(extras))
-    else:
-        namespace = parser.parse_args(args)
-    options = vars(namespace)
-    cmd, parser = options.pop("command"), options.pop("parser")
+    options = _read(args)
+    if options is None:
+        parser, subparsers = _parser(prog_name)
+        if args and args[0] in subparsers:
+            # the command's parser alone: the top-level one would hand it the same words to parse again
+            namespace, extras = subparsers[args[0]].parse_known_args(args[1:])
+            if extras:
+                parser.error("unrecognized arguments: %s" % " ".join(extras))
+        else:
+            namespace = parser.parse_args(args)
+        options = vars(namespace)
+    name = options.pop("command")
     try:
         try:
-            cmd.callback(**options)
+            COMMANDS[name].callback(**options)
         except UsageError as exc:
-            parser.error(str(exc))
+            _parser(prog_name)[1][name].error(str(exc))
         finally:
             sys.stdout.flush()
     except BrokenPipeError:

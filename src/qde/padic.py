@@ -443,10 +443,10 @@ def normalized_bracket(x: int, q: PadicNum, alpha: int, cfg: PadicConfig) -> Pad
         raise PreconditionError(f"{x} is not a unit mod {cfg.p}")
     if alpha < 1:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
-    one = PadicNum.from_rational(1, cfg.p, cfg.prec)
-    tq = q - one
-    if tq.is_exact_zero or tq.val < 1:
+    # v_p(1 - q) >= 1 for a unit q = 1 mod p; a zero of either kind is not one, O(p^0) included
+    if q.val != 0 or q.unit % cfg.p != 1:
         raise ConvergenceError(f"normalized_bracket needs v_{cfg.p}(1 - q) >= 1")
+    one = PadicNum.from_rational(1, cfg.p, cfg.prec)
     num = one - q ** (alpha * x)
     den = one - q**alpha
     return teichmuller_inverse(x, cfg) * (num / den)

@@ -1,11 +1,15 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qde
 from conftest import run_cli
@@ -61,6 +65,87 @@ USAGE_ERRORS = [
     [],
     ["spam"],
 ]
+
+# well-formed `COMMAND --key value` lines, which the reader takes, and lines it leaves
+# to argparse: a --key=value spelling, a negative value, a repeated key
+PLAIN_LINES = [
+    ["verify", "--identity", "eq4", "--params", "n=1,x=1", "--mode", "rational:q=2"],
+    ["euler", "--n", "2"],
+    ["dcsum", "--m", "1", "--h", "2", "--k", "3"],
+    ["oracle", "--integrand", "one", "--level", "1"],
+]
+DEFERRED_LINES = [
+    ["qeuler", "--n", "2", "--x=-1/2", "--mode", "padic:p=3,K=8"],
+    ["qeuler", "--n", "1", "--x", "-1/2"],
+    ["euler", "--n", "2", "--n", "3"],
+]
+
+# value words besides each key's own good ones: wrong for one key's type or choices or
+# another's, empty, negative, help, the end of options
+ODD_WORDS = ["", "two", "0", "65", "1/3", "xml", "neither", "eq99", ".", "missing/r.jsonl",
+             "-1", "-1/2", "-h", "--help", "--"]
+
+
+@st.composite
+def command_lines(draw):
+    """qde command lines: mostly a command and its `--key value` pairs, with damage argparse must see."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = cli.COMMANDS[name].options
+
+    def value(key):
+        good = st.sampled_from(options[key].get("choices") or ["1", "2", "3"])
+        return draw(good | good | st.sampled_from(ODD_WORDS))
+
+    def index(pairs, end=0):
+        return draw(st.integers(0, len(pairs) - 1 + end))
+
+    keys = [key for key in options if options[key].get("required") or draw(st.booleans())]
+    pairs = [["--" + key, value(key)] for key in draw(st.permutations(keys))]
+    for edit in draw(st.lists(st.sampled_from(["drop", "repeat", "equals", "unknown", "abbreviate", "stray"]),
+                              max_size=2)):
+        if edit == "repeat" or not pairs:
+            # a second value for a key, or a key left out before
+            key = draw(st.sampled_from(list(options)))
+            pairs.insert(index(pairs, 1), ["--" + key, value(key)])
+        elif edit == "drop":
+            del pairs[index(pairs)]
+        elif edit == "equals":
+            i = index(pairs)
+            pairs[i] = ["=".join(pairs[i])]
+        elif edit == "unknown":
+            pairs.insert(index(pairs, 1), ["--bogus", "1"])
+        elif edit == "abbreviate":
+            i = index(pairs)
+            pairs[i][0] = pairs[i][0][:-1]
+        else:
+            pairs.insert(index(pairs, 1), [draw(st.sampled_from(ODD_WORDS + ["1", "--n"]))])
+    head = draw(st.sampled_from([name] * 6 + ["spam", "-h", "--", ""]))
+    return [head] + [word for pair in pairs for word in pair]
+
+
+class TestReader:
+    @settings(max_examples=400)
+    @given(command_lines())
+    def test_reads_what_argparse_reads(self, args):
+        # the reader gives up (None) or gives exactly argparse's namespace; and it gives up
+        # only where the line is not a plain `COMMAND --key value` one or argparse rejects it
+        got = cli._read(args)
+        want = None
+        subparsers = cli._parser("qde")[1]
+        if args[0] in subparsers:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    namespace, extras = subparsers[args[0]].parse_known_args(args[1:])
+                    want = None if extras else vars(namespace)
+                except SystemExit:
+                    pass
+        if got is not None:
+            assert got == want
+        flags, values = args[1::2], args[2::2]
+        plain = (args[0] in cli.COMMANDS and len(args) % 2 == 1 and len(set(flags)) == len(flags)
+                 and all(f.startswith("--") and f[2:] in cli.COMMANDS[args[0]].options for f in flags)
+                 and not any(v.startswith("-") for v in values))
+        assert (got is not None) == (plain and want is not None)
 
 
 class TestContract:
@@ -135,14 +220,10 @@ class TestContract:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("qde: error: unrecognized arguments: --bogus 1\n")
 
-    @pytest.mark.parametrize("args", [
-        ["verify", "--identity", "eq4", "--params", "n=1,x=1", "--mode", "rational:q=2"],
-        ["qeuler", "--n", "2", "--x=-1/2", "--mode", "padic:p=3,K=8"],
-        ["euler", "--n", "2"],
-        ["dcsum", "--m", "1", "--h", "2", "--k", "3"],
-        ["oracle", "--integrand", "one", "--level", "1"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("args", PLAIN_LINES + DEFERRED_LINES, ids=" ".join)
     def test_a_command_line_is_parsed_once(self, monkeypatch, args):
+        # a plain line is read from the options table and never reaches argparse;
+        # argparse parses any other line once, with the command's own parser
         calls = []
         parse = argparse.ArgumentParser.parse_known_args
 
@@ -152,7 +233,7 @@ class TestContract:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
         assert run_cli(args).exit_code == 0
-        assert calls == ["qde " + args[0]]
+        assert calls == ([] if args in PLAIN_LINES else ["qde " + args[0]])
 
 
 class TestEuler:

@@ -22,6 +22,7 @@ from qde.padic import (
     teichmuller,
     teichmuller_inverse,
 )
+import test_root_lift
 from test_series_reference import binomial_coeffs
 
 CFG3 = PadicConfig(3, 32)
@@ -492,3 +493,29 @@ class TestNormalizedBracket:
     def test_non_unit_argument_rejected(self):
         with pytest.raises(PreconditionError):
             normalized_bracket(3, pn(4), 1, CFG3)
+
+    @staticmethod
+    def accepts(q, cfg) -> bool:
+        """Whether normalized_bracket gets past its v_p(1 - q) >= 1 test; a later error may still end it."""
+        try:
+            normalized_bracket(2, q, 1, cfg)
+        except ConvergenceError as exc:
+            assert str(exc) == f"normalized_bracket needs v_{cfg.p}(1 - q) >= 1"
+            return False
+        except PrecisionError:
+            # 1 - q^alpha is zero to the digits q is known to
+            pass
+        return True
+
+    @pytest.mark.parametrize("prec", [1, 16])
+    @pytest.mark.parametrize("q, accepted", test_root_lift.TestModeAcceptsExactlyTheOneUnits.GRID)
+    def test_accepts_exactly_the_one_units(self, q, accepted, prec):
+        assert self.accepts(q, PadicConfig(q.p, prec)) is accepted
+
+    @given(st.sampled_from(test_root_lift.PRIMES), st.integers(-3, 3), st.integers(0, 10**6), st.integers(0, 6),
+           st.sampled_from([1, 2, 8]))
+    def test_matches_the_subtraction(self, p, val, unit, prec, kdigits):
+        # the rule as a PadicNum subtraction states it, against a one known to K digits
+        q = PadicNum(p, val, unit, prec) if unit and prec else PadicNum.approx_zero(p, val)
+        diff = q - PadicNum.from_rational(1, p, kdigits)
+        assert self.accepts(q, PadicConfig(p, kdigits)) is not (diff.is_exact_zero or diff.val < 1)
