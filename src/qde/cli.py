@@ -9,9 +9,10 @@ sums against the closed form.
 Each command declares its options once, in a table that argparse is
 built from.  A plain line, the command and then `--key value` pairs
 that argparse would accept, each key once and no value starting with
-'-', is read straight from that table.  Every other line goes to
-argparse, so help, usage errors and the other spellings (`--key=value`,
-a negative value, a repeated key) are argparse's own.
+'-', is read straight from that table.  Every other line is parsed once,
+by the top-level argparse parser, so help, usage errors and the other
+spellings (`--key=value`, a negative value, a repeated key) are
+argparse's own.
 
 Exit codes: 0 all good, 1 a computation or an identity check failed or
 stdout was closed early, 2 the invocation itself was wrong.  Flag
@@ -290,15 +291,7 @@ def main(args=None, prog_name: str = "qde", standalone_mode: bool = True):
     args = sys.argv[1:] if args is None else list(args)
     options = _read(args)
     if options is None:
-        parser, subparsers = _parser(prog_name)
-        if args and args[0] in subparsers:
-            # the command's parser alone: the top-level one would hand it the same words to parse again
-            namespace, extras = subparsers[args[0]].parse_known_args(args[1:])
-            if extras:
-                parser.error("unrecognized arguments: %s" % " ".join(extras))
-        else:
-            namespace = parser.parse_args(args)
-        options = vars(namespace)
+        options = vars(_parser(prog_name)[0].parse_args(args))
     name = options.pop("command")
     try:
         try:

@@ -10,8 +10,11 @@ The sums have one kernel each in qeuler, summed over one known
 denominator: q_dc_sum is weighted_euler_sum, over P_l (1 -
 q^(alpha l))^m (1 - q^(alpha k)), and bracket_weighted_sum (so
 padic_dc_sum) is weighted_scaled_sum, over P_kp (1 - q^alpha)^(m+1)
-[p]^(m-1), P_B = prod_l (1 + q^((alpha l + 1) B)).  The two stay
-separate formulations: eq6 compares [k]^(m+1) q_dc_sum with the naive
+[p]^(m-1), P_B = prod_l (1 + q^((alpha l + 1) B)).  interp_value's
+interpolated readings are weighted_scaled_sum's one-term case, and its
+naive reading is scaled_qeuler; it and bracket_weighted_sum check their
+parameters with one helper (_residues).  The two kernels stay separate
+formulations: eq6 compares [k]^(m+1) q_dc_sum with the naive
 bracket-weighted sum, and theorem1 the interpolated one with two
 q_dc_sum values.
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConvergenceError, PoleError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .padic import (
     PadicConfig,
     PadicNum,
@@ -39,8 +42,6 @@ from .qeuler import (
     PadicMode,
     binomial_series,
     periodic_euler,
-    q_int,
-    qeuler_poly,
     scaled_qeuler,
     weighted_euler_sum,
     weighted_scaled_sum,
@@ -123,45 +124,43 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     the p-inverted residue; "interpolated" scales it by [N]^(m-1) [Np]
     (ratio [Np]/[N] when m = 0), "interpolated_printed" by [Np]^m.
 
-    A term [d]^m E_m(y/d; q^d) is qeuler.scaled_qeuler: since [d]^m / (1 -
-    q^(alpha d))^m = 1 / (1 - q^alpha)^m it is formed over (1 - q^alpha)^m
-    with no product, only the division using 1 - q^alpha.  The
-    "interpolated" second term is not of that form and stays a product.
+    The naive reading is qeuler.scaled_qeuler: since [d]^m / (1 - q^(alpha
+    d))^m = 1 / (1 - q^alpha)^m, a term [d]^m E_m(y/d; q^d) is formed over
+    (1 - q^alpha)^m with no product, only the division using 1 - q^alpha.
+    An interpolated reading is bracket_weighted_sum's kernel,
+    qeuler.weighted_scaled_sum, at its one term M = 1, where [1] = 1: the
+    "interpolated" second term is S(m, a_inv p, Np) / [p]^(m-1), formed
+    over the same denominator as the first.  The parameters are checked
+    as bracket_weighted_sum checks them, p after the residue and before
+    any term is formed.
     """
-    _check_reading(variant, m, n_mod, alpha)
-    a_red = a % n_mod
-    if a_red == 0:
-        raise PreconditionError(f"residue a = {a} vanishes mod N = {n_mod}")
-    first = scaled_qeuler(m, alpha, a_red, n_mod, mode)
-    if variant == "naive":
-        return first
-    _check_prime(p, n_mod)
-    a_inv = (pow(p, -1, n_mod) * a_red) % n_mod
-    if variant == "interpolated_printed":
-        second = scaled_qeuler(m, alpha, a_inv * p, n_mod * p, mode)
-    else:
-        inner = qeuler_poly(m, alpha, Fraction(a_inv, n_mod), BaseLifted(mode, n_mod * p))
-        try:
-            second = q_int(n_mod, alpha, mode) ** (m - 1) * q_int(n_mod * p, alpha, mode) * inner
-        except ZeroDivisionError:
-            # only m = 0 divides, by [N]
-            raise PoleError(f"pole in the interpolated value ([{n_mod}] vanishes at this q)") from None
-    return first - second
+    firsts, seconds = _residues(variant, m, n_mod, alpha, [a], p)
+    if seconds is None:
+        return scaled_qeuler(m, alpha, firsts[0], n_mod, mode)
+    return weighted_scaled_sum(m, alpha, n_mod, firsts, seconds, p, variant == "interpolated", mode)
 
 
-def _check_reading(variant: str, m: int, n_mod: int, alpha: int) -> None:
+def _residues(variant: str, m: int, n_mod: int, alpha: int, values: list, p: int) -> tuple:
+    """The residues of values mod N, and for an interpolated reading their p-inverted ones (else None).
+
+    Checked in this order: the variant, m, N and alpha, every residue,
+    then p, an odd prime invertible mod N.
+    """
     if variant not in INTEGER_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
     if m < 0 or n_mod < 1 or alpha < 1:
         raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n_mod} alpha={alpha}")
-
-
-def _check_prime(p: int, n_mod: int) -> None:
-    """The interpolated readings' p: an odd prime, invertible mod N."""
+    firsts = [a % n_mod for a in values]
+    for a, r in zip(values, firsts):
+        if not r:
+            raise PreconditionError(f"residue a = {a} vanishes mod N = {n_mod}")
+    if variant == "naive":
+        return firsts, None
     if p is None or not is_odd_prime(p):
         raise PreconditionError(f"interpolated variants need an odd prime p, got {p}")
     if gcd(p, n_mod) != 1:
         raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
+    return firsts, [pow(p, -1, n_mod) * r % n_mod for r in firsts]
 
 
 def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, cfg: PadicConfig) -> PadicNum:
@@ -217,21 +216,14 @@ def bracket_weighted_sum(m: int, h: int, k: int, alpha: int, variant: str, mode,
 
     The variant is the reading each term uses; the interpolated
     readings need p.  The sum is qeuler.weighted_scaled_sum, over the one
-    denominator its terms share, not a sum of interp_value calls: its
-    preconditions are interp_value's, checked before any term is formed,
+    denominator its terms share, not a sum of interp_value calls, and
+    interp_value's interpolated readings are its one-term case.  Both
+    check their parameters with one helper, before any term is formed:
     every residue before p.
     """
     if k <= 1:
         return mode.from_rational(0)
-    _check_reading(variant, m, k, alpha)
-    firsts = [h * big_m % k for big_m in range(1, k)]
-    for big_m, a in enumerate(firsts, 1):
-        if not a:
-            raise PreconditionError(f"residue a = {h * big_m} vanishes mod N = {k}")
-    seconds = None
-    if variant != "naive":
-        _check_prime(p, k)
-        seconds = [pow(p, -1, k) * a % k for a in firsts]
+    firsts, seconds = _residues(variant, m, k, alpha, [h * big_m for big_m in range(1, k)], p)
     return weighted_scaled_sum(m, alpha, k, firsts, seconds, p, variant == "interpolated", mode)
 
 

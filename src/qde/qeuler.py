@@ -71,10 +71,10 @@ q^alpha)^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends
 on n, alpha and B alone.  So their numerators are summed over it and
 the sum is finished once per mode: one Fraction, one PadicNum from one
 modular inverse at a p-adic q, one RatFunc in symbolic mode.  In every
-mode qeuler_poly's closed form and S are the split's one-term case,
-with no weight and no ratio (_closed_form_ints, _split_at): the split's
-outer view of q gives the q^alpha the value divides by, which for
-qeuler_poly is its own.  In symbolic mode what no x_i enters (the
+mode S is the split's one-term case, with no weight and no ratio
+(_closed_form_ints, _split_at), and qeuler_poly is S at base 1: the
+split's outer view of q gives the q^alpha the value divides by, which
+at base 1 is the terms' own.  In symbolic mode what no x_i enters (the
 exponents of q^(alpha l + 1), q^alpha and the outer q^alpha, the table
 entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
 split, and the table's c is the outer exponent.
@@ -82,7 +82,11 @@ split, and the table's c is the outer exponent.
 The Dedekind-type sums (weighted_euler_sum, weighted_scaled_sum) are
 summed over one known denominator and finished once the same way; in
 symbolic mode their weights [M] are binomials over 1 - q^alpha and no
-gcd is taken.  dedekind.interp_series's binomial series
+gcd is taken.  At a fixed q the split's terms and the sums' come from
+one term loop (_terms): the closed form at each x_i, the first one
+checked, times an int-pair weight (q^(step i), [M], [M] [p]^(m-1)) and
+the alternating sign, a vanishing denominator the one "pole in q-Euler
+polynomial".  dedekind.interp_series's binomial series
 (binomial_series) reads C(s, j) off one int recurrence and E_j off
 _numbers_at's residues, each term a (valuation, unit, precision)
 product.  A capped-relative sum is the true sum mod p^N, N the least
@@ -429,13 +433,8 @@ def qeuler_poly(n: int, alpha: int, x, mode):
     """
     _check_n_alpha(n, alpha)
     x = Fraction(x)
-    if x.denominator == 1:
-        # an integral x keeps every exponent below an int
-        x = x.numerator
-    fd = _fixed_denominator(mode)
-    if fd is not None:
-        return _ratfunc(*_closed_form_ints(n, alpha, [x], fd, root_mode(mode)._binomials))
-    return _split_at(n, alpha, [x], _ints(mode))
+    # [1]^n = 1: the scaled value at base q; an integral x keeps every exponent below an int
+    return _scaled(mode, 1, n, alpha, [x.numerator if x.denominator == 1 else x])
 
 
 def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
@@ -527,10 +526,10 @@ def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, mode):
     fd = _fixed_denominator(mode)
     if fd is None:
         return _weighted_at(m, alpha, xs, _ints(inner), _ints(mode, capped=False), mode)
-    ek = fd(alpha * (len(xs) + 1))
+    ek, near = fd(alpha * (len(xs) + 1)), _fixed_denominator(inner)
     weights = _bracket_weights(fd, alpha, len(xs))
-    num, den, g = _closed_form_ints(m, alpha, xs + xs, _fixed_denominator(inner), root_mode(mode)._binomials,
-                                    weights=weights, tail=(0, ek), strides=(ek,))
+    # E_m(x_M; q^base) divides by its own 1 - q^(alpha base): outer is the terms' base
+    num, den, g = _closed_form_ints(m, alpha, xs + xs, near, root_mode(mode)._binomials, near, weights, (0, ek), (ek,))
     return _ratfunc(num, _times_binomial(den, ek // g, -1), g)
 
 
@@ -690,8 +689,8 @@ def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corr
 
 
 def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, corrected: bool = False):
-    """residue_split's sum on either path; with no step it has no weights and no ratio (scaled_qeuler)."""
-    inner = BaseLifted(mode, base)
+    """residue_split's sum on either path; with no step it has no weights and no ratio (scaled_qeuler, qeuler_poly)."""
+    inner = mode if base == 1 else BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is not None:
         table = root_mode(mode)._binomials
@@ -704,113 +703,103 @@ def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, cor
     return _split_at(n, alpha, xs, _ints(inner), _ints(mode), step, corrected)
 
 
-def _split_at(n: int, alpha: int, xs: list, iv, outer=None, step: int = None, corrected: bool = False):
-    """[B]^n sum_i (-1)^i w_i E_n(x_i; q^B) at a fixed q, each term's numerator from _closed_form_at, finished once.
+def _split_at(n: int, alpha: int, xs: list, iv, outer, step: int = None, corrected: bool = False):
+    """[B]^n sum_i (-1)^i w_i E_n(x_i; q^B) at a fixed q: the terms from _terms, finished once.
 
-    iv is the view at the terms' base q^B and outer the view at q; one x
-    with no outer is qeuler_poly (B = 1).  The terms' sums come over 1 -
-    q^(alpha B), which check tests, and the finish divides by (1 -
-    q^alpha)^n = ((b - a)/b)^n from outer's q^alpha = a/b instead.  A
-    step forms the weights w_i = q^(step i) when corrected (else 1) and
-    the ratio (1 + q^step)/(1 + q^(step count)); with none there are
-    neither.
+    iv is the view at the terms' base q^B and outer the view at q.  The
+    finish divides by (1 - q^alpha)^n = ((b - a)/b)^n from outer's q^alpha
+    = a/b in place of the terms' 1 - q^(alpha B).  A step forms the
+    weights w_i = q^(step i) when corrected (else 1) and the ratio (1 +
+    q^step)/(1 + q^(step count)); with none there are neither.
     """
-    terms = []
-    try:
-        for i, x in enumerate(xs):
-            num, den, (a, b) = _closed_form_at(n, alpha, x, iv)
-            if not i:
-                # the first term's finish fails before the next term's exponents are formed
-                iv.check(den, b - a, n)
-                a, b = (a, b) if outer is None else outer.power(alpha)
-                bn, w = b**n, b - a
-            num *= bn
-            if corrected:
-                c, e = outer.power(step * i)
-                num, den = c * num, e * den
-            terms.append((-num if i % 2 else num, den))
-    except ZeroDivisionError:
-        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    terms, _ = _terms(n, alpha, xs, iv, (outer.power(step * i) for i in range(len(xs))) if corrected else None)
+    a, b = outer.power(alpha)
     if step is None:
-        return iv.finish(terms, w, n)
-    (a, b), (c, d) = outer.power(step), outer.power(step * len(xs))
-    # b != 0, and d + c is a unit at a p-adic q
-    if not d + c:
+        return iv.finish(terms, b - a, n, b**n)
+    (c, d), (e, f) = outer.power(step), outer.power(step * len(xs))
+    # d != 0, and f + e is a unit at a p-adic q
+    if not f + e:
         raise PoleError(f"pole in the residue split (1 + q^{step * len(xs)} vanishes at this q)")
-    return iv.finish(terms, w, n, (b + a) * d, b * (d + c))
+    return iv.finish(terms, b - a, n, b**n * (d + c) * f, d * (f + e))
 
 
 def _weighted_at(m: int, alpha: int, xs: list, iv, wide, mode):
-    """weighted_euler_sum at a fixed q: the terms from _weighted_terms, finished once with the division by [k].
+    """weighted_euler_sum at a fixed q: the terms from _terms, weighted by [M], finished once with the division by [k].
 
     Where [k] vanishes, or is zero to its digits, the finished sum is
     divided by q_int(k), which raises what the term-by-term sum raises.
     """
     k, (wa, wb) = len(xs) + 1, wide.power(alpha)
     brackets = [_geometric(wa, wb, big_m, wide.red) for big_m in range(1, k + 1)]
-    try:
-        terms, (a, b) = _weighted_terms(m, alpha, xs, iv, brackets, wb)
-    except ZeroDivisionError:
-        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
+    terms, (a, b) = _terms(m, alpha, xs, iv, ((g, wb**big_m) for big_m, g in enumerate(brackets, 1)))
     if not (brackets[-1] % wide.m if wide.m else brackets[-1]):
         return iv.finish(terms, b - a, m, b**m) / q_int(k, alpha, mode)
     return iv.finish(terms, b - a, m, b**m * wb**k, brackets[-1], den_prec=wide.prec)
 
 
 def _scaled_weighted_at(m: int, alpha: int, k: int, firsts: list, seconds: list, p: int, corrected: bool, mode):
-    """weighted_scaled_sum at a fixed q: the firsts' and the seconds' terms from _weighted_terms, finished once.
+    """weighted_scaled_sum at a fixed q: the firsts' and the seconds' terms from _terms, weighted by [M], finished once.
 
     Corrected, the sum is divided by [p]^(m-1), [p] = g / c^p at
-    q^(alpha k) = d/c, and the firsts are multiplied by it (the seconds by
-    [p] at m = 0).  Each term's rank is what its term claims on the
-    PadicNum path: A - v_p(1 - q^alpha) for a first or a printed second,
-    and for a corrected second the least of A - v_p(1 - q^(alpha kp)) and
-    the uncapped A' - 1 of [kp].  [p], of valuation 1, caps no claim.
+    q^(alpha k) = d/c, and the firsts' weights take [p]^(m-1) as a factor
+    (the seconds' take [p] at m = 0).  Each term's rank is what its term
+    claims on the PadicNum path: A - v_p(1 - q^alpha) for a first or a
+    printed second, and for a corrected second the least of A - v_p(1 -
+    q^(alpha kp)) and the uncapped A' - 1 of [kp].  [p], of valuation 1,
+    caps no claim.
     """
     near, outer, wide = _ints(BaseLifted(mode, k)), _ints(mode), _ints(mode, capped=False)
     (a, b), (wa, wb) = outer.power(alpha), wide.power(alpha)
-    brackets = [_geometric(wa, wb, big_m, wide.red) for big_m in range(1, len(firsts) + 1)]
-    try:
-        # a later term raises nothing the first one did not: its exponents are integers and its
-        # denominator vanishes where the first one's does
-        terms, (d, c) = _weighted_terms(m, alpha, [Fraction(y, k) for y in firsts], near, brackets, wb)
-        if seconds:
-            far = _ints(BaseLifted(mode, k * p))
-            more, (d2, c2) = _weighted_terms(m, alpha, [Fraction(z, k) for z in seconds], far, brackets, wb)
-    except ZeroDivisionError:
-        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
-    w, num, den = b - a, b**m, 1
-    ranks = [near.m and near.rank(w)] * len(terms)
-    if not seconds:
-        return near.finish(terms, w, m, num, den, near.m and ranks)
-    lift, lift2 = (1, 1), (-1, 1)
-    if corrected:
+    brackets = [(_geometric(wa, wb, big_m, wide.red), wb**big_m) for big_m in range(1, len(firsts) + 1)]
+    w, num, den, lift, lift2 = b - a, b**m, 1, (1, 1), (-1, 1)
+    if corrected and seconds:
+        d, c = near.power(alpha)
         g, e = _geometric(d, c, p, near.red), c**p
         if m:
             lift, num, den = (g ** (m - 1), e ** (m - 1)), num * e ** (m - 1), g ** (m - 1)
-        elif not _geometric(wa, wb, k, wide.red):
-            raise PoleError(f"pole in the interpolated value ([{k}] vanishes at this q)")
         else:
             lift2 = (-g, e)
-        ranks += [near.m and min(far.rank(c2 - d2), wide.prec - 1)] * len(more)
-    else:
-        ranks += ranks
-    terms = [(t * lift[0], u * lift[1]) for t, u in terms] + [(t * lift2[0], u * lift2[1]) for t, u in more]
+    # a later term raises nothing the first one did not: its exponents are integers and its
+    # denominator vanishes where the first one's does
+    xs = [Fraction(y, k) for y in firsts]
+    terms, _ = _terms(m, alpha, xs, near, ((s * lift[0], t * lift[1]) for s, t in brackets))
+    ranks = [near.m and near.rank(w)] * len(terms)
+    if seconds:
+        far = _ints(BaseLifted(mode, k * p))
+        xs = [Fraction(z, k) for z in seconds]
+        more, (d2, c2) = _terms(m, alpha, xs, far, ((s * lift2[0], t * lift2[1]) for s, t in brackets))
+        if not corrected:
+            ranks += ranks
+        elif m or _geometric(wa, wb, k, wide.red):
+            ranks += [near.m and min(far.rank(c2 - d2), wide.prec - 1)] * len(more)
+        else:
+            raise PoleError(f"pole in the interpolated value ([{k}] vanishes at this q)")
+        terms += more
     return near.finish(terms, w, m, num, den, near.m and ranks)
 
 
-def _weighted_terms(m: int, alpha: int, xs: list, iv, brackets: list, b: int) -> tuple:
-    """((-1)^(M-1) [M] t_M as (num, den) pairs, q^alpha at iv's base): t_M the closed form at x_M, the first checked.
+def _terms(n: int, alpha: int, xs: list, iv, weights=None) -> tuple:
+    """The one fixed-q term loop: (-1)^i w_i t_i as (num, den) pairs, and q^alpha = (a, b) at iv's base.
 
-    [M] = brackets[M-1] / b^M; the finish divides by t_M's (1 - q^alpha)^m
-    and multiplies by its b^m.
+    t_i is the closed form at x_i (_closed_form_at) times (1 - q^alpha)^n
+    / b^n, so that the caller's finish divides by its (1 - q^alpha)^n and
+    multiplies by its b^n.  The first term is checked (iv.check) before
+    the next term's exponents are formed.  weights, an iterator, yields
+    w_i = c_i / e_i as (c_i, e_i), drawn once t_i is formed; with none
+    every w_i is 1.  A vanishing denominator is a pole.
     """
     terms = []
-    for i, (x, g) in enumerate(zip(xs, brackets)):
-        num, den, ab = _closed_form_at(m, alpha, x, iv)
-        if not i:
-            iv.check(den, ab[1] - ab[0], m)
-        terms.append((-num * g if i % 2 else num * g, den * b ** (i + 1)))
+    try:
+        for i, x in enumerate(xs):
+            num, den, ab = _closed_form_at(n, alpha, x, iv)
+            if not i:
+                iv.check(den, ab[1] - ab[0], n)
+            if weights is not None:
+                c, e = next(weights)
+                num, den = c * num, e * den
+            terms.append((-num if i % 2 else num, den))
+    except ZeroDivisionError:
+        raise PoleError("pole in q-Euler polynomial (a denominator vanishes at this q)") from None
     return terms, ab
 
 
@@ -960,12 +949,13 @@ def _times_binomial(a: list, k: int, sign: int = 1) -> list:
     return c
 
 
-def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None, weights: list = None,
+def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer, weights: list = None,
                       tail: tuple = (0, 0), strides: tuple = ()) -> tuple:
-    """sum_i w_i [B]^n E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x is qeuler_poly.
+    """sum_i w_i [B]^n E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x at B = 1 is qeuler_poly.
 
-    fd maps the exponents at the terms' base q^B and outer those at q
-    (None: B = 1).  In Q^g every term is over Q^top D, D = P (1 - Q^c)^n,
+    fd maps the exponents at the terms' base q^B and outer those at q;
+    with fd as outer the terms are E_n(x_i; q^B) (weighted_euler_sum).
+    In Q^g every term is over Q^top D, D = P (1 - Q^c)^n,
     P = prod_l (1 + Q^(b + l a)), q^(alpha B) = Q^(g a), q^B = Q^(g b) and
     q^alpha = Q^(g c), as [B]^n / (1 - q^(alpha B))^n = 1 / (1 -
     q^alpha)^n; so the quotients P / (1 + Q^(b + l a)) and D depend on
@@ -989,8 +979,7 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer=None,
             if not shifts:
                 bots.append(fd(alpha * l + 1))
         if not shifts:
-            a = fd(alpha)
-            c = a if outer is None else outer(alpha)
+            a, c = fd(alpha), outer(alpha)
         # a bound on every degree a term forms
         _guard_degree(n * abs(s) + sum(bots) + max(n * c, bots[0]))
         shifts.append(s)

@@ -223,17 +223,25 @@ class TestContract:
     @pytest.mark.parametrize("args", PLAIN_LINES + DEFERRED_LINES, ids=" ".join)
     def test_a_command_line_is_parsed_once(self, monkeypatch, args):
         # a plain line is read from the options table and never reaches argparse;
-        # argparse parses any other line once, with the command's own parser
+        # argparse parses any other line once, with the top-level parser
         calls = []
-        parse = argparse.ArgumentParser.parse_known_args
 
-        def counted(self, *a, **kw):
-            calls.append(self.prog)
-            return parse(self, *a, **kw)
+        def counting(name):
+            parse = getattr(argparse.ArgumentParser, name)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+            def counted(self, *a, **kw):
+                calls.append((name, self.prog))
+                return parse(self, *a, **kw)
+            return counted
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(argparse.ArgumentParser, name, counting(name))
         assert run_cli(args).exit_code == 0
-        assert calls == ([] if args in PLAIN_LINES else ["qde " + args[0]])
+        if args in PLAIN_LINES:
+            assert calls == []
+        else:
+            # the command's own parser runs inside that parse, from the subparsers action
+            assert [call for call in calls if call[0] == "parse_args"] == [("parse_args", "qde")]
 
 
 class TestEuler:

@@ -16,23 +16,28 @@ in the mode's own arithmetic.  The two must agree:
 
 The cases include eq6's points, p | k, where [k] is not a unit, and
 bases l that leave the inner exponents fractional.
+
+interp_value's interpolated readings are weighted_scaled_sum's one-term
+case.  Each of its three readings must equal the term-by-term product
+exactly: the same value, the same claimed precision at a p-adic q, and
+the same error type and message.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qde import dedekind
 from qde.catalog import check
 from qde.dedekind import bracket_weighted_sum, interp_value, q_dc_sum
 from qde.errors import PreconditionError, QdeError
-from qde.padic import PadicConfig, PadicNum
+from qde.padic import PadicConfig, PadicNum, is_odd_prime
 from qde.qeuler import PadicMode, RationalMode, SymbolicMode, q_int, weighted_euler_sum, weighted_scaled_sum
 from qde.ratfunc import RatFunc
-from test_kernel_reference import reference_kernels
+from test_kernel_reference import reference_interp_term, reference_kernels
 
 RATIONAL_QS = (4, Fraction(1, 2), -2, Fraction(-2, 3))
 
@@ -144,7 +149,9 @@ class TestKernelsAgainstReferences:
         # gcd(h, k) > 1: term big_m's residue h big_m vanishes mod k, and every residue is checked before p
         error = outcome(lambda: bracket_weighted_sum(2, h, k, 1, variant, RationalMode(2), p))
         assert error == (PreconditionError, f"residue a = {h * big_m} vanishes mod N = {k}")
-        assert error == outcome(lambda: interp_value(2, h * big_m, k, variant, RationalMode(2), p=3))
+        # the same error where the term-by-term references take the kernels' place
+        assert error == against_reference(lambda mode: bracket_weighted_sum(2, h, k, 1, variant, mode, p),
+                                          RationalMode(2))
 
     @pytest.mark.parametrize("k,base", [(3, 3), (6, 3), (9, 9), (3, 9)])
     def test_a_non_unit_k_caps_what_its_digits_allow(self, k, base):
@@ -177,6 +184,70 @@ class TestKernelsAgainstReferences:
         assert check("theorem1", "corrected", theorem1, SymbolicMode()).comparison_payload()["status"] == "exact"
         eq6 = {"m": 3, "h": 2, "k": 5, "alpha": 1, "p": 5}
         assert check("eq6", "printed", eq6, SymbolicMode()).comparison_payload()["status"] == "exact"
+
+
+def reference_interp_value(m, a, n_mod, variant, mode, alpha, p):
+    """interp_value written out: its checks in their documented order, then the term-by-term product."""
+    if variant not in ("naive", "interpolated", "interpolated_printed"):
+        raise PreconditionError(f"unknown variant {variant!r}")
+    if m < 0 or n_mod < 1 or alpha < 1:
+        raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n_mod} alpha={alpha}")
+    if not a % n_mod:
+        raise PreconditionError(f"residue a = {a} vanishes mod N = {n_mod}")
+    z = None
+    if variant != "naive":
+        if p is None or not is_odd_prime(p):
+            raise PreconditionError(f"interpolated variants need an odd prime p, got {p}")
+        if gcd(p, n_mod) != 1:
+            raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
+        z = pow(p, -1, n_mod) * a % n_mod
+    return reference_interp_term(m, alpha, n_mod, a % n_mod, z, p, variant == "interpolated", mode)
+
+
+def reading(run):
+    """The value as its type and to_json() (precision and digits at a p-adic q), or the error's type and message."""
+    v = outcome(run)
+    return v if isinstance(v, tuple) else (type(v), v if isinstance(v, Fraction) else v.to_json())
+
+
+@st.composite
+def interp_cases(draw):
+    kind = draw(st.sampled_from(("symbolic", "rational", "padic")))
+    if kind == "symbolic":
+        mode = SymbolicMode(draw(st.sampled_from((1, 2))))
+    elif kind == "rational":
+        mode = RationalMode(draw(st.sampled_from((Fraction(1, 2), 4, Fraction(-2, 3), -1, 0))))
+    else:
+        prime, prec = draw(st.sampled_from((3, 5))), draw(st.sampled_from((8, 16, 32)))
+        # q known to fewer digits than K, and q = 1 + p^(K+4), 1 to more digits than K
+        q0, q_prec = draw(st.sampled_from(((1 + prime, prec - 3), (1 + 2 * prime, prec),
+                                           (1 + prime ** (prec + 4), prec + 8))))
+        mode = PadicMode(PadicNum.from_rational(q0, prime, q_prec), PadicConfig(prime, prec))
+    variant = draw(st.sampled_from(("naive", "interpolated", "interpolated_printed")))
+    # now and then a residue that vanishes, N = 1, a p that divides N, or no odd prime p
+    n_mod = draw(st.sampled_from((2, 3, 4, 5, 7, 2, 4, 7, 1)))
+    a = draw(st.integers(-3, 12).filter(lambda a: a % n_mod) | st.integers(-3, 12))
+    p = draw(st.sampled_from((3, 5, 3, 5, 3, 5, None, 9)))
+    return draw(st.integers(0, 4)), a, n_mod, variant, mode, draw(st.integers(1, 2)), p
+
+
+# p = 3 is not invertible mod N = 3, and at q = -1 the first term's 1 + q^3 vanishes: p is checked before any term
+# is formed, as in bracket_weighted_sum, so the p error is the one raised
+PRECEDENCE = (1, 1, 3, "interpolated", RationalMode(-1), 1, 3)
+
+
+class TestInterpValueAgainstTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(interp_cases())
+    @example(PRECEDENCE)
+    # the corrected reading at m = 0 divides by [2], which vanishes at q = -1
+    @example((0, 1, 2, "interpolated", RationalMode(-1), 1, 3))
+    def test_every_reading_is_the_term_by_term_product(self, case):
+        m, a, n_mod, variant, mode, alpha, p = case
+        got = reading(lambda: interp_value(m, a, n_mod, variant, mode, alpha=alpha, p=p))
+        assert got == reading(lambda: reference_interp_value(m, a, n_mod, variant, mode, alpha, p))
+        if case == PRECEDENCE:
+            assert got == (PreconditionError, "p = 3 must be invertible mod N = 3")
 
 
 def _first_term_plus(kernel):

@@ -163,25 +163,31 @@ def reference_weighted_euler_sum(m, alpha, xs, base, mode):
     return acc / reference_q_int(len(xs) + 1, alpha, mode)
 
 
+def reference_interp_term(m, alpha, k, y, z, p, corrected, mode):
+    """S(m, y, k) - T, term by term: interp_value's value at the residue y, its p-inverted residue z.
+
+    T = 0 with no z (naive), else S(m, z p, kp) (printed) or the product
+    [k]^(m-1) [kp] E_m(z/k; q^(kp)) (corrected), as interp_value wrote it.
+    """
+    first = reference_scaled_qeuler(m, alpha, y, k, mode)
+    if z is None:
+        return first
+    if not corrected:
+        return first - reference_scaled_qeuler(m, alpha, z * p, k * p, mode)
+    inner = reference_qeuler_poly(m, alpha, Fraction(z, k), BaseLifted(mode, k * p))
+    try:
+        second = reference_q_int(k, alpha, mode) ** (m - 1) * reference_q_int(k * p, alpha, mode) * inner
+    except ZeroDivisionError:
+        raise PoleError(f"pole in the interpolated value ([{k}] vanishes at this q)") from None
+    return first - second
+
+
 def reference_weighted_scaled_sum(m, alpha, k, firsts, seconds, p, corrected, mode):
     """sum_M (-1)^(M-1) [M] (S(m, a_M, k) - T_M), term by term: bracket_weighted_sum's sum over interp_value's terms."""
     _check_n_alpha(m, alpha)
-
-    def term(y, z):
-        first = reference_scaled_qeuler(m, alpha, y, k, mode)
-        if z is None:
-            return first
-        if not corrected:
-            return first - reference_scaled_qeuler(m, alpha, z * p, k * p, mode)
-        inner = reference_qeuler_poly(m, alpha, Fraction(z, k), BaseLifted(mode, k * p))
-        try:
-            second = reference_q_int(k, alpha, mode) ** (m - 1) * reference_q_int(k * p, alpha, mode) * inner
-        except ZeroDivisionError:
-            raise PoleError(f"pole in the interpolated value ([{k}] vanishes at this q)") from None
-        return first - second
-
     return alternating_sum(mode, (
-        (reference_q_int(big_m, alpha, mode), term(y, None if seconds is None else seconds[big_m - 1]))
+        (reference_q_int(big_m, alpha, mode),
+         reference_interp_term(m, alpha, k, y, None if seconds is None else seconds[big_m - 1], p, corrected, mode))
         for big_m, y in enumerate(firsts, 1)
     ))
 

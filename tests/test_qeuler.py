@@ -802,7 +802,7 @@ class TestBinomialTable:
         # the alpha = 30000 case of TestFixedDenominator, and a shift q^(alpha l x) alone past the limit
         for alpha, x in ((30000, 0), (1, 50000)):
             with pytest.raises(ResourceLimitError, match="exceeds limit"):
-                qeuler._closed_form_ints(2, alpha, [x], fd, mode._binomials)
+                qeuler._closed_form_ints(2, alpha, [x], fd, mode._binomials, fd)
             assert mode._binomials == {}
         with pytest.raises(ExponentError, match="multiple of 3"):
             qeuler_poly(2, 1, Fraction(1, 3), mode)
