@@ -196,6 +196,8 @@ def _int_range(lo: int, hi: float = float("inf")):
 
 def _output_file(path: str) -> str:
     """argparse type: a file that may be created or overwritten, checked before any work starts."""
+    if not path:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -402,14 +404,9 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
     points = [dict(zip(entry.keys, combo)) for combo in product(*(table[k] for k in entry.keys))]
     parsed_mode = parse_mode(mode_text)
 
-    reports, modes = [], {}
+    reports = []
     for point in points:
-        # one mode per value make_mode depends on: the given mode or scale, else the
-        # scale the point needs; so a symbolic mode's binomial table carries from point to point
-        key = parsed_mode[1] or entry.scale(point)
-        if key not in modes:
-            modes[key] = make_mode(parsed_mode, entry.scale(point))
-        mode = modes[key]
+        mode = make_mode(parsed_mode, entry.scale(point))
         for v in variants:
             try:
                 reports.append(check(identity, v, point, mode))

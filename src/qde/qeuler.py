@@ -41,21 +41,16 @@ digit for digit and in its claimed precision.  The one non-unit divisor,
 (1 - q^alpha)^n = p^(n v) d^n, takes the valuation and the precision that
 path gives it.
 
-What depends only on the mode is formed once and cached on it: one int
-view per lifted base and A, so a q known to at most K digits has one
-view whether or not the kernel caps at K; one root r_b = q^(1/b) per A
-and exponent denominator b, shared by every base, so q^(a/b) = r_b^a is
-a power with a small exponent.  r_b is the 1-unit root of r^b = q mod
-p^A, lifted from r = 1 by Newton steps (padic._root); it is unique, so
-it is the residue q^(b^-1 mod p^A) that one full-width power gives.
-The recurrence takes one modular inverse per table (_inverses).  A
-symbolic mode keeps qeuler_poly's binomial products (_closed_form_ints): the quotients
-P / (1 + q^(alpha l + 1)), as int lists in Q^(g gcd(a, b)), and
-P (1 - q^alpha)^n, in Q^g, keyed by (n, a, b, c) with q^alpha = Q^(g a), q = Q^(g b) and c = a
-(c is a scaled value's outer exponent, below), so every base and every
-x with the same stride g share them.  The table lives on the root mode:
-a fresh mode starts empty, and a long-lived one keeps one entry per
-key, each under the degree guard, which runs first.
+A mode holds only its parameters, so a reused mode answers as a fresh
+one.  Each kernel call builds the int view it needs (_ints) at its
+lifted base and A, and q^(a/b) = r_b^a, with a small exponent, from the
+root r_b = q^(1/b) formed for that power: the 1-unit root of r^b = q
+mod p^A, lifted from r = 1 by Newton steps (padic._root).  It is
+unique, so it is the residue q^(b^-1 mod p^A) that one full-width power
+gives.  The recurrence takes one modular inverse per table
+(_inverses).  In symbolic mode qeuler_poly's binomial products
+(_closed_form_ints), the quotients P / (1 + q^(alpha l + 1)) and
+P (1 - q^alpha)^n, are formed once per call, after the degree guard.
 
 The paper states its distribution and interpolation relations for
 scaled values S(n, y, d) = [d]^n E_n(y/d; q^d) (scaled_qeuler), [d]
@@ -75,9 +70,9 @@ mode S is the split's one-term case, with no weight and no ratio
 (_closed_form_ints, _split_at), and qeuler_poly is S at base 1: the
 split's outer view of q gives the q^alpha the value divides by, which
 at base 1 is the terms' own.  In symbolic mode what no x_i enters (the
-exponents of q^(alpha l + 1), q^alpha and the outer q^alpha, the table
-entry, the gcd, the guard's sums, the factor 1 + q) is formed once per
-split, and the table's c is the outer exponent.
+exponents of q^(alpha l + 1), q^alpha and the outer q^alpha, the
+binomial products, the gcd, the guard's sums, the factor 1 + q) is
+formed once per split, and (1 - q^alpha)^n takes the outer q^alpha.
 
 The Dedekind-type sums (weighted_euler_sum, weighted_scaled_sum) are
 summed over one known denominator and finished once the same way; in
@@ -142,11 +137,10 @@ class RationalMode:
     """Evaluate with q fixed at an exact rational number."""
 
     kind = "rational"
-    __slots__ = ("q0", "_ints")
+    __slots__ = ("q0",)
 
     def __init__(self, q0):
         object.__setattr__(self, "q0", Fraction(q0))
-        object.__setattr__(self, "_ints", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMode is immutable")
@@ -180,13 +174,12 @@ class SymbolicMode:
     """
 
     kind = "symbolic"
-    __slots__ = ("scale", "_binomials")
+    __slots__ = ("scale",)
 
     def __init__(self, scale: int = 1):
         if scale < 1:
             raise PreconditionError(f"scale must be a positive integer, got {scale}")
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_binomials", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicMode is immutable")
@@ -223,7 +216,7 @@ class PadicMode:
     """Evaluate with q a p-adic number satisfying v_p(1 - q) >= 1."""
 
     kind = "padic"
-    __slots__ = ("q", "cfg", "_ints", "_roots")
+    __slots__ = ("q", "cfg")
 
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
@@ -233,8 +226,6 @@ class PadicMode:
             raise PreconditionError(f"padic mode needs v_{cfg.p}(1 - q) >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "_ints", {})
-        object.__setattr__(self, "_roots", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicMode is immutable")
@@ -448,6 +439,8 @@ def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
     is zero to working precision, this raises what qeuler_poly raises.
     """
     _check_n_alpha(n, alpha)
+    if d < 1:
+        raise PreconditionError(f"base exponent must be positive, got {d}")
     x = Fraction(y) / d
     return _scaled(mode, d, n, alpha, [x.numerator if x.denominator == 1 else x])
 
@@ -529,7 +522,7 @@ def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, mode):
     ek, near = fd(alpha * (len(xs) + 1)), _fixed_denominator(inner)
     weights = _bracket_weights(fd, alpha, len(xs))
     # E_m(x_M; q^base) divides by its own 1 - q^(alpha base): outer is the terms' base
-    num, den, g = _closed_form_ints(m, alpha, xs + xs, near, root_mode(mode)._binomials, near, weights, (0, ek), (ek,))
+    num, den, g = _closed_form_ints(m, alpha, xs + xs, near, near, weights, (0, ek), (ek,))
     return _ratfunc(num, _times_binomial(den, ek // g, -1), g)
 
 
@@ -552,16 +545,16 @@ def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list,
     fd = _fixed_denominator(mode)
     if fd is None:
         return _scaled_weighted_at(m, alpha, k, firsts, seconds, p, corrected, mode)
-    table, c, count = root_mode(mode)._binomials, fd(alpha), len(firsts)
+    c, count = fd(alpha), len(firsts)
     weights = _bracket_weights(fd, alpha, count)
     near = _fixed_denominator(BaseLifted(mode, k))
     # every residue is positive, so no term's shift moves into the denominator: both sums are over Q^0 P (1 - Q^c)^m
-    num, den, g = _closed_form_ints(m, alpha, [Fraction(y, k) for y in firsts] * 2, near, table, fd, weights, (0, c))
+    num, den, g = _closed_form_ints(m, alpha, [Fraction(y, k) for y in firsts] * 2, near, fd, weights, (0, c))
     if seconds is None:
         return _ratfunc(num, _times_binomial(den, c // g, -1), g)
     ek = fd(alpha * k)
     far = _fixed_denominator(BaseLifted(mode, k * p))
-    num2, den, g2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, table, fd, weights,
+    num2, den, g2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, fd, weights,
                                       strides=(g, ek))
     # in Q^g2, which divides g: P_kp / P_k = prod_l (1 + x_l^p)/(1 + x_l), x_l = q^((alpha l + 1) k)
     num = _stretch(num, g // g2)
@@ -693,12 +686,11 @@ def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, cor
     inner = mode if base == 1 else BaseLifted(mode, base)
     fd = _fixed_denominator(mode)
     if fd is not None:
-        table = root_mode(mode)._binomials
         if step is None:
-            return _ratfunc(*_closed_form_ints(n, alpha, xs, _fixed_denominator(inner), table, fd))
+            return _ratfunc(*_closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd))
         k, count = fd(step), len(xs)
         weights = [(-1 if i % 2 else 1, k * i if corrected else 0) for i in range(count)]
-        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), table, fd, weights, (k, k * count), (k,))
+        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd, weights, (k, k * count), (k,))
         return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * count // g), g)
     return _split_at(n, alpha, xs, _ints(inner), _ints(mode), step, corrected)
 
@@ -816,8 +808,7 @@ class _Ints:
     Exact at q = u/v, where red leaves an int alone and m is None.  At a
     p-adic q it is (q^e mod m, 1), m = p^prec, and red reduces mod m;
     q^(a/b) is r_b^a for the root r_b = q^(1/b), the 1-unit root of
-    r^b = q mod m lifted by Newton steps, which the mode caches per prec
-    and b.
+    r^b = q mod m lifted by Newton steps at each such power.
     """
 
     def __init__(self, root, base: int, prec):
@@ -829,7 +820,7 @@ class _Ints:
                 k = root._exponent(e * base)  # u != 0 when k < 0
                 return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
         else:
-            p, u, roots = root.cfg.p, root.q.unit, root._roots
+            p, u = root.cfg.p, root.q.unit
             self.p, self.prec = p, prec
             m = self.m = p**prec
             self.red = m.__rmod__
@@ -844,9 +835,7 @@ class _Ints:
                     return pow(u, a, m), 1
                 if b % p == 0:
                     raise ExponentError(f"exponent {Fraction(a, b)} is not a {p}-adic integer")
-                if (prec, b) not in roots:
-                    roots[prec, b] = _root(u, b, 1, p, prec)
-                return pow(roots[prec, b], a, m), 1
+                return pow(_root(u, b, 1, p, prec), a, m), 1
 
         self.power = power
 
@@ -905,18 +894,15 @@ class _Ints:
 
 
 def _ints(mode, capped: bool = True):
-    """The _Ints of a rational or p-adic mode, built once per root mode, base and precision.
+    """A new _Ints of a rational or p-adic mode at its base.
 
     The precision is q's absolute one, capped at K where the kernel adds
-    the K-digit one, so for a q known to at most K digits both are one view.
+    the K-digit one; for a q known to at most K digits the two agree.
     """
     # BaseLifted flattens nested wrappers, so one step reaches the root
     root, base = (mode.inner, mode.base) if isinstance(mode, BaseLifted) else (mode, 1)
-    key = base, None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
-    view = root._ints.get(key)
-    if view is None:
-        view = root._ints[key] = _Ints(root, *key)
-    return view
+    prec = None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
+    return _Ints(root, base, prec)
 
 
 def _fixed_denominator(mode):
@@ -949,7 +935,7 @@ def _times_binomial(a: list, k: int, sign: int = 1) -> list:
     return c
 
 
-def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer, weights: list = None,
+def _closed_form_ints(n: int, alpha: int, xs: list, fd, outer, weights: list = None,
                       tail: tuple = (0, 0), strides: tuple = ()) -> tuple:
     """sum_i w_i [B]^n E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x at B = 1 is qeuler_poly.
 
@@ -959,9 +945,9 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer, weig
     P = prod_l (1 + Q^(b + l a)), q^(alpha B) = Q^(g a), q^B = Q^(g b) and
     q^alpha = Q^(g c), as [B]^n / (1 - q^(alpha B))^n = 1 / (1 -
     q^alpha)^n; so the quotients P / (1 + Q^(b + l a)) and D depend on
-    (n, a, b, c) alone, and table keeps them, the quotients as lists in
-    Q^(g h), h = gcd(a, b), which each term adds at every h-th place of
-    its accumulator.  Only term i's shifts
+    (n, a, b, c) alone, the quotients as lists in Q^(g h), h = gcd(a,
+    b), which each term adds at every h-th place of its accumulator.
+    Only term i's shifts
     q^(alpha l x_i) = Q^(l s_i) depend on x_i, and top = max -n s_i.  So
     the rest, the guards' sums and the factor 1 + q^B included, is formed
     once per call.  weights[i] = (c_i, e_i) makes w_i = c_i Q^(e_i); with
@@ -995,23 +981,21 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, table: dict, outer, weig
     g = gcd(c, bots[0], *shifts, *(e for _, e in weights), *strides)
     a, b, c = a // g, bots[0] // g, c // g
     cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
-    if (n, a, b, c) not in table:
-        # every b + l a is a multiple of h = gcd(a, b), so P and its quotients are lists in Q^(g h)
-        h, prod = gcd(a, b), [1]
-        for e in bots:
-            prod = _times_binomial(prod, e // (g * h))
-        den = _stretch(prod, h)
-        for _ in range(n):
-            den = _times_binomial(den, c, -1)
-        table[n, a, b, c] = h, [_quo_binomial(prod, e // (g * h)) for e in bots], den
-    h, quotients, den = table[n, a, b, c]
+    # every b + l a is a multiple of h = gcd(a, b), so P and its quotients are lists in Q^(g h)
+    h, prod = gcd(a, b), [1]
+    for e in bots:
+        prod = _times_binomial(prod, e // (g * h))
+    quotients = [_quo_binomial(prod, e // (g * h)) for e in bots]
+    den = _stretch(prod, h)
+    for _ in range(n):
+        den = _times_binomial(den, c, -1)
     offsets = [[(e + top + l * s) // g for l in range(n + 1)] for (_, e), s in zip(weights, shifts)]
     acc = [0] * max(o + h * (len(quo) - 1) + 1 for offs in offsets for o, quo in zip(offs, quotients))
     for (cw, _), offs in zip(weights, offsets):
         for cl, quo, o in zip(cs, quotients, offs):
             f, end = cw * cl, o + h * len(quo)
             acc[o:end:h] = [x + f * y for x, y in zip(acc[o:end:h], quo)]
-    # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B); the lists in the table are copied, never changed
+    # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B)
     return _times_binomial(acc, b), [0] * (top // g) + den, g
 
 

@@ -156,11 +156,11 @@ def test_the_example_terms_differ_in_stride_and_shift():
     mode = SymbolicMode(2)
     fd = qeuler._fixed_denominator(mode)
     xs = [Fraction(0), Fraction(1, 2), Fraction(-3, 2)]
-    forms = [qeuler._closed_form_ints(2, 1, [x], fd, {}, fd) for x in xs]
+    forms = [qeuler._closed_form_ints(2, 1, [x], fd, fd) for x in xs]
     assert [(g, den.index(1) * g) for _, den, g in forms] == [(2, 0), (1, 0), (1, 6)]
     # together, over the least stride and the largest shift
     weights = [((-1) ** i, fd(1) * i) for i in range(len(xs))]
-    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, {}, fd, weights, strides=(fd(1),))
+    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, fd, weights, strides=(fd(1),))
     assert (g, den.index(1) * g) == (1, 6)
 
 

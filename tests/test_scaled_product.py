@@ -15,10 +15,12 @@ agree in type and message: S keeps E_n(y/d; q^d)'s own poles and its
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qde.catalog import check
+from qde.errors import PreconditionError
 from qde.padic import PadicConfig, PadicNum
 from qde.qeuler import (
     BaseLifted, PadicMode, RationalMode, SymbolicMode, compare_values, q_int, qeuler_poly, scaled_qeuler,
@@ -124,3 +126,13 @@ def test_recursion_gains_the_digits_the_product_lost():
     assert compare_values(mode, lhs, rhs) == {"padic_agreement": 29, "precision": 32}
     report = check("recursion", "corrected", {"m": 1, "a": 1, "N": 3, "p": 3, "alpha": 1}, mode)
     assert report.status == {"padic_agreement": 31, "precision": 32}
+
+
+@pytest.mark.parametrize("mode", [
+    SymbolicMode(), RationalMode(Fraction(1, 2)), PadicMode(PadicNum.from_rational(4, 3, 32), PadicConfig(3, 32)),
+], ids=["symbolic", "rational", "padic"])
+@pytest.mark.parametrize("d", [0, -1])
+def test_a_base_exponent_below_one_is_a_precondition_error(mode, d):
+    # checked before y / d is formed, so d = 0 is no ZeroDivisionError
+    with pytest.raises(PreconditionError, match=f"base exponent must be positive, got {d}$"):
+        scaled_qeuler(1, 1, 1, d, mode)
