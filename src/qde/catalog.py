@@ -2,32 +2,37 @@
 
 An entry names an identity's parameter keys, default sweep, variants,
 report labels and parameters, the symbolic scale a point needs, and a
-sides(point, variant, mode) function building both sides in any
-coefficient mode.  check() compares the sides and returns a report.
+function building both sides in any coefficient mode.  Its functions
+take the point's keys as keyword arguments: sides(variant, mode,
+**point), params(**point) and scale(**point).  check() compares the
+sides and returns a report.
 
 Checks return reports instead of asserting, so a variant that fails
 (several printed forms do) is data, not an error.  A point outside an
-identity's domain raises QdeError out of check().
+identity's domain raises QdeError out of check(); every entry tests its
+domain before it builds any value.
 
 Where two variants exist, "printed" is the identity as displayed in its
 source and "corrected" the derivation-consistent reading.  eq5/eq7 and
 eq8/recursion share one alternating residue sum, qeuler.residue_split,
 whose terms all have one denominator and are summed over it.  The
 paper states these relations for scaled values [d]^n E_n(y/d; q^d),
-and since [d]^n / (1 - q^(alpha d))^n = 1 / (1 - q^alpha)^n the kernels
-form them with no product (qeuler.scaled_qeuler, and a split at base
-q^d): only the division uses 1 - q^alpha, and a pole or exhausted
-precision of E_n(y/d; q^d) itself still raises.
+which the kernels form with no product (qeuler.scaled_qeuler, whose
+docstring gives the identity behind it, and a split at base q^d): only
+the division uses 1 - q^alpha, and a pole or exhausted precision of
+E_n(y/d; q^d) itself still raises.
 """
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .dedekind import DCParams, bracket_weighted_sum, padic_dc_sum, q_dc_sum
+from .dedekind import DCParams, _check_m_n_alpha, bracket_weighted_sum, padic_dc_sum, q_dc_sum
 from .errors import PreconditionError
-from .padic import is_odd_prime
+from .exact import as_int
+from .padic import require_odd_prime
 from .qeuler import (
     compare_values,
     q_int,
@@ -38,7 +43,7 @@ from .qeuler import (
     root_mode,
     scaled_qeuler,
 )
-from .reports import IdentityReport, timed_report
+from .reports import IdentityReport
 
 BOTH = ("printed", "corrected")
 
@@ -46,25 +51,25 @@ BOTH = ("printed", "corrected")
 THEOREM1_READINGS = {"printed": "interpolated_printed", "corrected": "interpolated"}
 
 
-def _x_denominator(point: dict) -> int:
-    return Fraction(point.get("x", 0)).denominator
+def _x_denominator(x=0, **_) -> int:
+    return Fraction(x).denominator
 
 
 @dataclass(frozen=True)
 class Identity:
     """One catalogued relation.
 
-    params maps a point to its report parameters (the mode description
-    is added by check()); None reports the point's keys as they are.
-    labels renames a variant in reports.  scale gives the smallest
-    symbolic substitution exponent the point's exponents need.
+    params maps a point's keys to its report parameters (the mode
+    description is added by check()); the default reports the keys as
+    they are.  labels renames a variant in reports.  scale gives the
+    smallest symbolic substitution exponent the point's exponents need.
     """
 
     keys: tuple
     defaults: dict
     sides: Callable
     variants: tuple = BOTH
-    params: Callable = None
+    params: Callable = dict
     labels: dict = field(default_factory=dict)
     scale: Callable = _x_denominator
 
@@ -72,20 +77,14 @@ class Identity:
         return self.labels.get(variant, variant)
 
 
-def _integral(x):
+def _eq4(variant, mode, n, alpha, x):
     # the command line reads x as a Fraction; the additive form wants ints
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else x
-
-
-def _eq4(pt, variant, mode):
-    n, alpha, x = pt["n"], pt["alpha"], _integral(pt["x"])
+    x = as_int(x)
     return qeuler_poly(n, alpha, x, mode), qeuler_poly_additive(n, alpha, x, mode)
 
 
-def _numbers(pt, variant, mode):
+def _numbers(variant, mode, n, alpha):
     # the closed form at x = 0 against the fermionic recurrence's table
-    n, alpha = pt["n"], pt["alpha"]
     return qeuler_poly(n, alpha, 0, mode), qeuler_numbers(n, alpha, mode)[n]
 
 
@@ -98,14 +97,13 @@ def _distribution(lift_printed: bool):
     residue_split); printed eq5 splits at base q and multiplies by [d]^n.
     """
 
-    def sides(pt, variant, mode):
-        n, alpha, x, d = pt["n"], pt["alpha"], Fraction(pt["x"]), pt["d"]
-        lhs = qeuler_poly(n, alpha, x, mode)
+    def sides(variant, mode, n, alpha, x, d):
         if d < 1 or d % 2 == 0:
             raise PreconditionError(f"modulus must be odd and positive, got {d}")
+        lhs = qeuler_poly(n, alpha, x, mode)
         corrected = variant == "corrected"
         base = d if corrected or lift_printed else 1
-        xs = [(x + a) / d for a in range(d)]
+        xs = [(x + a) / Fraction(d) for a in range(d)]
         rhs = residue_split(mode, base, n, alpha, xs, 1, corrected)
         # the split has [base]^n in it; printed eq5 splits at base q, so [d]^n is a factor there
         return lhs, rhs if base == d else q_int(d, alpha, mode) ** n * rhs
@@ -126,30 +124,26 @@ def _shifted(reduce: bool):
     stay.
     """
 
-    def sides(pt, variant, mode):
-        m, a, n, p, alpha = pt["m"], pt["a"], pt["N"], pt["p"], pt["alpha"]
-        if not is_odd_prime(p):
-            raise PreconditionError(f"p must be an odd prime, got {p}")
+    def sides(variant, mode, m, a, N, p, alpha):
+        require_odd_prime(p)
         if reduce:
-            if n % p != 0:
-                raise PreconditionError(f"need p = {p} dividing N = {n}")
+            if N % p != 0:
+                raise PreconditionError(f"need p = {p} dividing N = {N}")
             if gcd(a, p) != 1:
                 raise PreconditionError(f"a = {a} must be a unit mod p = {p}")
-            if m < 0 or n < 1 or alpha < 1:
-                raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n} alpha={alpha}")
-            a %= n
-        elif m < 0 or a < 1 or n < 1:
-            raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n}")
-        xs = [Fraction(a + i * n, n * p) for i in range(p)]
-        return scaled_qeuler(m, alpha, a, n, mode), residue_split(mode, n * p, m, alpha, xs, n, variant == "corrected")
+            _check_m_n_alpha(m, N, alpha)
+            a %= N
+        elif m < 0 or a < 1 or N < 1:
+            raise PreconditionError(f"need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={N}")
+        xs = [Fraction(a + i * N, N * p) for i in range(p)]
+        return scaled_qeuler(m, alpha, a, N, mode), residue_split(mode, N * p, m, alpha, xs, N, variant == "corrected")
 
     return sides
 
 
-def _eq6(pt, variant, mode):
+def _eq6(variant, mode, m, h, k, alpha, p):
     # [k]^(m+1) J(h,k; base k) against bracket-weighted naive values; exact
     # in every mode under p | k, every hM a unit mod p, p - 1 | m + 1
-    m, h, k, alpha, p = pt["m"], pt["h"], pt["k"], pt["alpha"], pt["p"]
     DCParams(h=h, k=k, m=m, alpha=alpha, l=k, p=p)
     if k % p != 0:
         raise PreconditionError(f"need p = {p} dividing k = {k}")
@@ -162,14 +156,13 @@ def _eq6(pt, variant, mode):
     return lhs, bracket_weighted_sum(m, h, k, alpha, "naive", mode)
 
 
-def _theorem1(pt, variant, mode):
+def _theorem1(variant, mode, m, h, k, alpha, p):
     """Interpolated sum against [k]^(m+1) J(h,k; base k) - [k]^m [kp] J(h',k; base pk).
 
     h' is the p-inverse of h mod k.  Exact in rational and symbolic
     modes with the corrected reading; the printed normalization drifts
     for m >= 2.
     """
-    m, h, k, alpha, p = pt["m"], pt["h"], pt["k"], pt["alpha"], pt["p"]
     lhs = padic_dc_sum(m, h, k, alpha, p, mode, THEOREM1_READINGS[variant])
     if k == 1:
         return lhs, mode.from_rational(0)
@@ -191,16 +184,16 @@ CATALOG = {
         defaults={"n": list(range(7)), "alpha": [1, 2, 3], "x": [0, 1, 2, 3]},
         sides=_eq4,
         variants=("printed",),
-        params=lambda pt: {"n": pt["n"], "alpha": pt["alpha"], "x": _integral(pt["x"])},
+        params=lambda n, alpha, x: {"n": n, "alpha": alpha, "x": as_int(x)},
     ),
     "eq5": Identity(
         keys=_SPLIT_KEYS,
         defaults=_SPLIT_DEFAULTS,
         sides=_distribution(lift_printed=False),
-        params=lambda pt: {"n": pt["n"], "alpha": pt["alpha"], "x": Fraction(pt["x"]), "d": pt["d"]},
+        params=lambda n, alpha, x, d: {"n": n, "alpha": alpha, "x": Fraction(x), "d": d},
         # the printed inner values stay at base q, so the shifted
         # arguments (x+a)/d need a factor d on top of x's denominator
-        scale=lambda pt: _x_denominator(pt) * max(pt["d"], 1),
+        scale=lambda x, d, **_: _x_denominator(x) * max(d, 1),
     ),
     "eq6": Identity(
         keys=("m", "h", "k", "alpha", "p"),
@@ -212,9 +205,7 @@ CATALOG = {
         keys=_SPLIT_KEYS,
         defaults=_SPLIT_DEFAULTS,
         sides=_distribution(lift_printed=True),
-        params=lambda pt: {
-            "power": pt["n"], "modulus": pt["d"], "alpha": pt["alpha"], "x": Fraction(pt["x"]),
-        },
+        params=lambda n, alpha, x, d: {"power": n, "modulus": d, "alpha": alpha, "x": Fraction(x)},
     ),
     "eq8": Identity(
         keys=_SHIFT_KEYS,
@@ -231,7 +222,7 @@ CATALOG = {
         keys=_SHIFT_KEYS,
         defaults={"m": [0, 1, 2], "a": [1, 2], "N": [3], "p": [3], "alpha": [1]},
         sides=_shifted(reduce=True),
-        params=lambda pt: dict({k: pt[k] for k in _SHIFT_KEYS}, index_count=pt["p"]),
+        params=lambda p, **pt: dict(pt, p=p, index_count=p),
     ),
     "theorem1": Identity(
         keys=("m", "h", "k", "alpha", "p"),
@@ -244,8 +235,7 @@ CATALOG = {
 
 def report_params(identity: str, point: dict, mode) -> dict:
     """A point's report parameters (Fractions as strings) and mode, alike for a result and an error."""
-    entry = CATALOG[identity]
-    params = entry.params(point) if entry.params else {k: point[k] for k in entry.keys}
+    params = CATALOG[identity].params(**point)
     params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
     params["mode"] = root_mode(mode).describe()
     return params
@@ -262,7 +252,7 @@ def check(identity: str, variant: str, point: dict, mode) -> IdentityReport:
     entry = CATALOG[identity]
     if variant not in entry.variants:
         raise PreconditionError(f"identity {identity} has no {variant!r} form")
-    return timed_report(
-        identity, entry.label(variant), report_params(identity, point, mode),
-        lambda: compare_values(mode, *entry.sides(point, variant, mode)),
-    )
+    params = report_params(identity, point, mode)
+    t0 = time.perf_counter()
+    status = compare_values(mode, *entry.sides(variant, mode, **point))
+    return IdentityReport(identity, entry.label(variant), params, status, int((time.perf_counter() - t0) * 1000))

@@ -36,7 +36,7 @@ from .dedekind import dc_sum
 from .errors import QdeError
 from .exact import format_rational, parse_rational
 from .oracle import IntegrandSpec, convergence_profile
-from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, is_odd_prime
+from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, require_odd_prime
 from .qeuler import PadicMode, RationalMode, SymbolicMode, euler_classical, qeuler_poly, root_mode, serialize_value
 from .ratfunc import RatFunc
 from .reports import IdentityReport
@@ -85,6 +85,15 @@ def _positive_int(text: str, what: str) -> int:
     return n
 
 
+def _odd_prime(p: int) -> int:
+    """p where it is an odd prime; elsewhere padic's own message, as a usage error."""
+    try:
+        require_odd_prime(p)
+    except QdeError as exc:
+        raise UsageError(str(exc))
+    return p
+
+
 def parse_mode(text: str):
     """Mode selector: 'symbolic[:scale=S]' | 'rational:q=V' | 'padic:p=P[,K=..][,q=..]'.
 
@@ -104,9 +113,7 @@ def parse_mode(text: str):
     elif head == "padic":
         if "p" not in opts:
             raise UsageError("padic mode needs p=, e.g. padic:p=3,K=32,q=1+p")
-        p = _positive_int(opts.pop("p"), "p")
-        if not is_odd_prime(p):
-            raise UsageError(f"p must be an odd prime, got {p}")
+        p = _odd_prime(_positive_int(opts.pop("p"), "p"))
         if "K" in opts:
             kdigits = _positive_int(opts.pop("K"), "K")
         else:
@@ -406,7 +413,7 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
 
     reports = []
     for point in points:
-        mode = make_mode(parsed_mode, entry.scale(point))
+        mode = make_mode(parsed_mode, entry.scale(**point))
         for v in variants:
             try:
                 reports.append(check(identity, v, point, mode))
@@ -431,8 +438,7 @@ def cmd_verify(identity, variant, params_text, mode_text, out_path):
          level=dict(type=_int_range(1), default=4, help="profile levels 1..LEVEL"))
 def cmd_oracle(integrand, p, q_text, level):
     """Riemann-sum convergence profile against the closed form."""
-    if not is_odd_prime(p):
-        raise UsageError(f"p must be an odd prime, got {p}")
+    _odd_prime(p)
     spec = parse_integrand(integrand)
     q0 = _parse_q_spec(q_text, p)
     try:

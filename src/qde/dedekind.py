@@ -12,8 +12,9 @@ q^(alpha l))^m (1 - q^(alpha k)), and bracket_weighted_sum (so
 padic_dc_sum) is weighted_scaled_sum, over P_kp (1 - q^alpha)^(m+1)
 [p]^(m-1), P_B = prod_l (1 + q^((alpha l + 1) B)).  interp_value's
 interpolated readings are weighted_scaled_sum's one-term case, and its
-naive reading is scaled_qeuler; it and bracket_weighted_sum check their
-parameters with one helper (_residues).  The two kernels stay separate
+naive reading is scaled_qeuler, a scaled value formed with no product
+(see there); it and bracket_weighted_sum check their parameters with
+one helper (_residues).  The two kernels stay separate
 formulations: eq6 compares [k]^(m+1) q_dc_sum with the naive
 bracket-weighted sum, and theorem1 the interpolated one with two
 q_dc_sum values.
@@ -35,6 +36,7 @@ from .padic import (
     is_odd_prime,
     normalized_bracket,
     q_pow,
+    require_odd_prime,
     teichmuller_inverse,
 )
 from .qeuler import (
@@ -77,8 +79,8 @@ class DCParams:
             raise PreconditionError(f"weight alpha must be >= 1, got {self.alpha}")
         if self.l < 1:
             raise PreconditionError(f"base exponent l must be >= 1, got {self.l}")
-        if self.p is not None and not is_odd_prime(self.p):
-            raise PreconditionError(f"p must be an odd prime, got {self.p}")
+        if self.p is not None:
+            require_odd_prime(self.p)
 
     def require_interpolation_domain(self):
         """Constraints under which the p-adic interpolation is used."""
@@ -124,15 +126,14 @@ def interp_value(m: int, a: int, n_mod: int, variant: str, mode, *, alpha: int =
     the p-inverted residue; "interpolated" scales it by [N]^(m-1) [Np]
     (ratio [Np]/[N] when m = 0), "interpolated_printed" by [Np]^m.
 
-    The naive reading is qeuler.scaled_qeuler: since [d]^m / (1 - q^(alpha
-    d))^m = 1 / (1 - q^alpha)^m, a term [d]^m E_m(y/d; q^d) is formed over
-    (1 - q^alpha)^m with no product, only the division using 1 - q^alpha.
-    An interpolated reading is bracket_weighted_sum's kernel,
-    qeuler.weighted_scaled_sum, at its one term M = 1, where [1] = 1: the
-    "interpolated" second term is S(m, a_inv p, Np) / [p]^(m-1), formed
-    over the same denominator as the first.  The parameters are checked
-    as bracket_weighted_sum checks them, p after the residue and before
-    any term is formed.
+    The naive reading is qeuler.scaled_qeuler: a term [d]^m E_m(y/d; q^d)
+    is formed over (1 - q^alpha)^m with no product, only the division
+    using 1 - q^alpha (scaled_qeuler says why).  An interpolated reading
+    is bracket_weighted_sum's kernel, qeuler.weighted_scaled_sum, at its
+    one term M = 1, where [1] = 1: the "interpolated" second term is S(m,
+    a_inv p, Np) / [p]^(m-1), formed over the same denominator as the
+    first.  The parameters are checked as bracket_weighted_sum checks
+    them, p after the residue and before any term is formed.
     """
     firsts, seconds = _residues(variant, m, n_mod, alpha, [a], p)
     if seconds is None:
@@ -148,8 +149,7 @@ def _residues(variant: str, m: int, n_mod: int, alpha: int, values: list, p: int
     """
     if variant not in INTEGER_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
-    if m < 0 or n_mod < 1 or alpha < 1:
-        raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n_mod} alpha={alpha}")
+    _check_m_n_alpha(m, n_mod, alpha)
     firsts = [a % n_mod for a in values]
     for a, r in zip(values, firsts):
         if not r:
@@ -161,6 +161,11 @@ def _residues(variant: str, m: int, n_mod: int, alpha: int, values: list, p: int
     if gcd(p, n_mod) != 1:
         raise PreconditionError(f"p = {p} must be invertible mod N = {n_mod}")
     return firsts, [pow(p, -1, n_mod) * r % n_mod for r in firsts]
+
+
+def _check_m_n_alpha(m: int, n_mod: int, alpha: int) -> None:
+    if m < 0 or n_mod < 1 or alpha < 1:
+        raise PreconditionError(f"need m >= 0, N >= 1, alpha >= 1, got m={m} N={n_mod} alpha={alpha}")
 
 
 def interp_series(s, a: int, n_mod: int, j_trunc: int, alpha: int, q: PadicNum, cfg: PadicConfig) -> PadicNum:

@@ -2,11 +2,26 @@
 
 Integers are plain ``int``; rationals are ``fractions.Fraction``, which
 already enforces the canonical form (reduced, positive denominator) on
-construction.  The helpers below add the floor split and the one string
-format the rest of the package relies on.
+construction.  The helpers below add the floor split, the one string
+format the rest of the package relies on, the int view of an integral
+rational, and the one base of the immutable value types.
 """
 
 from fractions import Fraction
+
+
+class Frozen:
+    """A value that refuses attribute writes; a subclass sets its __slots__ with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def as_int(x):
+    """An int or an integral Fraction as an int, any other Fraction as it is, so exponents stay ints where they can."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def frac_floor_parts(x: Fraction) -> tuple[int, Fraction]:

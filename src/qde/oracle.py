@@ -13,8 +13,9 @@ from fractions import Fraction
 from math import inf
 
 from .errors import PoleError, PreconditionError, ResourceLimitError
+from .exact import as_int
 from .padic import PadicNum, rational_valuation
-from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, _ints, measure, qeuler_poly
+from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, _geometric, _ints, measure, qeuler_poly
 from .qeuler import resolve_prime, root_mode
 from .ratfunc import RatFunc, _guard_degree, _poly
 
@@ -73,7 +74,7 @@ def _integrand(f: IntegrandSpec, lifted):
     if f.n == 0:
         return lambda a: one
     # an integral x keeps the exponents below ints
-    x = f.x.numerator if f.x.denominator == 1 else f.x
+    x = as_int(f.x)
     den = one - lifted.q_power(f.alpha)
     if den != 0:
         return lambda a: ((one - lifted.q_power(f.alpha * (x + a))) / den) ** f.n
@@ -114,7 +115,7 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
     value = _integrand(f, lifted)
     fd = _fixed_denominator(lifted) if f.kind == "q_power" and f.e >= -1 else None
     iv = _ints(lifted) if root_mode(mode).kind == "rational" else None
-    ints = iv and _rational_terms(f, iv.power)
+    ints = iv and _rational_terms(f, iv)
     total, acc, h = mode.from_rational(0), [], 0
     start = 0
     for n in sorted(set(levels)):
@@ -139,8 +140,9 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
         yield n, total * measure(0, n, lifted, p).value
 
 
-def _rational_terms(f: IntegrandSpec, power):
-    """(c, w, t) for power from _ints at a rational q: sum_{a<N} (-1)^a q^a f(a) = sum_{a<N} t_a w^(N-1-a) / (c w^(N-1))."""
+def _rational_terms(f: IntegrandSpec, iv):
+    """(c, w, t) for iv from _ints at a rational q: sum_{a<N} (-1)^a q^a f(a) = sum_{a<N} t_a w^(N-1-a) / (c w^(N-1))."""
+    power = iv.power
     if f.kind == "bracket_power" and (f.x.denominator != 1 or f.x < 0):
         return None  # q^(alpha (x + a)) may fail for such an x: the generic loop runs
     if f.kind == "q_power":
@@ -154,7 +156,7 @@ def _rational_terms(f: IntegrandSpec, power):
 
     def terms():
         # the ints t_a: (-s)^a and [x + a] = g / d^(x + a) with q^alpha = r/d, p = r^(x + a)
-        t, g, p = 1, sum(r**i * d ** (x - i) for i in range(x)), r**x
+        t, g, p = 1, _geometric(r, d, x, iv.red), r**x
         while True:
             yield t * g**n
             t, g, p = -t * s, (g + p) * d, p * r

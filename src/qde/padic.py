@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import inf, isqrt
 
 from .errors import ConvergenceError, PrecisionError, PreconditionError
+from .exact import Frozen
 
 DEFAULT_PRECISION = 32
 
@@ -39,6 +40,21 @@ def is_odd_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    if not is_odd_prime(p):
+        raise PreconditionError(f"p must be an odd prime, got {p}")
+
+
+def _require_precision(prec: int) -> None:
+    if prec < 1:
+        raise PreconditionError(f"precision must be >= 1, got {prec}")
+
+
+def _one_unit(q: "PadicNum", p: int) -> bool:
+    """v_p(1 - q) >= 1: q is a unit = 1 mod p; a zero of either kind is not one, O(p^0) included."""
+    return q.val == 0 and q.unit % p == 1
 
 
 def _vp(n: int, p: int) -> int:
@@ -70,13 +86,11 @@ class PadicConfig:
     prec: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise PreconditionError(f"p must be an odd prime, got {self.p}")
-        if self.prec < 1:
-            raise PreconditionError(f"precision must be >= 1, got {self.prec}")
+        require_odd_prime(self.p)
+        _require_precision(self.prec)
 
 
-class PadicNum:
+class PadicNum(Frozen):
     """One p-adic number at a tracked precision.
 
     The constructor normalizes: the unit is reduced mod p^prec, any
@@ -108,9 +122,6 @@ class PadicNum:
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicNum is immutable")
 
     @classmethod
     def _unit(cls, p: int, val: int, unit: int, prec: int) -> "PadicNum":
@@ -150,8 +161,7 @@ class PadicNum:
         x = Fraction(x)
         if x == 0:
             return cls.zero(p)
-        if prec < 1:
-            raise ValueError("nonzero value needs precision >= 1")
+        _require_precision(prec)
         return cls._exact(p, x.numerator, x.denominator, prec)
 
     @property
@@ -234,10 +244,8 @@ class PadicNum:
             return PadicNum.approx_zero(self.p, n)
         a = 0 if self.unit == 0 else self.unit * self.p ** (self.val - m)
         b = 0 if other.unit == 0 else other.unit * other.p ** (other.val - m)
-        s = (a + b) % self.p**width
-        if s == 0:
-            return PadicNum.approx_zero(self.p, n)
-        return PadicNum(self.p, m, s, width)
+        # a sum that cancels to width digits is the constructor's O(p^n)
+        return PadicNum(self.p, m, (a + b) % self.p**width, width)
 
     __radd__ = __add__
 
@@ -443,8 +451,7 @@ def normalized_bracket(x: int, q: PadicNum, alpha: int, cfg: PadicConfig) -> Pad
         raise PreconditionError(f"{x} is not a unit mod {cfg.p}")
     if alpha < 1:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
-    # v_p(1 - q) >= 1 for a unit q = 1 mod p; a zero of either kind is not one, O(p^0) included
-    if q.val != 0 or q.unit % cfg.p != 1:
+    if not _one_unit(q, cfg.p):
         raise ConvergenceError(f"normalized_bracket needs v_{cfg.p}(1 - q) >= 1")
     one = PadicNum.from_rational(1, cfg.p, cfg.prec)
     num = one - q ** (alpha * x)

@@ -53,17 +53,14 @@ gives.  The recurrence takes one modular inverse per table
 P (1 - q^alpha)^n, are formed once per call, after the degree guard.
 
 The paper states its distribution and interpolation relations for
-scaled values S(n, y, d) = [d]^n E_n(y/d; q^d) (scaled_qeuler), [d]
-the weight-alpha q-integer.  Since [d]^n / (1 - q^(alpha d))^n = 1 /
-(1 - q^alpha)^n, S is the closed form at base q^d with (1 - q^alpha)^n
-in its denominator in place of (1 - q^(alpha d))^n, and needs no
-product.  Only that division uses 1 - q^alpha: E_n(y/d; q^d)'s own
-pole or 1 - q^(alpha d) zero to working precision still raises, and at
-a p-adic q S keeps the n v_p(d) digits a product would lose.  The
-residue splits of eq5/eq7/eq8/recursion (residue_split) add scaled
-values [B]^n E_n(x_i; q^B) that all have one denominator, P (1 -
-q^alpha)^n with P = prod_l (1 + q^((alpha l + 1) B)), since it depends
-on n, alpha and B alone.  So their numerators are summed over it and
+scaled values S(n, y, d) = [d]^n E_n(y/d; q^d), [d] the weight-alpha
+q-integer.  S is the closed form at base q^d with (1 - q^alpha)^n in
+its denominator and needs no product; scaled_qeuler states the identity
+that allows this, and which errors and digits it keeps.  The residue
+splits of eq5/eq7/eq8/recursion (residue_split) add scaled values
+[B]^n E_n(x_i; q^B) that all have one denominator, P (1 - q^alpha)^n
+with P = prod_l (1 + q^((alpha l + 1) B)), since it depends on n,
+alpha and B alone.  So their numerators are summed over it and
 the sum is finished once per mode: one Fraction, one PadicNum from one
 modular inverse at a p-adic q, one RatFunc in symbolic mode.  In every
 mode S is the split's one-term case, with no weight and no ratio
@@ -128,12 +125,12 @@ from itertools import accumulate, repeat
 from operator import add, mul, pos, sub
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
-from .exact import format_rational, frac_floor_parts
-from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _root, _vp, q_pow
+from .exact import Frozen, as_int, format_rational, frac_floor_parts
+from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _one_unit, _root, _vp, q_pow
 from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod, _stretch
 
 
-class RationalMode:
+class RationalMode(Frozen):
     """Evaluate with q fixed at an exact rational number."""
 
     kind = "rational"
@@ -141,9 +138,6 @@ class RationalMode:
 
     def __init__(self, q0):
         object.__setattr__(self, "q0", Fraction(q0))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMode is immutable")
 
     def q_power(self, e):
         return self.q0 ** self._exponent(e)
@@ -165,7 +159,7 @@ class RationalMode:
         return {"mode": "rational", "q": format_rational(self.q0)}
 
 
-class SymbolicMode:
+class SymbolicMode(Frozen):
     """Evaluate with q as an indeterminate.
 
     The result variable Q satisfies q = Q^scale.  Equality of values
@@ -180,9 +174,6 @@ class SymbolicMode:
         if scale < 1:
             raise PreconditionError(f"scale must be a positive integer, got {scale}")
         object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicMode is immutable")
 
     def q_power(self, e) -> RatFunc:
         return RatFunc.monomial(self._exponent(e))
@@ -212,7 +203,7 @@ class SymbolicMode:
         return {"mode": "symbolic", "scale": self.scale}
 
 
-class PadicMode:
+class PadicMode(Frozen):
     """Evaluate with q a p-adic number satisfying v_p(1 - q) >= 1."""
 
     kind = "padic"
@@ -221,14 +212,10 @@ class PadicMode:
     def __init__(self, q: PadicNum, cfg: PadicConfig):
         if q.p != cfg.p:
             raise PreconditionError(f"q lives at p = {q.p} but the config says {cfg.p}")
-        # v_p(1 - q) >= 1 for a unit q = 1 mod p; a zero of either kind is not one, O(p^0) included
-        if q.val != 0 or q.unit % cfg.p != 1:
+        if not _one_unit(q, cfg.p):
             raise PreconditionError(f"padic mode needs v_{cfg.p}(1 - q) >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfg", cfg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicMode is immutable")
 
     def q_power(self, e) -> PadicNum:
         try:
@@ -245,7 +232,7 @@ class PadicMode:
         return {"mode": "padic", "p": self.cfg.p, "precision": self.cfg.prec, "q": qj}
 
 
-class BaseLifted:
+class BaseLifted(Frozen):
     """A mode viewed at base q^base: every exponent is multiplied by base."""
 
     __slots__ = ("inner", "base")
@@ -259,24 +246,23 @@ class BaseLifted:
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "base", base)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BaseLifted is immutable")
-
     def q_power(self, e):
         if type(e) is int:
             return self.inner.q_power(e * self.base)
-        e = Fraction(e) * self.base
-        return self.inner.q_power(e.numerator if e.denominator == 1 else e)
+        return self.inner.q_power(as_int(Fraction(e) * self.base))
 
     def from_rational(self, c):
         return self.inner.from_rational(c)
 
 
+def _root_base(mode) -> tuple:
+    """The mode under a BaseLifted wrapper and its base; BaseLifted flattens nested wrappers, so one step reaches it."""
+    return (mode.inner, mode.base) if isinstance(mode, BaseLifted) else (mode, 1)
+
+
 def root_mode(mode):
-    """Strip BaseLifted wrappers."""
-    while isinstance(mode, BaseLifted):
-        mode = mode.inner
-    return mode
+    """Strip the BaseLifted wrapper."""
+    return _root_base(mode)[0]
 
 
 @dataclass(frozen=True)
@@ -423,9 +409,8 @@ def qeuler_poly(n: int, alpha: int, x, mode):
     q-Euler number, and the factor q^0 is not multiplied in.
     """
     _check_n_alpha(n, alpha)
-    x = Fraction(x)
     # [1]^n = 1: the scaled value at base q; an integral x keeps every exponent below an int
-    return _scaled(mode, 1, n, alpha, [x.numerator if x.denominator == 1 else x])
+    return _scaled(mode, 1, n, alpha, [as_int(Fraction(x))])
 
 
 def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
@@ -433,16 +418,17 @@ def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
 
     Since [d]^n / (1 - q^(alpha d))^n = 1 / (1 - q^alpha)^n, this is
     qeuler_poly's closed form at base q^d with (1 - q^alpha)^n in its
-    denominator, formed with no product: the one-term case of
-    residue_split, with no weight and no ratio.  Only the division uses
-    1 - q^alpha; where E_n(y/d; q^d) has a pole, or its 1 - q^(alpha d)
-    is zero to working precision, this raises what qeuler_poly raises.
+    denominator in place of (1 - q^(alpha d))^n, formed with no product:
+    the one-term case of residue_split, with no weight and no ratio.
+    Only the division uses 1 - q^alpha; where E_n(y/d; q^d) has a pole,
+    or its 1 - q^(alpha d) is zero to working precision, this raises
+    what qeuler_poly raises, and at a p-adic q it keeps the n v_p(d)
+    digits that multiplying by [d]^n would lose.
     """
     _check_n_alpha(n, alpha)
     if d < 1:
         raise PreconditionError(f"base exponent must be positive, got {d}")
-    x = Fraction(y) / d
-    return _scaled(mode, d, n, alpha, [x.numerator if x.denominator == 1 else x])
+    return _scaled(mode, d, n, alpha, [as_int(Fraction(y) / d)])
 
 
 def qeuler_numbers(top: int, alpha: int, mode) -> list:
@@ -657,9 +643,9 @@ def residue_split(mode, base: int, n: int, alpha: int, xs: list, step: int, corr
     """[base]^n (1+q^step)/(1+q^(step count)) * sum_{i<count} (-1)^i w_i E_n(x_i; q^base), count = len(xs).
 
     [base] is the weight-alpha q-integer, and [base]^n E_n(x_i; q^base)
-    is E_n's closed form over (1 - q^alpha)^n in place of (1 - q^(alpha
-    base))^n, since [base]^n / (1 - q^(alpha base))^n = 1 / (1 -
-    q^alpha)^n; only that division uses 1 - q^alpha.  The weight w_i is
+    is a scaled value, E_n's closed form over (1 - q^alpha)^n in place of
+    (1 - q^(alpha base))^n (scaled_qeuler says why); only that division
+    uses 1 - q^alpha.  The weight w_i is
     q^(step i) in the corrected reading and 1 in the printed one.  Every
     term has the one denominator D = P (1 - q^alpha)^n, P = prod_l (1 +
     q^((alpha l + 1) base)), since D depends on n, alpha and the base
@@ -899,15 +885,14 @@ def _ints(mode, capped: bool = True):
     The precision is q's absolute one, capped at K where the kernel adds
     the K-digit one; for a q known to at most K digits the two agree.
     """
-    # BaseLifted flattens nested wrappers, so one step reaches the root
-    root, base = (mode.inner, mode.base) if isinstance(mode, BaseLifted) else (mode, 1)
+    root, base = _root_base(mode)
     prec = None if root.kind == "rational" else min(root.q.abs_prec, root.cfg.prec if capped else inf)
     return _Ints(root, base, prec)
 
 
 def _fixed_denominator(mode):
     """For a symbolic mode, e -> k with mode.q_power(e) = Q^k, raising what q_power raises; else None."""
-    root, base = root_mode(mode), mode.base if isinstance(mode, BaseLifted) else 1
+    root, base = _root_base(mode)
     return (lambda e: root._exponent(e * base)) if root.kind == "symbolic" else None
 
 
@@ -943,8 +928,8 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, outer, weights: list = N
     with fd as outer the terms are E_n(x_i; q^B) (weighted_euler_sum).
     In Q^g every term is over Q^top D, D = P (1 - Q^c)^n,
     P = prod_l (1 + Q^(b + l a)), q^(alpha B) = Q^(g a), q^B = Q^(g b) and
-    q^alpha = Q^(g c), as [B]^n / (1 - q^(alpha B))^n = 1 / (1 -
-    q^alpha)^n; so the quotients P / (1 + Q^(b + l a)) and D depend on
+    q^alpha = Q^(g c), as a scaled value's denominator (scaled_qeuler);
+    so the quotients P / (1 + Q^(b + l a)) and D depend on
     (n, a, b, c) alone, the quotients as lists in Q^(g h), h = gcd(a,
     b), which each term adds at every h-th place of its accumulator.
     Only term i's shifts

@@ -78,7 +78,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PoleError, ResourceLimitError
-from .exact import format_rational
+from .exact import Frozen, format_rational
 
 MAX_DEGREE = 100_000
 # shortest operand length at which Kronecker substitution takes over from the
@@ -96,7 +96,7 @@ def _guard_degree(d: int) -> None:
         raise ResourceLimitError(f"polynomial degree {d} exceeds limit {MAX_DEGREE}")
 
 
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial over the rationals, coefficients ascending.
 
     Stored as integer numerators over one positive common denominator
@@ -109,9 +109,6 @@ class Poly:
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -534,7 +531,7 @@ _POLY_ONE = Poly.one()
 _POLY_ZERO = Poly.zero()
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Fraction of two Poly values with a monic denominator, reduced on demand.
 
     Arithmetic cancels only the common factors that need no GCDHEU (see
@@ -551,9 +548,6 @@ class RatFunc:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in rational function")
         self._put(num, den, False)._settle(False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     def _put(self, num: Poly, den: Poly, red: bool) -> "RatFunc":
         object.__setattr__(self, "_n", num)

@@ -11,7 +11,6 @@ determinism comparison.
 """
 
 import json
-import time
 from dataclasses import dataclass
 
 # one encoder for every line: json.dumps with these options builds a new one per call
@@ -54,11 +53,3 @@ class IdentityReport:
 
     def json_line(self) -> str:
         return _ENCODER.encode(self.to_json())
-
-
-def timed_report(identity: str, variant: str, params: dict, compute_status) -> IdentityReport:
-    """Run compute_status() and package the result with wall time."""
-    t0 = time.perf_counter()
-    status = compute_status()
-    ms = int((time.perf_counter() - t0) * 1000)
-    return IdentityReport(identity, variant, dict(params), status, ms)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qde.catalog import check
+from qde.catalog import CATALOG, check
 from qde.dedekind import (
     DCParams,
     dc_sum,
@@ -339,12 +339,18 @@ class TestRecursion:
             assert "fail" in r.status
 
     def test_prime_must_divide_modulus(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^need p = 3 dividing N = 2$"):
             check("recursion", "corrected", {"m": 1, "a": 1, "N": 2, "p": 3, "alpha": 1}, SYM)
 
     def test_residue_must_be_unit(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^a = 3 must be a unit mod p = 3$"):
             check("recursion", "corrected", {"m": 1, "a": 3, "N": 3, "p": 3, "alpha": 1}, SYM)
+
+    @pytest.mark.parametrize("m,n,alpha", [(-1, 3, 1), (1, 0, 1), (1, -3, 1), (1, 3, 0)])
+    def test_degree_modulus_and_weight(self, m, n, alpha):
+        message = rf"^need m >= 0, N >= 1, alpha >= 1, got m={m} N={n} alpha={alpha}$"
+        with pytest.raises(PreconditionError, match=message):
+            check("recursion", "corrected", {"m": m, "a": 1, "N": n, "p": 3, "alpha": alpha}, SYM)
 
 
 class TestExpansion:
@@ -359,16 +365,20 @@ class TestExpansion:
         assert r.status == "exact"
 
     def test_prime_must_divide_k(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^need p = 3 dividing k = 4$"):
             check("eq6", "printed", {"m": 1, "h": 1, "k": 4, "alpha": 1, "p": 3}, SYM)
 
     def test_degree_congruence(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^need m \+ 1 divisible by p - 1, got m=2 p=3$"):
             check("eq6", "printed", {"m": 2, "h": 1, "k": 3, "alpha": 1, "p": 3}, SYM)
 
     def test_all_terms_must_be_units(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^p = 3 divides h\*M at M = 3$"):
             check("eq6", "printed", {"m": 1, "h": 1, "k": 6, "alpha": 1, "p": 3}, SYM)
+
+    def test_h_and_k_must_be_coprime(self):
+        with pytest.raises(PreconditionError, match=r"^h = 3 and k = 6 must be coprime$"):
+            check("eq6", "printed", {"m": 1, "h": 3, "k": 6, "alpha": 1, "p": 3}, SYM)
 
     @pytest.mark.parametrize("h,k,p", [(1, 6, 3), (5, 9, 3), (2, 15, 5), (7, 15, 3), (3, 10, 5)])
     def test_first_non_unit_term_is_at_p(self, h, k, p):
@@ -395,7 +405,7 @@ class TestSplitting:
         assert r.status == "exact"
 
     def test_integral_split_even_modulus(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^modulus must be odd and positive, got 2$"):
             check("eq7", "corrected", {"n": 1, "d": 2, "alpha": 1, "x": 0}, SYM)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -409,8 +419,50 @@ class TestSplitting:
         assert "fail" in r.status
 
     def test_shifted_split_rejects_even_p(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^p must be an odd prime, got 4$"):
             check("eq8", "corrected", {"m": 1, "a": 1, "N": 2, "p": 4, "alpha": 1}, SYM)
+
+    @pytest.mark.parametrize("m,a,n", [(-1, 1, 2), (1, 0, 2), (1, 1, 0)])
+    def test_shifted_split_degree_residue_and_modulus(self, m, a, n):
+        with pytest.raises(PreconditionError, match=rf"^need m >= 0, a >= 1, N >= 1, got m={m} a={a} N={n}$"):
+            check("eq8", "corrected", {"m": m, "a": a, "N": n, "p": 3, "alpha": 1}, SYM)
+
+
+# each point breaks its own condition and every one tested after it, so the message names the first
+DOMAIN_ORDER = [
+    ("recursion", {"m": -1, "a": 3, "N": 2, "p": 4, "alpha": 0}, "p must be an odd prime, got 4"),
+    ("recursion", {"m": -1, "a": 3, "N": 2, "p": 3, "alpha": 0}, "need p = 3 dividing N = 2"),
+    ("recursion", {"m": -1, "a": 3, "N": 3, "p": 3, "alpha": 0}, "a = 3 must be a unit mod p = 3"),
+    ("recursion", {"m": -1, "a": 1, "N": 3, "p": 3, "alpha": 0}, "need m >= 0, N >= 1, alpha >= 1, got m=-1 N=3 alpha=0"),
+    ("eq8", {"m": -1, "a": 0, "N": 0, "p": 4, "alpha": 0}, "p must be an odd prime, got 4"),
+    ("eq8", {"m": -1, "a": 0, "N": 0, "p": 3, "alpha": 0}, "need m >= 0, a >= 1, N >= 1, got m=-1 a=0 N=0"),
+    ("eq6", {"m": 2, "h": 2, "k": 4, "alpha": 1, "p": 4}, "h = 2 and k = 4 must be coprime"),
+    ("eq6", {"m": 2, "h": 1, "k": 4, "alpha": 1, "p": 4}, "p must be an odd prime, got 4"),
+    ("eq6", {"m": 2, "h": 1, "k": 4, "alpha": 1, "p": 3}, "need p = 3 dividing k = 4"),
+    ("eq6", {"m": 2, "h": 1, "k": 6, "alpha": 1, "p": 3}, "need m + 1 divisible by p - 1, got m=2 p=3"),
+    ("eq6", {"m": 1, "h": 1, "k": 6, "alpha": 1, "p": 3}, "p = 3 divides h*M at M = 3"),
+    ("eq5", {"n": -1, "alpha": 0, "x": Fraction(1, 2), "d": 2}, "modulus must be odd and positive, got 2"),
+    ("eq7", {"n": -1, "alpha": 0, "x": Fraction(1, 2), "d": -3}, "modulus must be odd and positive, got -3"),
+]
+
+
+@pytest.mark.parametrize("identity,point,message", DOMAIN_ORDER)
+@pytest.mark.parametrize("mode", [SYM, RationalMode(2), PAD3], ids=["symbolic", "rational", "padic"])
+def test_catalog_domain_messages_in_order(identity, point, message, mode):
+    for variant in CATALOG[identity].variants:
+        with pytest.raises(PreconditionError) as info:
+            check(identity, variant, point, mode)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("identity", sorted(CATALOG))
+def test_a_point_has_exactly_the_entry_keys(identity):
+    # an entry's functions take the point's keys as arguments, so a missing or an unknown key fails to bind
+    entry = CATALOG[identity]
+    point = {key: values[0] for key, values in entry.defaults.items()}
+    for bad in ({k: v for k, v in point.items() if k != entry.keys[0]}, dict(point, extra=1)):
+        with pytest.raises(TypeError):
+            check(identity, entry.variants[0], bad, SYM)
 
 
 class TestInterpolatedSum:

@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qde.exact import format_rational, frac_floor_parts, parse_rational
+from qde.padic import PadicConfig, PadicNum
+from qde.qeuler import BaseLifted, PadicMode, RationalMode, SymbolicMode
+from qde.ratfunc import Poly, RatFunc
 
 rationals = st.fractions(max_denominator=1000)
 
@@ -40,3 +43,18 @@ def test_parse_rejects_junk():
         parse_rational("spam")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("value,existing", [
+    (RationalMode(2), "q0"),
+    (SymbolicMode(3), "scale"),
+    (PadicMode(PadicNum.from_rational(4, 3, 8), PadicConfig(3, 8)), "q"),
+    (BaseLifted(RationalMode(2), 3), "base"),
+    (PadicNum.from_rational(4, 3, 8), "unit"),
+    (Poly([1, 2]), "_num"),
+    (RatFunc(Poly([1]), Poly([1, 1])), "_n"),
+])
+def test_values_refuse_attribute_writes(value, existing):
+    for name in (existing, "fresh"):
+        with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
+            setattr(value, name, 0)

@@ -144,9 +144,13 @@ class TestConfig:
         with pytest.raises(PreconditionError):
             PadicConfig(p)
 
-    def test_rejects_bad_precision(self):
-        with pytest.raises(PreconditionError):
-            PadicConfig(3, 0)
+    @pytest.mark.parametrize("prec", [0, -2])
+    def test_rejects_bad_precision(self, prec):
+        # a nonzero value from PadicNum.from_rational needs a digit too, and says so as PadicConfig does
+        for build in (PadicConfig, lambda p, prec: PadicNum.from_rational(1, p, prec)):
+            with pytest.raises(PreconditionError, match=rf"^precision must be >= 1, got {prec}$"):
+                build(3, prec)
+        assert PadicNum.from_rational(0, 3, prec) == PadicNum.zero(3)
 
 
 class TestConstruction:

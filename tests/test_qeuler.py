@@ -416,11 +416,16 @@ class TestDistribution:
         assert "fail" in bad.status
 
     def test_even_modulus_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^modulus must be odd and positive, got 2$"):
             check("eq5", "corrected", {"n": 1, "alpha": 1, "x": 0, "d": 2}, SYM)
 
+    def test_modulus_comes_before_the_left_side(self):
+        # q^(1/2) has no value at q = 2, so building E_1(1/2) first would raise ExponentError
+        with pytest.raises(PreconditionError, match=r"^modulus must be odd and positive, got 2$"):
+            check("eq5", "corrected", {"n": 1, "alpha": 1, "x": Fraction(1, 2), "d": 2}, RationalMode(2))
+
     def test_unknown_variant_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^identity eq5 has no 'sideways' form$"):
             check("eq5", "sideways", {"n": 1, "alpha": 1, "x": 0, "d": 3}, SYM)
 
 
