@@ -31,7 +31,7 @@ from typing import Callable
 
 from .dedekind import DCParams, _check_m_n_alpha, bracket_weighted_sum, padic_dc_sum, q_dc_sum
 from .errors import PreconditionError
-from .exact import as_int
+from .exact import as_int, as_rational
 from .padic import require_odd_prime
 from .qeuler import (
     compare_values,
@@ -52,7 +52,7 @@ THEOREM1_READINGS = {"printed": "interpolated_printed", "corrected": "interpolat
 
 
 def _x_denominator(x=0, **_) -> int:
-    return Fraction(x).denominator
+    return as_rational(x).denominator
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,11 @@ def _distribution(lift_printed: bool):
     def sides(variant, mode, n, alpha, x, d):
         if d < 1 or d % 2 == 0:
             raise PreconditionError(f"modulus must be odd and positive, got {d}")
+        x = as_rational(x)
         lhs = qeuler_poly(n, alpha, x, mode)
         corrected = variant == "corrected"
         base = d if corrected or lift_printed else 1
-        xs = [(x + a) / Fraction(d) for a in range(d)]
+        xs = [Fraction(x.numerator + a * x.denominator, x.denominator * d) for a in range(d)]
         rhs = residue_split(mode, base, n, alpha, xs, 1, corrected)
         # the split has [base]^n in it; printed eq5 splits at base q, so [d]^n is a factor there
         return lhs, rhs if base == d else q_int(d, alpha, mode) ** n * rhs

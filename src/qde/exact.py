@@ -4,7 +4,8 @@ Integers are plain ``int``; rationals are ``fractions.Fraction``, which
 already enforces the canonical form (reduced, positive denominator) on
 construction.  The helpers below add the floor split, the one string
 format the rest of the package relies on, the int view of an integral
-rational, and the one base of the immutable value types.
+rational, an exact value taken as it is (no copy of an int or a
+Fraction), and the one base of the immutable value types.
 """
 
 from fractions import Fraction
@@ -17,6 +18,11 @@ class Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def as_rational(x):
+    """x itself when it is an int or a Fraction, else Fraction(x): no copy of a value already exact."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 def as_int(x):
@@ -37,15 +43,18 @@ def frac_floor_parts(x: Fraction) -> tuple[int, Fraction]:
 
 def format_rational(x: Fraction) -> str:
     """Render ``num/den`` in base 10, omitting ``/den`` when it is 1."""
-    x = Fraction(x)
+    x = as_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the ``num/den`` literal format accepted by the command line."""
+    """Parse the ``num/den`` literal format accepted by the command line; a run of ASCII digits is read by int()."""
+    literal = text.strip()
+    if literal.isascii() and literal.isdigit():
+        return Fraction(int(literal))
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal: {text!r}") from exc

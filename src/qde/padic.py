@@ -107,8 +107,7 @@ class PadicNum(Frozen):
                 val = val + prec
             prec = 0
         else:
-            if prec < 1:
-                raise ValueError("nonzero value needs precision >= 1")
+            _require_precision(prec)
             unit %= p**prec
             if unit == 0:
                 val, prec = val + prec, 0

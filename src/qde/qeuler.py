@@ -27,7 +27,10 @@ such table per call.
 
 At a fixed q, rational or p-adic, the four kernels are each one formula
 on ints over one denominator (_closed_form_at, _numbers_at, _geometric),
-with q^e an int pair (a, b), q^e = a/b, from _ints.  Every value has one
+with q^e an int pair (a, b), q^e = a/b, from _ints, which reads an
+exponent e times an int factor f as e's numerator times f over its
+denominator (RationalMode._exponent): a Fraction is formed only where a
+literal is parsed and where a value is finished.  Every value has one
 finish (_Ints.finish), a sum of terms t_i / d_i over (1 - q^alpha)^n
 times a ratio; a q-integer, a table entry or an additive value is one
 term with no ratio.  At q = u/v the pair is exact and the value one
@@ -125,7 +128,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, pos, sub
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
-from .exact import Frozen, as_int, format_rational, frac_floor_parts
+from .exact import Frozen, as_int, as_rational, format_rational, frac_floor_parts
 from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _one_unit, _root, _vp, q_pow
 from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod, _stretch
 
@@ -142,15 +145,19 @@ class RationalMode(Frozen):
     def q_power(self, e):
         return self.q0 ** self._exponent(e)
 
-    def _exponent(self, e) -> int:
-        if type(e) is not int:
-            e = Fraction(e)
-            if e.denominator != 1:
-                raise ExponentError(f"q^({e}) is not representable at a fixed rational q")
-            e = e.numerator
-        if e < 0 and self.q0 == 0:
+    def _exponent(self, e, f: int = 1) -> int:
+        """The int k = e f, e's numerator times f over its denominator; only e of another type becomes a Fraction."""
+        if type(e) is int:
+            k = e * f
+        else:
+            e = as_rational(e)
+            k, d = e.numerator * f, e.denominator
+            if k % d:
+                raise ExponentError(f"q^({Fraction(k, d)}) is not representable at a fixed rational q")
+            k //= d
+        if k < 0 and self.q0 == 0:
             raise PoleError("negative power of q = 0")
-        return e
+        return k
 
     def from_rational(self, c) -> Fraction:
         return Fraction(c)
@@ -410,7 +417,7 @@ def qeuler_poly(n: int, alpha: int, x, mode):
     """
     _check_n_alpha(n, alpha)
     # [1]^n = 1: the scaled value at base q; an integral x keeps every exponent below an int
-    return _scaled(mode, 1, n, alpha, [as_int(Fraction(x))])
+    return _scaled(mode, 1, n, alpha, [as_int(as_rational(x))])
 
 
 def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
@@ -678,7 +685,8 @@ def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, cor
         weights = [(-1 if i % 2 else 1, k * i if corrected else 0) for i in range(count)]
         num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd, weights, (k, k * count), (k,))
         return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * count // g), g)
-    return _split_at(n, alpha, xs, _ints(inner), _ints(mode), step, corrected)
+    outer = _ints(mode)  # at base 1 the terms' view is the outer one
+    return _split_at(n, alpha, xs, outer if base == 1 else _ints(inner), outer, step, corrected)
 
 
 def _split_at(n: int, alpha: int, xs: list, iv, outer, step: int = None, corrected: bool = False):
@@ -789,7 +797,7 @@ def _check_n_alpha(n: int, alpha: int) -> None:
 
 
 class _Ints:
-    """q^e as an int pair (a, b), q^e = a/b, raising what the mode's q_power raises.
+    """q^(e f), f an int factor, as an int pair (a, b), q^(e f) = a/b, raising what the mode's q_power raises.
 
     Exact at q = u/v, where red leaves an int alone and m is None.  At a
     p-adic q it is (q^e mod m, 1), m = p^prec, and red reduces mod m;
@@ -802,8 +810,8 @@ class _Ints:
             u, v = root.q0.numerator, root.q0.denominator
             self.red, self.m, self.prec = pos, None, None
 
-            def power(e) -> tuple:
-                k = root._exponent(e * base)  # u != 0 when k < 0
+            def power(e, f: int = 1) -> tuple:
+                k = root._exponent(e, base * f)  # u != 0 when k < 0
                 return (u**k, v**k) if k >= 0 else (v**-k, u**-k)
         else:
             p, u = root.cfg.p, root.q.unit
@@ -811,10 +819,10 @@ class _Ints:
             m = self.m = p**prec
             self.red = m.__rmod__
 
-            def power(e) -> tuple:
+            def power(e, f: int = 1) -> tuple:
                 if type(e) is int:
-                    return pow(u, base * e, m), 1
-                a, b = e.numerator * base, e.denominator
+                    return pow(u, base * f * e, m), 1
+                a, b = e.numerator * base * f, e.denominator
                 g = gcd(a, b)
                 a, b = a // g, b // g
                 if b == 1:
@@ -1022,7 +1030,7 @@ def _closed_form_at(n: int, alpha: int, x, iv) -> tuple:
     (c, w), (a, b) = power(1), power(alpha)
     # a vanishing 1 + q^(alpha l + 1) zeroes den, so the finish divides by zero; as term by term,
     # 1 + q = 0 at l = 0 is that pole before q^(alpha x) can fail, and n = 0 forms no q^(alpha x)
-    sa, sb = power(alpha * x) if n and x and c != -w else (1, 1)
+    sa, sb = power(x, alpha) if n and x and c != -w else (1, 1)
     num, den, s, t, d, e = 0, 1, 1, 1, c, w
     for l in range(n + 1):
         f = t * (e + d)

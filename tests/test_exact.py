@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qde.exact import format_rational, frac_floor_parts, parse_rational
@@ -36,6 +36,32 @@ def test_format_fixtures():
 @given(rationals)
 def test_format_parse_roundtrip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+@given(st.one_of(st.text(alphabet="0123456789+-/_. ٣１"), st.text()))
+@example("٣")
+@example("１２")
+@example(" 007 ")
+@example("²")
+def test_parse_reads_what_fraction_reads(text):
+    # the ASCII-digit fast path and the Fraction path give one value, and fail at the same texts
+    try:
+        want = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="^invalid rational literal: "):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+
+@given(st.one_of(st.integers(), rationals))
+@example(True)
+@example(0.5)
+@example("-3/6")
+def test_format_takes_an_exact_value_as_it_is(x):
+    # an int or a Fraction is read as it is, any other type through Fraction()
+    assert format_rational(x) == format_rational(Fraction(x))
 
 
 def test_parse_rejects_junk():

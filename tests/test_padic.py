@@ -146,8 +146,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("prec", [0, -2])
     def test_rejects_bad_precision(self, prec):
-        # a nonzero value from PadicNum.from_rational needs a digit too, and says so as PadicConfig does
-        for build in (PadicConfig, lambda p, prec: PadicNum.from_rational(1, p, prec)):
+        # a nonzero value from PadicNum.from_rational or the constructor needs a digit too, and says so as
+        # PadicConfig does
+        for build in (PadicConfig, lambda p, prec: PadicNum.from_rational(1, p, prec),
+                      lambda p, prec: PadicNum(p, 0, 1, prec)):
             with pytest.raises(PreconditionError, match=rf"^precision must be >= 1, got {prec}$"):
                 build(3, prec)
         assert PadicNum.from_rational(0, 3, prec) == PadicNum.zero(3)

@@ -910,6 +910,30 @@ class TestIntView:
             else:
                 assert view.power(Fraction(2, 5)) == (lifted.q_power(Fraction(2, 5)).unit % view.m, 1)
 
+    @pytest.mark.parametrize("q0", [0, 1, -1, 4, Fraction(-2, 3), Fraction(1, 2)])
+    @settings(max_examples=40)
+    @given(st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=12)),
+           st.integers(1, 5), st.integers(1, 3))
+    def test_rational_power_is_the_lifted_q_power(self, q0, e, base, f):
+        # power(e, f) at base B is q^(e f B) as an int pair, as the lifted mode's q_power(e f) is, or both raise
+        # the one error the exponent e f B calls for
+        lifted = BaseLifted(RationalMode(q0), base)
+        view = qeuler._ints(lifted)
+        k = Fraction(e) * f * base
+        if k.denominator == 1 and (k >= 0 or q0 != 0):
+            a, b = view.power(e, f)
+            assert (type(a), type(b)) == (int, int)
+            assert Fraction(a, b) == lifted.q_power(e * f) == Fraction(q0) ** k.numerator
+            return
+        if k.denominator != 1:
+            error = ExponentError(f"q^({k}) is not representable at a fixed rational q")
+        else:
+            error = PoleError("negative power of q = 0")
+        for power in (view.power, lambda e, f: lifted.q_power(e * f)):
+            with pytest.raises(type(error)) as got:
+                power(e, f)
+            assert str(got.value) == str(error)
+
     @pytest.mark.parametrize("extra", [-3, 0, 4])
     @pytest.mark.parametrize("K", [1, 2, 16, 128])
     @pytest.mark.parametrize("p", [3, 5, 7])
