@@ -191,7 +191,7 @@ CATALOG = {
         keys=_SPLIT_KEYS,
         defaults=_SPLIT_DEFAULTS,
         sides=_distribution(lift_printed=False),
-        params=lambda n, alpha, x, d: {"n": n, "alpha": alpha, "x": Fraction(x), "d": d},
+        params=lambda n, alpha, x, d: {"n": n, "alpha": alpha, "x": str(as_rational(x)), "d": d},
         # the printed inner values stay at base q, so the shifted
         # arguments (x+a)/d need a factor d on top of x's denominator
         scale=lambda x, d, **_: _x_denominator(x) * max(d, 1),
@@ -206,7 +206,7 @@ CATALOG = {
         keys=_SPLIT_KEYS,
         defaults=_SPLIT_DEFAULTS,
         sides=_distribution(lift_printed=True),
-        params=lambda n, alpha, x, d: {"power": n, "modulus": d, "alpha": alpha, "x": Fraction(x)},
+        params=lambda n, alpha, x, d: {"power": n, "modulus": d, "alpha": alpha, "x": str(as_rational(x))},
     ),
     "eq8": Identity(
         keys=_SHIFT_KEYS,

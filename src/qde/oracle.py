@@ -15,7 +15,7 @@ from math import inf
 from .errors import PoleError, PreconditionError, ResourceLimitError
 from .exact import as_int
 from .padic import PadicNum, rational_valuation
-from .qeuler import BaseLifted, QEulerValue, _axpy, _fixed_denominator, _geometric, _ints, measure, qeuler_poly
+from .qeuler import BaseLifted, QEulerValue, _fixed_denominator, _geometric, _ints, measure, qeuler_poly
 from .qeuler import resolve_prime, root_mode
 from .ratfunc import RatFunc, _guard_degree, _poly
 
@@ -134,7 +134,8 @@ def _level_sums(f: IntegrandSpec, levels, mode, p: int):
                 # q^a, q^(e a), then their product, as the generic loop forms them
                 s = fd(a) + fd(f.e * a)
                 _guard_degree(s)
-                _axpy(acc, -1 if a % 2 else 1, [1], s)
+                acc.extend([0] * (s + 1 - len(acc)))
+                acc[s] += -1 if a % 2 else 1
             total = RatFunc.from_poly(_poly(list(acc), 1))
         start = end
         yield n, total * measure(0, n, lifted, p).value

@@ -90,28 +90,50 @@ keeps the running sum mod the smaller absolute precision.  So one wrap
 of the int sum mod p^N (_wrap) is the same PadicNum as adding term by
 term.
 
-In symbolic mode the same four kernels run on int coefficient lists
-over a denominator known in advance, a product of binomials 1 + q^k,
-and build each value once instead of once per addition
-(_fixed_denominator).  qeuler_poly's sum is over P (1 - q^alpha)^n with
-P = prod_l (1 + q^(alpha l + 1)); term l's numerator is the exact
-quotient P / (1 + q^(alpha l + 1)).  The recurrence and the additive sum
-keep every E_l over D = prod_{j<=top} (1 + q^(alpha j + 1)); E_l's
-denominator divides the product up to j = l, so each step's division is
-exact, and the recurrence q_i = a_i - q_(i-k) divides by 1 + Q^k.  When
-every exponent is a multiple of g, the lists are in Q^g and the value
-is spread back.  measure needs no gcd at all for odd p (see there).
+In symbolic mode the same four kernels run over a denominator known in
+advance, a product of binomials 1 + q^k, and build each value once
+instead of once per addition (_fixed_denominator).  Each polynomial is
+one int, its value at Q = 2^(8w) with w bytes per coefficient, the
+Kronecker substitution ratfunc's products use (D. Harvey, J. Symb.
+Comput. 44, 2009): a product by 1 +- Q^k is x +- (x << 8wk), an axpy
+one shifted multiply-add, [x]^(n-l) a product of ints.  A list exists
+only where a kernel builds a RatFunc, one unpack per polynomial
+(_unpacked).  The exact quotient by 1 + Q^k uses a (1 - Y)(1 + Y^2)(1 +
+Y^4)...(1 + Y^(2^(t-1))) = q (1 - Y^(2^t)), Y = Q^k: q is that
+product's balanced residue mod Y^(2^t), from O(log) shift-adds
+(_quo_packed).  w comes from an a-priori bound on the L1 norm, derived
+from the formula and never from the values, so that every coefficient
+divided or read back is below 2^(8w-1) and the balanced digits are the
+coefficients:
+
+- qeuler_poly's sum is over P (1 - q^alpha)^n with P = prod_l (1 +
+  q^(alpha l + 1)), and term l's numerator is the exact quotient P / (1 +
+  q^(alpha l + 1)).  P has L1 norm 2^(n+1), each quotient 2^n, the
+  denominator 2^(2n+1) and the numerator, weights c_i included, 2
+  sum_i |c_i| 2^n 2^n (_closed_form_ints); each binomial a caller
+  multiplies in doubles its side's, and (1 + Q^(pk))/(1 + Q^k)
+  multiplies it by p (weighted_scaled_sum).
+- The recurrence and the additive sum keep every E_l over D =
+  prod_{j<=top} (1 + q^(alpha j + 1)); E_l's denominator divides the
+  product up to j = l, so each step's division is exact.  E_l's own
+  numerator M_l needs no division, so N[l] = D E_l has L1 norm at most
+  2^(top-l) |M_l| (_numbers_l1), and a term of the additive sum C(n,l)
+  x^(n-l) times N[l]'s.
+
+When every exponent is a multiple of g, the polynomials are in Q^g and
+the value is spread back.  measure needs no gcd at all for odd p (see
+there).
 
 So each of the eight kernels (q_int, qeuler_poly, qeuler_numbers,
 qeuler_poly_additive, scaled_qeuler, residue_split, weighted_euler_sum,
-weighted_scaled_sum) has two paths: int lists in symbolic mode, the int
-view at a fixed q.  A symbolic kernel
-bounds the degrees of the lists it forms, and where a bound passes
-MAX_DEGREE it raises ResourceLimitError naming it, even where the
-reduced value would fit.  Each kernel forms its powers of q in the order the formula states
-them, so an unrepresentable power or a pole raises the error a
-term-by-term evaluation in the mode's own arithmetic raises; the tests
-keep that evaluation as the kernels' reference.
+weighted_scaled_sum) has two paths: packed polynomials in symbolic mode,
+the int view at a fixed q.  A symbolic kernel bounds the degrees of the
+polynomials it forms, and where a bound passes MAX_DEGREE it raises
+ResourceLimitError naming it, even where the reduced value would fit.
+Each kernel forms its powers of q in the order the formula states them,
+so an unrepresentable power or a pole raises the error a term-by-term
+evaluation in the mode's own arithmetic raises; the tests keep that
+evaluation as the kernels' reference.
 
 All three value types implement Python arithmetic with int/Fraction
 coercion, so the formulas are written once.  Division by zero anywhere
@@ -125,12 +147,12 @@ from fractions import Fraction
 from math import comb, gcd, inf, prod
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul, pos, sub
+from operator import mul, pos
 
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
 from .exact import Frozen, as_int, as_rational, format_rational, frac_floor_parts
 from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _one_unit, _root, _vp, q_pow
-from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _prod, _stretch
+from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _stretch, _unpack, _width
 
 
 class RationalMode(Frozen):
@@ -341,11 +363,12 @@ def q_int(x: int, alpha: int, mode):
         raise PreconditionError(f"q_int needs a nonnegative integer, got {x}")
     fd = _fixed_denominator(mode)
     if fd is not None:
-        ks, acc = [fd(alpha * i) for i in range(x)], []
+        ks = [fd(alpha * i) for i in range(x)]
         # ks[0] = 0, so a negative weight's powers are over Q^-low and the sum's constant term is 1: reduced
         low = min(ks, default=0)
+        acc = [0] * (max(ks, default=0) - low + 1)
         for k in ks:
-            _axpy(acc, 1, [1], k - low)
+            acc[k - low] += 1
         return RatFunc._reduced(_poly(acc, 1), Poly.monomial(-low))
     if not x:
         return mode.from_rational(0)
@@ -367,7 +390,6 @@ def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
         raise PreconditionError(f"level must be positive, got {level}")
     if not 0 <= a < p**level:
         raise PreconditionError(f"need 0 <= a < {p}^{level}, got {a}")
-    one = mode.from_rational(1)
     sign = 1 if a % 2 == 0 else -1
     fd = _fixed_denominator(mode)
     if fd is not None and p % 2:
@@ -377,6 +399,7 @@ def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
         den = [0] * (fd(p**level) - k + 1)
         den[::k] = [1, -1] * (p**level // 2) + [1]
         return QEulerValue("symbolic", RatFunc._reduced(Poly.monomial(k_a, sign), _poly(den, 1)))
+    one = mode.from_rational(1)
     try:
         v = mode.q_power(a) * (one + mode.q_power(1)) / (one + mode.q_power(p**level))
     except ZeroDivisionError:
@@ -435,7 +458,7 @@ def scaled_qeuler(n: int, alpha: int, y, d: int, mode):
     _check_n_alpha(n, alpha)
     if d < 1:
         raise PreconditionError(f"base exponent must be positive, got {d}")
-    return _scaled(mode, d, n, alpha, [as_int(Fraction(y) / d)])
+    return _scaled(mode, d, n, alpha, [as_int(Fraction(as_rational(y), d))])
 
 
 def qeuler_numbers(top: int, alpha: int, mode) -> list:
@@ -457,8 +480,10 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
         g = fd(1)
         # the longest list formed: deg N[0] = alpha top (top + 1)/2 + top, since alpha l + deg N[l] = deg N[0]
         _guard_degree(g * (alpha * top * (top + 1) // 2 + top))
-        nums = _numbers_ints(top, alpha)
-        return [one] + [_ratfunc(e_n, nums[0], g) for e_n in nums[1:]]
+        bits = 8 * _width(max(_numbers_l1(top)))
+        nums = _numbers_ints(top, alpha, bits)
+        den = _unpacked(nums[0], g, bits)
+        return [one] + [RatFunc(_unpacked(e_n, g, bits), den) for e_n in nums[1:]]
     iv = _ints(mode)
     nums = _numbers_at(top, alpha, iv)
     return [one] + [iv.finish([(e_n, nums[0])]) for e_n in nums[1:]]
@@ -481,12 +506,17 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
         # which is deg N[0] + n b for every l, as alpha l + deg N[l] = deg N[0]; at x = 0, [x] = 0 and N[0]
         # is the longest
         _guard_degree(max(g * (alpha * n * (n + 1) // 2 + n + n * b), b))
-        nums, bracket, acc = _numbers_ints(n, alpha), _stretch([1] * x, alpha), []
+        # [x] has L1 norm x, so term l has at most C(n,l) x^(n-l) times N[l]'s bound
+        l1 = _numbers_l1(n)
+        bits = 8 * _width(max(*l1, sum(comb(n, l) * c * x ** (n - l) for l, c in enumerate(l1))))
+        nums, bracket, acc, power = _numbers_ints(n, alpha, bits), _ZERO, _ZERO, _ONE
+        for i in range(x):
+            bracket = _axpy_packed(bracket, 1, _ONE, alpha * i, bits)
         # [x]^(n-l) for l = n down to 0
-        powers = accumulate(repeat(bracket, n), _prod, initial=[1])
-        for l, power in zip(range(n, -1, -1), powers):
-            _axpy(acc, comb(n, l), _prod(nums[l], power), alpha * l * x)
-        return _ratfunc(acc, nums[0], g)
+        for l in range(n, -1, -1):
+            acc = _axpy_packed(acc, comb(n, l), _mul_packed(nums[l], power), alpha * l * x, bits)
+            power = _mul_packed(power, bracket)
+        return RatFunc(_unpacked(acc, g, bits), _unpacked(nums[0], g, bits))
     iv = _ints(mode)
     # q^alpha = a/b and [x] = g / b^x, m None at a rational q; every term is over b^(n x) N[0]
     nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
@@ -515,8 +545,7 @@ def weighted_euler_sum(m: int, alpha: int, xs: list, base: int, mode):
     ek, near = fd(alpha * (len(xs) + 1)), _fixed_denominator(inner)
     weights = _bracket_weights(fd, alpha, len(xs))
     # E_m(x_M; q^base) divides by its own 1 - q^(alpha base): outer is the terms' base
-    num, den, g = _closed_form_ints(m, alpha, xs + xs, near, near, weights, (0, ek), (ek,))
-    return _ratfunc(num, _times_binomial(den, ek // g, -1), g)
+    return _finished(*_closed_form_ints(m, alpha, xs + xs, near, near, weights, (0, ek), (ek,)), down=ek, sign=-1)
 
 
 def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list, p: int, corrected: bool, mode):
@@ -542,28 +571,32 @@ def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list,
     weights = _bracket_weights(fd, alpha, count)
     near = _fixed_denominator(BaseLifted(mode, k))
     # every residue is positive, so no term's shift moves into the denominator: both sums are over Q^0 P (1 - Q^c)^m
-    num, den, g = _closed_form_ints(m, alpha, [Fraction(y, k) for y in firsts] * 2, near, fd, weights, (0, c))
+    first = _closed_form_ints(m, alpha, [Fraction(y, k) for y in firsts] * 2, near, fd, weights, (0, c))
     if seconds is None:
-        return _ratfunc(num, _times_binomial(den, c // g, -1), g)
+        return _finished(*first, down=c, sign=-1)
+    g, l1, form = first
     ek = fd(alpha * k)
     far = _fixed_denominator(BaseLifted(mode, k * p))
-    num2, den, g2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, fd, weights,
-                                      strides=(g, ek))
-    # in Q^g2, which divides g: P_kp / P_k = prod_l (1 + x_l^p)/(1 + x_l), x_l = q^((alpha l + 1) k)
-    num = _stretch(num, g // g2)
-    for e in [near(alpha * l + 1) // g2 for l in range(m + 1)]:
-        _guard_degree((len(num) - 1 + p * e) * g2)
-        num = _quo_binomial(_times_binomial(num, p * e), e)
+    g2, (l2, _), form2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, fd, weights,
+                                           strides=(g, ek))
     # corrected: T_M = S / [p]^(m-1), so the firsts and the denominator take (1 - q^(alpha kp))^(m-1) and
     # the seconds (1 - q^(alpha k))^(m-1); at m = 0 the two exchange places
+    more = abs(m - 1) if corrected else 0
+    # L1 norms: (1 + x^p)/(1 + x) = 1 - x + ... + x^(p-1) has p, and 1 - Q^e has 2; the denominator's, 2^(2m+2)
+    # << more, is below the numerator's, as l1[0] >= 2^(2m+2)
+    bits = 8 * _width(l1[0] * p ** (m + 1) + l2 << more)
+    # in Q^g2, which divides g: P_kp / P_k = prod_l (1 + x_l^p)/(1 + x_l), x_l = q^((alpha l + 1) k)
+    (num, _), (num2, den) = form(g2, bits), form2(g2, bits)
+    for e in [near(alpha * l + 1) // g2 for l in range(m + 1)]:
+        _guard_degree((num[1] - 1 + p * e) * g2)
+        num = _quo_packed(_times_packed(num, p * e, bits), e, bits)
     ek, c = ek // g2, c // g2
     up, down = (p * ek, ek) if m else (ek, p * ek)
-    more = abs(m - 1) if corrected else 0
-    _guard_degree(g2 * max(len(num) - 1 + more * up, len(num2) - 1 + more * down, len(den) - 1 + more * up + c))
+    _guard_degree(g2 * max(num[1] - 1 + more * up, num2[1] - 1 + more * down, den[1] - 1 + more * up + c))
     for _ in range(more):
-        num, num2, den = (_times_binomial(v, e, -1) for v, e in ((num, up), (num2, down), (den, up)))
-    _axpy(num, -1, num2, 0)
-    return _ratfunc(num, _times_binomial(den, c, -1), g2)
+        num, num2, den = (_times_packed(v, e, bits, -1) for v, e in ((num, up), (num2, down), (den, up)))
+    num, den = _axpy_packed(num, -1, num2, 0, bits), _times_packed(den, c, bits, -1)
+    return RatFunc(_unpacked(num, g2, bits), _unpacked(den, g2, bits))
 
 
 def _bracket_weights(fd, alpha: int, count: int) -> list:
@@ -680,11 +713,11 @@ def _scaled(mode, base: int, n: int, alpha: int, xs: list, step: int = None, cor
     fd = _fixed_denominator(mode)
     if fd is not None:
         if step is None:
-            return _ratfunc(*_closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd))
+            return _finished(*_closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd))
         k, count = fd(step), len(xs)
         weights = [(-1 if i % 2 else 1, k * i if corrected else 0) for i in range(count)]
-        num, den, g = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd, weights, (k, k * count), (k,))
-        return _ratfunc(_times_binomial(num, k // g), _times_binomial(den, k * count // g), g)
+        form = _closed_form_ints(n, alpha, xs, _fixed_denominator(inner), fd, weights, (k, k * count), (k,))
+        return _finished(*form, up=k, down=k * count)
     outer = _ints(mode)  # at base 1 the terms' view is the outer one
     return _split_at(n, alpha, xs, outer if base == 1 else _ints(inner), outer, step, corrected)
 
@@ -904,49 +937,77 @@ def _fixed_denominator(mode):
     return (lambda e: root._exponent(e * base)) if root.kind == "symbolic" else None
 
 
-def _axpy(acc: list, c: int, t, shift: int) -> None:
-    """acc += c Q^shift t on int lists, growing acc as needed."""
-    end = shift + len(t)
-    acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = [a + c * b for a, b in zip(acc[shift:end], t)]
+# A packed polynomial is a pair (v, n): v its value at Q = 2^bits, with bits = 8w for w bytes per coefficient,
+# and n its length, the number of coefficients it may have, as the formula states it
 
 
-def _quo_binomial(a: list, k: int):
-    """a / (1 + Q^k) by q_i = a_i - q_(i-k), or None when 1 + Q^k does not divide a."""
-    n = len(a) - k
-    q = a[:n]
-    for i in range(k, n):
-        q[i] -= q[i - k]
-    # the top k coefficients are the remainder's: a_j = q_(j-k) there
-    return q if n > 0 and ([0] * k + q)[n:] == a[n:] else None
+_ZERO, _ONE = (0, 0), (1, 1)
 
 
-def _times_binomial(a: list, k: int, sign: int = 1) -> list:
-    """a (1 + sign Q^k) by c_(i+k) += sign a_i; with sign 1, the inverse of _quo_binomial."""
-    c = a + [0] * k
-    c[k:] = map(add, c[k:], a) if sign == 1 else map(sub, c[k:], a)
-    return c
+def _times_packed(a: tuple, k: int, bits: int, sign: int = 1) -> tuple:
+    """a (1 + sign Q^k): one shift-add."""
+    v, n = a
+    return (v + (v << k * bits) if sign == 1 else v - (v << k * bits)), n + k
+
+
+def _axpy_packed(acc: tuple, c: int, t: tuple, shift: int, bits: int) -> tuple:
+    """acc + c Q^shift t: one shifted multiply-add."""
+    return acc[0] + (c * t[0] << shift * bits), max(acc[1], shift + t[1])
+
+
+def _mul_packed(a: tuple, b: tuple) -> tuple:
+    """a b: one int product."""
+    return a[0] * b[0], a[1] + b[1] - 1
+
+
+def _quo_packed(a: tuple, k: int, bits: int):
+    """a / (1 + Q^k), or None where 1 + Q^k does not divide a.
+
+    With Y = Q^k and a = q (1 + Y), a (1 - Y)(1 + Y^2)(1 + Y^4)...(1 +
+    Y^(2^(t-1))) = q (1 - Y^(2^t)), so q is that product's balanced residue
+    mod Y^(2^t) once |q| < Y^(2^t) / 2.  That holds where q's n - k
+    coefficients are below 2^(bits-1), which the kernels' widths ensure,
+    and k 2^t >= n - k.  Each factor is one shift-add mod Y^(2^t), so the
+    quotient takes O(log(n / k)) of them; without the reduction the
+    products grow past the quotient and every step costs more.  It is
+    accepted only where q (1 + Y) = a.
+    """
+    v, n = a
+    s = k * bits
+    t = 2 * s
+    while t < (n - k) * bits:
+        t *= 2
+    mask, u = (1 << t) - 1, 2 * s
+    q = v - (v << s) & mask
+    while u < t:
+        q, u = q + (q << u) & mask, 2 * u
+    q -= q >> t - 1 << t
+    return (q, n - k) if q + (q << s) == v else None
 
 
 def _closed_form_ints(n: int, alpha: int, xs: list, fd, outer, weights: list = None,
                       tail: tuple = (0, 0), strides: tuple = ()) -> tuple:
-    """sum_i w_i [B]^n E_n(x_i; q^B) as (num, den, g), the value num / den in Q^g; one x at B = 1 is qeuler_poly.
+    """sum_i w_i [B]^n E_n(x_i; q^B) as (g, l1, form), the value num / den in Q^g; one x at B = 1 is qeuler_poly.
 
     fd maps the exponents at the terms' base q^B and outer those at q;
     with fd as outer the terms are E_n(x_i; q^B) (weighted_euler_sum).
     In Q^g every term is over Q^top D, D = P (1 - Q^c)^n,
     P = prod_l (1 + Q^(b + l a)), q^(alpha B) = Q^(g a), q^B = Q^(g b) and
     q^alpha = Q^(g c), as a scaled value's denominator (scaled_qeuler);
-    so the quotients P / (1 + Q^(b + l a)) and D depend on
-    (n, a, b, c) alone, the quotients as lists in Q^(g h), h = gcd(a,
-    b), which each term adds at every h-th place of its accumulator.
-    Only term i's shifts
-    q^(alpha l x_i) = Q^(l s_i) depend on x_i, and top = max -n s_i.  So
-    the rest, the guards' sums and the factor 1 + q^B included, is formed
-    once per call.  weights[i] = (c_i, e_i) makes w_i = c_i Q^(e_i); with
-    none, the one term's weight is 1.  A weighted sum's guard adds tail,
-    the degrees by which the caller then multiplies num and den, and g
-    divides strides, the exponents of the caller's factors.
+    so the quotients P / (1 + Q^(b + l a)) and D depend on (n, a, b, c)
+    alone.  Only term i's shifts q^(alpha l x_i) = Q^(l s_i) depend on x_i,
+    and top = max -n s_i.  So the rest, the guards' sums and the factor
+    1 + q^B included, is formed once per call.  weights[i] = (c_i, e_i)
+    makes w_i = c_i Q^(e_i); with none, the one term's weight is 1.  A
+    weighted sum's guard adds tail, the degrees by which the caller then
+    multiplies num and den, and g divides strides, the exponents of the
+    caller's factors.
+
+    form(stride, bits) gives num and den packed in Q^stride, for a stride
+    dividing g.  l1 bounds their L1 norms from the formula alone: P, a
+    product of n + 1 binomials, has 2^(n+1), each quotient 2^n and D
+    2^(2n+1), and num = (1 + Q^b) sum_(i,l) c_i (-1)^l C(n,l) Q^(...) P / (1
+    + Q^(b + l a)) has 2 sum_i |c_i| 2^n 2^n.
     """
     # the powers of q in the formula's order, l by l, so that the one a term-by-term evaluation fails at
     # fails first: q^(alpha l x) = Q^(l s), then q^(alpha l + 1), which the first term forms for all
@@ -966,49 +1027,79 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, outer, weights: list = N
     if weights is None:
         weights = [(1, 0)]
     else:
-        # the longest list: Q^top D times the tail, or the numerator, (1 + q^B) times
+        # the longest polynomial: Q^top D times the tail, or the numerator, (1 + q^B) times
         # sum_(i,l) c_i Q^(e_i + top + l s_i) P / (1 + q^((alpha l + 1) B)), whose degree peaks at l = 0 or l = n
         ends = (e + n * max(0, s - a) for (_, e), s in zip(weights, shifts))
         _guard_degree(top + sum(bots) + max(n * c + tail[1], tail[0] + max(ends)))
     # every power of q here is one of Q^g; c divides a
     g = gcd(c, bots[0], *shifts, *(e for _, e in weights), *strides)
-    a, b, c = a // g, bots[0] // g, c // g
     cs = [(-1) ** l * comb(n, l) for l in range(n + 1)]
-    # every b + l a is a multiple of h = gcd(a, b), so P and its quotients are lists in Q^(g h)
-    h, prod = gcd(a, b), [1]
-    for e in bots:
-        prod = _times_binomial(prod, e // (g * h))
-    quotients = [_quo_binomial(prod, e // (g * h)) for e in bots]
-    den = _stretch(prod, h)
-    for _ in range(n):
-        den = _times_binomial(den, c, -1)
-    offsets = [[(e + top + l * s) // g for l in range(n + 1)] for (_, e), s in zip(weights, shifts)]
-    acc = [0] * max(o + h * (len(quo) - 1) + 1 for offs in offsets for o, quo in zip(offs, quotients))
-    for (cw, _), offs in zip(weights, offsets):
-        for cl, quo, o in zip(cs, quotients, offs):
-            f, end = cw * cl, o + h * len(quo)
-            acc[o:end:h] = [x + f * y for x, y in zip(acc[o:end:h], quo)]
-    # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B)
-    return _times_binomial(acc, b), [0] * (top // g) + den, g
+    l1 = (sum(abs(cw) for cw, _ in weights) << 2 * n + 1, 1 << 2 * n + 1)
+
+    def form(stride: int, bits: int) -> tuple:
+        prod = _ONE
+        for e in bots:
+            prod = _times_packed(prod, e // stride, bits)
+        den = prod
+        for _ in range(n):
+            den = _times_packed(den, c // stride, bits, -1)
+        acc = _ZERO
+        for l, (cl, e) in enumerate(zip(cs, bots)):
+            quo = _quo_packed(prod, e // stride, bits)
+            for (cw, f), s in zip(weights, shifts):
+                acc = _axpy_packed(acc, cw * cl, quo, (f + top + l * s) // stride, bits)
+        # the factor 1 + q^B is 1 + q^((alpha 0 + 1) B)
+        return _times_packed(acc, bots[0] // stride, bits), _axpy_packed(_ZERO, 1, den, top // stride, bits)
+
+    return g, l1, form
 
 
-def _numbers_ints(top: int, alpha: int) -> list:
-    """N with E_l = N[l] / N[0] for l <= top, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1)), at q = Q."""
-    nums = [[1]]
+def _finished(g: int, l1: tuple, form, up: int = 0, down: int = 0, sign: int = 1) -> RatFunc:
+    """form's num (1 + Q^up) / (den (1 + sign Q^down)) in Q^g, with no factor where up or down is 0.
+
+    Each factor doubles its side's L1 norm; the width covers both sides.
+    """
+    bits = 8 * _width(max(l1[0] << (up > 0), l1[1] << (down > 0)))
+    num, den = form(g, bits)
+    if up:
+        num = _times_packed(num, up // g, bits)
+    if down:
+        den = _times_packed(den, down // g, bits, sign)
+    return RatFunc(_unpacked(num, g, bits), _unpacked(den, g, bits))
+
+
+def _numbers_l1(top: int) -> list:
+    """Bounds on the L1 norms of _numbers_ints's N[l], from the recurrence alone.
+
+    With E_n = M_n / prod_{1<=j<=n} (1 + q^(alpha j + 1)), the recurrence
+    reads M_n = -q sum_{l<n} C(n,l) q^(alpha l) M_l prod_{l<j<n} (1 +
+    q^(alpha j + 1)), with no division: so |M_0| = 1 and |M_n| <= sum_{l<n}
+    C(n,l) 2^(n-1-l) |M_l| in the L1 norm, and N[n] = M_n prod_{n<j<=top}
+    (1 + q^(alpha j + 1)) has 2^(top-n) |M_n|.
+    """
+    m = [1]
     for n in range(1, top + 1):
-        nums[0] = _times_binomial(nums[0], alpha * n + 1)
+        m.append(sum(comb(n, l) * c << n - 1 - l for l, c in enumerate(m)))
+    return [c << top - n for n, c in enumerate(m)]
+
+
+def _numbers_ints(top: int, alpha: int, bits: int) -> list:
+    """N with E_l = N[l] / N[0] for l <= top, N[0] = prod_{1<=j<=top} (1 + q^(alpha j + 1)), at q = Q, packed."""
+    nums = [_ONE]
     for n in range(1, top + 1):
-        acc = []
+        nums[0] = _times_packed(nums[0], alpha * n + 1, bits)
+    for n in range(1, top + 1):
+        acc = _ZERO
         for l in range(n):
-            _axpy(acc, comb(n, l), nums[l], alpha * l)
+            acc = _axpy_packed(acc, comb(n, l), nums[l], alpha * l, bits)
         # exact: N[0] / (1 + q^(alpha n + 1)) is a multiple of every E_l with l < n
-        nums.append([0] + [-c for c in _quo_binomial(acc, alpha * n + 1)])
+        nums.append(_axpy_packed(_ZERO, -1, _quo_packed(acc, alpha * n + 1, bits), 1, bits))
     return nums
 
 
-def _ratfunc(num: list, den: list, g: int) -> RatFunc:
-    """num / den with Q^g in place of Q, for int lists num and den; reduced when read."""
-    return RatFunc(_poly(_stretch(num, g), 1), _poly(_stretch(den, g), 1))
+def _unpacked(a: tuple, g: int, bits: int) -> Poly:
+    """The packed a as a Poly, with Q^g in place of Q: its one unpack; a RatFunc of two is reduced when read."""
+    return _poly(_stretch(_unpack(*a, bits // 8), g), 1)
 
 
 def _geometric(a: int, b: int, x: int, red) -> int:

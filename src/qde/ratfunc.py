@@ -63,7 +63,8 @@ gcd.  Other gcds are taken as 1 and the result is marked unreduced.
 A result is marked reduced when its operands were and every gcd it
 needed came from the rules above.  Two reduced values are equal when
 their parts are; otherwise a/b == c/d is decided as a d == c b, which is
-exact since b and d are nonzero.
+exact since b and d are nonzero, on the two products packed at one
+xi = 2^(8w) wide enough for both (_same_products).
 
 A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
 enough for every check shipped here, small enough to fail fast on a
@@ -369,11 +370,33 @@ def _mul_schoolbook(a, b) -> list[int]:
 
 
 def _mul_kronecker(a, b) -> list[int]:
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    w = _width(bound)
+    w = _width(_bound(a, b))
     pa = _pack(a, w)
     pb = pa if b is a else _pack(b, w)
     return _unpack(pa * pb, len(a) + len(b) - 1, w)
+
+
+def _same_products(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
+    """a b == c d, decided on two packed products, with no product unpacked and no Poly built.
+
+    With a = A / s_a and so on, that is A B s_c s_d = C D s_a s_b on
+    integer polynomials.  Each side is evaluated at 2^(8w), with w wide
+    enough for every coefficient of both products, so equal integers are
+    equal polynomials, and unequal values are unequal polynomials.
+    """
+    x, y, u, v = a._num, b._num, c._num, d._num
+    # a product is zero where a factor is, and its degree is the sum of theirs
+    if not (x and y and u and v) or len(x) + len(y) != len(u) + len(v):
+        return not (x and y or u and v)
+    _guard_degree(len(x) + len(y) - 2)
+    left, right = c._den * d._den, a._den * b._den
+    w = _width(max(_bound(x, y) * left, _bound(u, v) * right))
+    return _pack(x, w) * _pack(y, w) * left == _pack(u, w) * _pack(v, w) * right
+
+
+def _bound(a, b) -> int:
+    """A bound on the coefficients of a b."""
+    return max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
 
 
 def _mul_ints(a, b) -> list[int]:
@@ -611,7 +634,7 @@ class RatFunc(Frozen):
             return self._n == other._n and self._d == other._d
         try:
             # both denominators are nonzero, so a/b = c/d exactly when a d = c b
-            return self._n * other._d == other._n * self._d
+            return _same_products(self._n, other._d, other._n, self._d)
         except ResourceLimitError:
             return self.num == other.num and self.den == other.den
 

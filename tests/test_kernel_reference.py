@@ -3,19 +3,26 @@
 Each reference below is the kernel's formula evaluated one mode value at
 a time: every power of q comes from mode.q_power and every sum, product
 and quotient is Fraction, RatFunc or PadicNum arithmetic.  The kernels
-in qde.qeuler put each formula over one denominator instead, on int
-lists in symbolic mode and on ints at a fixed rational or p-adic q, and
-build the value once.  The two must agree: as rational functions with
-the same to_json() in symbolic mode, as Fractions at a rational q, and
-digit for digit, in valuation, unit and claimed precision, at a p-adic
-q.  The references form the powers of q in the formula's order, so an
+in qde.qeuler put each formula over one denominator instead and build
+the value once: on ints at a fixed rational or p-adic q, and in symbolic
+mode on packed polynomials, each one int, its value at 2^(8w) with w
+bytes per coefficient.  w comes from the formula's L1 bounds (P = prod
+(1 + Q^e) has 2^#factors, each quotient P / (1 + Q^e) 2^(#factors-1),
+the closed form's numerator 2 sum |c_i| 2^n 2^(#factors-1), a table
+entry N[l] 2^(top-l) times its own numerator's), and the exact quotient
+by 1 + Q^k is the balanced residue of a (1 - Y)(1 + Y^2)...(1 +
+Y^(2^(t-1))) = q (1 - Y^(2^t)) mod Y^(2^t), Y = Q^k.
+
+The two must agree: as rational functions with the same to_json() in
+symbolic mode, as Fractions at a rational q, and digit for digit, in
+valuation, unit and claimed precision, at a p-adic q.  The references form the powers of q in the formula's order, so an
 unrepresentable power or a pole raises here what the kernel raises, in
 type and message.  The property tests that hold the kernels to these
 references are TestFixedDenominator, TestFixedRational and
 TestFixedModulus in test_qeuler.py, and test_residue_reference.py.
 
 The one place the two differ on purpose is the degree limit: a symbolic
-kernel raises ResourceLimitError when a list it would form passes
+kernel raises ResourceLimitError when a polynomial it would form passes
 MAX_DEGREE, while a reference may still answer, because RatFunc redoes
 an operation in lowest terms where its unreduced degree would pass it.
 """

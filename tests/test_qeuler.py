@@ -28,7 +28,7 @@ from qde.qeuler import (
     root_mode,
     serialize_value,
 )
-from qde.ratfunc import Poly, RatFunc, _prod
+from qde.ratfunc import Poly, RatFunc
 from test_kernel_reference import REFERENCES, reference_kernels
 
 SYM = SymbolicMode()
@@ -675,13 +675,14 @@ class TestFixedDenominator:
         guard = qeuler._guard_degree
         monkeypatch.setattr(qeuler, "_guard_degree", lambda d: guards.append(d) or guard(d))
 
-        def recorded(helper):
-            return lambda *a: degrees.append(len(out := helper(*a)) - 1) or out
+        def recorded(helper, length):
+            return lambda *a: degrees.append(length(out := helper(*a)) - 1) or out
 
-        for name in ("_prod", "_stretch", "_times_binomial", "_quo_binomial"):
-            monkeypatch.setattr(qeuler, name, recorded(getattr(qeuler, name)))
-        axpy = qeuler._axpy
-        monkeypatch.setattr(qeuler, "_axpy", lambda acc, *a: axpy(acc, *a) or degrees.append(len(acc) - 1))
+        # every polynomial formed: packed ones, (value, length) in the variable they are packed in, and the
+        # lists a RatFunc is built from, in Q
+        for name in ("_times_packed", "_axpy_packed", "_mul_packed", "_quo_packed"):
+            monkeypatch.setattr(qeuler, name, recorded(getattr(qeuler, name), lambda out: out[1]))
+        monkeypatch.setattr(qeuler, "_stretch", recorded(qeuler._stretch, len))
         kernel(*args, mode)
         # the kernel's own guard comes last, after fd(1)'s
         assert guards[-1] == max(degrees, default=0)
@@ -728,34 +729,176 @@ class TestReducedMeasure:
         assert not calls
 
 
+def times_list(a: list, k: int, sign: int = 1) -> list:
+    """a (1 + sign Q^k) on an int list."""
+    c = a + [0] * k
+    for i, x in enumerate(a):
+        c[i + k] += sign * x
+    return c
+
+
+def quo_list(a: list, k: int):
+    """a / (1 + Q^k) on an int list by q_i = a_i - q_(i-k), or None where 1 + Q^k leaves a remainder."""
+    n = len(a) - k
+    q = a[:n]
+    for i in range(k, n):
+        q[i] -= q[i - k]
+    # the top k coefficients are the remainder's: a_j = q_(j-k) there
+    return q if n > 0 and ([0] * k + q)[n:] == a[n:] else None
+
+
+def packed(a: list, bits: int) -> tuple:
+    return ratfunc._pack(a, bits // 8), len(a)
+
+
+def unpacked(a: tuple, bits: int) -> list:
+    return ratfunc._unpack(*a, bits // 8)
+
+
+def numbers_lists(top: int, alpha: int) -> list:
+    """qeuler's table N[l] on int lists, step by step as the recurrence states it."""
+    nums = [[1]]
+    for n in range(1, top + 1):
+        nums[0] = times_list(nums[0], alpha * n + 1)
+    for n in range(1, top + 1):
+        acc = [0] * len(nums[0])
+        for l in range(n):
+            for i, c in enumerate(nums[l]):
+                acc[alpha * l + i] += comb(n, l) * c
+        nums.append([0] + [-c for c in quo_list(acc, alpha * n + 1)])
+    return nums
+
+
+# coefficients past 2^64 and shifts past 10,000
+wide_coefficients = st.integers(-(2**70), 2**70)
+shifts = st.one_of(st.integers(1, 9), st.integers(10_000, 12_000))
+
+
 @st.composite
 def binomial_multiples(draw):
-    q = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(lambda c: c[-1]))
-    k = draw(st.integers(1, 9))
-    return q, k, _prod(q, qeuler._stretch([1, 1], k))
+    coefficients = st.one_of(st.integers(-9, 9), wide_coefficients)
+    q = draw(st.lists(coefficients, min_size=1, max_size=12).filter(lambda c: c[-1]))
+    k = draw(shifts)
+    a = times_list(q, k)
+    # a width that holds every coefficient of q and of a
+    return q, k, a, 8 * ratfunc._width(2 * max(map(abs, q)))
 
 
-class TestQuoBinomial:
+class TestPackedHelpers:
+    """The packed polynomial helpers against int-list references."""
+
     @given(binomial_multiples())
     def test_exact_quotient(self, case):
-        q, k, a = case
-        assert qeuler._quo_binomial(a, k) == q
+        q, k, a, bits = case
+        assert unpacked(qeuler._quo_packed(packed(a, bits), k, bits), bits) == q
 
     @given(binomial_multiples(), st.data())
     def test_nonzero_remainder_is_rejected(self, case, data):
-        q, k, a = case
+        q, k, a, bits = case
         # a remainder r with deg r < k, r != 0
-        j = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(0, min(k, len(a)) - 1))
         a = a[:j] + [a[j] + data.draw(st.sampled_from((-2, -1, 1, 3)))] + a[j + 1:]
-        assert qeuler._quo_binomial(a, k) is None
+        assert quo_list(a, k) is None
+        assert qeuler._quo_packed(packed(a, bits), k, bits) is None
 
-    @given(binomial_multiples())
-    def test_shift_add_is_the_product_the_quotient_inverts(self, case):
-        q, k, a = case
-        for c in (q, a):
-            product = qeuler._times_binomial(c, k)
-            assert product == _prod(c, qeuler._stretch([1, 1], k))
-            assert qeuler._quo_binomial(product, k) == c
+    @given(binomial_multiples(), st.sampled_from((1, -1)))
+    def test_shift_add_is_the_product_the_quotient_inverts(self, case, sign):
+        q, k, a, bits = case
+        assert unpacked(qeuler._times_packed(packed(q, bits), k, bits), bits) == a
+        product = qeuler._times_packed(packed(q, bits), k, bits, sign)
+        assert unpacked(product, bits) == times_list(q, k, sign)
+        if sign == 1:
+            assert unpacked(qeuler._quo_packed(product, k, bits), bits) == q
+
+    @given(st.lists(wide_coefficients, min_size=1, max_size=12), st.lists(wide_coefficients, min_size=1, max_size=12),
+           st.integers(-(2**40), 2**40), st.one_of(st.integers(0, 9), shifts))
+    def test_axpy_and_product(self, acc, t, c, shift):
+        # room for a product's coefficients, 12 of 2^140
+        bits = 8 * ratfunc._width(12 * 2**140)
+        want = acc + [0] * max(0, shift + len(t) - len(acc))
+        for i, x in enumerate(t):
+            want[shift + i] += c * x
+        assert unpacked(qeuler._axpy_packed(packed(acc, bits), c, packed(t, bits), shift, bits), bits) == want
+        assert unpacked(qeuler._mul_packed(packed(acc, bits), packed(t, bits)), bits) == ratfunc._mul_schoolbook(acc, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 3))
+    def test_the_numbers_table_matches_its_lists(self, top, alpha):
+        l1 = qeuler._numbers_l1(top)
+        bits = 8 * ratfunc._width(max(l1))
+        want = numbers_lists(top, alpha)
+        assert [unpacked(v, bits) for v in qeuler._numbers_ints(top, alpha, bits)] == want
+        # each bound holds its N[l]
+        assert all(sum(map(abs, v)) <= b for v, b in zip(want, l1))
+
+
+def record_norms(monkeypatch, call) -> tuple:
+    """(bounds, norms): the bound each width comes from, and the L1 norm of each polynomial divided or read back.
+
+    Every width is made 8 bytes wider than the bound calls for, so each
+    packed value reads back as the polynomial it is.
+    """
+    bounds, norms = [], []
+    width, quo, unpack = qeuler._width, qeuler._quo_packed, qeuler._unpack
+
+    def read(v, n, w):
+        norms.append(sum(map(abs, out := unpack(v, n, w))))
+        return out
+
+    monkeypatch.setattr(qeuler, "_width", lambda bound: bounds.append(bound) or width(bound) + 8)
+    monkeypatch.setattr(qeuler, "_unpack", read)
+    monkeypatch.setattr(qeuler, "_quo_packed", lambda a, k, bits: (out := quo(a, k, bits), read(*out, bits // 8))[0])
+    call()
+    return bounds, norms
+
+
+@st.composite
+def packed_kernel_calls(draw):
+    """A symbolic kernel call, n up to 12, as a thunk."""
+    mode = draw(st.sampled_from((SYM, SymbolicMode(3), BaseLifted(SymbolicMode(2), 3))))
+    n, alpha = draw(st.integers(0, 12)), draw(st.sampled_from((1, 2, 3, 50)))
+    xs = draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 3))), min_size=1, max_size=3))
+    k, p = draw(st.sampled_from((2, 3, 5))), draw(st.sampled_from((3, 5)))
+    firsts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    seconds = draw(st.sampled_from((None, [draw(st.integers(1, 9)) for _ in firsts])))
+    return draw(st.sampled_from((
+        lambda: qeuler_poly(n, alpha, xs[0], mode),
+        lambda: qeuler_numbers(n, alpha, mode),
+        lambda: qeuler_poly_additive(n, alpha, abs(int(xs[0])), mode),
+        lambda: residue_split(mode, 1 + len(xs), n, alpha, xs, k, draw(st.booleans())),
+        lambda: qeuler.weighted_euler_sum(min(n, 4), alpha, xs, k, mode),
+        lambda: qeuler.weighted_scaled_sum(min(n, 4), alpha, k, firsts, seconds, p, draw(st.booleans()), mode),
+    )))
+
+
+class TestPackedWidths:
+    """Each symbolic kernel's width holds every coefficient it divides or reads back.
+
+    The kernels take w from an L1 bound derived from the formula (see the
+    qeuler module docstring); a coefficient is at most its polynomial's L1
+    norm, so a bound that holds each norm is wide enough.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_kernel_calls())
+    def test_every_norm_is_within_the_bound(self, call):
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                bounds, norms = record_norms(mp, call)
+            except QdeError:
+                return  # a pole, an exponent the mode cannot take or the degree limit: nothing was packed
+        assert len(bounds) <= 1
+        assert max(norms, default=0) <= sum(bounds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_closed_form_bounds_are_attained(self, monkeypatch, n):
+        # at alpha = 50 and x >= 7 no two powers of Q in a term meet with opposite signs, and positive weights
+        # 5000 apart keep the terms apart: the numerator has its bound 2 sum |c_i| 2^n 2^n
+        fd = qeuler._fixed_denominator(SYM)
+        xs, weights = [Fraction(x) for x in (7, 9, 13)], [(1, 0), (2, 5000), (1, 10000)]
+        form = qeuler._closed_form_ints(n, 50, xs, fd, fd, weights)
+        bounds, norms = record_norms(monkeypatch, lambda: qeuler._finished(*form))
+        assert bounds == [max(norms)] == [2 * 4 * 2**n * 2**n]
 
 
 @st.composite

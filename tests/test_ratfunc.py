@@ -217,6 +217,25 @@ class TestPoly:
             Poly.monomial(MAX_DEGREE + 1)
 
 
+class TestPackedEquality:
+    """RatFunc equality compares a d and c b as two packed products."""
+
+    @given(wide_polys, wide_polys, wide_polys, wide_polys, st.booleans())
+    def test_matches_the_product_comparison(self, x, y, z, t, perturb):
+        # a b = c d = x y z t, or, perturbed, one coefficient off
+        a, b, c, d = x * y, z * t, x * z, y * t
+        if perturb:
+            a = a + Poly([1])
+        same = ratfunc._same_products(a, b, c, d)
+        assert same == (a * b == c * d)
+        assert same or perturb
+
+    def test_a_coefficient_of_a_narrower_radix_is_not_a_carry(self):
+        # 2^56 + q^2 and q + q^2 agree at q = 2^56, one byte narrower than the width 2^56 calls for
+        one = Poly([1])
+        assert not ratfunc._same_products(Poly([2**56, 0, 1]), one, Poly([0, 1, 1]), one)
+
+
 class TestPolyGcd:
     def test_fixture(self):
         a = [-1, 0, 1]            # q^2 - 1

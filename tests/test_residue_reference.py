@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qde import qeuler
+from qde import qeuler, ratfunc
 from qde.catalog import check
 from qde.errors import ExponentError, PoleError, PrecisionError, PreconditionError, ResourceLimitError
 from qde.padic import PadicConfig, PadicNum
@@ -157,11 +157,17 @@ def test_the_example_terms_differ_in_stride_and_shift():
     fd = qeuler._fixed_denominator(mode)
     xs = [Fraction(0), Fraction(1, 2), Fraction(-3, 2)]
     forms = [qeuler._closed_form_ints(2, 1, [x], fd, fd) for x in xs]
-    assert [(g, den.index(1) * g) for _, den, g in forms] == [(2, 0), (1, 0), (1, 6)]
+    assert [_stride_and_shift(*form) for form in forms] == [(2, 0), (1, 0), (1, 6)]
     # together, over the least stride and the largest shift
     weights = [((-1) ** i, fd(1) * i) for i in range(len(xs))]
-    _, den, g = qeuler._closed_form_ints(2, 1, xs, fd, fd, weights, strides=(fd(1),))
-    assert (g, den.index(1) * g) == (1, 6)
+    assert _stride_and_shift(*qeuler._closed_form_ints(2, 1, xs, fd, fd, weights, strides=(fd(1),))) == (1, 6)
+
+
+def _stride_and_shift(g, l1, form):
+    """The stride g and the power of Q that the denominator's lowest term carries, from the packed form."""
+    bits = 8 * ratfunc._width(l1[1])
+    _, den = form(g, bits)
+    return g, ratfunc._unpack(*den, bits // 8).index(1) * g
 
 
 class TestErrors:
