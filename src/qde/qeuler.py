@@ -95,16 +95,17 @@ advance, a product of binomials 1 + q^k, and build each value once
 instead of once per addition (_fixed_denominator).  Each polynomial is
 one int, its value at Q = 2^(8w) with w bytes per coefficient, the
 Kronecker substitution ratfunc's products use (D. Harvey, J. Symb.
-Comput. 44, 2009): a product by 1 +- Q^k is x +- (x << 8wk), an axpy
-one shifted multiply-add, [x]^(n-l) a product of ints.  A list exists
-only where a kernel builds a RatFunc, one unpack per polynomial
-(_unpacked).  The exact quotient by 1 + Q^k uses a (1 - Y)(1 + Y^2)(1 +
-Y^4)...(1 + Y^(2^(t-1))) = q (1 - Y^(2^t)), Y = Q^k: q is that
-product's balanced residue mod Y^(2^t), from O(log) shift-adds
-(_quo_packed).  w comes from an a-priori bound on the L1 norm, derived
-from the formula and never from the values, so that every coefficient
-divided or read back is below 2^(8w-1) and the balanced digits are the
-coefficients:
+Comput. 44, 2009): a product by 1 +- Q^k is x +- (x << 8wk), an axpy one
+shifted multiply-add, [x]^(n-l) a product of ints.  The value is a
+RatFunc of the two ints (RatFunc._from_packed), whose denominator, of
+powers of Q and binomials 1 +- Q^k, leads with +-1.  == decides on the
+ints; only arithmetic, num and den read lists back.  The exact quotient
+by 1 + Q^k uses a (1 - Y)(1 + Y^2)(1 + Y^4)...(1 + Y^(2^(t-1))) = q (1 -
+Y^(2^t)), Y = Q^k: q is that product's balanced residue mod Y^(2^t),
+from O(log) shift-adds (_quo_packed).  w comes from an a-priori bound on
+the L1 norm, derived from the formula and never from the values, so that
+every coefficient divided or read back is below 2^(8w-1) and the
+balanced digits are the coefficients:
 
 - qeuler_poly's sum is over P (1 - q^alpha)^n with P = prod_l (1 +
   q^(alpha l + 1)), and term l's numerator is the exact quotient P / (1 +
@@ -152,7 +153,7 @@ from operator import mul, pos
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
 from .exact import Frozen, as_int, as_rational, format_rational, frac_floor_parts
 from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _one_unit, _root, _vp, q_pow
-from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _stretch, _unpack, _width
+from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _width
 
 
 class RationalMode(Frozen):
@@ -482,8 +483,7 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
         _guard_degree(g * (alpha * top * (top + 1) // 2 + top))
         bits = 8 * _width(max(_numbers_l1(top)))
         nums = _numbers_ints(top, alpha, bits)
-        den = _unpacked(nums[0], g, bits)
-        return [one] + [RatFunc(_unpacked(e_n, g, bits), den) for e_n in nums[1:]]
+        return [one] + [RatFunc._from_packed(e_n, nums[0], g, bits) for e_n in nums[1:]]
     iv = _ints(mode)
     nums = _numbers_at(top, alpha, iv)
     return [one] + [iv.finish([(e_n, nums[0])]) for e_n in nums[1:]]
@@ -502,10 +502,9 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
     fd = _fixed_denominator(mode)
     if fd is not None:
         g, b = fd(1), alpha * max(x - 1, 0)
-        # the longest list formed: [x] has degree b, and term l has degree alpha l x + deg N[l] + (n - l) b,
-        # which is deg N[0] + n b for every l, as alpha l + deg N[l] = deg N[0]; at x = 0, [x] = 0 and N[0]
-        # is the longest
-        _guard_degree(max(g * (alpha * n * (n + 1) // 2 + n + n * b), b))
+        # the longest polynomial, in q = Q^g: [x] has degree b, term l alpha l x + deg N[l] + (n - l) b, which is
+        # deg N[0] + n b, as alpha l + deg N[l] = deg N[0]; at x = 0, [x] = 0 and N[0] is the longest
+        _guard_degree(g * max(alpha * n * (n + 1) // 2 + n + n * b, b))
         # [x] has L1 norm x, so term l has at most C(n,l) x^(n-l) times N[l]'s bound
         l1 = _numbers_l1(n)
         bits = 8 * _width(max(*l1, sum(comb(n, l) * c * x ** (n - l) for l, c in enumerate(l1))))
@@ -516,7 +515,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
         for l in range(n, -1, -1):
             acc = _axpy_packed(acc, comb(n, l), _mul_packed(nums[l], power), alpha * l * x, bits)
             power = _mul_packed(power, bracket)
-        return RatFunc(_unpacked(acc, g, bits), _unpacked(nums[0], g, bits))
+        return RatFunc._from_packed(acc, nums[0], g, bits)
     iv = _ints(mode)
     # q^alpha = a/b and [x] = g / b^x, m None at a rational q; every term is over b^(n x) N[0]
     nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
@@ -596,7 +595,7 @@ def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list,
     for _ in range(more):
         num, num2, den = (_times_packed(v, e, bits, -1) for v, e in ((num, up), (num2, down), (den, up)))
     num, den = _axpy_packed(num, -1, num2, 0, bits), _times_packed(den, c, bits, -1)
-    return RatFunc(_unpacked(num, g2, bits), _unpacked(den, g2, bits))
+    return RatFunc._from_packed(num, den, g2, bits)
 
 
 def _bracket_weights(fd, alpha: int, count: int) -> list:
@@ -1065,7 +1064,7 @@ def _finished(g: int, l1: tuple, form, up: int = 0, down: int = 0, sign: int = 1
         num = _times_packed(num, up // g, bits)
     if down:
         den = _times_packed(den, down // g, bits, sign)
-    return RatFunc(_unpacked(num, g, bits), _unpacked(den, g, bits))
+    return RatFunc._from_packed(num, den, g, bits)
 
 
 def _numbers_l1(top: int) -> list:
@@ -1095,11 +1094,6 @@ def _numbers_ints(top: int, alpha: int, bits: int) -> list:
         # exact: N[0] / (1 + q^(alpha n + 1)) is a multiple of every E_l with l < n
         nums.append(_axpy_packed(_ZERO, -1, _quo_packed(acc, alpha * n + 1, bits), 1, bits))
     return nums
-
-
-def _unpacked(a: tuple, g: int, bits: int) -> Poly:
-    """The packed a as a Poly, with Q^g in place of Q: its one unpack; a RatFunc of two is reduced when read."""
-    return _poly(_stretch(_unpack(*a, bits // 8), g), 1)
 
 
 def _geometric(a: int, b: int, x: int, red) -> int:

@@ -9,7 +9,8 @@ form is canonical, so ``==`` and ``hash`` compare it structurally, and
 ``Poly.coeffs`` rebuilds the coefficients as Fractions.  A rational
 function keeps a numerator and a monic denominator that may share a
 factor, and is brought to lowest terms only when its ``num`` or ``den``
-is read: by hashing, evaluation, rendering and serialization.
+is read: by hashing, evaluation, rendering and serialization.  A
+kernel's parts stay packed ints (_Packed) until arithmetic or reduction.
 
 All arithmetic runs on the integer numerators.  Multiplication and
 division switch on operand length alone:
@@ -64,7 +65,8 @@ A result is marked reduced when its operands were and every gcd it
 needed came from the rules above.  Two reduced values are equal when
 their parts are; otherwise a/b == c/d is decided as a d == c b, which is
 exact since b and d are nonzero, on the two products packed at one
-xi = 2^(8w) wide enough for both (_same_products).
+xi = 2^(8w) wide enough for both (_same_products): at most min(len)
+2^(bits-1) 2^(bits'-1) for packed parts, whose digits are below 2^(bits-1).
 
 A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
 enough for every check shipped here, small enough to fail fast on a
@@ -377,26 +379,59 @@ def _mul_kronecker(a, b) -> list[int]:
 
 
 def _same_products(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
-    """a b == c d, decided on two packed products, with no product unpacked and no Poly built.
+    """a b == c d, decided on two packed products, with no product unpacked, no list read back and no Poly built.
 
     With a = A / s_a and so on, that is A B s_c s_d = C D s_a s_b on
-    integer polynomials.  Each side is evaluated at 2^(8w), with w wide
-    enough for every coefficient of both products, so equal integers are
-    equal polynomials, and unequal values are unequal polynomials.
+    integer polynomials.  Each operand is taken in Q^s, s the gcd of the
+    strides, at 2^(8w), w wide enough for every coefficient of both
+    products, so the integers are equal exactly when the polynomials are.
     """
-    x, y, u, v = a._num, b._num, c._num, d._num
-    # a product is zero where a factor is, and its degree is the sum of theirs
-    if not (x and y and u and v) or len(x) + len(y) != len(u) + len(v):
-        return not (x and y or u and v)
-    _guard_degree(len(x) + len(y) - 2)
     left, right = c._den * d._den, a._den * b._den
-    w = _width(max(_bound(x, y) * left, _bound(u, v) * right))
-    return _pack(x, w) * _pack(y, w) * left == _pack(u, w) * _pack(v, w) * right
+    if type(a) is type(b) is type(c) is type(d) is Poly:  # lists alone pack fastest at a machine width
+        x, y, u, v = a._num, b._num, c._num, d._num
+        # a product is zero where a factor is, and its degree is the sum of theirs
+        if not (x and y and u and v) or len(x) + len(y) != len(u) + len(v):
+            return not (x and y or u and v)
+        _guard_degree(len(x) + len(y) - 2)
+        w = _width(max(_bound(x, y) * left, _bound(u, v) * right))
+        return _pack(x, w) * _pack(y, w) * left == _pack(u, w) * _pack(v, w) * right
+    shapes = [_shape(p) for p in (a, b, c, d)]
+    (ka, sa, na, ma), (kb, sb, nb, mb), (kc, sc, nc, mc), (kd, sd, nd, md) = shapes
+    if min(ka, kb, kc, kd) < 0 or ka + kb != kc + kd:
+        return (ka < 0 or kb < 0) and (kc < 0 or kd < 0)
+    _guard_degree(ka + kb)
+    bound = max(min(na, nb) * ma * mb * left, min(nc, nd) * mc * md * right)
+    # packed operands alone are moved to any width, and the products cost its square
+    w = bound.bit_length() // 8 + 1 if type(a) is type(b) is type(c) is type(d) is _Packed else _width(bound)
+    x, y, u, v = (_restrided(p._packed, n, gcd(sa, sb, sc, sd) or 1, w) if type(p) is _Packed else _pack(p._num, w)
+                  for p, (_, _, n, _) in zip((a, b, c, d), shapes))
+    return x * y * left == u * v * right
 
 
 def _bound(a, b) -> int:
-    """A bound on the coefficients of a b."""
+    """A bound on the coefficients of a b: each is a sum of at most min(len) products."""
     return max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+
+
+def _shape(p: Poly) -> tuple:
+    """(degree, stride, digits, bound on |digit|) of p's numerator; zero has degree -1, a constant list stride 0."""
+    if type(p) is not _Packed:
+        x = p._num
+        return len(x) - 1, 1 if len(x) > 1 else 0, len(x), max(map(abs, x), default=0)
+    v, _, g, bits = p._packed
+    # every |digit| is below 2^(bits-1), so 2^(bits k - 1) <= |v| < 2^(bits (k+1) - 1) at degree k
+    k = abs(v).bit_length() // bits if v else -1
+    return g * k, g, k + 1, 1 << bits - 1
+
+
+def _restrided(packed: tuple, n: int, s: int, w: int) -> int:
+    """n digits packed in Q^g, moved to Q^s at 2^(8w), w wider: offset to nonnegative bytes, sliced, offset back."""
+    v, _, g, bits = packed
+    u, step = bits // 8, g // s * w
+    raw, out = (v + _offset(n, u)).to_bytes(n * u, "little"), bytearray(n * step)
+    for k in range(u):
+        out[k::step] = raw[k::u]
+    return int.from_bytes(out, "little") - int.from_bytes((bytes(u - 1) + b"\x80" + bytes(step - u)) * n, "little")
 
 
 def _mul_ints(a, b) -> list[int]:
@@ -550,6 +585,27 @@ def _monic(d) -> Poly:
     return _raw(tuple(d), d[-1])
 
 
+class _Packed(Poly):
+    """A kernel's integer polynomial over 1, v at Q^g = 2^bits, n terms, each below 2^(bits-1), its list read lazily."""
+
+    __slots__ = ("_packed",)
+    __hash__ = Poly.__hash__  # which defining __eq__ would clear
+
+    def __init__(self, v: int, n: int, g: int, bits: int):
+        object.__setattr__(self, "_packed", (v, n, g, bits))
+        object.__setattr__(self, "_den", 1)
+
+    def __getattr__(self, name):
+        if name != "_num":
+            raise AttributeError(name)
+        v, n, g, bits = self._packed
+        _init(self, _stretch(_unpack(v, n, bits // 8), g), 1)
+        return self._num
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and _same_products(self, _POLY_ONE, other, _POLY_ONE)
+
+
 _POLY_ONE = Poly.one()
 _POLY_ZERO = Poly.zero()
 
@@ -598,6 +654,16 @@ class RatFunc(Frozen):
     def _reduced(cls, num: Poly, den: Poly, red: bool = True) -> "RatFunc":
         # private fast path for a monic den; red says num/den is in lowest terms
         return object.__new__(cls)._put(num, den, red)
+
+    @classmethod
+    def _from_packed(cls, num: tuple, den: tuple, g: int, bits: int) -> "RatFunc":
+        """num / den packed as (value at Q^g = 2^bits, length), each coefficient below 2^(bits-1); not reduced.
+
+        den must lead with +-1, as a kernel's, of powers of Q and binomials 1 +- Q^k, does: a packed value has
+        its leading coefficient's sign, which alone makes den monic.
+        """
+        sign = -1 if den[0] < 0 else 1
+        return cls._reduced(_Packed(sign * num[0], num[1], g, bits), _Packed(sign * den[0], den[1], g, bits), False)
 
     @classmethod
     def const(cls, c) -> "RatFunc":

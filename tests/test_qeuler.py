@@ -671,21 +671,31 @@ class TestFixedDenominator:
     ])
     @pytest.mark.parametrize("mode", [SYM, SymbolicMode(3), BaseLifted(SymbolicMode(2), 3)])
     def test_the_degree_guard_is_the_longest_list(self, monkeypatch, kernel, args, mode):
-        guards, degrees = [], []
+        guards, packed, lists, strides = [], [], [], []
         guard = qeuler._guard_degree
         monkeypatch.setattr(qeuler, "_guard_degree", lambda d: guards.append(d) or guard(d))
 
-        def recorded(helper, length):
-            return lambda *a: degrees.append(length(out := helper(*a)) - 1) or out
+        def recorded(helper, length, into):
+            return lambda *a: into.append(length(out := helper(*a)) - 1) or out
 
-        # every polynomial formed: packed ones, (value, length) in the variable they are packed in, and the
-        # lists a RatFunc is built from, in Q
+        # every polynomial formed: packed ones, (value, length) in the Q^g they are packed in, and the lists
+        # their value's parts are read back to, in Q, with g the stride each is stretched by
         for name in ("_times_packed", "_axpy_packed", "_mul_packed", "_quo_packed"):
-            monkeypatch.setattr(qeuler, name, recorded(getattr(qeuler, name), lambda out: out[1]))
-        monkeypatch.setattr(qeuler, "_stretch", recorded(qeuler._stretch, len))
-        kernel(*args, mode)
+            monkeypatch.setattr(qeuler, name, recorded(getattr(qeuler, name), lambda out: out[1], packed))
+        stretch = recorded(ratfunc._stretch, len, lists)
+        monkeypatch.setattr(ratfunc, "_stretch", lambda a, g: strides.append(g) or stretch(a, g))
+        read_back(kernel(*args, mode))
+        # a kernel packs every polynomial in one Q^g
+        assert len(set(strides)) == (len(packed) > 0)
         # the kernel's own guard comes last, after fd(1)'s
-        assert guards[-1] == max(degrees, default=0)
+        assert guards[-1] == max([d * strides[0] for d in packed] + lists, default=0)
+
+    def test_the_additive_form_guards_its_bracket_in_q(self):
+        # [x] has degree 39,999 in q = Q^3, so 119,997 in Q: past the limit, as 100,001 is at scale 1
+        with pytest.raises(ResourceLimitError, match="polynomial degree 119997 exceeds limit 100000"):
+            qeuler_poly_additive(0, 1, 40000, SymbolicMode(3))
+        with pytest.raises(ResourceLimitError, match="polynomial degree 100001 exceeds limit 100000"):
+            qeuler_poly_additive(0, 1, 100002, SYM)
 
     def test_past_the_limit_a_kernel_names_its_degree(self):
         # the closed form's denominator (1 + Q)(1 + Q^50001)(1 - Q^50000) has degree 100,002;
@@ -832,23 +842,30 @@ class TestPackedHelpers:
         assert all(sum(map(abs, v)) <= b for v, b in zip(want, l1))
 
 
+def read_back(value) -> None:
+    """Read the parts of a kernel's value, or of each value in a list, back to lists, as arithmetic would."""
+    for v in value if isinstance(value, list) else [value]:
+        v._n._num, v._d._num
+
+
 def record_norms(monkeypatch, call) -> tuple:
     """(bounds, norms): the bound each width comes from, and the L1 norm of each polynomial divided or read back.
 
     Every width is made 8 bytes wider than the bound calls for, so each
-    packed value reads back as the polynomial it is.
+    packed value reads back as the polynomial it is; the value call
+    returns is read back in full.
     """
     bounds, norms = [], []
-    width, quo, unpack = qeuler._width, qeuler._quo_packed, qeuler._unpack
+    width, quo, unpack = qeuler._width, qeuler._quo_packed, ratfunc._unpack
 
     def read(v, n, w):
         norms.append(sum(map(abs, out := unpack(v, n, w))))
         return out
 
     monkeypatch.setattr(qeuler, "_width", lambda bound: bounds.append(bound) or width(bound) + 8)
-    monkeypatch.setattr(qeuler, "_unpack", read)
+    monkeypatch.setattr(ratfunc, "_unpack", read)
     monkeypatch.setattr(qeuler, "_quo_packed", lambda a, k, bits: (out := quo(a, k, bits), read(*out, bits // 8))[0])
-    call()
+    read_back(call())
     return bounds, norms
 
 
@@ -889,6 +906,17 @@ class TestPackedWidths:
                 return  # a pole, an exponent the mode cannot take or the degree limit: nothing was packed
         assert len(bounds) <= 1
         assert max(norms, default=0) <= sum(bounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(packed_kernel_calls())
+    def test_every_denominator_reads_back_monic(self, call):
+        # a product of powers of Q and binomials 1 +- Q^k leads with +-1, and the packed value's sign makes it 1
+        try:
+            value = call()
+        except QdeError:
+            return
+        for v in value if isinstance(value, list) else [value]:
+            assert v._d._num[-1] == v._d._den == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_closed_form_bounds_are_attained(self, monkeypatch, n):

@@ -5,10 +5,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qde import qeuler, ratfunc
-from qde.catalog import check
+from qde.catalog import CATALOG, check
 from qde.errors import PoleError, PreconditionError, ResourceLimitError
 from qde.exact import format_rational, parse_rational
-from qde.qeuler import SymbolicMode, measure, q_int
+from qde.qeuler import (
+    BaseLifted,
+    SymbolicMode,
+    compare_values,
+    measure,
+    q_int,
+    qeuler_numbers,
+    qeuler_poly,
+    qeuler_poly_additive,
+)
 from qde.ratfunc import (
     KRONECKER_MIN_LEN,
     MAX_DEGREE,
@@ -234,6 +243,112 @@ class TestPackedEquality:
         # 2^56 + q^2 and q + q^2 agree at q = 2^56, one byte narrower than the width 2^56 calls for
         one = Poly([1])
         assert not ratfunc._same_products(Poly([2**56, 0, 1]), one, Poly([0, 1, 1]), one)
+
+
+def as_list(p: Poly) -> tuple:
+    """(integer numerator in Q as a list, denominator) of p, a packed p's read from its int and not from p."""
+    if type(p) is ratfunc._Packed:
+        v, n, g, bits = p._packed
+        a = ratfunc._stretch(ratfunc._unpack(v, n, bits // 8), g)
+    else:
+        a = list(p._num)
+    while a and not a[-1]:
+        a.pop()
+    return a, p._den
+
+
+def cross_equal(x: RatFunc, y: RatFunc) -> bool:
+    """x == y by list cross-multiplication: a/b = c/d exactly when a d = c b."""
+    (a, sa), (b, sb), (c, sc), (d, sd) = map(as_list, (x._n, x._d, y._n, y._d))
+    ad = _mul_schoolbook(a, d) if a else []
+    cb = _mul_schoolbook(c, b) if c else []
+    return [t * sb * sc for t in ad] == [t * sa * sd for t in cb]
+
+
+def respread(v: RatFunc, extra: int) -> RatFunc:
+    """v's parts packed again in Q, extra bytes wider than v's: the same value at stride 1 and another width."""
+    (a, _), (b, _) = as_list(v._n), as_list(v._d)
+    w = v._n._packed[3] // 8 + extra
+    return RatFunc._from_packed((ratfunc._pack(a, w), len(a)), (ratfunc._pack(b, w), len(b)), 1, 8 * w)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(x, y) from the symbolic kernels at one scale 1-6 and base 1-3: equal by an identity, or drawn apart."""
+    scale, base = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    mode = SymbolicMode(scale) if base == 1 else BaseLifted(SymbolicMode(scale), base)
+    n, alpha, x = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    point = {"n": n, "alpha": alpha, "x": Fraction(x), "d": draw(st.sampled_from((1, 3, 5)))}
+    top = max(n, 1)  # E_0 is the table's plain 1
+    return draw(st.sampled_from((
+        lambda: (qeuler_poly(n, alpha, x, mode), qeuler_poly_additive(n, alpha, x, mode)),
+        lambda: (qeuler_poly(top, alpha, 0, mode), qeuler_numbers(top, alpha, mode)[top]),
+        lambda: CATALOG["eq7"].sides("corrected", mode, **point),
+        lambda: CATALOG["eq7"].sides("printed", mode, **point),
+        lambda: (qeuler_poly(n, alpha, x, mode), qeuler_poly(n + 1, alpha, x, mode)),
+    )))()
+
+
+class TestPackedKernelEquality:
+    """== on kernel values decided on their packed ints agrees with list cross-multiplication."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_pairs(), st.sampled_from(("as built", "respread", "respread wider", "listed")), st.data())
+    def test_matches_list_cross_multiplication(self, pair, form, data):
+        x, y = pair
+        if form == "listed":
+            # a list operand: the comparison is mixed
+            y = RatFunc._reduced(Poly(as_list(y._n)[0]), Poly(as_list(y._d)[0]), False)
+        elif form != "as built":
+            y = respread(y, 1 if form == "respread" else 3)
+        same = cross_equal(x, y)
+        assert (x == y) is same and (y == x) is same
+        # a negative control: one coefficient of x's numerator off by one
+        v, n, g, bits = x._n._packed
+        i, sign = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from((1, -1)))
+        assume(abs(ratfunc._unpack(v, n, bits // 8)[i] + sign) < 1 << bits - 1)
+        off = RatFunc._from_packed((v + (sign << bits * i), n), x._d._packed[:2], g, bits)
+        assert not cross_equal(off, y)
+        assert off != y and y != off
+
+    def test_the_pairs_differ_in_width_and_stride(self):
+        # eq4's sides are packed 2 and 4 bytes wide, and a respread value is in Q where the value is in Q^2
+        x, y = CATALOG["eq4"].sides("printed", SymbolicMode(), n=6, alpha=3, x=2)
+        assert x._n._packed[3] != y._n._packed[3] and x == y
+        v = qeuler_poly(2, 1, 0, SymbolicMode(2))
+        assert v._n._packed[2] == 2 and respread(v, 0)._n._packed[2] == 1 and v == respread(v, 0)
+
+    def test_a_packed_denominator_is_made_monic_by_its_sign(self):
+        # -1 - Q over -Q^2 - Q^3 is (1 + Q)/(Q^2 + Q^3) = 1/Q^2
+        v = RatFunc._from_packed((ratfunc._pack([-1, -1], 1), 2), (ratfunc._pack([0, 0, -1, -1], 1), 4), 1, 8)
+        assert v._d._packed[0] > 0 and v._d._num == (0, 0, 1, 1)
+        assert v == RatFunc.monomial(-2)
+
+    def test_an_exact_symbolic_verdict_reads_no_list_back(self, monkeypatch):
+        calls = []
+        unpack = ratfunc._unpack
+        monkeypatch.setattr(ratfunc, "_unpack", lambda v, n, w: calls.append(v) or unpack(v, n, w))
+        points = [
+            ("eq4", "printed", {"n": 4, "alpha": 2, "x": 2}),
+            ("eq5", "corrected", {"n": 3, "alpha": 1, "d": 3, "x": Fraction(1, 2)}),
+            ("eq7", "corrected", {"n": 2, "alpha": 2, "d": 5, "x": Fraction(0)}),
+        ]
+        for identity, variant, point in points:
+            assert check(identity, variant, point, SymbolicMode(CATALOG[identity].scale(**point))).status == "exact"
+        assert calls == []
+
+    def test_a_failing_verdict_reads_each_part_back_once(self, monkeypatch):
+        point = {"n": 2, "alpha": 2, "d": 3, "x": Fraction(0)}
+        mode = SymbolicMode(CATALOG["eq7"].scale(**point))
+        lhs, rhs = CATALOG["eq7"].sides("printed", mode, **point)
+        parts = sorted(p._packed[0] for v in (lhs, rhs) for p in (v._n, v._d))
+        calls = []
+        unpack = ratfunc._unpack
+        monkeypatch.setattr(ratfunc, "_unpack", lambda v, n, w: calls.append(v) or unpack(v, n, w))
+        status = compare_values(mode, lhs, rhs)
+        # the witness, in lowest terms, is what reads the parts back
+        assert set(status["fail"]["lhs"]) == {"num", "den"}
+        assert sorted(v for v in calls if v in parts) == parts
 
 
 class TestPolyGcd:
