@@ -98,8 +98,11 @@ Kronecker substitution ratfunc's products use (D. Harvey, J. Symb.
 Comput. 44, 2009): a product by 1 +- Q^k is x +- (x << 8wk), an axpy one
 shifted multiply-add, [x]^(n-l) a product of ints.  The value is a
 RatFunc of the two ints (RatFunc._from_packed), whose denominator, of
-powers of Q and binomials 1 +- Q^k, leads with +-1.  == decides on the
-ints; only arithmetic, num and den read lists back.  The exact quotient
+powers of Q and binomials 1 +- Q^k, leads with +-1; each part carries
+the L1 bound its width comes from as its digit bound h, so == sizes its
+products from the formula.  ==, negation and a sum over the same
+denominator decide on the ints; only other arithmetic, num and den read
+lists back.  The exact quotient
 by 1 + Q^k uses a (1 - Y)(1 + Y^2)(1 + Y^4)...(1 + Y^(2^(t-1))) = q (1 -
 Y^(2^t)), Y = Q^k: q is that product's balanced residue mod Y^(2^t),
 from O(log) shift-adds (_quo_packed).  w comes from an a-priori bound on
@@ -123,7 +126,9 @@ balanced digits are the coefficients:
 
 When every exponent is a multiple of g, the polynomials are in Q^g and
 the value is spread back.  measure needs no gcd at all for odd p (see
-there).
+there): it packs its parts at one byte per digit with h = 1, and every
+mass at one level has the same denominator int, so a level's masses
+add as ints with no gcd.
 
 So each of the eight kernels (q_int, qeuler_poly, qeuler_numbers,
 qeuler_poly_additive, scaled_qeuler, residue_split, weighted_euler_sum,
@@ -153,7 +158,7 @@ from operator import mul, pos
 from .errors import ExponentError, PoleError, PrecisionError, PreconditionError
 from .exact import Frozen, as_int, as_rational, format_rational, frac_floor_parts
 from .padic import DEFAULT_PRECISION, PadicConfig, PadicNum, _one_unit, _root, _vp, q_pow
-from .ratfunc import Poly, RatFunc, _guard_degree, _poly, _width
+from .ratfunc import MAX_DEGREE, Poly, RatFunc, _Packed, _guard_degree, _poly, _width
 
 
 class RationalMode(Frozen):
@@ -385,6 +390,9 @@ def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
     The value is (-q)^a (1 + q) / (1 + q^(p^level)).  For odd N = p^level
     that is (-q)^a / sum_{i<N} (-q)^i, whose denominator has constant term 1
     and leading coefficient 1: in symbolic mode, reduced and monic as built.
+    There both parts are packed in q = Q^k at one byte per digit, each digit
+    0 or +-1: +-Y^a, and sum_{i<N} (-Y)^i = (Y^N + 1) / (Y + 1) at Y = 2^8.
+    So every mass at one level has the same denominator, one int.
     """
     p = resolve_prime(mode, p)
     if level < 1:
@@ -395,11 +403,11 @@ def measure(a: int, level: int, mode, p: int = None) -> QEulerValue:
     fd = _fixed_denominator(mode)
     if fd is not None and p % 2:
         # the generic formula's degrees in its order: q^a, q, q^a (1 + q), q^N
-        k_a, k = fd(a), fd(1)
+        k_a, k, n = fd(a), fd(1), p**level
         _guard_degree(k_a + k)
-        den = [0] * (fd(p**level) - k + 1)
-        den[::k] = [1, -1] * (p**level // 2) + [1]
-        return QEulerValue("symbolic", RatFunc._reduced(Poly.monomial(k_a, sign), _poly(den, 1)))
+        fd(n)  # q^N: formed for its errors alone
+        num, den = sign << 8 * a, ((1 << 8 * n) + 1) // 257
+        return QEulerValue("symbolic", RatFunc._reduced(_Packed(num, a + 1, k, 8, 1), _Packed(den, n, k, 8, 1)))
     one = mode.from_rational(1)
     try:
         v = mode.q_power(a) * (one + mode.q_power(1)) / (one + mode.q_power(p**level))
@@ -481,9 +489,10 @@ def qeuler_numbers(top: int, alpha: int, mode) -> list:
         g = fd(1)
         # the longest list formed: deg N[0] = alpha top (top + 1)/2 + top, since alpha l + deg N[l] = deg N[0]
         _guard_degree(g * (alpha * top * (top + 1) // 2 + top))
-        bits = 8 * _width(max(_numbers_l1(top)))
+        l1 = _numbers_l1(top)
+        bits = 8 * _width(max(l1))
         nums = _numbers_ints(top, alpha, bits)
-        return [one] + [RatFunc._from_packed(e_n, nums[0], g, bits) for e_n in nums[1:]]
+        return [one] + [RatFunc._from_packed(e_n, nums[0], g, bits, (h, l1[0])) for e_n, h in zip(nums[1:], l1[1:])]
     iv = _ints(mode)
     nums = _numbers_at(top, alpha, iv)
     return [one] + [iv.finish([(e_n, nums[0])]) for e_n in nums[1:]]
@@ -507,7 +516,8 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
         _guard_degree(g * max(alpha * n * (n + 1) // 2 + n + n * b, b))
         # [x] has L1 norm x, so term l has at most C(n,l) x^(n-l) times N[l]'s bound
         l1 = _numbers_l1(n)
-        bits = 8 * _width(max(*l1, sum(comb(n, l) * c * x ** (n - l) for l, c in enumerate(l1))))
+        h = sum(comb(n, l) * c * x ** (n - l) for l, c in enumerate(l1))
+        bits = 8 * _width(max(*l1, h))
         nums, bracket, acc, power = _numbers_ints(n, alpha, bits), _ZERO, _ZERO, _ONE
         for i in range(x):
             bracket = _axpy_packed(bracket, 1, _ONE, alpha * i, bits)
@@ -515,7 +525,7 @@ def qeuler_poly_additive(n: int, alpha: int, x: int, mode):
         for l in range(n, -1, -1):
             acc = _axpy_packed(acc, comb(n, l), _mul_packed(nums[l], power), alpha * l * x, bits)
             power = _mul_packed(power, bracket)
-        return RatFunc._from_packed(acc, nums[0], g, bits)
+        return RatFunc._from_packed(acc, nums[0], g, bits, (h, l1[0]))
     iv = _ints(mode)
     # q^alpha = a/b and [x] = g / b^x, m None at a rational q; every term is over b^(n x) N[0]
     nums, (a, b), m = _numbers_at(n, alpha, iv), iv.power(alpha), iv.m
@@ -576,14 +586,15 @@ def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list,
     g, l1, form = first
     ek = fd(alpha * k)
     far = _fixed_denominator(BaseLifted(mode, k * p))
-    g2, (l2, _), form2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, fd, weights,
+    g2, (l2, d2), form2 = _closed_form_ints(m, alpha, [Fraction(z, k) for z in seconds] * 2, far, fd, weights,
                                            strides=(g, ek))
     # corrected: T_M = S / [p]^(m-1), so the firsts and the denominator take (1 - q^(alpha kp))^(m-1) and
     # the seconds (1 - q^(alpha k))^(m-1); at m = 0 the two exchange places
     more = abs(m - 1) if corrected else 0
     # L1 norms: (1 + x^p)/(1 + x) = 1 - x + ... + x^(p-1) has p, and 1 - Q^e has 2; the denominator's, 2^(2m+2)
     # << more, is below the numerator's, as l1[0] >= 2^(2m+2)
-    bits = 8 * _width(l1[0] * p ** (m + 1) + l2 << more)
+    h = (l1[0] * p ** (m + 1) + l2 << more, d2 << more + 1)
+    bits = 8 * _width(h[0])
     # in Q^g2, which divides g: P_kp / P_k = prod_l (1 + x_l^p)/(1 + x_l), x_l = q^((alpha l + 1) k)
     (num, _), (num2, den) = form(g2, bits), form2(g2, bits)
     for e in [near(alpha * l + 1) // g2 for l in range(m + 1)]:
@@ -595,7 +606,7 @@ def weighted_scaled_sum(m: int, alpha: int, k: int, firsts: list, seconds: list,
     for _ in range(more):
         num, num2, den = (_times_packed(v, e, bits, -1) for v, e in ((num, up), (num2, down), (den, up)))
     num, den = _axpy_packed(num, -1, num2, 0, bits), _times_packed(den, c, bits, -1)
-    return RatFunc._from_packed(num, den, g2, bits)
+    return RatFunc._from_packed(num, den, g2, bits, h)
 
 
 def _bracket_weights(fd, alpha: int, count: int) -> list:
@@ -1013,11 +1024,14 @@ def _closed_form_ints(n: int, alpha: int, xs: list, fd, outer, weights: list = N
     bots, shifts = [fd(1)], []
     for x in xs:
         s = fd(alpha * x) if n and x else 0
-        for l in range(1, n + 1):
-            _guard_degree(l * abs(s))
-            if not shifts:
+        if shifts:
+            # a later term forms no bottom, so its one guard is at the first l with l |s| past the limit
+            if s and (l0 := MAX_DEGREE // abs(s) + 1) <= n:
+                _guard_degree(l0 * abs(s))
+        else:
+            for l in range(1, n + 1):
+                _guard_degree(l * abs(s))
                 bots.append(fd(alpha * l + 1))
-        if not shifts:
             a, c = fd(alpha), outer(alpha)
         # a bound on every degree a term forms
         _guard_degree(n * abs(s) + sum(bots) + max(n * c, bots[0]))
@@ -1058,13 +1072,14 @@ def _finished(g: int, l1: tuple, form, up: int = 0, down: int = 0, sign: int = 1
 
     Each factor doubles its side's L1 norm; the width covers both sides.
     """
-    bits = 8 * _width(max(l1[0] << (up > 0), l1[1] << (down > 0)))
+    h = (l1[0] << (up > 0), l1[1] << (down > 0))
+    bits = 8 * _width(max(h))
     num, den = form(g, bits)
     if up:
         num = _times_packed(num, up // g, bits)
     if down:
         den = _times_packed(den, down // g, bits, sign)
-    return RatFunc._from_packed(num, den, g, bits)
+    return RatFunc._from_packed(num, den, g, bits, h)
 
 
 def _numbers_l1(top: int) -> list:

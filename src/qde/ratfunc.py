@@ -10,7 +10,9 @@ form is canonical, so ``==`` and ``hash`` compare it structurally, and
 function keeps a numerator and a monic denominator that may share a
 factor, and is brought to lowest terms only when its ``num`` or ``den``
 is read: by hashing, evaluation, rendering and serialization.  A
-kernel's parts stay packed ints (_Packed) until arithmetic or reduction.
+kernel's or the symbolic measure's parts stay packed ints (_Packed),
+each with a bound h on its digits, until arithmetic other than negation
+and a sum over the same denominator, or reduction.
 
 All arithmetic runs on the integer numerators.  Multiplication and
 division switch on operand length alone:
@@ -55,18 +57,28 @@ gcd.  Other gcds are taken as 1 and the result is marked unreduced.
 
 - a/b * c/d cancels gcd(a, d) and gcd(c, b).  A quotient multiplies by
   the inverse, which needs no gcd.
-- a/b + c/d takes g = gcd(b, d) and writes b = g b1, d = g d1.  The sum
-  is (a d1 + c b1) / (g b1 d1), and only gcd(a d1 + c b1, g) is left to
-  cancel: for reduced operands gcd(a d1 + c b1, b1 d1) = 1, since an
-  irreducible factor of b1 divides neither a (a/b is reduced) nor d1
-  (b1 and d1 are coprime), and likewise for d1.
+- a/b + c/d with b and d known equal at no cost (one object, equal
+  lists, or one int packed at one stride and width) is (a + c)/b: b is
+  kept, no gcd is looked for, and the sum is marked unreduced.  Two
+  numerators packed at one stride and width add as one int while
+  h_a + h_c < 2^(bits-1), and are moved wider past that.
+- Any other a/b + c/d takes g = gcd(b, d) and writes b = g b1,
+  d = g d1.  The sum is (a d1 + c b1) / (g b1 d1), and only
+  gcd(a d1 + c b1, g) is left to cancel: for reduced operands
+  gcd(a d1 + c b1, b1 d1) = 1, since an irreducible factor of b1
+  divides neither a (a/b is reduced) nor d1 (b1 and d1 are coprime),
+  and likewise for d1.
 
 A result is marked reduced when its operands were and every gcd it
 needed came from the rules above.  Two reduced values are equal when
 their parts are; otherwise a/b == c/d is decided as a d == c b, which is
 exact since b and d are nonzero, on the two products packed at one
-xi = 2^(8w) wide enough for both (_same_products): at most min(len)
-2^(bits-1) 2^(bits'-1) for packed parts, whose digits are below 2^(bits-1).
+xi = 2^(8w) wide enough for both (_same_products).  A coefficient of x y
+is at most max|x| times the L1 norm of y and the other way round, a
+list giving its own maximum and norm, a packed part its digit bound h
+(h < 2^(bits-1)) and h times its length: a kernel sets h to the L1
+bound its width comes from, so the width follows the formula's bounds
+and not 2^(bits-1).
 
 A degree guardrail rejects intermediates above ``MAX_DEGREE``: large
 enough for every check shipped here, small enough to fail fast on a
@@ -355,9 +367,10 @@ def _unpack(v: int, n: int, w: int) -> list[int]:
     return _from_bytes(raw, w)
 
 
-def _offset(n: int, w: int) -> int:
-    """Sum of 2^(8w-1) * 2^(8w*j) for j < n."""
-    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+def _offset(n: int, w: int, m: int = 0) -> int:
+    """Sum of 2^(8m-1) * 2^(8w*j) for j < n, m = w by default."""
+    m = m or w
+    return int.from_bytes((bytes(m - 1) + b"\x80" + bytes(w - m)) * n, "little")
 
 
 def _mul_schoolbook(a, b) -> list[int]:
@@ -396,15 +409,16 @@ def _same_products(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
         w = _width(max(_bound(x, y) * left, _bound(u, v) * right))
         return _pack(x, w) * _pack(y, w) * left == _pack(u, w) * _pack(v, w) * right
     shapes = [_shape(p) for p in (a, b, c, d)]
-    (ka, sa, na, ma), (kb, sb, nb, mb), (kc, sc, nc, mc), (kd, sd, nd, md) = shapes
+    (ka, sa, na, ma, la), (kb, sb, nb, mb, lb), (kc, sc, nc, mc, lc), (kd, sd, nd, md, ld) = shapes
     if min(ka, kb, kc, kd) < 0 or ka + kb != kc + kd:
         return (ka < 0 or kb < 0) and (kc < 0 or kd < 0)
     _guard_degree(ka + kb)
-    bound = max(min(na, nb) * ma * mb * left, min(nc, nd) * mc * md * right)
+    # a coefficient of x y is at most max|x_i| times the L1 norm of y, and the other way round
+    bound = max(min(ma * lb, la * mb) * left, min(mc * ld, lc * md) * right)
     # packed operands alone are moved to any width, and the products cost its square
     w = bound.bit_length() // 8 + 1 if type(a) is type(b) is type(c) is type(d) is _Packed else _width(bound)
     x, y, u, v = (_restrided(p._packed, n, gcd(sa, sb, sc, sd) or 1, w) if type(p) is _Packed else _pack(p._num, w)
-                  for p, (_, _, n, _) in zip((a, b, c, d), shapes))
+                  for p, (_, _, n, _, _) in zip((a, b, c, d), shapes))
     return x * y * left == u * v * right
 
 
@@ -414,24 +428,36 @@ def _bound(a, b) -> int:
 
 
 def _shape(p: Poly) -> tuple:
-    """(degree, stride, digits, bound on |digit|) of p's numerator; zero has degree -1, a constant list stride 0."""
+    """(degree, stride, digits, bound on |digit|, bound on the L1 norm) of p's numerator.
+
+    Zero has degree -1, a constant list stride 0.  A list's bounds are its
+    own maximum and L1 norm, a packed part's its digit bound h and h times
+    its digits.
+    """
     if type(p) is not _Packed:
         x = p._num
-        return len(x) - 1, 1 if len(x) > 1 else 0, len(x), max(map(abs, x), default=0)
+        return len(x) - 1, 1 if len(x) > 1 else 0, len(x), max(map(abs, x), default=0), sum(map(abs, x))
     v, _, g, bits = p._packed
     # every |digit| is below 2^(bits-1), so 2^(bits k - 1) <= |v| < 2^(bits (k+1) - 1) at degree k
     k = abs(v).bit_length() // bits if v else -1
-    return g * k, g, k + 1, 1 << bits - 1
+    return g * k, g, k + 1, p._h, (k + 1) * p._h
 
 
 def _restrided(packed: tuple, n: int, s: int, w: int) -> int:
-    """n digits packed in Q^g, moved to Q^s at 2^(8w), w wider: offset to nonnegative bytes, sliced, offset back."""
+    """n digits packed in Q^g, moved to Q^s at 2^(8w): offset to nonnegative bytes, sliced, offset back.
+
+    Each digit is offset by 2^(8m-1), m the narrower width, so its low m bytes hold it; where w is the
+    narrower, the caller's bound keeps every digit below 2^(8w-1).
+    """
     v, _, g, bits = packed
     u, step = bits // 8, g // s * w
-    raw, out = (v + _offset(n, u)).to_bytes(n * u, "little"), bytearray(n * step)
-    for k in range(u):
+    if step == u:
+        return v
+    m = min(u, w)
+    raw, out = (v + _offset(n, u, m)).to_bytes(n * u, "little"), bytearray(n * step)
+    for k in range(m):
         out[k::step] = raw[k::u]
-    return int.from_bytes(out, "little") - int.from_bytes((bytes(u - 1) + b"\x80" + bytes(step - u)) * n, "little")
+    return int.from_bytes(out, "little") - _offset(n, step, m)
 
 
 def _mul_ints(a, b) -> list[int]:
@@ -586,13 +612,19 @@ def _monic(d) -> Poly:
 
 
 class _Packed(Poly):
-    """A kernel's integer polynomial over 1, v at Q^g = 2^bits, n terms, each below 2^(bits-1), its list read lazily."""
+    """An integer polynomial over 1, v at Q^g = 2^bits, n terms, each of magnitude at most h < 2^(bits-1).
 
-    __slots__ = ("_packed",)
+    Its list is read back lazily, on the first use of ``_num``; ``is_zero``,
+    negation, a sum with a part at its stride and width, and ``==`` do not
+    read it.  h defaults to the largest digit the width holds.
+    """
+
+    __slots__ = ("_packed", "_h")
     __hash__ = Poly.__hash__  # which defining __eq__ would clear
 
-    def __init__(self, v: int, n: int, g: int, bits: int):
+    def __init__(self, v: int, n: int, g: int, bits: int, h: int = None):
         object.__setattr__(self, "_packed", (v, n, g, bits))
+        object.__setattr__(self, "_h", (1 << bits - 1) - 1 if h is None else h)
         object.__setattr__(self, "_den", 1)
 
     def __getattr__(self, name):
@@ -602,8 +634,40 @@ class _Packed(Poly):
         _init(self, _stretch(_unpack(v, n, bits // 8), g), 1)
         return self._num
 
+    @property
+    def is_zero(self) -> bool:
+        return not self._packed[0]
+
+    def __neg__(self):
+        v, n, g, bits = self._packed
+        return _Packed(-v, n, g, bits, self._h)
+
     def __eq__(self, other):
+        if type(other) is _Packed and self._packed[2:] == other._packed[2:]:
+            # balanced digits below 2^(bits-1) are unique: equal ints are equal polynomials
+            return self._packed[0] == other._packed[0]
         return isinstance(other, Poly) and _same_products(self, _POLY_ONE, other, _POLY_ONE)
+
+
+def _known_equal(b: Poly, d: Poly) -> bool:
+    """b == d where no list is read back: one object, equal lists, or one int at one stride and width."""
+    if b is d:
+        return True
+    if type(b) is _Packed or type(d) is _Packed:
+        return type(b) is type(d) and b._packed[2:] == d._packed[2:] and b._packed[0] == d._packed[0]
+    return b == d
+
+
+def _plus(a: Poly, c: Poly) -> Poly:
+    """a + c: one int sum for parts packed at one stride and width, moved wider where the digits need it."""
+    if type(a) is not _Packed or type(c) is not _Packed or a._packed[2:] != c._packed[2:]:
+        return a + c
+    (v, n, g, bits), (u, m, _, _) = a._packed, c._packed
+    h = a._h + c._h
+    if h >> bits - 1:
+        w = h.bit_length() // 8 + 1
+        v, u, bits = _restrided(a._packed, n, g, w), _restrided(c._packed, m, g, w), 8 * w
+    return _Packed(v + u, max(n, m), g, bits, h)
 
 
 _POLY_ONE = Poly.one()
@@ -656,14 +720,16 @@ class RatFunc(Frozen):
         return object.__new__(cls)._put(num, den, red)
 
     @classmethod
-    def _from_packed(cls, num: tuple, den: tuple, g: int, bits: int) -> "RatFunc":
+    def _from_packed(cls, num: tuple, den: tuple, g: int, bits: int, h: tuple = (None, None)) -> "RatFunc":
         """num / den packed as (value at Q^g = 2^bits, length), each coefficient below 2^(bits-1); not reduced.
 
-        den must lead with +-1, as a kernel's, of powers of Q and binomials 1 +- Q^k, does: a packed value has
-        its leading coefficient's sign, which alone makes den monic.
+        h bounds the magnitudes of num's and den's coefficients, by default
+        the largest the width holds.  den must lead with +-1, as a kernel's,
+        of powers of Q and binomials 1 +- Q^k, does: a packed value has its
+        leading coefficient's sign, which alone makes den monic.
         """
         sign = -1 if den[0] < 0 else 1
-        return cls._reduced(_Packed(sign * num[0], num[1], g, bits), _Packed(sign * den[0], den[1], g, bits), False)
+        return cls._reduced(*(_Packed(sign * v, n, g, bits, b) for (v, n), b in zip((num, den), h)), False)
 
     @classmethod
     def const(cls, c) -> "RatFunc":
@@ -738,6 +804,10 @@ class RatFunc(Frozen):
             return self
         if self.is_zero:
             return other
+        if _known_equal(self._d, other._d):
+            # a/b + c/b = (a + c)/b, which may share a factor with b
+            t = _plus(self._n, other._n)
+            return RatFunc.zero() if t.is_zero else RatFunc._reduced(t, self._d, False)
         # a/b + c/d with b = g b1, d = g d1: the sum is t/(g b1 d1) with
         # t = a d1 + c b1, and only g can share a factor with t
         g, b1, d1, red = _cancel(self._d._num, other._d._num, full)

@@ -728,6 +728,44 @@ class TestReducedMeasure:
         assert fast == slow
         assert _json(fast) == _json(slow)
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_every_odd_prime_level_and_scale(self, p, level, scale, base):
+        mode = SymbolicMode(scale) if base == 1 else BaseLifted(SymbolicMode(scale), base)
+        n, k = p**level, scale * base
+        dens = set()
+        for a in sorted({0, 1, n // 2, n - 1}):
+            fast = measure(a, level, mode, p).value
+            # both parts packed in Q^k, one byte a digit, every digit 0 or +-1: +-Y^a over (Y^n + 1)/(Y + 1)
+            assert [part._packed[1:] + (part._h,) for part in (fast._n, fast._d)] == [(a + 1, k, 8, 1), (n, k, 8, 1)]
+            dens.add(fast._d._packed[0])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qeuler, "_fixed_denominator", lambda mode: None)
+                slow = measure(a, level, mode, p).value
+            assert fast == slow and slow == fast
+            assert fast.to_json() == slow.to_json()
+        # one level, one denominator
+        assert dens == {((1 << 8 * n) + 1) // 257}
+
+    @pytest.mark.parametrize("p, top", [(3, 3), (5, 3)])
+    def test_the_mass_and_cell_laws_read_no_list_back(self, monkeypatch, p, top):
+        monkeypatch.setattr(ratfunc, "_unpack", lambda *a: pytest.fail("a list was read back"))
+        for level in range(1, top + 1):
+            masses = [measure(a, level, SYM, p).value for a in range(p**level)]
+            total = RatFunc.zero()
+            for m in masses:
+                total = total + m
+            assert total == RatFunc.one() and total == 1
+            if level > 1:
+                for a in range(p ** (level - 1)):
+                    cell = RatFunc.zero()
+                    for j in range(p):
+                        cell = cell + masses[a + j * p ** (level - 1)]
+                    assert cell == measure(a, level - 1, SYM, p).value
+                    assert cell != measure((a + 1) % p ** (level - 1), level - 1, SYM, p).value
+
     def test_no_gcd(self, monkeypatch):
         calls = []
         heu_gcd = ratfunc._heu_gcd
@@ -917,6 +955,35 @@ class TestPackedWidths:
             return
         for v in value if isinstance(value, list) else [value]:
             assert v._d._num[-1] == v._d._den == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(packed_kernel_calls())
+    def test_every_part_carries_a_bound_on_its_norm(self, call):
+        # a part's digit bound h is the L1 bound its width comes from, so == sizes its products from it
+        try:
+            value = call()
+        except QdeError:
+            return
+        for v in value if isinstance(value, list) else [value]:
+            for part in (v._n, v._d):
+                if type(part) is ratfunc._Packed:
+                    assert sum(map(abs, part._num)) <= part._h < 1 << part._packed[3] - 1
+
+    @pytest.mark.parametrize("call, attained", [
+        (lambda: qeuler.weighted_scaled_sum(0, 50, 2, [1], [1], 3, True, SYM), (False, True)),
+        (lambda: qeuler.weighted_scaled_sum(1, 50, 2, [1], [1], 3, True, SYM), (False, True)),
+        (lambda: qeuler.weighted_scaled_sum(0, 50, 2, [1], None, 3, True, SYM), (True, True)),
+        (lambda: qeuler.weighted_euler_sum(0, 50, [Fraction(1)], 2, SYM), (True, True)),
+        (lambda: qeuler_poly(1, 50, Fraction(7), SYM), (True, False)),
+        (lambda: qeuler_numbers(1, 50, SYM)[1], (True, True)),
+        (lambda: qeuler_poly_additive(0, 50, 7, SYM), (True, True)),
+    ])
+    def test_the_digit_bounds_are_attained(self, call, attained):
+        # at alpha = 50 the powers of Q in a part rarely meet, and where none do its L1 norm is its bound h
+        v = call()
+        for part, hit in zip((v._n, v._d), attained):
+            norm = sum(map(abs, part._num))
+            assert norm == part._h if hit else norm < part._h
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_closed_form_bounds_are_attained(self, monkeypatch, n):

@@ -244,6 +244,33 @@ class TestPackedEquality:
         one = Poly([1])
         assert not ratfunc._same_products(Poly([2**56, 0, 1]), one, Poly([0, 1, 1]), one)
 
+    def test_packed_operands_are_compared_at_a_width_their_bound_fits(self):
+        # (12 + 12 Q)^2 = 144 + 288 Q + 144 Q^2 reaches the bound min(2, 2) 12 12 = 288, and c = -112 - 111 Q + Q^2
+        # reaches its h = 112 exactly; c (1 + Q) is another polynomial with the same value at Q = 2^8, one byte
+        # narrower than the 2 bytes that 288 needs
+        a = packed_part([12, 12], 1, 1, 12)
+        c, d = packed_part([-112, -111, 1], 1, 1, 112), packed_part([1, 1], 1, 1, 1)
+
+        def at_256(a):
+            return sum(x << 8 * i for i, x in enumerate(a))
+
+        assert at_256([144, 288, 144]) == at_256(_mul_schoolbook([-112, -111, 1], [1, 1]))
+        assert not ratfunc._same_products(a, a, c, d) and not ratfunc._same_products(c, d, a, a)
+        assert ratfunc._same_products(a, a, packed_part([144, 288, 144], 1, 2, 288), packed_part([1], 1, 1, 1))
+
+    def test_a_packed_parts_norm_is_its_bound_times_its_length(self):
+        # (100 + 100 Q + 100 Q^2)(1 + Q + Q^2) has the coefficient 300 = 3 h, past one byte, and agrees at Q = 2^8
+        # with the list c, whose digits are its value's balanced ones
+        c = [100, -56, 45, -55, 101]
+        a, b = packed_part([100] * 3, 1, 1, 100), Poly([1, 1, 1])
+        assert not ratfunc._same_products(a, b, Poly(c), Poly([1])) and Poly([100] * 3) * b != Poly(c)
+        assert ratfunc._same_products(a, b, Poly([100, 200, 300, 200, 100]), Poly([1]))
+
+
+def packed_part(a: list, g: int, w: int, h: int = None) -> Poly:
+    """a, a list in Q^g, packed at stride g and w bytes a digit, h its digit bound (by default the width's largest)."""
+    return ratfunc._Packed(ratfunc._pack(a, w), len(a), g, 8 * w, h)
+
 
 def as_list(p: Poly) -> tuple:
     """(integer numerator in Q as a list, denominator) of p, a packed p's read from its int and not from p."""
@@ -349,6 +376,103 @@ class TestPackedKernelEquality:
         # the witness, in lowest terms, is what reads the parts back
         assert set(status["fail"]["lhs"]) == {"num", "den"}
         assert sorted(v for v in calls if v in parts) == parts
+
+
+FORMS = ("list", "packed", "packed wide", "packed in Q")
+
+
+def part(a: list, g: int, form: str, h: int = None) -> Poly:
+    """a, a list in Q^g, as a list in Q or packed: at stride g one byte or two wide, or at stride 1."""
+    if form == "list":
+        return Poly(ratfunc._stretch(a, g))
+    if form == "packed in Q":
+        return packed_part(ratfunc._stretch(a, g), 1, 1, h)
+    return packed_part(a, g, 1 if form == "packed" else 2, h)
+
+
+@st.composite
+def sum_operands(draw):
+    """(x, y, lists): x = a/b and y = c/d with parts in any form, and a, b, c, d as lists in Q.
+
+    Digits run to 127, the most one byte holds, so that two packed sums of
+    them use up its headroom; half the time the digit bound h is the part's
+    exact maximum, else the largest the width holds.
+    """
+    g = draw(st.sampled_from((1, 2, 3)))
+    digits = st.integers(-127, 127)
+    num = st.lists(digits, max_size=6)
+    den = st.lists(digits, max_size=4).map(lambda a: a + [1])
+    a, b, c = draw(num), draw(den), draw(num)
+    d = b if draw(st.booleans()) else draw(den)
+    forms = [draw(st.sampled_from(FORMS)) for _ in range(4)]
+    exact = draw(st.booleans())
+    pa, pb, pc, pd = (part(v, g, f, max(map(abs, v), default=0) or 1 if exact else None)
+                      for v, f in zip((a, b, c, d), forms))
+    if d is b and forms[1] == forms[3] and draw(st.booleans()):
+        pd = pb  # one object
+    x, y = RatFunc._reduced(pa, pb, False), RatFunc._reduced(pc, pd, False)
+    return x, y, [ratfunc._stretch(v, g) for v in (a, b, c, d)]
+
+
+class TestEqualDenominatorSums:
+    """A sum over one denominator adds the numerators and keeps it; values in every form agree with the lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sum_operands())
+    def test_sums_and_equality_match_the_list_path(self, operands):
+        x, y, (a, b, c, d) = operands
+        ad, cb = (_mul_schoolbook(u, v) for u, v in ((a, d), (c, b)))
+        want = RatFunc(Poly(ad) + Poly(cb), Poly(_mul_schoolbook(b, d)))
+        got = x + y
+        assert got.num == want.num and got.den == want.den
+        assert got == want and want == got
+        same = Poly(ad) == Poly(cb)
+        assert (x == y) is same and (y == x) is same
+        assert (x - y == RatFunc.zero()) is same
+
+    @pytest.mark.parametrize("den_form", ["list", "packed", "one object"])
+    def test_an_equal_denominator_is_kept_and_nothing_is_cancelled(self, monkeypatch, den_form):
+        monkeypatch.setattr(ratfunc, "_cancel", lambda *a: pytest.fail("a gcd was looked for"))
+        b, d = (part([1, 0, 1], 1, "list" if den_form == "list" else "packed") for _ in range(2))
+        if den_form == "one object":
+            d = b
+        x, y = RatFunc._reduced(part([0, 1], 1, "packed"), b), RatFunc._reduced(part([1], 1, "packed"), d)
+        total = x + y
+        assert total._d is b and not total._red
+        assert total._n == part([1, 1], 1, "list")
+
+    @pytest.mark.parametrize("b, d", [
+        (packed_part([1, 1], 2, 1), packed_part([1, 1], 1, 1)),  # 1 + Q^2 and 1 + Q: one int, 257, at two strides
+        (packed_part([1, 0, 1], 1, 1), packed_part([1, 1], 1, 2)),  # 1 + Q^2 and 1 + Q: 65537 at two widths
+    ])
+    def test_one_int_at_another_stride_or_width_is_another_denominator(self, b, d):
+        assert b._packed[0] == d._packed[0] and b != d
+        x, y = RatFunc._reduced(Poly([1]), b), RatFunc._reduced(Poly([1]), d)
+        total = x + y
+        assert total == RatFunc(Poly([2, 1, 1]), Poly([1, 1, 1, 1]))
+        assert total != RatFunc._reduced(Poly([2]), b)
+
+    def test_a_sum_past_the_headroom_is_moved_wider(self, monkeypatch):
+        monkeypatch.setattr(ratfunc, "_unpack", lambda *a: pytest.fail("a list was read back"))
+        den = part([1, 1], 2, "packed", 1)
+        x = RatFunc._reduced(part([127, -127, 100], 2, "packed", 127), den, False)
+        y = RatFunc._reduced(part([100, -127, 127], 2, "packed", 127), den, False)
+        total = x + y
+        assert total._n._packed[1:] + (total._n._h,) == (3, 2, 16, 254)
+        assert total == RatFunc._reduced(part([227, -254, 227], 2, "packed wide"), part([1, 1], 2, "list"), False)
+        # within the headroom the sum stays one byte wide
+        half = RatFunc._reduced(part([63, -1], 2, "packed", 63), den, False)
+        assert (half + half)._n._packed[3] == 8
+
+    def test_a_packed_part_answers_without_its_list(self, monkeypatch):
+        monkeypatch.setattr(ratfunc, "_unpack", lambda *a: pytest.fail("a list was read back"))
+        p, zero = part([3, -2, 1], 2, "packed", 3), part([], 2, "packed")
+        assert zero.is_zero and not p.is_zero
+        assert -p == part([-3, 2, -1], 2, "packed", 3) and -p != p
+        assert p == part([3, -2, 1], 2, "packed") and p != part([3, -2, 2], 2, "packed")
+        # another width or stride compares the values at one width and stride
+        assert p == part([3, -2, 1], 2, "packed wide") and p == part([3, -2, 1], 2, "packed in Q")
+        assert (-p)._h == 3
 
 
 class TestPolyGcd:

@@ -225,3 +225,14 @@ class TestErrors:
         for corrected in (False, True):
             with pytest.raises(ResourceLimitError, match="exceeds limit 100000"):
                 residue_split(SymbolicMode(scale), 1, 1, 30000, [Fraction(x) for x in xs], step, corrected)
+
+    @pytest.mark.parametrize("n, xs, degree", [
+        (3, [0, 40000], 160000),  # q^(l x) = Q^(80000 l) passes the limit first at l = 2
+        (4, [1, 25000, 12500], 150000),  # Q^(50000 l), first past it at l = 3
+        (5, [0, 1, -20000], 120000),  # a negative shift: Q^(-40000 l), l = 3
+        (2, [0, 1, 40000, 50001], 160000),  # of two later terms past the limit, the first names its degree
+    ])
+    def test_a_later_terms_power_names_the_first_degree_past_the_limit(self, n, xs, degree):
+        # every term after the first forms only its shifts q^(alpha l x); they raise as term-by-term powers do
+        with pytest.raises(ResourceLimitError, match=f"^polynomial degree {degree} exceeds limit 100000$"):
+            residue_split(SymbolicMode(2), 1, n, 1, [Fraction(x) for x in xs], 1, False)
